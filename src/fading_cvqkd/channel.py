@@ -14,7 +14,8 @@ V_S is the variance of the signal state quadrature before modulation
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -46,6 +47,14 @@ class ProtocolParams:
     z_conf: float = 2.0
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            val = getattr(self, f.name)
+            try:
+                finite = math.isfinite(val)
+            except TypeError:
+                raise ParameterError(f"{f.name} must be a number, got {val!r}")
+            if not finite:
+                raise ParameterError(f"{f.name} must be finite, got {val}")
         if not (self.V > 0.0):
             raise ParameterError(f"modulation variance must be positive, got {self.V}")
         if not (0.0 < self.V_S <= 1.0):
@@ -76,7 +85,11 @@ def noise_variance(T: float, protocol: ProtocolParams) -> float:
 
 @dataclass(frozen=True)
 class Package(object):
-    """One package: n states sent through a constant-transmittance slice."""
+    """One package: n states sent through a constant-transmittance slice.
+
+    Run.packages hands out packages whose M and B are read-only row
+    views of the run's arrays.
+    """
 
     true_T: float
     M: np.ndarray  # modulated quadrature values, shape (n,)
@@ -95,39 +108,68 @@ class Package(object):
         return self.M.size
 
 
+def _read_only(a) -> np.ndarray:
+    """A read-only float64 view of a (no copy when a is float64 already)."""
+    view = np.asarray(a, dtype=np.float64).view()
+    view.flags.writeable = False
+    return view
+
+
 @dataclass(frozen=True)
 class Run(object):
-    """A full protocol run: m packages plus the generating configuration."""
+    """A full protocol run plus the generating configuration.
 
-    packages: tuple[Package, ...]
+    Row i of M and B holds the n states of package i, sent at the true
+    transmittance true_T[i].  The arrays are stored as read-only views.
+    """
+
+    M: np.ndarray  # shape (m, n)
+    B: np.ndarray  # shape (m, n)
+    true_T: np.ndarray  # shape (m,)
     dist: TransmittanceDistribution
     protocol: ProtocolParams
     seed: int
 
+    def __post_init__(self) -> None:
+        for name in ("M", "B", "true_T"):
+            object.__setattr__(self, name, _read_only(getattr(self, name)))
+        if self.M.ndim != 2 or self.M.shape != self.B.shape:
+            raise ParameterError("run arrays M and B must be 2-d and of equal shape")
+        if self.true_T.shape != (self.m,):
+            raise ParameterError(f"true_T must hold one value per package, "
+                                 f"got shape {self.true_T.shape} for {self.m} packages")
+        if self.m < 1 or self.n < 2:
+            raise ParameterError(f"a run needs >= 1 package of >= 2 states, "
+                                 f"got shape {self.M.shape}")
+        if not np.all((self.true_T >= 0.0) & (self.true_T <= 1.0)):
+            raise ParameterError("package transmittance outside [0, 1]")
+
     @property
     def m(self) -> int:
-        return len(self.packages)
+        return self.M.shape[0]
 
     @property
     def n(self) -> int:
-        return self.packages[0].n if self.packages else 0
+        return self.M.shape[1]
 
     @property
     def N(self) -> int:
-        return sum(p.n for p in self.packages)
+        return self.M.size
 
-    def true_transmittances(self) -> np.ndarray:
-        return np.array([p.true_T for p in self.packages])
+    @property
+    def packages(self) -> tuple[Package, ...]:
+        """The packages as row views of M and B."""
+        return tuple(Package(true_T=T, M=M, B=B)
+                     for T, M, B in zip(self.true_T.tolist(), self.M, self.B))
 
 
-def _package_from_rng(rng: np.random.Generator, T: float, n: int,
-                      protocol: ProtocolParams) -> Package:
+def _draw(rng: np.random.Generator, T: float, n: int,
+          protocol: ProtocolParams) -> tuple[np.ndarray, np.ndarray]:
+    """(M, B) of one package of n states at transmittance T."""
     vN = noise_variance(T, protocol)
     M = rng.normal(0.0, np.sqrt(protocol.V), n)
     B = np.sqrt(T) * M + rng.normal(0.0, np.sqrt(vN), n)
-    M.flags.writeable = False
-    B.flags.writeable = False
-    return Package(true_T=T, M=M, B=B)
+    return M, B
 
 
 def simulate_package(T: float, n: int, protocol: ProtocolParams, seed) -> Package:
@@ -137,7 +179,8 @@ def simulate_package(T: float, n: int, protocol: ProtocolParams, seed) -> Packag
     if int(n) < 2:
         raise ParameterError(f"package size must be >= 2, got {n}")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    return _package_from_rng(rng, float(T), int(n), protocol)
+    M, B = _draw(rng, float(T), int(n), protocol)
+    return Package(true_T=float(T), M=_read_only(M), B=_read_only(B))
 
 
 def simulate_run(dist: TransmittanceDistribution, n: int, m: int,
@@ -155,8 +198,8 @@ def simulate_run(dist: TransmittanceDistribution, n: int, m: int,
     root = np.random.SeedSequence(seed)
     t_stream, noise_stream = root.spawn(2)
     T_values = dist.sample(np.random.default_rng(t_stream), m)
-    packages = []
+    M = np.empty((m, n))
+    B = np.empty((m, n))
     for i, (T, child) in enumerate(zip(T_values, noise_stream.spawn(m))):
-        packages.append(_package_from_rng(np.random.default_rng(child),
-                                          float(T), n, protocol))
-    return Run(packages=tuple(packages), dist=dist, protocol=protocol, seed=int(seed))
+        M[i], B[i] = _draw(np.random.default_rng(child), float(T), n, protocol)
+    return Run(M=M, B=B, true_T=T_values, dist=dist, protocol=protocol, seed=int(seed))

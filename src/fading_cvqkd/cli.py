@@ -4,8 +4,8 @@ Subcommands: simulate, estimate, keyrate, optimize, reproduce, ingest.
 Configuration precedence: JSON config file, then FADING_CVQKD_*
 environment variables, then command line flags.  --paper-scale bumps
 the default package count/size to publication scale; explicit --n/--m
-beat it.  All outputs are CSV tables plus JSON reports; nothing plots
-in-process.
+beat it.  Outputs are CSV tables and JSON reports, plus .npy arrays
+for stored runs; nothing plots in-process.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from . import clustering, estimation, security, storage
 from .channel import ProtocolParams, simulate_run
 from .distributions import Empirical, from_descriptor
 from .errors import FadingCVQKDError, ValidationError
-from .storage import ESTIMATES_CSV, RUN_CSV, RUN_JSON, TRUE_T_CSV
+from .storage import B_NPY, ESTIMATES_CSV, M_NPY, RUN_CSV, RUN_JSON, TRUE_T_CSV
 
 FIGURES = ("fig6", "fig7", "fig8", "fig9")
 
@@ -111,15 +111,24 @@ def _require_out(cfg: ScenarioConfig, command: str) -> Path:
     return out
 
 
+# files that estimate and keyrate derive from a run, and the state table
+# of a format v1 run: a new run in the same directory makes them stale
+_STALE_AFTER_SIMULATE = (ESTIMATES_CSV, "estimate.json", "residuals.csv",
+                         "keyrate.json", RUN_CSV)
+
+
 def _cmd_simulate(args) -> int:
     cfg = _merge_config(args)
     out = _require_out(cfg, "simulate")
     run = simulate_run(cfg.make_dist(), cfg.n, cfg.m, cfg.make_protocol(), cfg.seed)
+    for name in _STALE_AFTER_SIMULATE:
+        (out / name).unlink(missing_ok=True)
     storage.write_run(run, out)
-    mean_T = float(np.mean(run.true_transmittances()))
+    mean_T = float(np.mean(run.true_T))
     print(f"simulated {run.m} packages x {run.n} states (seed {run.seed}), "
           f"mean true T {mean_T:.4f}")
-    print(f"wrote {out / RUN_CSV}, {out / TRUE_T_CSV}, {out / RUN_JSON}")
+    wrote = ", ".join(str(out / name) for name in (M_NPY, B_NPY, TRUE_T_CSV, RUN_JSON))
+    print(f"wrote {wrote}")
     return 0
 
 
@@ -164,6 +173,20 @@ def _cmd_estimate(args) -> int:
     return 0
 
 
+def _check_estimates_match_run(estimates, sidecar: dict, protocol, path) -> None:
+    """Refuse an estimates table left over from another run: it must
+    hold one row per package, each from k = round(r*n) disclosed states."""
+    m = int(sidecar["m"])
+    k = estimation.disclosed_count(int(sidecar["n"]), protocol.r)
+    if len(estimates) != m:
+        raise ValidationError(f"{path} has {len(estimates)} rows but the run has "
+                              f"{m} packages; rerun estimate")
+    stray = sorted({e.k for e in estimates} - {k})
+    if stray:
+        raise ValidationError(f"{path} has k = {stray[0]} but the run discloses "
+                              f"k = {k} states per package; rerun estimate")
+
+
 def _cmd_keyrate(args) -> int:
     cfg = _merge_config(args)
     if args.data:
@@ -173,6 +196,7 @@ def _cmd_keyrate(args) -> int:
         est_path = run_dir / ESTIMATES_CSV
         if est_path.exists():
             estimates = storage.read_estimates(est_path)
+            _check_estimates_match_run(estimates, sidecar, protocol, est_path)
         else:
             estimates = estimation.estimate_run(storage.read_run(run_dir))
         stats = estimation.aggregate(estimates, protocol)

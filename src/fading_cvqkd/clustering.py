@@ -35,7 +35,7 @@ from .distributions import Moments, TransmittanceDistribution
 from .errors import (ClusterTooSmallError, EmptyClusterError,
                      InsufficientDataError, NumericalError, ParameterError)
 from .estimation import AggregateStats, PackageEstimate, WorstCaseChannel, \
-    aggregate, worst_case
+    aggregate, disclosed_count, worst_case
 from .security import key_rate
 
 __all__ = [
@@ -106,14 +106,6 @@ class OptimizeResult:
 
     def __iter__(self):
         return iter((self.plan, self.r, self.V))
-
-
-def _disclosed(n: int, r: float) -> int:
-    k = int(round(r * n))
-    if k < 2:
-        raise InsufficientDataError(
-            f"r*n = {r * n:.2f} leaves fewer than 2 disclosed states per package")
-    return min(n, k)
 
 
 def _sigma_arrays(s: np.ndarray, k: int, protocol: ProtocolParams):
@@ -381,7 +373,7 @@ def total_key_rate(dist: TransmittanceDistribution, boundaries: Sequence[float],
     Clusters expected to hold fewer than two packages contribute zero.
     """
     z = protocol.z_conf if z is None else float(z)
-    k = _disclosed(int(n), protocol.r)
+    k = disclosed_count(int(n), protocol.r)
     ev = _Evaluator(dist, protocol, k, m, z, n=int(n), order=order)
     return ev.plan(_check_edges(boundaries))
 
@@ -571,7 +563,7 @@ def optimize(dist: TransmittanceDistribution, C: int, n: int, m: int,
                    start: tuple[int, ...] | None, window: int | None):
         try:
             proto = replace(protocol, r=r, V=V)
-            k = _disclosed(int(n), r)
+            k = disclosed_count(int(n), r)
             ev = _Evaluator(dist, proto, k, m, z, n=int(n), order=order)
             lv, score = _inner_optimize(ev, C, Q_pt, start, window, min_mass)
         except (ParameterError, InsufficientDataError):
@@ -643,7 +635,7 @@ def optimize(dist: TransmittanceDistribution, C: int, n: int, m: int,
         best_levels, best_Q = incumbent[4], Q_ref
 
     proto = replace(protocol, r=best_r, V=best_V)
-    k = _disclosed(int(n), best_r)
+    k = disclosed_count(int(n), best_r)
     ev = _Evaluator(dist, proto, k, m, z, n=int(n), order=order)
     plan = ev.plan(_levels_to_edges(ev, best_levels, best_Q))
     evaluations += ev.evaluations

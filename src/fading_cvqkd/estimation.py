@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .channel import Package, ProtocolParams, Run
-from .errors import InsufficientDataError, ParameterError
+from .errors import InsufficientDataError, NumericalError, ParameterError
 
 __all__ = [
     "PackageEstimate",
@@ -30,6 +30,7 @@ __all__ = [
     "estimate_sqrtT",
     "estimate_T",
     "estimate_noise",
+    "disclosed_count",
     "estimate_package",
     "estimate_run",
     "aggregate",
@@ -109,18 +110,37 @@ def _check_pairs(M, B) -> tuple[np.ndarray, np.ndarray, int]:
     return M, B, M.size
 
 
-def _core(M, B, V: float) -> tuple[float, float, float, float, int]:
-    """Shared plumbing: (sqrtT_hat, T_hat, vN_hat, v_u, k)."""
+def _estimates(M: np.ndarray, B: np.ndarray, V: float,
+               k: int) -> list[PackageEstimate]:
+    """Estimates of each row of (rows, k) disclosed pairs.
+
+    The two O(rows*k) sums, sum(M*B) and the residual sum of squares,
+    run over all rows at once; the scalar tail stays per row in Python
+    floats, so a row's estimate is bit-equal whether it is estimated
+    alone or with a whole run.
+    """
+    sqrtT = np.sum(M * B, axis=1) / (V * k)
+    resid = B - sqrtT[:, None] * M
+    vN = np.sum(resid**2, axis=1) / (k - 1)
+    out = []
+    for sqrtT_hat, vN_hat in zip(sqrtT.tolist(), vN.tolist()):
+        T_hat = sqrtT_hat**2
+        # model variance of the sqrt estimator with plug-in (T, V_N)
+        v_u = max((2.0 * T_hat + max(vN_hat, 0.0) / V) / k, _VAR_FLOOR)
+        out.append(PackageEstimate(
+            sqrtT_hat=sqrtT_hat, T_hat=T_hat,
+            sigma_sqrtT=math.sqrt(v_u),
+            sigma_T=math.sqrt(4.0 * T_hat * v_u + 2.0 * v_u**2),
+            vN_hat=vN_hat, k=k, sign_anomaly=sqrtT_hat < 0.0))
+    return out
+
+
+def _core(M, B, V: float) -> PackageEstimate:
+    """Shared plumbing of the 1-d estimators: all k pairs disclosed."""
     M, B, k = _check_pairs(M, B)
     if not (V > 0.0):
         raise ParameterError(f"modulation variance must be positive, got {V}")
-    sqrtT_hat = float(np.sum(M * B) / (V * k))
-    T_hat = sqrtT_hat**2
-    resid = B - sqrtT_hat * M
-    vN_hat = float(np.sum(resid**2) / (k - 1))
-    # model variance of the sqrt estimator with plug-in (T, V_N)
-    v_u = max((2.0 * T_hat + max(vN_hat, 0.0) / V) / k, _VAR_FLOOR)
-    return sqrtT_hat, T_hat, vN_hat, v_u, k
+    return _estimates(M[None], B[None], V, k)[0]
 
 
 def estimate_sqrtT(M, B, V: float) -> tuple[float, float]:
@@ -129,8 +149,8 @@ def estimate_sqrtT(M, B, V: float) -> tuple[float, float]:
     Returns (sqrtT_hat, sigma_sqrtT) where the predicted standard
     deviation sqrt((2T + V_N/V)/k) is evaluated at plug-in estimates.
     """
-    sqrtT_hat, _, _, v_u, _ = _core(M, B, V)
-    return sqrtT_hat, math.sqrt(v_u)
+    est = _core(M, B, V)
+    return est.sqrtT_hat, est.sigma_sqrtT
 
 
 def estimate_T(M, B, V: float) -> tuple[float, float]:
@@ -140,9 +160,8 @@ def estimate_T(M, B, V: float) -> tuple[float, float]:
     4*T*Var(sqrtT_hat) is kept strictly positive by the exact Gaussian
     second-order term 2*Var(sqrtT_hat)^2, which matters only near T=0.
     """
-    _, T_hat, _, v_u, _ = _core(M, B, V)
-    sigma_T = math.sqrt(4.0 * T_hat * v_u + 2.0 * v_u**2)
-    return T_hat, sigma_T
+    est = _core(M, B, V)
+    return est.T_hat, est.sigma_T
 
 
 def estimate_noise(M, B, V: float, V_S: float) -> tuple[float, float]:
@@ -154,9 +173,10 @@ def estimate_noise(M, B, V: float, V_S: float) -> tuple[float, float]:
     mismatch and triggers a warning; callers clamp at 0 for key-rate
     use.
     """
-    sqrtT_hat, T_hat, vN_hat, _, k = _core(M, B, V)
-    eps_hat = vN_hat - 1.0 + T_hat * (1.0 - V_S)
-    tol = max(4.0 * math.sqrt(2.0 / k) * max(vN_hat, 0.0), 1e-9)
+    est = _core(M, B, V)
+    vN_hat = est.vN_hat
+    eps_hat = vN_hat - 1.0 + est.T_hat * (1.0 - V_S)
+    tol = max(4.0 * math.sqrt(2.0 / est.k) * max(vN_hat, 0.0), 1e-9)
     if eps_hat < -tol:
         warnings.warn(f"excess noise estimate {eps_hat:.4g} is negative beyond "
                       f"sampling tolerance {tol:.4g}; model mismatch?",
@@ -164,28 +184,27 @@ def estimate_noise(M, B, V: float, V_S: float) -> tuple[float, float]:
     return vN_hat, eps_hat
 
 
-def _disclosed_count(n: int, r: float) -> int:
+def disclosed_count(n: int, r: float) -> int:
+    """States disclosed per package: k = round(r*n), at most n and at
+    least 2."""
     k = int(round(r * n))
-    return min(n, max(k, 0))
+    if k < 2:
+        raise InsufficientDataError(
+            f"r*n = {r * n:.2f} leaves fewer than 2 disclosed states per package")
+    return min(n, k)
 
 
 def estimate_package(pkg: Package, protocol: ProtocolParams) -> PackageEstimate:
     """Estimate one package from its first k = r*n disclosed states."""
-    k = _disclosed_count(pkg.n, protocol.r)
-    if k < 2:
-        raise InsufficientDataError(
-            f"r*n = {protocol.r * pkg.n:.2f} leaves fewer than 2 disclosed states")
-    M, B = pkg.M[:k], pkg.B[:k]
-    sqrtT_hat, T_hat, vN_hat, v_u, _ = _core(M, B, protocol.V)
-    return PackageEstimate(
-        sqrtT_hat=sqrtT_hat, T_hat=T_hat,
-        sigma_sqrtT=math.sqrt(v_u),
-        sigma_T=math.sqrt(4.0 * T_hat * v_u + 2.0 * v_u**2),
-        vN_hat=vN_hat, k=k, sign_anomaly=sqrtT_hat < 0.0)
+    k = disclosed_count(pkg.n, protocol.r)
+    return _estimates(pkg.M[None, :k], pkg.B[None, :k], protocol.V, k)[0]
 
 
 def estimate_run(run: Run) -> list[PackageEstimate]:
-    return [estimate_package(p, run.protocol) for p in run.packages]
+    """Estimate every package of a run from its first k = r*n states,
+    in one pass over the disclosed prefix of the (m, n) arrays."""
+    k = disclosed_count(run.n, run.protocol.r)
+    return _estimates(run.M[:, :k], run.B[:, :k], run.protocol.V, k)
 
 
 def aggregate(estimates: Sequence[PackageEstimate],
@@ -237,21 +256,29 @@ def aggregate(estimates: Sequence[PackageEstimate],
         eps_hat=eps_hat, vN_pooled=vN_pooled, k_total=k_total)
 
 
+def _nonneg(x: float, name: str) -> float:
+    """max(0, x) that fails closed: a NaN bound raises instead of
+    clamping to a plausible 0."""
+    if math.isnan(x):
+        raise NumericalError(f"worst-case bound {name} is NaN")
+    return x if x > 0.0 else 0.0
+
+
 def _eps_upper(stats: AggregateStats, z: float) -> float:
     if stats.k_total < 2:
         raise InsufficientDataError("noise bound needs pooled disclosed data")
     bound = stats.eps_hat \
-        + z * math.sqrt(2.0 / stats.k_total) * max(0.0, stats.vN_pooled)
-    return max(0.0, bound)
+        + z * math.sqrt(2.0 / stats.k_total) * _nonneg(stats.vN_pooled, "vN_pooled")
+    return _nonneg(bound, "eps_up")
 
 
 def _finish(X1_up: float, X2_low: float, eps_up: float,
             V_prime: float) -> WorstCaseChannel:
-    X1_up = max(0.0, X1_up)
-    X2_low = max(0.0, X2_low)
+    X1_up = _nonneg(X1_up, "X1_up")
+    X2_low = _nonneg(X2_low, "X2_low")
     raw_T_low = 0.5 * (X2_low - X1_up)
     unusable = raw_T_low <= 0.0
-    return WorstCaseChannel(T_eff_low=max(0.0, raw_T_low),
+    return WorstCaseChannel(T_eff_low=_nonneg(raw_T_low, "T_eff_low"),
                             eps_eff_up=eps_up + X1_up * V_prime,
                             X1_up=X1_up, X2_low=X2_low, eps_up=eps_up,
                             unusable=unusable)
@@ -293,7 +320,8 @@ def worst_case_rectangular(stats: AggregateStats, protocol: ProtocolParams,
     z = _resolve_z(protocol, z)
     if eps_up is None:
         eps_up = _eps_upper(stats, z)
-    mean_sqrt_low = max(0.0, stats.mean_sqrtT_hat - z * stats.se_mean_sqrtT)
+    mean_sqrt_low = _nonneg(stats.mean_sqrtT_hat - z * stats.se_mean_sqrtT,
+                            "mean_sqrtT_low")
     mean_T_up = stats.mean_T_hat + z * stats.se_mean_T
     mean_T_low = stats.mean_T_hat - z * stats.se_mean_T
     X1_up = mean_T_up - mean_sqrt_low**2

@@ -1,8 +1,12 @@
 """File formats: runs, estimates, transmittance traces, reports.
 
-CSV throughout (RFC 4180, comma, header row), JSON sidecars for
-configuration.  Floats are written with repr so a rerun of the same
-seed produces byte-identical files.
+A run directory (format v2) holds the (m, n) arrays M and B as float64
+.npy files, the true transmittances as true_T.csv and a run.json
+sidecar carrying the format, distribution, protocol and seed.  Runs in
+format v1, where run.csv lists every state as a (package, j, M, B)
+row, are still read.  Tables are CSV (RFC 4180, comma, header row),
+reports JSON.  Floats are written with repr, and arrays with np.save,
+so a rerun of the same seed produces byte-identical files.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .channel import Package, ProtocolParams, Run
+from .channel import ProtocolParams, Run
 from .distributions import TransmittanceDistribution, from_descriptor
 from .errors import ValidationError
 from .estimation import PackageEstimate
@@ -25,13 +29,17 @@ __all__ = [
     "write_run", "read_run", "write_estimates", "read_estimates",
     "read_trace", "write_trace", "write_json", "read_json", "write_table",
     "protocol_descriptor", "protocol_from_descriptor",
-    "RUN_CSV", "RUN_JSON", "TRUE_T_CSV", "ESTIMATES_CSV",
+    "M_NPY", "B_NPY", "RUN_CSV", "RUN_JSON", "TRUE_T_CSV", "ESTIMATES_CSV",
 ]
 
-RUN_CSV = "run.csv"
+M_NPY = "M.npy"
+B_NPY = "B.npy"
+RUN_CSV = "run.csv"  # format v1, read only
 RUN_JSON = "run.json"
 TRUE_T_CSV = "true_T.csv"
 ESTIMATES_CSV = "estimates.csv"
+RUN_FORMAT_V1 = "fading-cvqkd-run-v1"
+RUN_FORMAT_V2 = "fading-cvqkd-run-v2"
 
 _ESTIMATE_HEADER = ["package", "sqrtT_hat", "T_hat", "sigma_sqrtT",
                     "sigma_T", "vN_hat", "k"]
@@ -100,23 +108,15 @@ def protocol_from_descriptor(d: dict) -> ProtocolParams:
 
 
 def write_run(run: Run, out_dir) -> None:
-    """Write a run as run.csv (package,j,M,B), true_T.csv and a JSON
-    sidecar carrying the distribution, protocol and seed."""
+    """Write a run in format v2: M.npy and B.npy, true_T.csv and a
+    JSON sidecar carrying the distribution, protocol and seed."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / RUN_CSV, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["package", "j", "M", "B"])
-        for i, pkg in enumerate(run.packages):
-            for j in range(pkg.n):
-                w.writerow([i, j, _fmt(pkg.M[j]), _fmt(pkg.B[j])])
-    with open(out / TRUE_T_CSV, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["package", "T_true"])
-        for i, pkg in enumerate(run.packages):
-            w.writerow([i, _fmt(pkg.true_T)])
+    np.save(out / M_NPY, run.M, allow_pickle=False)
+    np.save(out / B_NPY, run.B, allow_pickle=False)
+    write_table(out / TRUE_T_CSV, ["package", "T_true"], enumerate(run.true_T.tolist()))
     sidecar = {
-        "format": "fading-cvqkd-run-v1",
+        "format": RUN_FORMAT_V2,
         "dist": run.dist.descriptor(),
         "protocol": protocol_descriptor(run.protocol),
         "n": run.n,
@@ -140,35 +140,15 @@ def _int_field(row_no: int, name: str, raw: str) -> int:
         raise ValidationError(f"row {row_no}: field {name} is not an integer: {raw!r}")
 
 
-def read_run(in_dir) -> Run:
-    """Rebuild a Run from a directory written by write_run, validating
-    structure row by row."""
-    src = Path(in_dir)
-    sidecar = read_json(src / RUN_JSON)
-    for key in ("dist", "protocol", "n", "m", "seed"):
-        if key not in sidecar:
-            raise ValidationError(f"{RUN_JSON}: missing key {key!r}")
-    dist = from_descriptor(sidecar["dist"])
-    protocol = protocol_from_descriptor(sidecar["protocol"])
-    n, m = int(sidecar["n"]), int(sidecar["m"])
+def _check_finite(label: str, a: np.ndarray) -> None:
+    bad = np.flatnonzero(~np.isfinite(a))
+    if bad.size:
+        i, j = divmod(int(bad[0]), a.shape[1])
+        raise ValidationError(f"{label}: non-finite value {a[i, j]} at package {i}, state {j}")
 
-    true_T = {}
-    with open(src / TRUE_T_CSV, newline="") as fh:
-        rd = csv.reader(fh)
-        header = next(rd, None)
-        if header != ["package", "T_true"]:
-            raise ValidationError(f"{TRUE_T_CSV}: bad header {header}")
-        for row_no, row in enumerate(rd, start=2):
-            if len(row) != 2:
-                raise ValidationError(f"{TRUE_T_CSV} row {row_no}: expected 2 fields")
-            i = _int_field(row_no, "package", row[0])
-            t = _float_field(row_no, "T_true", row[1])
-            if not (0.0 <= t <= 1.0):
-                raise ValidationError(f"{TRUE_T_CSV} row {row_no}: T_true outside [0, 1]")
-            true_T[i] = t
-    if sorted(true_T) != list(range(m)):
-        raise ValidationError(f"{TRUE_T_CSV}: package indices are not 0..{m - 1}")
 
+def _read_states_v1(src: Path, n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """(M, B) from run.csv, validated row by row."""
     M = np.zeros((m, n))
     B = np.zeros((m, n))
     seen = np.zeros((m, n), dtype=bool)
@@ -192,15 +172,77 @@ def read_run(in_dir) -> Run:
     if not seen.all():
         missing = int((~seen).sum())
         raise ValidationError(f"{RUN_CSV}: {missing} state(s) missing")
+    _check_finite(f"{RUN_CSV} column M", M)
+    _check_finite(f"{RUN_CSV} column B", B)
+    return M, B
 
-    packages = []
-    for i in range(m):
-        Mi, Bi = M[i].copy(), B[i].copy()
-        Mi.flags.writeable = False
-        Bi.flags.writeable = False
-        packages.append(Package(true_T=true_T[i], M=Mi, B=Bi))
-    return Run(packages=tuple(packages), dist=dist, protocol=protocol,
-               seed=int(sidecar["seed"]))
+
+def _load_array(path: Path, shape: tuple[int, int]) -> np.ndarray:
+    """A float64 array of the given shape from a .npy file; pickled
+    object arrays are refused."""
+    try:
+        with open(path, "rb") as fh:
+            a = np.lib.format.read_array(fh, allow_pickle=False)
+    except FileNotFoundError:
+        raise ValidationError(f"{path.name}: missing")
+    except (ValueError, EOFError) as exc:
+        raise ValidationError(f"{path.name}: not a plain .npy array: {exc}")
+    if a.dtype != np.float64:
+        raise ValidationError(f"{path.name}: dtype {a.dtype}, expected float64")
+    if a.shape != shape:
+        raise ValidationError(f"{path.name}: shape {a.shape}, but {RUN_JSON} "
+                              f"gives (m, n) = {shape}")
+    _check_finite(path.name, a)
+    return a
+
+
+def _read_states_v2(src: Path, n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    return _load_array(src / M_NPY, (m, n)), _load_array(src / B_NPY, (m, n))
+
+
+_STATE_READERS = {RUN_FORMAT_V1: _read_states_v1, RUN_FORMAT_V2: _read_states_v2}
+
+
+def read_run(in_dir) -> Run:
+    """Rebuild a Run from a directory written by write_run (format v2)
+    or by its CSV predecessor (format v1), validating the structure and
+    refusing non-finite states."""
+    src = Path(in_dir)
+    sidecar = read_json(src / RUN_JSON)
+    for key in ("format", "dist", "protocol", "n", "m", "seed"):
+        if key not in sidecar:
+            raise ValidationError(f"{RUN_JSON}: missing key {key!r}")
+    read_states = _STATE_READERS.get(sidecar["format"])
+    if read_states is None:
+        raise ValidationError(f"{RUN_JSON}: unknown run format {sidecar['format']!r}; "
+                              f"expected one of {sorted(_STATE_READERS)}")
+    dist = from_descriptor(sidecar["dist"])
+    protocol = protocol_from_descriptor(sidecar["protocol"])
+    n, m = int(sidecar["n"]), int(sidecar["m"])
+    if m < 1 or n < 2:
+        raise ValidationError(f"{RUN_JSON}: need m >= 1 packages of n >= 2 states, "
+                              f"got m = {m}, n = {n}")
+
+    true_T = {}
+    with open(src / TRUE_T_CSV, newline="") as fh:
+        rd = csv.reader(fh)
+        header = next(rd, None)
+        if header != ["package", "T_true"]:
+            raise ValidationError(f"{TRUE_T_CSV}: bad header {header}")
+        for row_no, row in enumerate(rd, start=2):
+            if len(row) != 2:
+                raise ValidationError(f"{TRUE_T_CSV} row {row_no}: expected 2 fields")
+            i = _int_field(row_no, "package", row[0])
+            t = _float_field(row_no, "T_true", row[1])
+            if not (0.0 <= t <= 1.0):
+                raise ValidationError(f"{TRUE_T_CSV} row {row_no}: T_true outside [0, 1]")
+            true_T[i] = t
+    if sorted(true_T) != list(range(m)):
+        raise ValidationError(f"{TRUE_T_CSV}: package indices are not 0..{m - 1}")
+
+    M, B = read_states(src, n, m)
+    return Run(M=M, B=B, true_T=[true_T[i] for i in range(m)], dist=dist,
+               protocol=protocol, seed=int(sidecar["seed"]))
 
 
 def write_estimates(estimates: Sequence[PackageEstimate], path) -> None:

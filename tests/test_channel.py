@@ -1,5 +1,6 @@
 """Fading-channel simulation: linear model, seeding, prefix stability."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from fading_cvqkd import (
     ParameterError,
     ProtocolParams,
+    Run,
     TruncatedNormal,
     Uniform,
     noise_variance,
@@ -36,6 +38,31 @@ def test_protocol_validation():
         ProtocolParams(beta=0.0)
     with pytest.raises(ParameterError):
         ProtocolParams(z_conf=0.0)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(ProtocolParams)])
+def test_protocol_rejects_non_finite_fields(name, bad):
+    with pytest.raises(ParameterError, match=f"{name} must be finite"):
+        ProtocolParams(**{name: bad})
+
+
+def test_protocol_rejects_non_numeric_fields():
+    with pytest.raises(ParameterError, match="V must be a number"):
+        ProtocolParams(V="5")
+
+
+def test_run_validates_its_arrays():
+    M = np.zeros((3, 4))
+    dist, p = Uniform(0.2, 0.9), ProtocolParams()
+    with pytest.raises(ParameterError, match="equal shape"):
+        Run(M=M, B=np.zeros((3, 5)), true_T=[0.5] * 3, dist=dist, protocol=p, seed=0)
+    with pytest.raises(ParameterError, match="one value per package"):
+        Run(M=M, B=M, true_T=[0.5] * 2, dist=dist, protocol=p, seed=0)
+    with pytest.raises(ParameterError, match=r"outside \[0, 1\]"):
+        Run(M=M, B=M, true_T=[0.5, math.nan, 0.5], dist=dist, protocol=p, seed=0)
+    with pytest.raises(ParameterError, match=">= 2 states"):
+        Run(M=M[:, :1], B=M[:, :1], true_T=[0.5] * 3, dist=dist, protocol=p, seed=0)
 
 
 def test_noise_variance_formula():
@@ -77,20 +104,23 @@ def test_run_shapes_and_truth():
     dist = Uniform(0.2, 0.9)
     run = simulate_run(dist, 50, 40, ProtocolParams(), seed=5)
     assert run.m == 40 and run.n == 50 and run.N == 2000
-    ts = run.true_transmittances()
+    ts = run.true_T
     assert ts.shape == (40,)
     assert np.all((ts >= 0.2) & (ts <= 0.9))
+    assert run.M.shape == run.B.shape == (40, 50)
     assert all(pkg.M.shape == (50,) for pkg in run.packages)
     # arrays are frozen against accidental mutation
     with pytest.raises(ValueError):
         run.packages[0].M[0] = 0.0
+    with pytest.raises(ValueError):
+        run.B[0, 0] = 0.0
 
 
 def test_run_reproducibility():
     dist = TruncatedNormal(0.5, 0.1)
     a = simulate_run(dist, 20, 15, ProtocolParams(), seed=321)
     b = simulate_run(dist, 20, 15, ProtocolParams(), seed=321)
-    assert a.true_transmittances().tolist() == b.true_transmittances().tolist()
+    assert a.true_T.tolist() == b.true_T.tolist()
     for pa, pb in zip(a.packages, b.packages):
         assert np.array_equal(pa.M, pb.M)
         assert np.array_equal(pa.B, pb.B)
@@ -104,8 +134,7 @@ def test_run_prefix_stability():
     dist = Uniform(0.0, 1.0)
     small = simulate_run(dist, 16, 8, ProtocolParams(), seed=77)
     big = simulate_run(dist, 16, 20, ProtocolParams(), seed=77)
-    assert np.array_equal(small.true_transmittances(),
-                          big.true_transmittances()[:8])
+    assert np.array_equal(small.true_T, big.true_T[:8])
     for ps, pb in zip(small.packages, big.packages):
         assert np.array_equal(ps.M, pb.M)
         assert np.array_equal(ps.B, pb.B)

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from fading_cvqkd import (
-    Package,
     ProtocolParams,
     Run,
     Uniform,
@@ -20,7 +19,9 @@ from fading_cvqkd import (
 )
 from fading_cvqkd.cli import main
 from fading_cvqkd.storage import (
+    B_NPY,
     ESTIMATES_CSV,
+    M_NPY,
     RUN_JSON,
     TRUE_T_CSV,
     read_estimates,
@@ -51,7 +52,7 @@ def test_simulate_is_byte_identical_across_reruns(tmp_path):
     d1, d2 = tmp_path / "a", tmp_path / "b"
     assert main(["simulate", "--out", str(d1)] + SIM) == 0
     assert main(["simulate", "--out", str(d2)] + SIM) == 0
-    for name in ("run.csv", TRUE_T_CSV, RUN_JSON):
+    for name in (M_NPY, B_NPY, TRUE_T_CSV, RUN_JSON):
         assert _digest(d1 / name) == _digest(d2 / name)
 
 
@@ -96,15 +97,10 @@ def test_noiseless_data_nulls_the_slope_residual_only(tmp_path):
     # keeps the modulation fluctuation of sum M^2 around k V
     rng = np.random.default_rng(5)
     p = ProtocolParams()
-    packages = []
-    for T in (0.25, 0.49, 0.81):
-        M = rng.normal(0.0, math.sqrt(p.V), 200)
-        B = math.sqrt(T) * M
-        M.flags.writeable = False
-        B.flags.writeable = False
-        packages.append(Package(true_T=T, M=M, B=B))
-    run = Run(packages=tuple(packages), dist=Uniform(0.2, 0.9),
-              protocol=p, seed=0)
+    T = np.array([0.25, 0.49, 0.81])
+    M = rng.normal(0.0, math.sqrt(p.V), (3, 200))
+    B = np.sqrt(T)[:, None] * M
+    run = Run(M=M, B=B, true_T=T, dist=Uniform(0.2, 0.9), protocol=p, seed=0)
     out = tmp_path / "noiseless"
     write_run(run, out)
     assert main(["estimate", str(out)]) == 0
@@ -135,6 +131,39 @@ def test_keyrate_from_run_matches_composition(tmp_path):
     assert report["keyrate"]["K_inf"] == pytest.approx(rep.K_inf, rel=1e-15)
     assert report["worst_case"]["eps_eff_up"] == pytest.approx(
         wc.eps_eff_up, rel=1e-15)
+
+
+def test_simulate_over_an_estimated_run_leaves_no_stale_estimates(tmp_path):
+    """simulate, estimate, then a different run into the same directory:
+    keyrate must see the new run, never the old run's estimates (which
+    gave K = 0.01633 here although the new run yields no key)."""
+    cfg = tmp_path / "cfg.json"
+    write_json({"protocol": {"V": 5, "r": 0.3}}, cfg)
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", str(cfg), "--seed", "7", "--out", str(out)]) == 0
+    assert main(["estimate", str(out)]) == 0
+    assert main(["keyrate", str(out)]) == 0
+    assert float(read_json(out / "keyrate.json")["keyrate"]["K"]) > 0.0
+    assert main(["simulate", "--config", str(cfg), "--seed", "8", "--m", "300",
+                 "--out", str(out)]) == 0
+    for name in (ESTIMATES_CSV, "estimate.json", "residuals.csv", "keyrate.json"):
+        assert not (out / name).exists()
+    assert main(["keyrate", str(out)]) == 0
+    assert float(read_json(out / "keyrate.json")["keyrate"]["K"]) == 0.0
+
+
+def test_keyrate_refuses_estimates_of_another_run(tmp_path, capsys):
+    small, wide, run = tmp_path / "small", tmp_path / "wide", tmp_path / "run"
+    main(["simulate", "--out", str(small), "--n", "60", "--m", "10", "--seed", "1"])
+    main(["simulate", "--out", str(wide), "--n", "80", "--m", "12", "--seed", "1"])
+    main(["simulate", "--out", str(run)] + SIM)
+    for other, message in ((small, "has 10 rows but the run has 12 packages"),
+                           (wide, "has k = 8 but the run discloses k = 6")):
+        main(["estimate", str(other)])
+        (run / ESTIMATES_CSV).write_bytes((other / ESTIMATES_CSV).read_bytes())
+        capsys.readouterr()
+        assert main(["keyrate", str(run)]) == 2
+        assert message in capsys.readouterr().err
 
 
 def test_keyrate_model_mode_runs_without_data(tmp_path, capsys):
@@ -228,7 +257,7 @@ def test_ingest_builds_usable_distribution_file(tmp_path):
     assert main(["ingest", str(run_dir / TRUE_T_CSV), "--out", str(out)]) == 0
 
     dist = from_descriptor(read_json(out / "dist.json"))
-    truth = read_run(run_dir).true_transmittances()
+    truth = read_run(run_dir).true_T
     assert dist.moments().mean_T == pytest.approx(float(np.mean(truth)), rel=1e-12)
 
     # the distribution file plugs back in through a config

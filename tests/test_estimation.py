@@ -8,6 +8,7 @@ import pytest
 
 from fading_cvqkd import (
     InsufficientDataError,
+    NumericalError,
     PackageEstimate,
     AggregateStats,
     ParameterError,
@@ -285,6 +286,46 @@ def test_unusable_flag_on_crossed_bounds():
     wc = worst_case(stats, p)
     assert wc.unusable
     assert wc.T_eff_low == 0.0
+
+
+def test_estimate_run_is_bit_equal_to_the_per_package_formula():
+    """The vectorized pass over the disclosed prefix reproduces the
+    1-d per-package sums bit for bit, and so does the scalar tail."""
+    p = ProtocolParams(V=5.0, r=0.5)
+    run = simulate_run(Uniform(0.0, 1.0), 40, 500, p, seed=31)
+    ests = estimate_run(run)
+    k = 20
+    for pkg, est in zip(run.packages, ests):
+        M, B = pkg.M[:k], pkg.B[:k]
+        u = float(np.sum(M * B) / (p.V * k))
+        vN = float(np.sum((B - u * M)**2) / (k - 1))
+        v_u = max((2.0 * u**2 + max(vN, 0.0) / p.V) / k, 1e-30)
+        assert (est.sqrtT_hat, est.T_hat, est.vN_hat, est.k) == (u, u**2, vN, k)
+        assert est.sigma_sqrtT == math.sqrt(v_u)
+        assert est.sigma_T == math.sqrt(4.0 * u**2 * v_u + 2.0 * v_u**2)
+
+
+@pytest.mark.parametrize("field", ["eps_hat", "vN_pooled"])
+@pytest.mark.parametrize("bound", [worst_case, worst_case_rectangular])
+def test_worst_case_refuses_nan_noise_statistics(field, bound):
+    """A NaN noise statistic raises instead of clamping into a
+    plausible (optimistic) noise bound."""
+    fields = dict(mean_sqrtT_hat=0.7, mean_T_hat=0.5, X1_hat=0.01,
+                  X2_hat=0.99, se_X1=0.001, se_X2=0.001, m_used=1000,
+                  se_mean_sqrtT=0.001, se_mean_T=0.001, eps_hat=0.01,
+                  vN_pooled=1.0, k_total=1e5)
+    fields[field] = math.nan
+    with pytest.raises(NumericalError, match="NaN"):
+        bound(AggregateStats(**fields), ProtocolParams())
+
+
+def test_worst_case_refuses_nan_fluctuation_bounds():
+    stats = AggregateStats(
+        mean_sqrtT_hat=0.7, mean_T_hat=0.5, X1_hat=math.nan, X2_hat=0.99,
+        se_X1=0.001, se_X2=0.001, m_used=1000, eps_hat=0.01,
+        vN_pooled=1.0, k_total=1e5)
+    with pytest.raises(NumericalError, match="X1_up"):
+        worst_case(stats, ProtocolParams())
 
 
 def test_estimation_validation_errors():

@@ -2,6 +2,8 @@
 
 import hashlib
 import math
+import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +17,8 @@ from fading_cvqkd import (
     simulate_run,
 )
 from fading_cvqkd.storage import (
+    B_NPY,
+    M_NPY,
     RUN_CSV,
     RUN_JSON,
     TRUE_T_CSV,
@@ -34,6 +38,8 @@ from fading_cvqkd.storage import (
 
 P = ProtocolParams()
 DIST = Uniform(0.3, 0.9)
+# a format v1 (CSV) run of _small_run(n=5, m=3), kept to pin the v1 reader
+V1_RUN = Path(__file__).parent / "data" / "run_v1"
 
 
 def _small_run(seed=99, n=40, m=6):
@@ -64,7 +70,7 @@ def test_run_files_are_byte_identical_across_reruns(tmp_path):
     a_dir, b_dir = tmp_path / "a", tmp_path / "b"
     write_run(_small_run(seed=7), a_dir)
     write_run(_small_run(seed=7), b_dir)
-    for name in (RUN_CSV, RUN_JSON, TRUE_T_CSV):
+    for name in (M_NPY, B_NPY, RUN_JSON, TRUE_T_CSV):
         assert _digest(a_dir / name) == _digest(b_dir / name)
 
 
@@ -74,14 +80,28 @@ def _corrupt(path, old, new, count=1):
     path.write_text(text.replace(old, new, count))
 
 
-def test_read_run_reports_bad_rows(tmp_path):
+def _v1_copy(dest):
+    shutil.copytree(V1_RUN, dest, dirs_exist_ok=True)
+
+
+def test_v1_run_reads_back_bit_for_bit():
+    assert read_json(V1_RUN / RUN_JSON)["format"] == "fading-cvqkd-run-v1"
     run = _small_run(n=5, m=3)
-    write_run(run, tmp_path)
+    back = read_run(V1_RUN)
+    assert back.n == 5 and back.m == 3 and back.seed == run.seed
+    assert back.dist.descriptor() == run.dist.descriptor()
+    assert back.protocol == run.protocol
+    assert np.array_equal(back.true_T, run.true_T)
+    assert np.array_equal(back.M, run.M) and np.array_equal(back.B, run.B)
+
+
+def test_read_run_reports_bad_rows(tmp_path):
+    _v1_copy(tmp_path)
 
     _corrupt(tmp_path / RUN_CSV, "package,j,M,B", "package,k,M,B")
     with pytest.raises(ValidationError, match="bad header"):
         read_run(tmp_path)
-    write_run(run, tmp_path)
+    _v1_copy(tmp_path)
 
     # drop the last data row: one state missing
     csv_path = tmp_path / RUN_CSV
@@ -89,14 +109,14 @@ def test_read_run_reports_bad_rows(tmp_path):
     csv_path.write_text("\n".join(lines[:-1]) + "\n")
     with pytest.raises(ValidationError, match="missing"):
         read_run(tmp_path)
-    write_run(run, tmp_path)
+    _v1_copy(tmp_path)
 
     # duplicate a data row
     lines = csv_path.read_text().splitlines()
     csv_path.write_text("\n".join(lines + [lines[1]]) + "\n")
     with pytest.raises(ValidationError, match="duplicate"):
         read_run(tmp_path)
-    write_run(run, tmp_path)
+    _v1_copy(tmp_path)
 
     # non-numeric field carries its row number
     lines = csv_path.read_text().splitlines()
@@ -106,17 +126,75 @@ def test_read_run_reports_bad_rows(tmp_path):
     csv_path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValidationError, match="row 4"):
         read_run(tmp_path)
-    write_run(run, tmp_path)
+    _v1_copy(tmp_path)
 
     _corrupt(tmp_path / TRUE_T_CSV, "package,T_true", "pkg,T_true")
     with pytest.raises(ValidationError, match="bad header"):
         read_run(tmp_path)
-    write_run(run, tmp_path)
+    _v1_copy(tmp_path)
 
     sidecar = read_json(tmp_path / RUN_JSON)
     del sidecar["seed"]
     write_json(sidecar, tmp_path / RUN_JSON)
     with pytest.raises(ValidationError, match="missing key 'seed'"):
+        read_run(tmp_path)
+
+
+def _save_over(name, array):
+    def edit(run_dir):
+        np.save(run_dir / name, array, allow_pickle=True)
+    return edit
+
+
+def _edit_sidecar(**changes):
+    def edit(run_dir):
+        sidecar = read_json(run_dir / RUN_JSON)
+        sidecar.update(changes)
+        write_json(sidecar, run_dir / RUN_JSON)
+    return edit
+
+
+@pytest.mark.parametrize("edit, pattern", [
+    (lambda d: (d / M_NPY).unlink(), "M.npy: missing"),
+    (_edit_sidecar(n=4), r"M\.npy: shape \(3, 5\), but run.json gives \(m, n\) = \(3, 4\)"),
+    (_save_over(B_NPY, np.zeros((3, 5), dtype=np.float32)), "B.npy: dtype float32"),
+    (_save_over(M_NPY, np.array([[0.1] * 5] * 3, dtype=object)), "M.npy: not a plain .npy"),
+    (lambda d: (d / B_NPY).write_bytes(b"not an array"), "B.npy: not a plain .npy"),
+    (_edit_sidecar(format="fading-cvqkd-run-v9"), "unknown run format 'fading-cvqkd-run-v9'"),
+], ids=["missing", "shape", "dtype", "pickled", "garbage", "format"])
+def test_read_run_v2_validates(tmp_path, edit, pattern):
+    write_run(_small_run(n=5, m=3), tmp_path)
+    edit(tmp_path)
+    with pytest.raises(ValidationError, match=pattern):
+        read_run(tmp_path)
+
+
+def _poison_v1(run_dir, column, value):
+    path = run_dir / RUN_CSV
+    lines = path.read_text().splitlines()
+    parts = lines[8].split(",")  # package 1, state 2
+    parts[{"M": 2, "B": 3}[column]] = value
+    lines[8] = ",".join(parts)
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _poison_v2(run_dir, column, value):
+    a = np.load(run_dir / f"{column}.npy")
+    a[1, 2] = float(value)
+    np.save(run_dir / f"{column}.npy", a)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("column", ["M", "B"])
+@pytest.mark.parametrize("fmt", ["v1", "v2"])
+def test_read_run_rejects_non_finite_states(tmp_path, fmt, column, value):
+    if fmt == "v1":
+        _v1_copy(tmp_path)
+        _poison_v1(tmp_path, column, value)
+    else:
+        write_run(_small_run(n=5, m=3), tmp_path)
+        _poison_v2(tmp_path, column, value)
+    with pytest.raises(ValidationError, match="non-finite value .* at package 1, state 2"):
         read_run(tmp_path)
 
 
