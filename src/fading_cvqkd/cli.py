@@ -53,7 +53,6 @@ class ScenarioConfig:
     out: str | None = None
     dist_file: str | None = None
     blind: bool = False
-    analytic: bool = True
     paper_scale: bool = False
 
     def make_dist(self):
@@ -230,8 +229,7 @@ def _cmd_optimize(args) -> int:
     cfg = _merge_config(args)
     dist = cfg.make_dist()
     protocol = cfg.make_protocol()
-    result = clustering.optimize(dist, cfg.clusters, cfg.n, cfg.m, protocol,
-                                 threads=args.threads)
+    result = clustering.optimize(dist, cfg.clusters, cfg.n, cfg.m, protocol)
     plan = result.plan
     print(f"optimized {cfg.clusters} cluster(s): r {result.r:.4f}, "
           f"V {result.V:.3f}, total rate {result.total_rate:.5f} bits/state")
@@ -424,8 +422,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("optimize", help="optimize r, V and cluster boundaries")
     _add_common(p)
-    p.add_argument("--threads", type=int,
-                   help="worker threads (default: FADING_CVQKD_THREADS or 1)")
     p.set_defaults(fn=_cmd_optimize)
 
     p = sub.add_parser("reproduce",

@@ -21,8 +21,6 @@ finite outer edges trim (discard) the tails.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -30,12 +28,12 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.special import ndtr
 
-from .channel import ProtocolParams
+from .channel import ProtocolParams, noise_variance
 from .distributions import Moments, TransmittanceDistribution
 from .errors import (ClusterTooSmallError, EmptyClusterError,
                      InsufficientDataError, NumericalError, ParameterError)
-from .estimation import AggregateStats, PackageEstimate, WorstCaseChannel, \
-    aggregate, disclosed_count, worst_case
+from .estimation import AggregateStats, PackageEstimate, T_variance, \
+    WorstCaseChannel, aggregate, disclosed_count, sqrtT_variance, worst_case
 from .security import key_rate
 
 __all__ = [
@@ -53,6 +51,11 @@ __all__ = [
 ]
 
 _MASS_FLOOR = 1e-12
+_ORDER = 160  # nodes of the fading law's quadrature rule
+# the optimizer's geometric (r, V) grid and its quantile-level resolution
+_R_GRID = tuple(np.geomspace(0.01, 0.9, 12).tolist())
+_V_GRID = tuple(np.geomspace(0.5, 50.0, 12).tolist())
+_LEVELS = 64
 
 
 @dataclass(frozen=True)
@@ -109,14 +112,38 @@ class OptimizeResult:
 
 
 def _sigma_arrays(s: np.ndarray, k: int, protocol: ProtocolParams):
-    """(v_u, v_w, c_uw) of the estimator pair (sqrtT_hat, T_hat) at true
-    transmittance s: v_u = (2s + V_N/V)/k, v_w = 4 s v_u + 2 v_u^2 and
-    the cross term 2 sqrt(s) v_u."""
-    vN = 1.0 + protocol.epsilon - s * (1.0 - protocol.V_S)
-    v_u = (2.0 * s + vN / protocol.V) / k
-    v_w = 4.0 * s * v_u + 2.0 * v_u**2
+    """(V_N, v_u, v_w, c_uw) at true transmittance s: the noise
+    variance, the variances of the estimator pair (sqrtT_hat, T_hat)
+    and their covariance 2 sqrt(s) v_u."""
+    vN = noise_variance(s, protocol)
+    v_u = sqrtT_variance(s, vN, protocol.V, k)
+    v_w = T_variance(s, v_u)
     c_uw = 2.0 * np.sqrt(s) * v_u
     return vN, v_u, v_w, c_uw
+
+
+def _membership(s: np.ndarray, sigma: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """P(lo <= T_hat < hi) for T_hat ~ N(s, sigma^2); an infinite edge
+    keeps its whole tail."""
+    upper = ndtr((hi - s) / sigma) if math.isfinite(hi) else np.ones_like(s)
+    lower = ndtr((lo - s) / sigma) if math.isfinite(lo) else np.zeros_like(s)
+    return upper - lower
+
+
+class _Nodes:
+    """The fading law's quadrature rule (nodes s, weights fw) with the
+    estimator moments of k disclosed states at every node."""
+
+    def __init__(self, dist: TransmittanceDistribution, protocol: ProtocolParams,
+                 k: int, order: int = _ORDER):
+        if int(k) < 2:
+            raise InsufficientDataError(f"disclosed count must be >= 2, got {k}")
+        self.k = int(k)
+        s, fw = dist.expectation_rule(order)
+        self.s = np.asarray(s, dtype=float)
+        self.fw = np.asarray(fw, dtype=float)
+        self.vN, self.v_u, self.v_w, self.c_uw = _sigma_arrays(self.s, self.k, protocol)
+        self.sigma = np.sqrt(self.v_w)
 
 
 def _check_interval(interval: Sequence[float]) -> tuple[float, float]:
@@ -144,18 +171,11 @@ class ConditionalDensity:
     _nodes: np.ndarray = field(repr=False)
     _wgt: np.ndarray = field(repr=False)
 
-    def _kernel(self, s: np.ndarray) -> np.ndarray:
-        _, _, v_w, _ = _sigma_arrays(s, self.k, self.protocol)
-        sigma = np.sqrt(v_w)
-        lo, hi = self.interval
-        hi_cdf = ndtr((hi - s) / sigma) if math.isfinite(hi) else np.ones_like(s)
-        lo_cdf = ndtr((lo - s) / sigma) if math.isfinite(lo) else np.zeros_like(s)
-        return hi_cdf - lo_cdf
-
     def __call__(self, s):
         arr = np.atleast_1d(np.asarray(s, dtype=float))
         dens = np.array([self.dist.density(float(v)) for v in arr])
-        out = dens * self._kernel(arr) / self.mass
+        _, _, v_w, _ = _sigma_arrays(arr, self.k, self.protocol)
+        out = dens * _membership(arr, np.sqrt(v_w), *self.interval) / self.mass
         return float(out[0]) if np.isscalar(s) or np.ndim(s) == 0 else out
 
     def moments(self) -> Moments:
@@ -171,50 +191,37 @@ class ConditionalDensity:
 
 def conditional_pdf(dist: TransmittanceDistribution, interval: Sequence[float],
                     k: int, protocol: ProtocolParams,
-                    order: int = 160) -> ConditionalDensity:
+                    order: int = _ORDER) -> ConditionalDensity:
     """Conditional density of the true transmittance for packages whose
     estimate T_hat landed in the interval, with k disclosed states per
     package setting the estimator noise.  As k grows the kernel sharpens
     and the density approaches f restricted to the interval."""
-    k = int(k)
-    if k < 2:
-        raise InsufficientDataError(f"disclosed count must be >= 2, got {k}")
+    nodes = _Nodes(dist, protocol, k, order)
     lo, hi = _check_interval(interval)
-    nodes, fw = dist.expectation_rule(order)
-    nodes = np.asarray(nodes, dtype=float)
-    fw = np.asarray(fw, dtype=float)
-    cd = ConditionalDensity(dist=dist, interval=(lo, hi), k=k, protocol=protocol,
-                            mass=1.0, _nodes=nodes, _wgt=fw)
-    wgt = cd._kernel(nodes) * fw
+    wgt = _membership(nodes.s, nodes.sigma, lo, hi) * nodes.fw
     mass = float(np.sum(wgt))
     if mass < _MASS_FLOOR:
         raise EmptyClusterError(f"interval {interval} carries mass {mass:.3g}")
-    object.__setattr__(cd, "mass", mass)
-    object.__setattr__(cd, "_wgt", wgt)
-    return cd
+    return ConditionalDensity(dist=dist, interval=(lo, hi), k=nodes.k,
+                              protocol=protocol, mass=mass,
+                              _nodes=nodes.s, _wgt=wgt)
 
 
 def marginal_pdf(t_hat, dist: TransmittanceDistribution, k: int,
-                 protocol: ProtocolParams, order: int = 160):
+                 protocol: ProtocolParams):
     """Density of the package estimate T_hat: the fading law convolved
     with the predicted estimator noise at each true transmittance."""
-    k = int(k)
-    if k < 2:
-        raise InsufficientDataError(f"disclosed count must be >= 2, got {k}")
-    nodes, fw = dist.expectation_rule(order)
-    nodes = np.asarray(nodes, dtype=float)
-    _, _, v_w, _ = _sigma_arrays(nodes, k, protocol)
-    sigma = np.sqrt(v_w)
+    nodes = _Nodes(dist, protocol, k)
     t = np.atleast_1d(np.asarray(t_hat, dtype=float))
-    zsq = (t[:, None] - nodes[None, :]) / sigma[None, :]
-    dens = np.exp(-0.5 * zsq**2) / (math.sqrt(2.0 * math.pi) * sigma[None, :])
-    acc = dens @ np.asarray(fw, dtype=float)
+    zsq = (t[:, None] - nodes.s[None, :]) / nodes.sigma[None, :]
+    dens = np.exp(-0.5 * zsq**2) / (math.sqrt(2.0 * math.pi) * nodes.sigma[None, :])
+    acc = dens @ nodes.fw
     return float(acc[0]) if np.isscalar(t_hat) or np.ndim(t_hat) == 0 else acc
 
 
-class _Evaluator:
-    """Precomputed node arrays for one (distribution, protocol, k, m, z)
-    configuration, with caching of per-interval cluster reports.
+class _Evaluator(_Nodes):
+    """Node arrays for one (distribution, protocol, k, m) configuration,
+    with caching of per-interval cluster reports.
 
     The kernel (cluster membership) treats T_hat as Gaussian around the
     true value; the within-cluster spread of the aggregation columns
@@ -224,25 +231,14 @@ class _Evaluator:
     """
 
     def __init__(self, dist: TransmittanceDistribution, protocol: ProtocolParams,
-                 k: int, m: int, z: float, n: int | None = None,
-                 order: int = 160):
+                 k: int, m: int, n: int | None = None):
         if int(m) < 2:
             raise InsufficientDataError(f"need at least 2 packages, got {m}")
-        if int(k) < 2:
-            raise InsufficientDataError(f"disclosed count must be >= 2, got {k}")
-        self.dist = dist
+        super().__init__(dist, protocol, k)
         self.protocol = protocol
-        self.k = int(k)
         self.m = int(m)
         self.n = None if n is None else int(n)
-        self.z = float(z)
-        s, fw = dist.expectation_rule(order)
-        self.s = np.asarray(s, dtype=float)
-        self.fw = np.asarray(fw, dtype=float)
         self.sq = np.sqrt(self.s)
-        self.vN, self.v_u, self.v_w, self.c_uw = \
-            _sigma_arrays(self.s, self.k, protocol)
-        self.sigma_t = np.sqrt(self.v_w)
         self._quantiles: dict[float, float] = {}
         self._reports: dict[tuple[float, float], ClusterReport] = {}
         self.evaluations = 0
@@ -250,7 +246,7 @@ class _Evaluator:
     # ---- marginal of the T_hat estimate ------------------------------
 
     def _cdf(self, t: float) -> float:
-        return float(np.dot(self.fw, ndtr((t - self.s) / self.sigma_t)))
+        return float(np.dot(self.fw, ndtr((t - self.s) / self.sigma)))
 
     def quantile(self, q: float) -> float:
         """Inverse CDF of the estimate marginal; q in (0, 1)."""
@@ -258,8 +254,8 @@ class _Evaluator:
         hit = self._quantiles.get(key)
         if hit is not None:
             return hit
-        lo = float(np.min(self.s - 9.0 * self.sigma_t))
-        hi = float(np.max(self.s + 9.0 * self.sigma_t))
+        lo = float(np.min(self.s - 9.0 * self.sigma))
+        hi = float(np.max(self.s + 9.0 * self.sigma))
         try:
             t = float(brentq(lambda x: self._cdf(x) - q, lo, hi,
                              xtol=1e-12, rtol=8.9e-16))
@@ -270,13 +266,6 @@ class _Evaluator:
 
     # ---- per-cluster statistics -------------------------------------
 
-    def _weights(self, t_lo: float, t_hi: float) -> np.ndarray:
-        hi = ndtr((t_hi - self.s) / self.sigma_t) if math.isfinite(t_hi) \
-            else np.ones_like(self.s)
-        lo = ndtr((t_lo - self.s) / self.sigma_t) if math.isfinite(t_lo) \
-            else np.zeros_like(self.s)
-        return hi - lo
-
     def report(self, t_lo: float, t_hi: float) -> ClusterReport:
         key = (t_lo, t_hi)
         hit = self._reports.get(key)
@@ -284,7 +273,7 @@ class _Evaluator:
             return hit
         self.evaluations += 1
         interval = (t_lo, t_hi)
-        wgt = self._weights(t_lo, t_hi) * self.fw
+        wgt = _membership(self.s, self.sigma, t_lo, t_hi) * self.fw
         mass = float(np.sum(wgt))
         if mass < _MASS_FLOOR or mass * self.m < 2.0:
             rep = ClusterReport(interval=interval, mass=max(mass, 0.0),
@@ -314,7 +303,7 @@ class _Evaluator:
             se_mean_T=math.sqrt(var_w / m_c),
             eps_hat=self.protocol.epsilon, vN_pooled=vN_c,
             k_total=m_c * self.k)
-        wc = worst_case(stats, self.protocol, self.z)
+        wc = worst_case(stats, self.protocol)
         moments = Moments(mu_1, mu_h, mu_1 - mu_h**2)
         if self.n is None:
             rep = ClusterReport(interval=interval, mass=mass,
@@ -345,15 +334,13 @@ def _check_edges(boundaries: Sequence[float]) -> list[float]:
 
 
 def cluster_stats(dist: TransmittanceDistribution, interval: Sequence[float],
-                  k: int, protocol: ProtocolParams, m: int,
-                  z: float | None = None, order: int = 160) -> ClusterReport:
+                  k: int, protocol: ProtocolParams, m: int) -> ClusterReport:
     """Semi-analytic statistics (without key rate) of the packages whose
     estimate falls into one interval, given k disclosed states per
     package and m packages total.  Raises if the interval is (near)
     empty or holds fewer than two expected packages."""
-    z = protocol.z_conf if z is None else float(z)
     lo, hi = _check_interval(interval)
-    ev = _Evaluator(dist, protocol, k, m, z, n=None, order=order)
+    ev = _Evaluator(dist, protocol, k, m)
     rep = ev.report(lo, hi)
     if rep.mass < _MASS_FLOOR:
         raise EmptyClusterError(f"interval {interval} carries mass {rep.mass:.3g}")
@@ -364,17 +351,15 @@ def cluster_stats(dist: TransmittanceDistribution, interval: Sequence[float],
 
 
 def total_key_rate(dist: TransmittanceDistribution, boundaries: Sequence[float],
-                   n: int, m: int, protocol: ProtocolParams,
-                   z: float | None = None, order: int = 160) -> ClusterPlan:
+                   n: int, m: int, protocol: ProtocolParams) -> ClusterPlan:
     """Evaluate a full plan: mass-weighted sum of per-cluster rates.
 
     boundaries: C+1 strictly increasing edges on the estimate axis;
     -inf/+inf outer edges keep every package, finite ones trim tails.
     Clusters expected to hold fewer than two packages contribute zero.
     """
-    z = protocol.z_conf if z is None else float(z)
     k = disclosed_count(int(n), protocol.r)
-    ev = _Evaluator(dist, protocol, k, m, z, n=int(n), order=order)
+    ev = _Evaluator(dist, protocol, k, m, n=int(n))
     return ev.plan(_check_edges(boundaries))
 
 
@@ -396,11 +381,9 @@ def cluster_assign(estimates: Sequence[PackageEstimate],
 
 def total_key_rate_from_estimates(estimates: Sequence[PackageEstimate],
                                   boundaries: Sequence[float],
-                                  n: int, protocol: ProtocolParams,
-                                  z: float | None = None) -> ClusterPlan:
+                                  n: int, protocol: ProtocolParams) -> ClusterPlan:
     """Empirical version of total_key_rate, operating on per-package
     estimates from data rather than on the fading law."""
-    z = protocol.z_conf if z is None else float(z)
     m_total = len(estimates)
     if m_total < 2:
         raise InsufficientDataError("need at least 2 packages")
@@ -418,7 +401,7 @@ def total_key_rate_from_estimates(estimates: Sequence[PackageEstimate],
             continue
         sub = [estimates[i] for i in members]
         stats = aggregate(sub, protocol)
-        wc = worst_case(stats, protocol, z)
+        wc = worst_case(stats, protocol)
         N_c = len(members) * int(n)
         K_c = key_rate(wc, N_c, protocol).K
         reports.append(ClusterReport(interval=interval, mass=mass,
@@ -432,22 +415,6 @@ def total_key_rate_from_estimates(estimates: Sequence[PackageEstimate],
 
 
 # ---- optimization ----------------------------------------------------
-
-def _geometric_grid(lo: float, hi: float, count: int) -> list[float]:
-    return [float(g) for g in np.geomspace(lo, hi, count)]
-
-
-def _thread_count(threads: int | None) -> int:
-    if threads is not None:
-        return max(1, int(threads))
-    env = os.environ.get("FADING_CVQKD_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ParameterError(f"FADING_CVQKD_THREADS is not an integer: {env!r}")
-    return 1
-
 
 def _levels_to_edges(ev: _Evaluator, levels: Sequence[int], Q: int) -> list[float]:
     out = []
@@ -521,29 +488,21 @@ def _initial_levels(C: int, Q: int) -> tuple[int, ...]:
     return tuple(round(i * Q / C) for i in range(C + 1))
 
 
-def _inner_optimize(ev: _Evaluator, C: int, Q: int,
-                    start: tuple[int, ...] | None = None,
-                    window: int | None = None, min_mass: float = 0.0
-                    ) -> tuple[tuple[int, ...], tuple[float, float]]:
-    levels = start if start is not None else _initial_levels(C, Q)
-    if C == 0:
-        return levels, _plan_score(ev, levels, Q, min_mass)
-    return _descend(ev, levels, Q, window, min_mass)
+def _around(x: float, factor: float, grid: Sequence[float]) -> list[float]:
+    """x and its neighbours a geometric factor away, clamped to the grid's span."""
+    return sorted({min(grid[-1], max(grid[0], v)) for v in (x / factor, x, x * factor)})
 
 
 def optimize(dist: TransmittanceDistribution, C: int, n: int, m: int,
-             protocol: ProtocolParams, *, z: float | None = None,
-             r_grid: Sequence[float] | None = None,
-             V_grid: Sequence[float] | None = None,
-             levels: int = 64, order: int = 160, min_mass: float = 0.0,
-             threads: int | None = None) -> OptimizeResult:
+             protocol: ProtocolParams, *, min_mass: float = 0.0) -> OptimizeResult:
     """Jointly choose the disclosure fraction r, modulation variance V
     and the C cluster boundaries maximizing the total key rate.
 
     Deterministic nested search: a geometric (r, V) grid outside, then
     coordinate descent over integer quantile levels of the estimate
     marginal inside, then two local refinement passes at halved grid
-    steps and doubled level resolution.  C = 0 evaluates the pooled
+    steps and doubled level resolution.  The bounds hold at the
+    confidence multiplier protocol.z_conf.  C = 0 evaluates the pooled
     (single all-inclusive cluster) protocol.  min_mass rejects plans
     with any cluster lighter than that probability mass.  The result
     unpacks as (plan, r, V).
@@ -552,92 +511,58 @@ def optimize(dist: TransmittanceDistribution, C: int, n: int, m: int,
         raise ParameterError(f"cluster count must be >= 0, got {C}")
     if not (0.0 <= min_mass < 1.0):
         raise ParameterError(f"min_mass must lie in [0, 1), got {min_mass}")
-    z = protocol.z_conf if z is None else float(z)
-    r_values = list(r_grid) if r_grid is not None else _geometric_grid(0.01, 0.9, 12)
-    V_values = list(V_grid) if V_grid is not None else _geometric_grid(0.5, 50.0, 12)
-    Q = int(levels)
-    if Q < max(2, C + 1):
-        raise ParameterError(f"level resolution {Q} too coarse for {C} clusters")
+    if _LEVELS < C + 1:
+        raise ParameterError(f"level resolution {_LEVELS} too coarse for {C} clusters")
+    n, m = int(n), int(m)
 
-    def eval_point(r: float, V: float, Q_pt: int,
-                   start: tuple[int, ...] | None, window: int | None):
-        try:
-            proto = replace(protocol, r=r, V=V)
-            k = disclosed_count(int(n), r)
-            ev = _Evaluator(dist, proto, k, m, z, n=int(n), order=order)
-            lv, score = _inner_optimize(ev, C, Q_pt, start, window, min_mass)
-        except (ParameterError, InsufficientDataError):
-            return None
-        return score, r, V, lv, ev
+    def search(points, Q: int, start: tuple[int, ...], window: int | None, best=None):
+        """Fold the best plan of each (r, V) point, searched from the
+        start levels at resolution Q, into best, the lexicographically
+        smallest key (-rate, -mass, r, V, levels); infeasible points are
+        skipped.  Returns best and the interval reports evaluated."""
+        evaluations = 0
+        for r, V in points:
+            try:
+                ev = _Evaluator(dist, replace(protocol, r=r, V=V),
+                                disclosed_count(n, r), m, n=n)
+                if C == 0:
+                    levels, score = start, _plan_score(ev, start, Q, min_mass)
+                else:
+                    levels, score = _descend(ev, start, Q, window, min_mass)
+            except (ParameterError, InsufficientDataError):
+                continue
+            evaluations += ev.evaluations
+            key = (-score[0], -score[1], r, V, levels)
+            if best is None or key < best:
+                best = key
+        return best, evaluations
 
-    # honor the thread knob; results are reduced in submission order so
-    # the outcome does not depend on scheduling
-    workers = _thread_count(threads)
-    points = [(r, V) for r in r_values for V in V_values]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda p: eval_point(*p, Q, None, None), points))
-    else:
-        results = [eval_point(r, V, Q, None, None) for r, V in points]
-
-    evaluations = sum(res[4].evaluations for res in results if res is not None)
-    best = None
-    for res in results:
-        if res is None:
-            continue
-        (rate, mass), r, V, lv, _ = res
-        key = (-rate, -mass, r, V, lv)
-        if best is None or key < best[0]:
-            best = (key, res)
+    Q = _LEVELS
+    best, evaluations = search([(r, V) for r in _R_GRID for V in _V_GRID],
+                               Q, _initial_levels(C, Q), None)
     if best is None:
         raise ParameterError("no feasible (r, V) grid point; V + V_S - 1 must be positive")
-    _, ((best_rate, best_mass), best_r, best_V, best_levels, _) = best
-    best_Q = Q
 
     # local refinement: halve the geometric step around the best point
     # and double the boundary resolution, twice.  Levels are quantile
-    # indices, so doubling them with the resolution keeps the edges put.
-    r_box = (min(r_values), max(r_values))
-    V_box = (min(V_values), max(V_values))
-    r_step = (r_box[1] / r_box[0]) ** (1.0 / max(1, len(r_values) - 1)) \
-        if len(r_values) > 1 else 2.0
-    V_step = (V_box[1] / V_box[0]) ** (1.0 / max(1, len(V_values) - 1)) \
-        if len(V_values) > 1 else 2.0
+    # indices, so doubling them with the resolution keeps the edges put;
+    # the same fractional edges give the same rate, so the carried-over
+    # incumbent stays comparable at the doubled resolution
+    r_step = (_R_GRID[-1] / _R_GRID[0]) ** (1.0 / (len(_R_GRID) - 1))
+    V_step = (_V_GRID[-1] / _V_GRID[0]) ** (1.0 / (len(_V_GRID) - 1))
     for pass_idx in (1, 2):
-        Q_ref = best_Q * 2
-        start = tuple(lv * 2 for lv in best_levels)
-        r_fac = r_step ** (0.5 ** pass_idx)
-        V_fac = V_step ** (0.5 ** pass_idx)
-        r_cands = sorted({min(r_box[1], max(r_box[0], v))
-                          for v in (best_r / r_fac, best_r, best_r * r_fac)})
-        V_cands = sorted({min(V_box[1], max(V_box[0], v))
-                          for v in (best_V / V_fac, best_V, best_V * V_fac)})
-        ref_points = [(r, V) for r in r_cands for V in V_cands]
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                ref_results = list(pool.map(
-                    lambda p: eval_point(*p, Q_ref, start, 4), ref_points))
-        else:
-            ref_results = [eval_point(r, V, Q_ref, start, 4) for r, V in ref_points]
-        evaluations += sum(res[4].evaluations for res in ref_results if res is not None)
-        # same fractional edges give the same rate, so the carried-over
-        # incumbent stays comparable at the doubled resolution
-        incumbent = (-best_rate, -best_mass, best_r, best_V, start)
-        for res in ref_results:
-            if res is None:
-                continue
-            (rate, mass), r, V, lv, _ = res
-            key = (-rate, -mass, r, V, lv)
-            if key < incumbent:
-                incumbent = key
-        best_rate, best_mass = -incumbent[0], -incumbent[1]
-        best_r, best_V = incumbent[2], incumbent[3]
-        best_levels, best_Q = incumbent[4], Q_ref
+        Q *= 2
+        neg_rate, neg_mass, r, V, levels = best
+        start = tuple(lv * 2 for lv in levels)
+        points = [(r_c, V_c) for r_c in _around(r, r_step ** (0.5 ** pass_idx), _R_GRID)
+                  for V_c in _around(V, V_step ** (0.5 ** pass_idx), _V_GRID)]
+        best, found = search(points, Q, start, 4, (neg_rate, neg_mass, r, V, start))
+        evaluations += found
 
+    _, _, best_r, best_V, best_levels = best
     proto = replace(protocol, r=best_r, V=best_V)
-    k = disclosed_count(int(n), best_r)
-    ev = _Evaluator(dist, proto, k, m, z, n=int(n), order=order)
-    plan = ev.plan(_levels_to_edges(ev, best_levels, best_Q))
+    ev = _Evaluator(dist, proto, disclosed_count(n, best_r), m, n=n)
+    plan = ev.plan(_levels_to_edges(ev, best_levels, Q))
     evaluations += ev.evaluations
     notes = []
     if plan.total_rate <= 0.0:

@@ -43,6 +43,9 @@ class Moments:
     var_sqrtT: float
 
     def __post_init__(self) -> None:
+        for name in ("mean_T", "mean_sqrtT", "var_sqrtT"):
+            if not math.isfinite(getattr(self, name)):
+                raise ParameterError(f"{name} must be finite, got {getattr(self, name)}")
         if self.var_sqrtT < -1e-9:
             raise ParameterError(f"negative var_sqrtT: {self.var_sqrtT}")
         if self.mean_sqrtT**2 > self.mean_T + 1e-9:
@@ -141,11 +144,8 @@ class Uniform(TransmittanceDistribution):
         return rng.uniform(self.lo, self.hi, self._check_count(count))
 
     def moments(self) -> Moments:
-        width = self.hi - self.lo
-        mean_T = _quad(lambda t: t / width, self.lo, self.hi)
-        # substitute u = sqrt(t); integrand becomes polynomial in u
-        mean_sqrtT = _quad(lambda u: 2.0 * u**2 / width,
-                           math.sqrt(self.lo), math.sqrt(self.hi))
+        mean_T = 0.5 * (self.lo + self.hi)
+        mean_sqrtT = 2.0 * (self.hi**1.5 - self.lo**1.5) / (3.0 * (self.hi - self.lo))
         return self._moments_from_quads(mean_T, mean_sqrtT)
 
     def expectation_rule(self, order: int = 160) -> tuple[np.ndarray, np.ndarray]:

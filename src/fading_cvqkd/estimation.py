@@ -31,6 +31,8 @@ __all__ = [
     "estimate_T",
     "estimate_noise",
     "disclosed_count",
+    "sqrtT_variance",
+    "T_variance",
     "estimate_package",
     "estimate_run",
     "aggregate",
@@ -110,6 +112,19 @@ def _check_pairs(M, B) -> tuple[np.ndarray, np.ndarray, int]:
     return M, B, M.size
 
 
+def sqrtT_variance(T, vN, V: float, k):
+    """Variance (2T + V_N/V)/k of the sqrt-T estimator from k disclosed
+    pairs at transmittance T and noise variance V_N; T and V_N may be
+    floats or arrays."""
+    return (2.0 * T + vN / V) / k
+
+
+def T_variance(T, v_u):
+    """Variance 4T*v_u + 2*v_u^2 of the squared sqrt-T estimator, whose
+    own variance is v_u."""
+    return 4.0 * T * v_u + 2.0 * v_u**2
+
+
 def _estimates(M: np.ndarray, B: np.ndarray, V: float,
                k: int) -> list[PackageEstimate]:
     """Estimates of each row of (rows, k) disclosed pairs.
@@ -126,11 +141,11 @@ def _estimates(M: np.ndarray, B: np.ndarray, V: float,
     for sqrtT_hat, vN_hat in zip(sqrtT.tolist(), vN.tolist()):
         T_hat = sqrtT_hat**2
         # model variance of the sqrt estimator with plug-in (T, V_N)
-        v_u = max((2.0 * T_hat + max(vN_hat, 0.0) / V) / k, _VAR_FLOOR)
+        v_u = max(sqrtT_variance(T_hat, max(vN_hat, 0.0), V, k), _VAR_FLOOR)
         out.append(PackageEstimate(
             sqrtT_hat=sqrtT_hat, T_hat=T_hat,
             sigma_sqrtT=math.sqrt(v_u),
-            sigma_T=math.sqrt(4.0 * T_hat * v_u + 2.0 * v_u**2),
+            sigma_T=math.sqrt(T_variance(T_hat, v_u)),
             vN_hat=vN_hat, k=k, sign_anomaly=sqrtT_hat < 0.0))
     return out
 
@@ -257,10 +272,10 @@ def aggregate(estimates: Sequence[PackageEstimate],
 
 
 def _nonneg(x: float, name: str) -> float:
-    """max(0, x) that fails closed: a NaN bound raises instead of
-    clamping to a plausible 0."""
-    if math.isnan(x):
-        raise NumericalError(f"worst-case bound {name} is NaN")
+    """max(0, x) that fails closed: a NaN or infinite bound raises
+    instead of clamping to a plausible number."""
+    if not math.isfinite(x):
+        raise NumericalError(f"worst-case bound {name} is NaN or infinite: {x}")
     return x if x > 0.0 else 0.0
 
 

@@ -42,6 +42,10 @@ class EffectiveChannel:
     eps: float
 
     def __post_init__(self) -> None:
+        for name in ("T", "eps"):
+            if not math.isfinite(getattr(self, name)):
+                raise ParameterError(f"effective channel {name} must be finite, "
+                                     f"got {getattr(self, name)}")
         if not (0.0 <= self.T <= 1.0):
             raise ParameterError(f"effective transmittance outside [0, 1]: {self.T}")
         if self.eps < 0.0:

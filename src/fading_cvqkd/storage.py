@@ -133,6 +133,13 @@ def _float_field(row_no: int, name: str, raw: str) -> float:
         raise ValidationError(f"row {row_no}: field {name} is not a number: {raw!r}")
 
 
+def _finite_field(row_no: int, name: str, raw: str) -> float:
+    x = _float_field(row_no, name, raw)
+    if not math.isfinite(x):
+        raise ValidationError(f"row {row_no}: field {name} is not finite: {raw!r}")
+    return x
+
+
 def _int_field(row_no: int, name: str, raw: str) -> int:
     try:
         return int(raw)
@@ -274,13 +281,13 @@ def read_estimates(path) -> list[PackageEstimate]:
             k = _int_field(row_no, "k", row[6])
             if k < 2:
                 raise ValidationError(f"{path} row {row_no}: k must be >= 2")
-            sqrtT_hat = _float_field(row_no, "sqrtT_hat", row[1])
+            sqrtT_hat = _finite_field(row_no, "sqrtT_hat", row[1])
             out.append(PackageEstimate(
                 sqrtT_hat=sqrtT_hat,
-                T_hat=_float_field(row_no, "T_hat", row[2]),
-                sigma_sqrtT=_float_field(row_no, "sigma_sqrtT", row[3]),
-                sigma_T=_float_field(row_no, "sigma_T", row[4]),
-                vN_hat=_float_field(row_no, "vN_hat", row[5]),
+                T_hat=_finite_field(row_no, "T_hat", row[2]),
+                sigma_sqrtT=_finite_field(row_no, "sigma_sqrtT", row[3]),
+                sigma_T=_finite_field(row_no, "sigma_T", row[4]),
+                vN_hat=_finite_field(row_no, "vN_hat", row[5]),
                 k=k, sign_anomaly=sqrtT_hat < 0.0))
     if not out:
         raise ValidationError(f"{path}: no estimate rows")

@@ -166,6 +166,30 @@ def test_keyrate_refuses_estimates_of_another_run(tmp_path, capsys):
         assert message in capsys.readouterr().err
 
 
+def test_keyrate_refuses_an_infinite_estimate(tmp_path, capsys):
+    """One vN_hat of -inf in estimates.csv once clamped the pooled noise
+    to 0 and turned K = 0 into K = 0.01188; now keyrate fails closed."""
+    cfg = tmp_path / "cfg.json"
+    write_json({"protocol": {"V": 5, "r": 0.3}}, cfg)
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", str(cfg), "--n", "1000", "--m", "200",
+                 "--seed", "1", "--out", str(out)]) == 0
+    assert main(["estimate", str(out)]) == 0
+    assert main(["keyrate", str(out)]) == 0
+    assert float(read_json(out / "keyrate.json")["keyrate"]["K"]) == 0.0
+    lines = (out / ESTIMATES_CSV).read_text().splitlines()
+    parts = lines[1].split(",")
+    parts[lines[0].split(",").index("vN_hat")] = "-inf"
+    lines[1] = ",".join(parts)
+    (out / ESTIMATES_CSV).write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["keyrate", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "vN_hat is not finite" in captured.err
+    assert " K " not in captured.out
+    assert float(read_json(out / "keyrate.json")["keyrate"]["K"]) == 0.0
+
+
 def test_keyrate_model_mode_runs_without_data(tmp_path, capsys):
     out = tmp_path / "model"
     assert main(["keyrate", "--out", str(out), "--n", "500", "--m", "500"]) == 0

@@ -195,6 +195,15 @@ def test_invalid_parameters_raise():
         Moments(mean_T=0.2, mean_sqrtT=0.9, var_sqrtT=-0.61)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["mean_T", "mean_sqrtT", "var_sqrtT"])
+def test_moments_reject_non_finite_fields(field, value):
+    fields = {"mean_T": 0.5, "mean_sqrtT": 0.69, "var_sqrtT": 0.5 - 0.69**2,
+              field: value}
+    with pytest.raises(ParameterError, match=f"{field} must be finite"):
+        Moments(**fields)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     lo=st.floats(0.0, 0.98),

@@ -319,6 +319,18 @@ def test_worst_case_refuses_nan_noise_statistics(field, bound):
         bound(AggregateStats(**fields), ProtocolParams())
 
 
+@pytest.mark.parametrize("value", [math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["eps_hat", "vN_pooled"])
+def test_worst_case_refuses_infinite_noise_statistics(field, value):
+    """-inf would otherwise clamp the noise bound to a plausible 0."""
+    fields = dict(mean_sqrtT_hat=0.7, mean_T_hat=0.5, X1_hat=0.01,
+                  X2_hat=0.99, se_X1=0.001, se_X2=0.001, m_used=1000,
+                  eps_hat=0.01, vN_pooled=1.0, k_total=1e5)
+    fields[field] = value
+    with pytest.raises(NumericalError, match="infinite"):
+        worst_case(AggregateStats(**fields), ProtocolParams())
+
+
 def test_worst_case_refuses_nan_fluctuation_bounds():
     stats = AggregateStats(
         mean_sqrtT_hat=0.7, mean_T_hat=0.5, X1_hat=math.nan, X2_hat=0.99,

@@ -211,6 +211,14 @@ def test_fading_never_helps_the_rate():
     assert fading.K_inf < fixed.K_inf
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["T", "eps"])
+def test_effective_channel_rejects_non_finite_fields(field, value):
+    fields = {"T": 0.5, "eps": 0.01, field: value}
+    with pytest.raises(ParameterError, match=f"{field} must be finite"):
+        EffectiveChannel(**fields)
+
+
 def test_security_validation():
     with pytest.raises(ParameterError):
         EffectiveChannel(T=1.3, eps=0.0)

@@ -262,6 +262,20 @@ def test_read_estimates_validates(tmp_path):
         read_estimates(path)
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("field", ["sqrtT_hat", "T_hat", "sigma_sqrtT", "sigma_T", "vN_hat"])
+def test_read_estimates_rejects_non_finite_fields(tmp_path, field, value):
+    path = tmp_path / "est.csv"
+    write_estimates(estimate_run(_small_run(m=4)), path)
+    lines = path.read_text().splitlines()
+    parts = lines[2].split(",")  # package 1
+    parts[lines[0].split(",").index(field)] = value
+    lines[2] = ",".join(parts)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValidationError, match=f"row 3: field {field} is not finite"):
+        read_estimates(path)
+
+
 # ---- traces -------------------------------------------------------------
 
 def test_trace_round_trip(tmp_path):
