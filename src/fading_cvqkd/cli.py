@@ -151,6 +151,8 @@ def _write_residuals(run, estimates, path) -> None:
 
 
 def _cmd_estimate(args) -> int:
+    if args.out is not None:
+        raise ValidationError("estimate writes into DATA; it takes no --out")
     cfg = _merge_config(args)
     run_dir = Path(args.data)
     run = storage.read_run(run_dir)
@@ -187,6 +189,8 @@ def _check_estimates_match_run(estimates, sidecar: dict, protocol, path) -> None
 
 
 def _cmd_keyrate(args) -> int:
+    if args.data and args.out is not None:
+        raise ValidationError("keyrate DATA writes into DATA; --out applies only without DATA")
     cfg = _merge_config(args)
     if args.data:
         run_dir = Path(args.data)

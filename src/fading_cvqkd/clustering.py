@@ -130,18 +130,24 @@ def _membership(s: np.ndarray, sigma: np.ndarray, lo: float, hi: float) -> np.nd
     return upper - lower
 
 
+def _rule(dist: TransmittanceDistribution, order: int = _ORDER):
+    """The fading law's quadrature rule (nodes s, weights fw) as
+    read-only copies, so that every evaluator of one call can share it."""
+    s, fw = (np.array(a, dtype=float) for a in dist.expectation_rule(order))
+    s.flags.writeable = fw.flags.writeable = False
+    return s, fw
+
+
 class _Nodes:
-    """The fading law's quadrature rule (nodes s, weights fw) with the
+    """A shared read-only quadrature rule (nodes s, weights fw) with the
     estimator moments of k disclosed states at every node."""
 
-    def __init__(self, dist: TransmittanceDistribution, protocol: ProtocolParams,
-                 k: int, order: int = _ORDER):
+    def __init__(self, rule: tuple[np.ndarray, np.ndarray],
+                 protocol: ProtocolParams, k: int):
         if int(k) < 2:
             raise InsufficientDataError(f"disclosed count must be >= 2, got {k}")
         self.k = int(k)
-        s, fw = dist.expectation_rule(order)
-        self.s = np.asarray(s, dtype=float)
-        self.fw = np.asarray(fw, dtype=float)
+        self.s, self.fw = rule
         self.vN, self.v_u, self.v_w, self.c_uw = _sigma_arrays(self.s, self.k, protocol)
         self.sigma = np.sqrt(self.v_w)
 
@@ -196,7 +202,7 @@ def conditional_pdf(dist: TransmittanceDistribution, interval: Sequence[float],
     estimate T_hat landed in the interval, with k disclosed states per
     package setting the estimator noise.  As k grows the kernel sharpens
     and the density approaches f restricted to the interval."""
-    nodes = _Nodes(dist, protocol, k, order)
+    nodes = _Nodes(_rule(dist, order), protocol, k)
     lo, hi = _check_interval(interval)
     wgt = _membership(nodes.s, nodes.sigma, lo, hi) * nodes.fw
     mass = float(np.sum(wgt))
@@ -211,7 +217,7 @@ def marginal_pdf(t_hat, dist: TransmittanceDistribution, k: int,
                  protocol: ProtocolParams):
     """Density of the package estimate T_hat: the fading law convolved
     with the predicted estimator noise at each true transmittance."""
-    nodes = _Nodes(dist, protocol, k)
+    nodes = _Nodes(_rule(dist), protocol, k)
     t = np.atleast_1d(np.asarray(t_hat, dtype=float))
     zsq = (t[:, None] - nodes.s[None, :]) / nodes.sigma[None, :]
     dens = np.exp(-0.5 * zsq**2) / (math.sqrt(2.0 * math.pi) * nodes.sigma[None, :])
@@ -220,8 +226,8 @@ def marginal_pdf(t_hat, dist: TransmittanceDistribution, k: int,
 
 
 class _Evaluator(_Nodes):
-    """Node arrays for one (distribution, protocol, k, m) configuration,
-    with caching of per-interval cluster reports.
+    """Node arrays for one (rule, protocol, k, m) configuration, with
+    caching of per-interval cluster reports; the rule is shared read-only.
 
     The kernel (cluster membership) treats T_hat as Gaussian around the
     true value; the within-cluster spread of the aggregation columns
@@ -230,11 +236,11 @@ class _Evaluator(_Nodes):
     the bounds line up with the estimation pipeline on real data.
     """
 
-    def __init__(self, dist: TransmittanceDistribution, protocol: ProtocolParams,
+    def __init__(self, rule: tuple[np.ndarray, np.ndarray], protocol: ProtocolParams,
                  k: int, m: int, n: int | None = None):
         if int(m) < 2:
             raise InsufficientDataError(f"need at least 2 packages, got {m}")
-        super().__init__(dist, protocol, k)
+        super().__init__(rule, protocol, k)
         self.protocol = protocol
         self.m = int(m)
         self.n = None if n is None else int(n)
@@ -340,7 +346,7 @@ def cluster_stats(dist: TransmittanceDistribution, interval: Sequence[float],
     package and m packages total.  Raises if the interval is (near)
     empty or holds fewer than two expected packages."""
     lo, hi = _check_interval(interval)
-    ev = _Evaluator(dist, protocol, k, m)
+    ev = _Evaluator(_rule(dist), protocol, k, m)
     rep = ev.report(lo, hi)
     if rep.mass < _MASS_FLOOR:
         raise EmptyClusterError(f"interval {interval} carries mass {rep.mass:.3g}")
@@ -359,7 +365,7 @@ def total_key_rate(dist: TransmittanceDistribution, boundaries: Sequence[float],
     Clusters expected to hold fewer than two packages contribute zero.
     """
     k = disclosed_count(int(n), protocol.r)
-    ev = _Evaluator(dist, protocol, k, m, n=int(n))
+    ev = _Evaluator(_rule(dist), protocol, k, m, n=int(n))
     return ev.plan(_check_edges(boundaries))
 
 
@@ -505,7 +511,8 @@ def optimize(dist: TransmittanceDistribution, C: int, n: int, m: int,
     confidence multiplier protocol.z_conf.  C = 0 evaluates the pooled
     (single all-inclusive cluster) protocol.  min_mass rejects plans
     with any cluster lighter than that probability mass.  The result
-    unpacks as (plan, r, V).
+    unpacks as (plan, r, V).  The law's quadrature rule is built once per
+    call and shared read-only by the evaluators of every (r, V) point.
     """
     if C < 0:
         raise ParameterError(f"cluster count must be >= 0, got {C}")
@@ -514,6 +521,7 @@ def optimize(dist: TransmittanceDistribution, C: int, n: int, m: int,
     if _LEVELS < C + 1:
         raise ParameterError(f"level resolution {_LEVELS} too coarse for {C} clusters")
     n, m = int(n), int(m)
+    rule = _rule(dist)
 
     def search(points, Q: int, start: tuple[int, ...], window: int | None, best=None):
         """Fold the best plan of each (r, V) point, searched from the
@@ -523,7 +531,7 @@ def optimize(dist: TransmittanceDistribution, C: int, n: int, m: int,
         evaluations = 0
         for r, V in points:
             try:
-                ev = _Evaluator(dist, replace(protocol, r=r, V=V),
+                ev = _Evaluator(rule, replace(protocol, r=r, V=V),
                                 disclosed_count(n, r), m, n=n)
                 if C == 0:
                     levels, score = start, _plan_score(ev, start, Q, min_mass)
@@ -561,7 +569,7 @@ def optimize(dist: TransmittanceDistribution, C: int, n: int, m: int,
 
     _, _, best_r, best_V, best_levels = best
     proto = replace(protocol, r=best_r, V=best_V)
-    ev = _Evaluator(dist, proto, disclosed_count(n, best_r), m, n=n)
+    ev = _Evaluator(rule, proto, disclosed_count(n, best_r), m, n=n)
     plan = ev.plan(_levels_to_edges(ev, best_levels, Q))
     evaluations += ev.evaluations
     notes = []

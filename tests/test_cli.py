@@ -190,6 +190,24 @@ def test_keyrate_refuses_an_infinite_estimate(tmp_path, capsys):
     assert float(read_json(out / "keyrate.json")["keyrate"]["K"]) == 0.0
 
 
+@pytest.mark.parametrize("command", ["estimate", "keyrate"])
+def test_data_commands_refuse_out(tmp_path, capsys, monkeypatch, command):
+    """estimate DATA and keyrate DATA write into DATA; an --out beside
+    it was once accepted and silently ignored.  The refusal is of the
+    flag: FADING_CVQKD_OUT, shared by every command, is still allowed."""
+    run, elsewhere = tmp_path / "run", tmp_path / "elsewhere"
+    assert main(["simulate", "--out", str(run)] + SIM) == 0
+    capsys.readouterr()
+    assert main([command, str(run), "--out", str(elsewhere)]) == 2
+    assert "writes into DATA" in capsys.readouterr().err
+    assert not elsewhere.exists()
+    assert not (run / ESTIMATES_CSV).exists()
+    assert not (run / "keyrate.json").exists()
+    monkeypatch.setenv("FADING_CVQKD_OUT", str(elsewhere))
+    assert main([command, str(run)]) == 0
+    assert not elsewhere.exists()
+
+
 def test_keyrate_model_mode_runs_without_data(tmp_path, capsys):
     out = tmp_path / "model"
     assert main(["keyrate", "--out", str(out), "--n", "500", "--m", "500"]) == 0

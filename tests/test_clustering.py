@@ -8,11 +8,13 @@ import pytest
 from scipy import integrate
 from scipy.stats import norm
 
+from fading_cvqkd import clustering
 from fading_cvqkd import (
     ClusterTooSmallError,
     EffectiveChannel,
     Empirical,
     EmptyClusterError,
+    LogNegativeWeibull,
     ParameterError,
     ProtocolParams,
     TruncatedNormal,
@@ -351,6 +353,56 @@ def test_optimize_result_is_pinned():
     assert res.V == 4.999999999999998
     assert res.plan.boundaries == (0.6897817977059991, math.inf)
     assert res.evaluations == 18768
+
+
+# the pooled (C = 0) searches behind fig6 (TN) and fig7 (LNW, whose rule
+# goes through _rayleigh_rule), bit for bit; m = 200 gives no key, so
+# the tie-break picks the grid's first point, and m = 1000 a positive rate
+@pytest.mark.parametrize("dist, m, rate, r, V, evaluations", [
+    (TN, 200, 0.0, 0.01, 0.5, 153),
+    (TN, 1000, 0.05166024091796586, 0.19409907786669298, 2.9627654877728387, 163),
+    (LogNegativeWeibull(1.47, 0.6), 200, 0.0, 0.01, 0.5, 153),
+    (LogNegativeWeibull(1.47, 0.6), 1000, 0.05649864744576674,
+     0.17523016489664908, 3.28966612328784, 163),
+], ids=["tn-m200", "tn-m1000", "lnw-m200", "lnw-m1000"])
+def test_pooled_optimize_result_is_pinned(dist, m, rate, r, V, evaluations):
+    res = optimize(dist, 0, 1000, m, P)
+    assert res.total_rate == rate
+    assert res.r == r
+    assert res.V == V
+    assert res.plan.boundaries == (-math.inf, math.inf)
+    assert res.evaluations == evaluations
+
+
+def test_optimize_builds_the_rule_once(monkeypatch):
+    """One quadrature rule per optimize, shared by the grid pass, both
+    refinement passes and the final plan, and one per total_key_rate."""
+    calls = []
+    for cls in (Uniform, TruncatedNormal, LogNegativeWeibull, Empirical):
+        def counted(self, order=160, original=cls.expectation_rule):
+            calls.append(type(self).__name__)
+            return original(self, order)
+        monkeypatch.setattr(cls, "expectation_rule", counted)
+    # a coarse level grid keeps the C = 1 descent short; the passes that
+    # build evaluators are the same at any resolution
+    monkeypatch.setattr(clustering, "_LEVELS", 8)
+    laws = (UNI, TN, LogNegativeWeibull(1.47, 0.6),
+            Empirical(np.linspace(0.2, 0.8, 50)))
+    for dist in laws:
+        for C in (0, 1):
+            calls.clear()
+            optimize(dist, C, 400, 400, P)
+            assert calls == [type(dist).__name__]
+        calls.clear()
+        total_key_rate(dist, (-math.inf, 0.5, math.inf), 400, 400, P)
+        assert calls == [type(dist).__name__]
+
+
+def test_shared_rule_is_read_only():
+    ev = clustering._Evaluator(clustering._rule(TN), P, 10, 100)
+    for arr in (ev.s, ev.fw):
+        with pytest.raises(ValueError):
+            arr[0] = 0.5
 
 
 def test_optimize_validates_parameters():
