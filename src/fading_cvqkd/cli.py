@@ -252,6 +252,7 @@ def _cmd_optimize(args) -> int:
             "V": result.V,
             "evaluations": result.evaluations,
             "diagnostic": result.diagnostic,
+            "search": result.search,
         }, out / "plan.json")
         print(f"wrote {out / 'plan.json'}")
     return 0

@@ -16,6 +16,12 @@ feed the same worst-case construction used on simulated data.
 Cluster boundaries live on the estimated-transmittance axis.  A plan
 with C clusters has C+1 edges; infinite outer edges keep everything,
 finite outer edges trim (discard) the tails.
+
+The optimizer places the edges on Q equal-mass levels of the estimate
+marginal.  At each (r, V) point it scores every interval between two
+levels at once (an interval table built from one cumulative matrix of
+the mixture over the quadrature nodes), then finds the best chain of C
+intervals by dynamic programming, so the plan is exact on that grid.
 """
 
 from __future__ import annotations
@@ -25,9 +31,9 @@ from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import ndtr
 
+from . import elementwise as ew
 from .channel import ProtocolParams, noise_variance
 from .distributions import Moments, TransmittanceDistribution
 from .errors import (ClusterTooSmallError, EmptyClusterError,
@@ -40,6 +46,7 @@ __all__ = [
     "ClusterReport",
     "ClusterPlan",
     "OptimizeResult",
+    "SearchPass",
     "ConditionalDensity",
     "conditional_pdf",
     "marginal_pdf",
@@ -56,6 +63,12 @@ _ORDER = 160  # nodes of the fading law's quadrature rule
 _R_GRID = tuple(np.geomspace(0.01, 0.9, 12).tolist())
 _V_GRID = tuple(np.geomspace(0.5, 50.0, 12).tolist())
 _LEVELS = 64
+# the vector quantile solve: brentq's default tolerance, and a step cap
+# that bisection from the start grid alone reaches in about 35 steps
+_XTOL = 1e-12
+_NEWTON_STEPS = 60
+# elements per temporary (rows x nodes) array of the mixture sums
+_BLOCK = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -92,11 +105,27 @@ class ClusterPlan:
 
 
 @dataclass(frozen=True)
+class SearchPass:
+    """One pass of the (r, V) search at Q boundary levels: the points
+    tried, the intervals scored, and each skipped point as a dict with
+    its r, V and the error (type name and message) that ruled it out."""
+
+    Q: int
+    points: int
+    intervals: int
+    skipped: tuple[dict, ...] = ()
+
+
+@dataclass(frozen=True)
 class OptimizeResult:
     """Best plan found, with the protocol parameters it was scored at.
 
-    Iterates as (plan, r, V) for tuple unpacking.  diagnostic is set
-    when the search ended degenerate (no positive rate anywhere).
+    Iterates as (plan, r, V) for tuple unpacking.  evaluations counts
+    the intervals scored: the entries of every interval table plus the
+    single-interval reports (the rescored plans and the final plan).
+    search records the grid pass and the two refinement passes.
+    diagnostic is set when the search ended degenerate (no positive
+    rate anywhere).
     """
 
     plan: ClusterPlan
@@ -106,6 +135,7 @@ class OptimizeResult:
     total_rate: float
     evaluations: int
     diagnostic: str | None = None
+    search: tuple[SearchPass, ...] = ()
 
     def __iter__(self):
         return iter((self.plan, self.r, self.V))
@@ -122,11 +152,11 @@ def _sigma_arrays(s: np.ndarray, k: int, protocol: ProtocolParams):
     return vN, v_u, v_w, c_uw
 
 
-def _membership(s: np.ndarray, sigma: np.ndarray, lo: float, hi: float) -> np.ndarray:
+def _membership(s: np.ndarray, sigma: np.ndarray, lo: float, hi: float):
     """P(lo <= T_hat < hi) for T_hat ~ N(s, sigma^2); an infinite edge
-    keeps its whole tail."""
-    upper = ndtr((hi - s) / sigma) if math.isfinite(hi) else np.ones_like(s)
-    lower = ndtr((lo - s) / sigma) if math.isfinite(lo) else np.zeros_like(s)
+    keeps its whole tail (two infinite edges give the scalar 1.0)."""
+    upper = ndtr((hi - s) / sigma) if math.isfinite(hi) else 1.0
+    lower = ndtr((lo - s) / sigma) if math.isfinite(lo) else 0.0
     return upper - lower
 
 
@@ -225,9 +255,15 @@ def marginal_pdf(t_hat, dist: TransmittanceDistribution, k: int,
     return float(acc[0]) if np.isscalar(t_hat) or np.ndim(t_hat) == 0 else acc
 
 
+def _normal_pdf(z: np.ndarray) -> np.ndarray:
+    return np.exp(-0.5 * z * z) * (1.0 / math.sqrt(2.0 * math.pi))
+
+
 class _Evaluator(_Nodes):
-    """Node arrays for one (rule, protocol, k, m) configuration, with
-    caching of per-interval cluster reports; the rule is shared read-only.
+    """Node arrays for one (rule, protocol, k, m) configuration; the rule
+    is shared read-only.  report scores one interval, table every
+    interval between Q levels at once; evaluations counts the intervals
+    either has scored.
 
     The kernel (cluster membership) treats T_hat as Gaussian around the
     true value; the within-cluster spread of the aggregation columns
@@ -244,90 +280,185 @@ class _Evaluator(_Nodes):
         self.protocol = protocol
         self.m = int(m)
         self.n = None if n is None else int(n)
-        self.sq = np.sqrt(self.s)
-        self._quantiles: dict[float, float] = {}
-        self._reports: dict[tuple[float, float], ClusterReport] = {}
+        sq = np.sqrt(self.s)
+        # the node columns whose cluster means the statistics need, in the
+        # order _stats unpacks them
+        self.columns = (sq, self.s, self.s * sq, self.s**2,
+                        self.v_u, self.v_w, self.c_uw, self.vN)
         self.evaluations = 0
 
-    # ---- marginal of the T_hat estimate ------------------------------
+    # ---- per-cluster statistics: floats for one interval, arrays for many
 
-    def _cdf(self, t: float) -> float:
-        return float(np.dot(self.fw, ndtr((t - self.s) / self.sigma)))
+    def _stats(self, mass, sums) -> AggregateStats:
+        """Aggregation statistics of a cluster of probability mass `mass`
+        from the mass-weighted sums of the node columns."""
+        mu_h, mu_1, mu_3h, mu_2, e_vu, e_vw, e_cuw, vN_c = [x / mass for x in sums]
+        xp = ew.of(mass)
+        var_u = e_vu + xp.maximum(0.0, mu_1 - mu_h**2)
+        var_w = e_vw + xp.maximum(0.0, mu_2 - mu_1**2)
+        cov_uw = e_cuw + (mu_3h - mu_h * mu_1)
+        var_psi1 = xp.maximum(0.0, var_w + 4.0 * mu_h**2 * var_u - 4.0 * mu_h * cov_uw)
+        var_psi2 = var_w + 4.0 * mu_h**2 * var_u + 4.0 * mu_h * cov_uw
+        m_c = mass * self.m
+        return AggregateStats(
+            mean_sqrtT_hat=mu_h, mean_T_hat=mu_1,
+            X1_hat=mu_1 - mu_h**2, X2_hat=mu_1 + mu_h**2,
+            se_X1=xp.sqrt(var_psi1 / m_c), se_X2=xp.sqrt(var_psi2 / m_c),
+            m_used=m_c,
+            se_mean_sqrtT=xp.sqrt(var_u / m_c),
+            se_mean_T=xp.sqrt(var_w / m_c),
+            eps_hat=self.protocol.epsilon, vN_pooled=vN_c,
+            k_total=m_c * self.k)
 
-    def quantile(self, q: float) -> float:
-        """Inverse CDF of the estimate marginal; q in (0, 1)."""
-        key = round(q, 12)
-        hit = self._quantiles.get(key)
-        if hit is not None:
-            return hit
-        lo = float(np.min(self.s - 9.0 * self.sigma))
-        hi = float(np.max(self.s + 9.0 * self.sigma))
-        try:
-            t = float(brentq(lambda x: self._cdf(x) - q, lo, hi,
-                             xtol=1e-12, rtol=8.9e-16))
-        except ValueError as exc:
-            raise NumericalError(f"quantile bracket failed at q={q}: {exc}")
-        self._quantiles[key] = t
-        return t
-
-    # ---- per-cluster statistics -------------------------------------
+    def _states(self, mass):
+        """States max(2, round(mass m n)) of a cluster of that mass."""
+        x = mass * self.m * self.n
+        if isinstance(x, np.ndarray):
+            return np.maximum(2, np.rint(x).astype(np.int64))
+        return max(2, int(round(x)))
 
     def report(self, t_lo: float, t_hi: float) -> ClusterReport:
-        key = (t_lo, t_hi)
-        hit = self._reports.get(key)
-        if hit is not None:
-            return hit
         self.evaluations += 1
         interval = (t_lo, t_hi)
         wgt = _membership(self.s, self.sigma, t_lo, t_hi) * self.fw
         mass = float(np.sum(wgt))
         if mass < _MASS_FLOOR or mass * self.m < 2.0:
-            rep = ClusterReport(interval=interval, mass=max(mass, 0.0),
-                                cond_moments=None, wc=None, N_c=0, K_c=0.0)
-            self._reports[key] = rep
-            return rep
-        mu_h = float(np.dot(wgt, self.sq)) / mass          # E[s^1/2]
-        mu_1 = float(np.dot(wgt, self.s)) / mass           # E[s]
-        mu_3h = float(np.dot(wgt, self.s * self.sq)) / mass
-        mu_2 = float(np.dot(wgt, self.s**2)) / mass
-        e_vu = float(np.dot(wgt, self.v_u)) / mass
-        e_vw = float(np.dot(wgt, self.v_w)) / mass
-        e_cuw = float(np.dot(wgt, self.c_uw)) / mass
-        var_u = e_vu + max(0.0, mu_1 - mu_h**2)
-        var_w = e_vw + max(0.0, mu_2 - mu_1**2)
-        cov_uw = e_cuw + (mu_3h - mu_h * mu_1)
-        var_psi1 = max(0.0, var_w + 4.0 * mu_h**2 * var_u - 4.0 * mu_h * cov_uw)
-        var_psi2 = var_w + 4.0 * mu_h**2 * var_u + 4.0 * mu_h * cov_uw
-        m_c = mass * self.m
-        vN_c = float(np.dot(wgt, self.vN)) / mass
-        stats = AggregateStats(
-            mean_sqrtT_hat=mu_h, mean_T_hat=mu_1,
-            X1_hat=mu_1 - mu_h**2, X2_hat=mu_1 + mu_h**2,
-            se_X1=math.sqrt(var_psi1 / m_c), se_X2=math.sqrt(var_psi2 / m_c),
-            m_used=m_c,
-            se_mean_sqrtT=math.sqrt(var_u / m_c),
-            se_mean_T=math.sqrt(var_w / m_c),
-            eps_hat=self.protocol.epsilon, vN_pooled=vN_c,
-            k_total=m_c * self.k)
+            return ClusterReport(interval=interval, mass=max(mass, 0.0),
+                                 cond_moments=None, wc=None, N_c=0, K_c=0.0)
+        stats = self._stats(mass, [float(np.dot(wgt, col)) for col in self.columns])
         wc = worst_case(stats, self.protocol)
-        moments = Moments(mu_1, mu_h, mu_1 - mu_h**2)
+        moments = Moments(stats.mean_T_hat, stats.mean_sqrtT_hat, stats.X1_hat)
         if self.n is None:
-            rep = ClusterReport(interval=interval, mass=mass,
-                                cond_moments=moments, wc=wc, N_c=0, K_c=0.0)
-        else:
-            N_c = max(2, int(round(mass * self.m * self.n)))
-            K_c = key_rate(wc, N_c, self.protocol).K
-            rep = ClusterReport(interval=interval, mass=mass,
-                                cond_moments=moments, wc=wc, N_c=N_c, K_c=K_c)
-        self._reports[key] = rep
-        return rep
+            return ClusterReport(interval=interval, mass=mass,
+                                 cond_moments=moments, wc=wc, N_c=0, K_c=0.0)
+        N_c = self._states(mass)
+        return ClusterReport(interval=interval, mass=mass, cond_moments=moments,
+                             wc=wc, N_c=N_c, K_c=key_rate(wc, N_c, self.protocol).K)
 
     def plan(self, edges: Sequence[float]) -> ClusterPlan:
-        reports = tuple(self.report(edges[i], edges[i + 1])
-                        for i in range(len(edges) - 1))
-        total = sum(r.mass * r.K_c for r in reports)
+        reports = tuple([self.report(edges[i], edges[i + 1])
+                         for i in range(len(edges) - 1)])
+        total = sum([r.mass * r.K_c for r in reports])
         return ClusterPlan(boundaries=tuple(edges), per_cluster=reports,
                            total_rate=total)
+
+    # ---- every interval between Q levels at once --------------------
+
+    def _mix(self, t: np.ndarray, kernel, weights: np.ndarray) -> np.ndarray:
+        """kernel((t_i - s_j) / sigma_j) @ weights, in row blocks of
+        _BLOCK elements so that no (len(t), nodes) array is built."""
+        rows = max(1, _BLOCK // self.s.size)
+        return np.concatenate([kernel((t[i:i + rows, None] - self.s) / self.sigma) @ weights
+                               for i in range(0, t.size, rows)])
+
+    def quantiles(self, Q: int) -> np.ndarray:
+        """The Q - 1 inner edges that split the estimate marginal into Q
+        levels of equal mass, solved together: linear interpolation of
+        the CDF on 4Q + 1 points gives a bracket and a start, then
+        bracketed Newton steps on the whole level vector (a step that
+        leaves its bracket bisects it) run until every edge moves by at
+        most _XTOL."""
+        q = np.arange(1, Q) / Q
+        grid = np.linspace(float(np.min(self.s - 9.0 * self.sigma)),
+                           float(np.max(self.s + 9.0 * self.sigma)), 4 * Q + 1)
+        cdf = self._mix(grid, ndtr, self.fw)
+        j = np.searchsorted(cdf, q, side="right")       # cdf[j - 1] <= q < cdf[j]
+        if j[0] < 1 or j[-1] >= grid.size:
+            raise NumericalError(f"quantile bracket failed: the estimate marginal "
+                                 f"spans [{cdf[0]}, {cdf[-1]}] on its support")
+        lo, hi = grid[j - 1], grid[j]
+        t = lo + (q - cdf[j - 1]) / (cdf[j] - cdf[j - 1]) * (hi - lo)
+        live = np.arange(q.size)
+        for _ in range(_NEWTON_STEPS):
+            tl = t[live]
+            gap = self._mix(tl, ndtr, self.fw) - q[live]
+            slope = self._mix(tl, _normal_pdf, self.fw / self.sigma)
+            lo[live] = np.where(gap < 0.0, tl, lo[live])
+            hi[live] = np.where(gap > 0.0, tl, hi[live])
+            a, b = lo[live], hi[live]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                step = tl - gap / slope
+            step = np.where((step > a) & (step < b), step, 0.5 * (a + b))
+            step = np.where(gap == 0.0, tl, step)
+            t[live] = step
+            live = live[np.abs(step - tl) > _XTOL]
+            if live.size == 0:
+                return t
+        raise NumericalError(f"{live.size} of {q.size} quantile levels did not "
+                             f"converge in {_NEWTON_STEPS} steps")
+
+    def table(self, Q: int, min_mass: float = 0.0):
+        """Score every interval between the Q + 1 edges (-inf, the Q - 1
+        quantiles, +inf).  Returns the edges, the marginal CDF at each
+        edge (interval (a, b) holds mass cdf[b] - cdf[a]) and the
+        (Q+1, Q+1) matrix of rate contributions mass * K_c over (a, b),
+        which is -inf unless a < b and the interval is feasible
+        (mass >= _MASS_FLOOR, >= 2 expected packages, mass >= min_mass).
+
+        With G = F @ (fw * [1, columns]), F the kernel CDF at each edge
+        and node, the weighted sums of interval (a, b) are G[b] - G[a].
+        The feasible intervals go through worst_case and key_rate as
+        arrays, a block of rows of a at a time; a non-finite rate raises
+        instead of being masked.
+        """
+        edges = np.concatenate(([-math.inf], self.quantiles(Q), [math.inf]))
+        G = self._mix(edges, ndtr, self.fw[:, None]
+                      * np.column_stack((np.ones_like(self.s), *self.columns)))
+        cdf = G[:, 0]
+        rate = np.full((Q + 1, Q + 1), -math.inf)
+        self.evaluations += Q * (Q + 1) // 2
+        rows = max(1, _BLOCK // 2 // (Q + 1))
+        for a0 in range(0, Q, rows):
+            mass = cdf - cdf[a0:a0 + rows, None]
+            keep = ~((mass < _MASS_FLOOR) | (mass * self.m < 2.0) | (mass < min_mass))
+            a, b = np.nonzero(np.triu(keep, a0 + 1))
+            a += a0
+            sums = G[b] - G[a]
+            stats = self._stats(sums[:, 0], sums[:, 1:].T)
+            wc = worst_case(stats, self.protocol)
+            K = key_rate(wc, self._states(sums[:, 0]), self.protocol).K
+            if not np.isfinite(K).all():
+                raise NumericalError(f"key rate is NaN or infinite on "
+                                     f"{int(np.sum(~np.isfinite(K)))} interval(s)")
+            rate[a, b] = sums[:, 0] * K
+        return edges, cdf, rate
+
+    def best_edges(self, C: int, Q: int, min_mass: float = 0.0) -> tuple[float, ...]:
+        """Edges of the best C-cluster plan on Q levels (see _chain)."""
+        edges, cdf, rate = self.table(Q, min_mass)
+        return tuple(float(edges[lv]) for lv in _chain(rate, cdf, C))
+
+
+def _chain(rate: np.ndarray, cdf: np.ndarray, C: int) -> list[int]:
+    """Levels l_0 < ... < l_C of the C chained intervals (l_i, l_i+1)
+    of highest total rate, by dynamic programming over the interval
+    table; the outer levels are free, so the tails may be trimmed.
+
+    Plans compare on (rate, kept mass), and the kept mass of a chain is
+    cdf[l_C] - cdf[l_0].  For each end level the program keeps the chain of
+    highest rate, then of lowest first level (most mass), then of lowest
+    previous level; of the end levels it takes the highest (rate, kept
+    mass), the lowest level on a tie.  Raises ClusterTooSmallError when
+    no chain has every interval feasible.
+    """
+    levels = np.arange(rate.shape[0])
+    total = np.zeros(levels.size)   # best rate of the chains ending at each level
+    first = levels                  # and the first level of that chain
+    back = []
+    for _ in range(C):
+        cand = total[:, None] + rate
+        total = cand.max(axis=0)
+        prev = np.argmin(np.where(cand == total, first[:, None], levels.size), axis=0)
+        first = first[prev]
+        back.append(prev)
+    if total.max() == -math.inf:
+        raise ClusterTooSmallError(f"no {C} chained intervals on {levels.size - 1} "
+                                   "levels are all feasible")
+    chain = [int(np.argmax(np.where(total == total.max(), cdf - cdf[first],
+                                    -math.inf)))]
+    for prev in reversed(back):
+        chain.append(int(prev[chain[-1]]))
+    return chain[::-1]
 
 
 def _check_edges(boundaries: Sequence[float]) -> list[float]:
@@ -422,78 +553,6 @@ def total_key_rate_from_estimates(estimates: Sequence[PackageEstimate],
 
 # ---- optimization ----------------------------------------------------
 
-def _levels_to_edges(ev: _Evaluator, levels: Sequence[int], Q: int) -> list[float]:
-    out = []
-    for lv in levels:
-        if lv <= 0:
-            out.append(-math.inf)
-        elif lv >= Q:
-            out.append(math.inf)
-        else:
-            out.append(ev.quantile(lv / Q))
-    return out
-
-
-def _plan_score(ev: _Evaluator, levels: tuple[int, ...], Q: int,
-                min_mass: float = 0.0) -> tuple[float, float]:
-    """(rate, kept mass) of a level configuration; the mass breaks rate
-    ties toward plans that discard fewer packages.  (-inf, -inf) marks
-    configurations with a degenerate (near-empty or below-min-mass)
-    cluster."""
-    edges = _levels_to_edges(ev, levels, Q)
-    rate = 0.0
-    mass = 0.0
-    for i in range(len(edges) - 1):
-        rep = ev.report(edges[i], edges[i + 1])
-        if rep.cond_moments is None or rep.mass < min_mass:
-            return (-math.inf, -math.inf)
-        rate += rep.mass * rep.K_c
-        mass += rep.mass
-    return (rate, mass)
-
-
-def _descend(ev: _Evaluator, levels: tuple[int, ...], Q: int,
-             window: int | None, min_mass: float = 0.0,
-             max_sweeps: int = 10) -> tuple[tuple[int, ...], tuple[float, float]]:
-    """Coordinate descent over integer quantile levels of the plan edges.
-
-    Each edge in turn scans its feasible range (clipped to +-window if
-    given) and takes the best strictly-improving move; ties keep the
-    smaller level for determinism.
-    """
-    levels = list(levels)
-    best = _plan_score(ev, tuple(levels), Q, min_mass)
-    for _ in range(max_sweeps):
-        moved = False
-        for i in range(len(levels)):
-            lo_lim = 0 if i == 0 else levels[i - 1] + 1
-            hi_lim = Q if i == len(levels) - 1 else levels[i + 1] - 1
-            if window is not None:
-                lo_lim = max(lo_lim, levels[i] - window)
-                hi_lim = min(hi_lim, levels[i] + window)
-            cur = levels[i]
-            for cand in range(lo_lim, hi_lim + 1):
-                if cand == cur:
-                    continue
-                trial = levels.copy()
-                trial[i] = cand
-                score = _plan_score(ev, tuple(trial), Q, min_mass)
-                if score > best or (score == best and cand < levels[i]):
-                    if score > best:
-                        moved = True
-                    best = score
-                    levels = trial
-        if not moved:
-            break
-    return tuple(levels), best
-
-
-def _initial_levels(C: int, Q: int) -> tuple[int, ...]:
-    if C == 0:
-        return (0, Q)
-    return tuple(round(i * Q / C) for i in range(C + 1))
-
-
 def _around(x: float, factor: float, grid: Sequence[float]) -> list[float]:
     """x and its neighbours a geometric factor away, clamped to the grid's span."""
     return sorted({min(grid[-1], max(grid[0], v)) for v in (x / factor, x, x * factor)})
@@ -504,15 +563,21 @@ def optimize(dist: TransmittanceDistribution, C: int, n: int, m: int,
     """Jointly choose the disclosure fraction r, modulation variance V
     and the C cluster boundaries maximizing the total key rate.
 
-    Deterministic nested search: a geometric (r, V) grid outside, then
-    coordinate descent over integer quantile levels of the estimate
-    marginal inside, then two local refinement passes at halved grid
-    steps and doubled level resolution.  The bounds hold at the
-    confidence multiplier protocol.z_conf.  C = 0 evaluates the pooled
-    (single all-inclusive cluster) protocol.  min_mass rejects plans
-    with any cluster lighter than that probability mass.  The result
-    unpacks as (plan, r, V).  The law's quadrature rule is built once per
-    call and shared read-only by the evaluators of every (r, V) point.
+    Deterministic nested search: a geometric (r, V) grid with the edges
+    on Q = 64 equal-mass levels of the estimate marginal, then two local
+    refinement passes at halved grid steps and Q = 128, 256.  At each
+    point an interval table scores every interval between two levels
+    and a dynamic program picks the best C chained intervals, outer
+    edges free (see _chain); the winning edges are then rescored
+    through the single-interval reports, and points compare on those
+    numbers by the key (-rate, -kept mass, r, V, edges).  C = 0
+    evaluates the pooled (single all-inclusive cluster) protocol with
+    one report per point and no table.  The bounds hold at the
+    confidence multiplier protocol.z_conf.  min_mass rejects plans with
+    any cluster lighter than that probability mass.  The result unpacks
+    as (plan, r, V); its search field records each pass.  The law's
+    quadrature rule is built once per call and shared read-only by the
+    evaluators of every (r, V) point.
     """
     if C < 0:
         raise ParameterError(f"cluster count must be >= 0, got {C}")
@@ -522,56 +587,63 @@ def optimize(dist: TransmittanceDistribution, C: int, n: int, m: int,
         raise ParameterError(f"level resolution {_LEVELS} too coarse for {C} clusters")
     n, m = int(n), int(m)
     rule = _rule(dist)
+    passes: list[SearchPass] = []
 
-    def search(points, Q: int, start: tuple[int, ...], window: int | None, best=None):
-        """Fold the best plan of each (r, V) point, searched from the
-        start levels at resolution Q, into best, the lexicographically
-        smallest key (-rate, -mass, r, V, levels); infeasible points are
-        skipped.  Returns best and the interval reports evaluated."""
-        evaluations = 0
+    def search(points, Q: int, best=None):
+        """Fold the best plan of each (r, V) point at resolution Q into
+        best, the smallest key (-rate, -mass, r, V, edges); points where
+        no plan is feasible are skipped and recorded with the pass."""
+        skipped = []
+        intervals = 0
         for r, V in points:
+            ev = None
             try:
                 ev = _Evaluator(rule, replace(protocol, r=r, V=V),
                                 disclosed_count(n, r), m, n=n)
-                if C == 0:
-                    levels, score = start, _plan_score(ev, start, Q, min_mass)
-                else:
-                    levels, score = _descend(ev, start, Q, window, min_mass)
-            except (ParameterError, InsufficientDataError):
+                plan = ev.plan((-math.inf, math.inf) if C == 0
+                               else ev.best_edges(C, Q, min_mass))
+                if any(rep.cond_moments is None or rep.mass < min_mass
+                       for rep in plan.per_cluster):
+                    raise ClusterTooSmallError("the rescored plan has a cluster below "
+                                               "2 expected packages or min_mass")
+            except (ParameterError, InsufficientDataError, ClusterTooSmallError) as exc:
+                skipped.append({"r": r, "V": V, "error": type(exc).__name__,
+                                "message": str(exc)})
                 continue
-            evaluations += ev.evaluations
-            key = (-score[0], -score[1], r, V, levels)
+            finally:
+                if ev is not None:
+                    intervals += ev.evaluations
+            key = (-plan.total_rate, -plan.kept_mass, r, V, plan.boundaries)
             if best is None or key < best:
                 best = key
-        return best, evaluations
+        passes.append(SearchPass(Q=Q, points=len(points), intervals=intervals,
+                                 skipped=tuple(skipped)))
+        return best
 
     Q = _LEVELS
-    best, evaluations = search([(r, V) for r in _R_GRID for V in _V_GRID],
-                               Q, _initial_levels(C, Q), None)
+    best = search([(r, V) for r in _R_GRID for V in _V_GRID], Q)
     if best is None:
-        raise ParameterError("no feasible (r, V) grid point; V + V_S - 1 must be positive")
+        last = passes[-1].skipped[-1]
+        raise ParameterError(f"no feasible (r, V) grid point; the last one failed "
+                             f"with {last['error']}: {last['message']}")
 
     # local refinement: halve the geometric step around the best point
-    # and double the boundary resolution, twice.  Levels are quantile
-    # indices, so doubling them with the resolution keeps the edges put;
-    # the same fractional edges give the same rate, so the carried-over
-    # incumbent stays comparable at the doubled resolution
+    # and double the level resolution, twice; the incumbent's key stays
+    # comparable because it holds the rescored rate of its own edges
     r_step = (_R_GRID[-1] / _R_GRID[0]) ** (1.0 / (len(_R_GRID) - 1))
     V_step = (_V_GRID[-1] / _V_GRID[0]) ** (1.0 / (len(_V_GRID) - 1))
     for pass_idx in (1, 2):
         Q *= 2
-        neg_rate, neg_mass, r, V, levels = best
-        start = tuple(lv * 2 for lv in levels)
+        r, V = best[2], best[3]
         points = [(r_c, V_c) for r_c in _around(r, r_step ** (0.5 ** pass_idx), _R_GRID)
                   for V_c in _around(V, V_step ** (0.5 ** pass_idx), _V_GRID)]
-        best, found = search(points, Q, start, 4, (neg_rate, neg_mass, r, V, start))
-        evaluations += found
+        best = search(points, Q, best)
 
-    _, _, best_r, best_V, best_levels = best
+    _, _, best_r, best_V, best_edges = best
     proto = replace(protocol, r=best_r, V=best_V)
     ev = _Evaluator(rule, proto, disclosed_count(n, best_r), m, n=n)
-    plan = ev.plan(_levels_to_edges(ev, best_levels, Q))
-    evaluations += ev.evaluations
+    plan = ev.plan(best_edges)
+    evaluations = sum(p.intervals for p in passes) + ev.evaluations
     notes = []
     if plan.total_rate <= 0.0:
         notes.append("no positive key rate anywhere on the search grid; "
@@ -582,4 +654,4 @@ def optimize(dist: TransmittanceDistribution, C: int, n: int, m: int,
                      f"{['%.4f' % v for v in light]}")
     return OptimizeResult(plan=plan, r=best_r, V=best_V, protocol=proto,
                           total_rate=plan.total_rate, evaluations=evaluations,
-                          diagnostic="; ".join(notes) or None)
+                          diagnostic="; ".join(notes) or None, search=tuple(passes))

@@ -158,7 +158,13 @@ class Uniform(TransmittanceDistribution):
 
 @dataclass(frozen=True)
 class TruncatedNormal(TransmittanceDistribution):
-    """Normal law truncated to [0, 1] and renormalized."""
+    """Normal law truncated to [0, 1] and renormalized.
+
+    With the mean below 0, [0, 1] lies in the upper tail, where
+    ndtr(b) - ndtr(a) cancels to 0 and ndtri(u) reaches +inf; there the
+    mass and the samples use the reflected form ndtr(-a) - ndtr(-b),
+    whose terms are small and keep their relative precision.
+    """
 
     mean: float
     std: float
@@ -166,13 +172,18 @@ class TruncatedNormal(TransmittanceDistribution):
     def __post_init__(self) -> None:
         if not (self.std > 0.0) or not math.isfinite(self.mean):
             raise ParameterError(f"invalid truncated normal parameters ({self.mean}, {self.std})")
-        z = self._cdf0(1.0) - self._cdf0(0.0)
-        if z <= 1e-300:
+        lo, hi = self._cdf_bounds()
+        if hi - lo <= 1e-300:
             raise ParameterError("truncated normal carries no mass inside [0, 1]")
-        object.__setattr__(self, "_norm", 1.0 / z)
+        object.__setattr__(self, "_norm", 1.0 / (hi - lo))
 
-    def _cdf0(self, t: float) -> float:
-        return float(special.ndtr((t - self.mean) / self.std))
+    def _cdf_bounds(self) -> tuple[float, float]:
+        """(lo, hi) with hi - lo the mass inside [0, 1]: the normal CDF at
+        0 and 1, or, reflected, its upper tail at 1 and 0."""
+        a, b = -self.mean / self.std, (1.0 - self.mean) / self.std
+        if self.mean < 0.0:
+            return float(special.ndtr(-b)), float(special.ndtr(-a))
+        return float(special.ndtr(a)), float(special.ndtr(b))
 
     def support(self) -> tuple[float, float]:
         lo = max(0.0, self.mean - 12.0 * self.std)
@@ -187,8 +198,9 @@ class TruncatedNormal(TransmittanceDistribution):
 
     def sample(self, seed, count: int) -> np.ndarray:
         rng = _as_rng(seed)
-        u = rng.uniform(self._cdf0(0.0), self._cdf0(1.0), self._check_count(count))
-        vals = self.mean + self.std * special.ndtri(u)
+        u = rng.uniform(*self._cdf_bounds(), self._check_count(count))
+        sign = -1.0 if self.mean < 0.0 else 1.0
+        vals = self.mean + sign * self.std * special.ndtri(u)
         return np.clip(vals, 0.0, 1.0)
 
     def moments(self) -> Moments:

@@ -20,6 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import elementwise as ew
 from .channel import Package, ProtocolParams, Run
 from .errors import InsufficientDataError, NumericalError, ParameterError
 
@@ -271,29 +272,31 @@ def aggregate(estimates: Sequence[PackageEstimate],
         eps_hat=eps_hat, vN_pooled=vN_pooled, k_total=k_total)
 
 
-def _nonneg(x: float, name: str) -> float:
-    """max(0, x) that fails closed: a NaN or infinite bound raises
-    instead of clamping to a plausible number."""
-    if not math.isfinite(x):
+# the helpers below take xp = ew.of(...) of the statistics from their
+# caller rather than each dispatching again on the scalar path
+
+def _nonneg(x, name: str, xp):
+    """max(0, x) that fails closed: a NaN or infinite bound (anywhere in
+    an array of bounds) raises instead of clamping to a plausible number."""
+    if not xp.isfinite(x):
         raise NumericalError(f"worst-case bound {name} is NaN or infinite: {x}")
-    return x if x > 0.0 else 0.0
+    return xp.maximum(0.0, x)
 
 
-def _eps_upper(stats: AggregateStats, z: float) -> float:
-    if stats.k_total < 2:
+def _eps_upper(stats: AggregateStats, z: float, xp):
+    if xp.any(stats.k_total < 2):
         raise InsufficientDataError("noise bound needs pooled disclosed data")
     bound = stats.eps_hat \
-        + z * math.sqrt(2.0 / stats.k_total) * _nonneg(stats.vN_pooled, "vN_pooled")
-    return _nonneg(bound, "eps_up")
+        + z * xp.sqrt(2.0 / stats.k_total) * _nonneg(stats.vN_pooled, "vN_pooled", xp)
+    return _nonneg(bound, "eps_up", xp)
 
 
-def _finish(X1_up: float, X2_low: float, eps_up: float,
-            V_prime: float) -> WorstCaseChannel:
-    X1_up = _nonneg(X1_up, "X1_up")
-    X2_low = _nonneg(X2_low, "X2_low")
+def _finish(X1_up, X2_low, eps_up, V_prime: float, xp) -> WorstCaseChannel:
+    X1_up = _nonneg(X1_up, "X1_up", xp)
+    X2_low = _nonneg(X2_low, "X2_low", xp)
     raw_T_low = 0.5 * (X2_low - X1_up)
     unusable = raw_T_low <= 0.0
-    return WorstCaseChannel(T_eff_low=_nonneg(raw_T_low, "T_eff_low"),
+    return WorstCaseChannel(T_eff_low=_nonneg(raw_T_low, "T_eff_low", xp),
                             eps_eff_up=eps_up + X1_up * V_prime,
                             X1_up=X1_up, X2_low=X2_low, eps_up=eps_up,
                             unusable=unusable)
@@ -314,13 +317,16 @@ def worst_case(stats: AggregateStats, protocol: ProtocolParams,
     and rises with X2, so the pessimistic corner is (X1 up, X2 down):
     T_eff_low = (X2_low - X1_up)/2, eps_eff_up = eps_up + X1_up * V'.
     eps_up defaults to the pooled residual-variance bound from stats.
+    The fields of stats may be arrays, one entry per cluster; the
+    channel's fields are then arrays too.
     """
     z = _resolve_z(protocol, z)
+    xp = ew.of(stats.X1_hat)
     if eps_up is None:
-        eps_up = _eps_upper(stats, z)
+        eps_up = _eps_upper(stats, z, xp)
     X1_up = stats.X1_hat + z * stats.se_X1
     X2_low = stats.X2_hat - z * stats.se_X2
-    return _finish(X1_up, X2_low, eps_up, protocol.V_prime)
+    return _finish(X1_up, X2_low, eps_up, protocol.V_prime, xp)
 
 
 def worst_case_rectangular(stats: AggregateStats, protocol: ProtocolParams,
@@ -333,12 +339,13 @@ def worst_case_rectangular(stats: AggregateStats, protocol: ProtocolParams,
     <T>_up - (<sqrt T>_low)^2 sits far above the joint construction.
     """
     z = _resolve_z(protocol, z)
+    xp = ew.of(stats.mean_sqrtT_hat)
     if eps_up is None:
-        eps_up = _eps_upper(stats, z)
+        eps_up = _eps_upper(stats, z, xp)
     mean_sqrt_low = _nonneg(stats.mean_sqrtT_hat - z * stats.se_mean_sqrtT,
-                            "mean_sqrtT_low")
+                            "mean_sqrtT_low", xp)
     mean_T_up = stats.mean_T_hat + z * stats.se_mean_T
     mean_T_low = stats.mean_T_hat - z * stats.se_mean_T
     X1_up = mean_T_up - mean_sqrt_low**2
     X2_low = mean_T_low + mean_sqrt_low**2
-    return _finish(X1_up, X2_low, eps_up, protocol.V_prime)
+    return _finish(X1_up, X2_low, eps_up, protocol.V_prime, xp)

@@ -8,6 +8,10 @@ worst-case effective pair).  The asymptotic rate is
 
 and the finite-size rate subtracts the security-parameter correction
 delta on the key-generation states and scales by the fraction kept.
+
+Every formula takes floats or numpy arrays (one entry per cluster) alike,
+through the elementwise functions; a check that fails anywhere in an
+array raises just as it does for a float.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from . import elementwise as ew
 from .channel import ProtocolParams
 from .distributions import Moments
 from .errors import ParameterError, UnphysicalStateError
@@ -36,19 +41,21 @@ _EIG_TOL = 1e-9
 
 @dataclass(frozen=True)
 class EffectiveChannel:
-    """A fading channel folded into a single (T, eps) pair."""
+    """A fading channel folded into a single (T, eps) pair (or arrays of
+    pairs)."""
 
     T: float
     eps: float
 
     def __post_init__(self) -> None:
+        xp = ew.of(self.T)
         for name in ("T", "eps"):
-            if not math.isfinite(getattr(self, name)):
+            if not xp.isfinite(getattr(self, name)):
                 raise ParameterError(f"effective channel {name} must be finite, "
                                      f"got {getattr(self, name)}")
-        if not (0.0 <= self.T <= 1.0):
+        if xp.any(self.T < 0.0) or xp.any(self.T > 1.0):
             raise ParameterError(f"effective transmittance outside [0, 1]: {self.T}")
-        if self.eps < 0.0:
+        if xp.any(self.eps < 0.0):
             raise ParameterError(f"effective excess noise negative: {self.eps}")
 
 
@@ -94,15 +101,21 @@ def _as_channel(ch) -> EffectiveChannel:
     raise ParameterError(f"expected an effective or worst-case channel, got {type(ch).__name__}")
 
 
-def gaussian_entropy(v: float) -> float:
-    """Entropy G of a thermal mode with symplectic eigenvalue v, in bits."""
-    if v < 1.0 - _EIG_TOL:
+def gaussian_entropy(v):
+    """Entropy G of a thermal mode with symplectic eigenvalue v, in bits;
+    0 at the vacuum, v <= 1."""
+    return _entropy(v, ew.of(v))
+
+
+def _entropy(v, xp):
+    if xp.any(v < 1.0 - _EIG_TOL):
         raise UnphysicalStateError(f"symplectic eigenvalue {v} below vacuum")
-    if v <= 1.0:
-        return 0.0
+    v = xp.maximum(1.0, v)
     a = 0.5 * (v + 1.0)
     b = 0.5 * (v - 1.0)
-    return a * math.log2(a) - b * math.log2(b)
+    # b log2 b -> 0 at the vacuum, b = 0, where adding (b == 0) keeps the
+    # logarithm finite; elsewhere b + False is b
+    return a * xp.log2(a) - b * xp.log2(b + (b == 0.0))
 
 
 def mutual_information(ch: EffectiveChannel, protocol: ProtocolParams) -> float:
@@ -115,27 +128,28 @@ def mutual_information(ch: EffectiveChannel, protocol: ProtocolParams) -> float:
     _require_feasible(protocol)
     V_B = ch.T * protocol.V_prime + 1.0 + ch.eps
     V_B_given_M = ch.T * (protocol.V_S - 1.0) + 1.0 + ch.eps
-    return 0.5 * math.log2(V_B / V_B_given_M)
+    return 0.5 * ew.of(V_B).log2(V_B / V_B_given_M)
 
 
-def _symplectic_pair(V_A: float, V_B: float, c: float) -> tuple[float, float]:
+def _symplectic_pair(V_A: float, V_B, c, xp=ew.SCALAR):
     """Symplectic eigenvalues of a two-mode state with x/p-symmetric
-    blocks diag(V_A), diag(V_B) and correlation diag(c, -c)."""
+    blocks diag(V_A), diag(V_B) and correlation diag(c, -c); xp is
+    ew.of(V_B)."""
     det_gamma = (V_A * V_B - c**2) ** 2
     delta = V_A**2 + V_B**2 - 2.0 * c**2
     disc = (V_A - V_B) ** 2 * ((V_A + V_B) ** 2 - 4.0 * c**2)
-    if disc < -1e-9:
+    if xp.any(disc < -1e-9):
         raise UnphysicalStateError("negative discriminant in symplectic spectrum")
-    root = math.sqrt(max(0.0, disc))
+    root = xp.sqrt(xp.maximum(0.0, disc))
     nu_plus_sq = 0.5 * (delta + root)
-    if nu_plus_sq <= 0.0:
+    if xp.any(nu_plus_sq <= 0.0):
         raise UnphysicalStateError("degenerate covariance in symplectic spectrum")
     # nu-^2 via the determinant product avoids cancellation in delta - root
     nu_minus_sq = det_gamma / nu_plus_sq
-    return math.sqrt(nu_plus_sq), math.sqrt(nu_minus_sq)
+    return xp.sqrt(nu_plus_sq), xp.sqrt(nu_minus_sq)
 
 
-def holevo_bound(ch: EffectiveChannel, protocol: ProtocolParams) -> float:
+def holevo_bound(ch: EffectiveChannel, protocol: ProtocolParams):
     """Eve's Holevo information on Bob's homodyne outcome, in bits/state.
 
     Uses the entanglement-based model of the modulated ensemble: a
@@ -148,28 +162,29 @@ def holevo_bound(ch: EffectiveChannel, protocol: ProtocolParams) -> float:
     _require_feasible(protocol)
     V_A = protocol.V_prime + 1.0
     V_B = ch.T * (V_A - 1.0) + 1.0 + ch.eps
-    c = math.sqrt(ch.T * (V_A**2 - 1.0))
-    nu_plus, nu_minus = _symplectic_pair(V_A, V_B, c)
+    xp = ew.of(ch.T)
+    c = xp.sqrt(ch.T * (V_A**2 - 1.0))
+    nu_plus, nu_minus = _symplectic_pair(V_A, V_B, c, xp)
     # Bob's homodyne projects A onto a state with nu~^2 = V_A*(V_A - c^2/V_B)
     nu_cond_sq = V_A * (V_A - c**2 / V_B)
-    if nu_cond_sq < 0.0:
+    if xp.any(nu_cond_sq < 0.0):
         raise UnphysicalStateError("negative conditional eigenvalue")
-    nu_cond = math.sqrt(nu_cond_sq)
-    val = gaussian_entropy(nu_plus) + gaussian_entropy(nu_minus) \
-        - gaussian_entropy(nu_cond)
-    if val < -1e-6:
+    nu_cond = xp.sqrt(nu_cond_sq)
+    val = _entropy(nu_plus, xp) + _entropy(nu_minus, xp) - _entropy(nu_cond, xp)
+    if xp.any(val < -1e-6):
         raise UnphysicalStateError(f"Holevo bound came out negative: {val}")
-    return max(0.0, val)
+    return xp.maximum(0.0, val)
 
 
-def delta_fs(n_key: int, protocol: ProtocolParams) -> float:
+def delta_fs(n_key, protocol: ProtocolParams):
     """Finite-size penalty per state against collective attacks:
     7*sqrt(log2(2/eps_bar)/n) for n key-generation states."""
-    n_key = int(n_key)
-    if n_key < 1:
+    xp = ew.of(n_key)
+    n_key = xp.int(n_key)
+    if xp.any(n_key < 1):
         raise ParameterError(f"key-generation block must hold >= 1 state, got {n_key}")
     eps_bar = protocol.eps_bar
-    return 7.0 * math.sqrt(math.log2(2.0 / eps_bar) / n_key)
+    return 7.0 * xp.sqrt(math.log2(2.0 / eps_bar) / n_key)
 
 
 def key_rate(wc: WorstCaseChannel | EffectiveChannel, N_total: int | None,
@@ -184,7 +199,9 @@ def key_rate(wc: WorstCaseChannel | EffectiveChannel, N_total: int | None,
         K = (1 - r) * (K_inf - delta(n_key)),
 
     clamped at zero (K_raw keeps the unclamped value).  N_total=None
-    gives the asymptotic limit where only K_inf matters.
+    gives the asymptotic limit where only K_inf matters.  The channel
+    and N_total may hold arrays, one entry per cluster; so does the
+    report then.
     """
     ch = _as_channel(wc)
     I_AB = mutual_information(ch, protocol)
@@ -193,16 +210,18 @@ def key_rate(wc: WorstCaseChannel | EffectiveChannel, N_total: int | None,
     surrogate = protocol.V_S < 1.0
     if N_total is None:
         return KeyRateReport(I_AB=I_AB, S_BE=S_BE, K_inf=K_inf, delta=0.0,
-                             K=max(0.0, K_inf), N_used=None, K_raw=K_inf,
+                             K=ew.of(K_inf).maximum(0.0, K_inf), N_used=None,
+                             K_raw=K_inf,
                              squeezed_surrogate=surrogate)
-    N_total = int(N_total)
-    if N_total < 2:
+    xp = ew.of(N_total)
+    N_total = xp.int(N_total)
+    if xp.any(N_total < 2):
         raise ParameterError(f"total states must be >= 2, got {N_total}")
-    n_key = int(math.floor((1.0 - protocol.r) * N_total))
-    if n_key < 1:
+    n_key = xp.floor((1.0 - protocol.r) * N_total)
+    if xp.any(n_key < 1):
         raise ParameterError("disclosure fraction leaves no key-generation states")
     delta = delta_fs(n_key, protocol)
     K_raw = (1.0 - protocol.r) * (K_inf - delta)
     return KeyRateReport(I_AB=I_AB, S_BE=S_BE, K_inf=K_inf, delta=delta,
-                         K=max(0.0, K_raw), N_used=n_key, K_raw=K_raw,
+                         K=ew.of(K_raw).maximum(0.0, K_raw), N_used=n_key, K_raw=K_raw,
                          squeezed_surrogate=surrogate)

@@ -274,6 +274,24 @@ def test_reproduce_fig9_rates_do_not_decrease_with_clusters(tmp_path):
     assert scenario["dist"]["variant"] == "uniform"
 
 
+def test_optimize_writes_its_search_into_the_plan(tmp_path):
+    cfg = tmp_path / "uniform.json"
+    write_json({"dist": {"variant": "uniform", "lo": 0.0, "hi": 1.0}}, cfg)
+    out = tmp_path / "opt"
+    assert main(["optimize", "--config", str(cfg), "--n", "100", "--m", "400",
+                 "--clusters", "1", "--out", str(out)]) == 0
+    plan = read_json(out / "plan.json")
+    search = plan["search"]
+    assert [p["Q"] for p in search] == [64, 128, 256]
+    assert search[0]["points"] == 144
+    assert plan["evaluations"] == sum(p["intervals"] for p in search) + 1
+    # r = 0.01 leaves one disclosed state of 100 per package
+    skipped = search[0]["skipped"]
+    assert len(skipped) == 12
+    assert {(s["r"], s["error"]) for s in skipped} == {(0.01, "InsufficientDataError")}
+    assert all("fewer than 2 disclosed states" in s["message"] for s in skipped)
+
+
 def test_reproduce_fig7_marks_zero_rate_rows_with_nan(tmp_path):
     out = tmp_path / "fig7"
     assert main(["reproduce", "fig7", "--out", str(out)]) == 0

@@ -1,11 +1,15 @@
 """Estimate-axis clustering: conditional densities, plan evaluation,
 empirical/analytic agreement, and the boundary optimizer."""
 
+import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy import integrate
+from scipy.optimize import brentq
+from scipy.special import ndtr
 from scipy.stats import norm
 
 from fading_cvqkd import clustering
@@ -15,6 +19,7 @@ from fading_cvqkd import (
     Empirical,
     EmptyClusterError,
     LogNegativeWeibull,
+    NumericalError,
     ParameterError,
     ProtocolParams,
     TruncatedNormal,
@@ -346,13 +351,18 @@ def test_optimize_reports_hopeless_channel():
 
 def test_optimize_result_is_pinned():
     """The search result, bit for bit, as the grid pass, the two
-    refinement passes and the evaluator gave it when this was pinned."""
+    refinement passes and the evaluator gave it when this was pinned.
+    The plan is the one coordinate descent found; the evaluations are
+    the interval tables' entries (144 x 2,080 + 9 x 8,256 + 9 x 32,896)
+    plus one report per point and one for the final plan."""
     res = optimize(UNI, 1, 400, 400, P)
     assert res.total_rate == 0.002338040097715117
     assert res.r == 0.5397212245017438
     assert res.V == 4.999999999999998
     assert res.plan.boundaries == (0.6897817977059991, math.inf)
-    assert res.evaluations == 18768
+    assert res.evaluations == 670051
+    assert [(p.Q, p.points, p.intervals) for p in res.search] == [
+        (64, 144, 144 * 2081), (128, 9, 9 * 8257), (256, 9, 9 * 32897)]
 
 
 # the pooled (C = 0) searches behind fig6 (TN) and fig7 (LNW, whose rule
@@ -383,7 +393,7 @@ def test_optimize_builds_the_rule_once(monkeypatch):
             calls.append(type(self).__name__)
             return original(self, order)
         monkeypatch.setattr(cls, "expectation_rule", counted)
-    # a coarse level grid keeps the C = 1 descent short; the passes that
+    # a coarse level grid keeps the C = 1 tables small; the passes that
     # build evaluators are the same at any resolution
     monkeypatch.setattr(clustering, "_LEVELS", 8)
     laws = (UNI, TN, LogNegativeWeibull(1.47, 0.6),
@@ -412,3 +422,167 @@ def test_optimize_validates_parameters():
         optimize(UNI, 1, 400, 400, P, min_mass=1.0)
     with pytest.raises(ParameterError):
         optimize(UNI, 64, 400, 400, P)
+
+
+# ---- the exact boundary search: quantiles, interval table, dynamic program
+
+SMALL_EMPIRICAL = Empirical(TruncatedNormal(0.5, 0.15).sample(5, 100))
+FOUR_LAWS = (UNI, TN, LogNegativeWeibull(1.47, 0.6),
+             Empirical(LogNegativeWeibull(1.25, 0.8).sample(9, 400)))
+
+
+def _evaluator(dist, r=0.26, V=5.0, n=1000, m=1000):
+    return clustering._Evaluator(clustering._rule(dist), replace(P, r=r, V=V),
+                                 round(r * n), m, n=n)
+
+
+def _edges(ev, Q):
+    return [-math.inf, *ev.quantiles(Q), math.inf]
+
+
+@pytest.mark.parametrize("dist", FOUR_LAWS, ids=["uniform", "tnorm", "lnw", "empirical"])
+@pytest.mark.parametrize("r, V", [(0.01, 0.5), (0.01, 50.0), (0.9, 0.5), (0.9, 50.0)])
+def test_vector_quantiles_match_brentq(dist, r, V):
+    """At the corners of the (r, V) grid the level vector solved at once
+    matches one tight brentq solve per level of the same marginal CDF."""
+    ev = _evaluator(dist, r, V)
+    Q = 64
+    t = ev.quantiles(Q)
+    lo = float(np.min(ev.s - 9.0 * ev.sigma))
+    hi = float(np.max(ev.s + 9.0 * ev.sigma))
+    cdf = lambda x: float(np.dot(ev.fw, ndtr((x - ev.s) / ev.sigma)))
+    ref = [brentq(lambda x: cdf(x) - i / Q, lo, hi, xtol=1e-15, rtol=8.9e-16)
+           for i in range(1, Q)]
+    assert np.max(np.abs(t - ref)) <= 1e-12
+
+
+@pytest.mark.parametrize("block", [None, 40], ids=["blocks", "one-row-blocks"])
+@pytest.mark.parametrize("m, min_mass", [(25, 0.0), (1000, 0.2)],
+                         ids=["few-packages", "min-mass"])
+def test_interval_table_matches_reports(m, min_mass, block, monkeypatch):
+    """Every interval of a Q = 16 table has report's mass and K_c, and
+    is masked exactly where report finds it infeasible, however the
+    table is cut into blocks."""
+    if block is not None:
+        monkeypatch.setattr(clustering, "_BLOCK", block)
+    ev = _evaluator(UNI, m=m)
+    edges, cdf, rate = ev.table(16, min_mass)
+    assert ev.evaluations == 16 * 17 // 2
+    assert list(edges) == _edges(ev, 16)
+    masked = 0
+    for a in range(17):
+        for b in range(17):
+            if a >= b:
+                assert rate[a, b] == -math.inf
+                continue
+            rep = ev.report(edges[a], edges[b])
+            mass = cdf[b] - cdf[a]
+            assert mass == pytest.approx(rep.mass, rel=1e-12)
+            if rate[a, b] == -math.inf:
+                masked += 1
+                assert rep.cond_moments is None or rep.mass < min_mass
+            else:
+                assert rep.cond_moments is not None and rep.mass >= min_mass
+                assert rate[a, b] / mass == pytest.approx(rep.K_c, rel=1e-12)
+    assert 0 < masked < 16 * 17 // 2
+
+
+def _brute_force(ev, edges, C, min_mass):
+    """Best rate over every level tuple, scored through report."""
+    reports = {}
+    best = -math.inf
+    for levels in itertools.combinations(range(len(edges)), C + 1):
+        rate = 0.0
+        for a, b in zip(levels, levels[1:]):
+            if (a, b) not in reports:
+                reports[a, b] = ev.report(edges[a], edges[b])
+            rep = reports[a, b]
+            if rep.cond_moments is None or rep.mass < min_mass:
+                break
+            rate += rep.mass * rep.K_c
+        else:
+            best = max(best, rate)
+    return best
+
+
+@pytest.mark.parametrize("dist", [UNI, SMALL_EMPIRICAL], ids=["uniform", "empirical"])
+@pytest.mark.parametrize("C", [1, 2, 3])
+@pytest.mark.parametrize("min_mass", [0.0, 0.15])
+def test_dynamic_program_matches_brute_force(dist, C, min_mass):
+    ev = _evaluator(dist)
+    edges = _edges(ev, 10)
+    best = ev.best_edges(C, 10, min_mass)
+    assert set(best) <= set(edges) and len(best) == C + 1
+    plan = ev.plan(best)
+    assert all(rep.cond_moments is not None and rep.mass >= min_mass
+               for rep in plan.per_cluster)
+    assert plan.total_rate > 0.0
+    assert plan.total_rate == pytest.approx(_brute_force(ev, edges, C, min_mass),
+                                            rel=1e-12)
+
+
+def test_dynamic_program_reports_no_feasible_chain():
+    ev = _evaluator(UNI)
+    with pytest.raises(ClusterTooSmallError):
+        ev.best_edges(3, 10, min_mass=0.4)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("column", [4, 7], ids=["v_u", "V_N"])
+def test_non_finite_statistic_raises_in_table_and_report(column, value):
+    """A non-finite node value reaches every feasible interval; the table
+    raises the scalar path's typed error instead of scoring it 0."""
+    ev = _evaluator(UNI)
+    cols = list(ev.columns)
+    cols[column] = cols[column].copy()
+    cols[column][80] = value
+    ev.columns = tuple(cols)
+    with pytest.raises(NumericalError), np.errstate(invalid="ignore"):
+        ev.table(16)
+    with pytest.raises(NumericalError):
+        ev.report(0.2, 0.6)
+
+
+# rates coordinate descent found at n = m = 1000 before the exact search
+# replaced it (same grid schedule and resolutions)
+DESCENT_RATES = {
+    "uniform": (0.0, 0.06822522227447626, 0.06822522227447626, 0.06822522227447626),
+    "tnorm": (0.05166024091796586, 0.05896579456707759, 0.05896579456707759,
+              0.05896579456707759),
+    "weib-wide": (0.0, 0.06557518881597409, 0.06557518881597409, 0.06557518881597409),
+    "weib-narrow": (0.05649864744576674, 0.07976565810585912, 0.07976565810585912,
+                    0.07976565810585912),
+}
+DESK_LAWS = {"uniform": UNI, "tnorm": TN, "weib-wide": LogNegativeWeibull(1.25, 0.8),
+             "weib-narrow": LogNegativeWeibull(1.47, 0.6)}
+
+
+@pytest.mark.parametrize("C", [0, 1, 2, 3])
+@pytest.mark.parametrize("name", list(DESK_LAWS))
+def test_exact_search_is_no_worse_than_descent(name, C):
+    """The allowance covers edges that moved by about 2e-13 when the
+    quantiles went from one brentq per level to the vector solve."""
+    res = optimize(DESK_LAWS[name], C, 1000, 1000, P)
+    assert res.total_rate >= DESCENT_RATES[name][C] - 1e-12
+    assert res.total_rate == total_key_rate(DESK_LAWS[name], res.plan.boundaries,
+                                            1000, 1000, res.protocol).total_rate
+
+
+def test_optimize_records_its_search():
+    res = optimize(UNI, 2, 1000, 1000, P)
+    assert [(p.Q, p.points) for p in res.search] == [(64, 144), (128, 9), (256, 9)]
+    # plus the final plan's two reports
+    assert res.evaluations == sum(p.intervals for p in res.search) + 2
+    assert all(p.skipped == () for p in res.search)
+    # n = 100 leaves r = 0.01 one disclosed state per package: those 12
+    # grid points are skipped, with the reason
+    res = optimize(UNI, 1, 100, 400, P)
+    skipped = res.search[0].skipped
+    assert len(skipped) == 12 and {s["r"] for s in skipped} == {0.01}
+    assert all(s["error"] == "InsufficientDataError" and "fewer than 2" in s["message"]
+               for s in skipped)
+
+
+def test_optimize_refuses_when_no_plan_is_feasible():
+    with pytest.raises(ParameterError, match="no feasible"):
+        optimize(UNI, 3, 1000, 1000, P, min_mass=0.4)

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fading_cvqkd import (
     Empirical,
@@ -90,6 +90,18 @@ def test_expectation_rule_integrates_moments(dist):
     mo = dist.moments()
     assert float(np.sum(w * x)) == pytest.approx(mo.mean_T, abs=1e-8)
     assert float(np.sum(w * np.sqrt(x))) == pytest.approx(mo.mean_sqrtT, abs=1e-7)
+
+
+@pytest.mark.parametrize("mean, std", [(-0.15, 0.02), (-0.1953125, 0.0234375)])
+def test_truncated_normal_far_below_zero(mean, std):
+    """With [0, 1] deep in the upper tail the mass does not cancel to 0,
+    no draw is clipped up to 1.0, and the sample mean is the law's."""
+    dist = TruncatedNormal(mean, std)
+    t = dist.sample(20240517, 100_000)
+    assert not np.any(t == 1.0)
+    assert t.min() >= 0.0
+    se = np.std(t, ddof=1) / math.sqrt(t.size)
+    assert abs(float(np.mean(t)) - dist.moments().mean_T) < 5.0 * se
 
 
 def test_sampling_is_reproducible():
@@ -211,6 +223,8 @@ def test_moments_reject_non_finite_fields(field, value):
     mean=st.floats(-0.2, 1.2),
     std=st.floats(0.02, 0.5),
 )
+# the mean 8.3 standard deviations below 0 once cancelled the mass to 0
+@example(lo=0.0, width=0.01, mean=-0.1953125, std=0.0234375)
 def test_jensen_inequality_everywhere(lo, width, mean, std):
     """mean_sqrtT^2 <= mean_T and 0 <= var_sqrtT for any parameters."""
     hi = min(1.0, lo + width)
