@@ -1,11 +1,12 @@
 """Command line front end.
 
-Subcommands: simulate, estimate, keyrate, optimize, reproduce, ingest.
-Configuration precedence: JSON config file, then FADING_CVQKD_*
-environment variables, then command line flags.  --paper-scale bumps
-the default package count/size to publication scale; explicit --n/--m
-beat it.  Outputs are CSV tables and JSON reports, plus .npy arrays
-for stored runs; nothing plots in-process.
+Subcommands: simulate, estimate, keyrate, optimize, reproduce, ingest;
+each declares only the options it reads.  Configuration precedence:
+JSON config file, then FADING_CVQKD_* environment variables (where the
+subcommand reads the setting), then command line flags.  --paper-scale
+bumps the default package count/size to publication scale; explicit
+--n/--m beat it.  Outputs are CSV tables and JSON reports, plus .npy
+arrays for stored runs; nothing plots in-process.
 """
 
 from __future__ import annotations
@@ -25,8 +26,6 @@ from .channel import ProtocolParams, simulate_run
 from .distributions import Empirical, from_descriptor
 from .errors import FadingCVQKDError, ValidationError
 from .storage import B_NPY, ESTIMATES_CSV, M_NPY, RUN_CSV, RUN_JSON, TRUE_T_CSV
-
-FIGURES = ("fig6", "fig7", "fig8", "fig9")
 
 _ENV_KEYS = {
     "FADING_CVQKD_SEED": ("seed", int),
@@ -52,7 +51,6 @@ class ScenarioConfig:
     clusters: int = 2
     out: str | None = None
     dist_file: str | None = None
-    blind: bool = False
     paper_scale: bool = False
 
     def make_dist(self):
@@ -68,9 +66,8 @@ def _merge_config(args) -> ScenarioConfig:
     cfg = {
         "dist": {"variant": "truncated_normal", "mean": 0.5, "std": 0.1},
         "protocol": {},
-        "dist_file": None,
     }
-    if getattr(args, "config", None):
+    if args.config:
         file_cfg = storage.read_json(args.config)
         for key in ("dist", "dist_file", "n", "m", "seed", "clusters", "out"):
             if key in file_cfg:
@@ -84,22 +81,24 @@ def _merge_config(args) -> ScenarioConfig:
             val = conv(raw)
         except ValueError:
             raise ValidationError(f"{env_key} is not a valid {conv.__name__}: {raw!r}")
-        if name == "z_conf":
-            cfg["protocol"]["z_conf"] = val
-        else:
-            cfg[name] = val
-    if getattr(args, "paper_scale", False):
+        cfg[name] = val
+    if getattr(args, "paper_scale", None):
         cfg["paper_scale"] = True
         cfg["n"], cfg["m"] = 100_000, 1000
-    for name in ("seed", "n", "m", "clusters", "out"):
+    for name in ("seed", "n", "m", "clusters", "z_conf", "out"):
         val = getattr(args, name, None)
         if val is not None:
             cfg[name] = val
-    if getattr(args, "z_conf", None) is not None:
-        cfg["protocol"]["z_conf"] = args.z_conf
-    if getattr(args, "blind", False):
-        cfg["blind"] = True
+    if "z_conf" in cfg:
+        cfg["protocol"]["z_conf"] = cfg.pop("z_conf")
     return ScenarioConfig(**cfg)
+
+
+def _refuse_unread(args, names, reason: str) -> None:
+    """Refuse those of the named options that were given: this mode does not read them."""
+    for name in names:
+        if getattr(args, name) is not None:
+            raise ValidationError(f"--{name.replace('_', '-')} {reason}")
 
 
 def _require_out(cfg: ScenarioConfig, command: str) -> Path:
@@ -131,29 +130,26 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _ml_sqrt_slope(pkg, k: int) -> float:
+def _ml_sqrt_slope(M: np.ndarray, B: np.ndarray) -> float:
     """Least-squares slope of B on M, the scale-free diagnostic that
     nulls exactly on noiseless data (unlike the protocol estimator,
     which divides by the known modulation variance)."""
-    M, B = pkg.M[:k], pkg.B[:k]
     return float(np.dot(M, B) / np.dot(M, M))
 
 
 def _write_residuals(run, estimates, path) -> None:
     rows = []
-    for i, (pkg, est) in enumerate(zip(run.packages, estimates)):
-        root = math.sqrt(pkg.true_T)
-        rows.append((i, pkg.true_T, est.sqrtT_hat,
+    for i, (T, M, B, est) in enumerate(zip(run.true_T.tolist(), run.M, run.B,
+                                           estimates)):
+        root = math.sqrt(T)
+        rows.append((i, T, est.sqrtT_hat,
                      est.sqrtT_hat - root,
-                     _ml_sqrt_slope(pkg, est.k) - root))
+                     _ml_sqrt_slope(M[:est.k], B[:est.k]) - root))
     storage.write_table(path, ["package", "T_true", "sqrtT_hat",
                                "resid", "resid_ml"], rows)
 
 
 def _cmd_estimate(args) -> int:
-    if args.out is not None:
-        raise ValidationError("estimate writes into DATA; it takes no --out")
-    cfg = _merge_config(args)
     run_dir = Path(args.data)
     run = storage.read_run(run_dir)
     estimates = estimation.estimate_run(run)
@@ -164,7 +160,7 @@ def _cmd_estimate(args) -> int:
     report = {"aggregate": stats, "worst_case": wc, "worst_case_rectangular": rect}
     storage.write_json(report, run_dir / "estimate.json")
     wrote = [str(run_dir / ESTIMATES_CSV), str(run_dir / "estimate.json")]
-    if not cfg.blind:
+    if not args.blind:
         _write_residuals(run, estimates, run_dir / "residuals.csv")
         wrote.append(str(run_dir / "residuals.csv"))
     print(f"estimated {stats.m_used} packages: <sqrtT> {stats.mean_sqrtT_hat:.5f}, "
@@ -189,12 +185,11 @@ def _check_estimates_match_run(estimates, sidecar: dict, protocol, path) -> None
 
 
 def _cmd_keyrate(args) -> int:
-    if args.data and args.out is not None:
-        raise ValidationError("keyrate DATA writes into DATA; --out applies only without DATA")
-    cfg = _merge_config(args)
     if args.data:
+        _refuse_unread(args, _MODEL, "does not apply to keyrate DATA, which reads run.json "
+                       "and writes into DATA")
         run_dir = Path(args.data)
-        sidecar = storage.read_json(run_dir / RUN_JSON)
+        sidecar = storage.read_sidecar(run_dir)
         protocol = storage.protocol_from_descriptor(sidecar["protocol"])
         est_path = run_dir / ESTIMATES_CSV
         if est_path.exists():
@@ -208,15 +203,14 @@ def _cmd_keyrate(args) -> int:
         report = security.key_rate(wc, N, protocol)
         dest = run_dir / "keyrate.json"
     else:
+        cfg = _merge_config(args)
         protocol = cfg.make_protocol()
         plan = clustering.total_key_rate(cfg.make_dist(), (-math.inf, math.inf),
                                          cfg.n, cfg.m, protocol)
         wc = plan.per_cluster[0].wc
         N = cfg.n * cfg.m
         report = security.key_rate(wc, N, protocol)
-        dest = Path(cfg.out) / "keyrate.json" if cfg.out else None
-        if dest is not None:
-            dest.parent.mkdir(parents=True, exist_ok=True)
+        dest = _require_out(cfg, "keyrate") / "keyrate.json" if cfg.out else None
     print(f"I_AB {report.I_AB:.5f}  S_BE {report.S_BE:.5f}  "
           f"K_inf {report.K_inf:.5f} bits/state")
     print(f"finite size (N = {N}, key states {report.N_used}): "
@@ -260,8 +254,8 @@ def _cmd_optimize(args) -> int:
 
 # ---- figure reproduction ---------------------------------------------
 
-def _m_ladder(m_max: int, points: int = 7) -> list[int]:
-    grid = np.geomspace(10, m_max, points)
+def _m_ladder(m_max: int) -> list[int]:
+    grid = np.geomspace(10, m_max, 6)
     out: list[int] = []
     for v in grid:
         iv = int(round(v))
@@ -270,13 +264,13 @@ def _m_ladder(m_max: int, points: int = 7) -> list[int]:
     return out
 
 
-def _pooled_sweep(cfg: ScenarioConfig, n: int, m_max: int, points: int):
+def _pooled_sweep(cfg: ScenarioConfig, n: int):
     """Optimize the pooled (C=0) protocol at each block count; the key
     rate and the optimal (r, V) it is attained at, per total size N."""
     dist = cfg.make_dist()
     protocol = cfg.make_protocol()
     rows = []
-    for m in _m_ladder(m_max, points):
+    for m in _m_ladder(10_000 if cfg.paper_scale else 1000):
         result = clustering.optimize(dist, 0, n, m, protocol)
         wc = result.plan.per_cluster[0].wc
         K_inf = security.key_rate(wc, None, result.protocol).K_inf if wc else 0.0
@@ -295,10 +289,9 @@ def _fig6(cfg: ScenarioConfig, out: Path) -> Path:
     """Pooled key rate vs total states N at per-N optimal (r, V), one
     series per package size; K_inf is the asymptote of each point."""
     n_series = (10_000, 100_000) if cfg.paper_scale else (500, 1000)
-    m_max = 10_000 if cfg.paper_scale else 1000
     rows = []
     for n in n_series:
-        rows.extend(_pooled_sweep(cfg, n, m_max, points=6))
+        rows.extend(_pooled_sweep(cfg, n))
     path = out / "fig6.csv"
     storage.write_table(path, ["n", "m", "N", "K", "K_inf", "r_opt", "V_opt"],
                         rows)
@@ -307,20 +300,18 @@ def _fig6(cfg: ScenarioConfig, out: Path) -> Path:
 
 def _fig7(cfg: ScenarioConfig, out: Path) -> Path:
     """Optimal disclosure fraction r vs total states N at fixed n."""
-    n = cfg.n
-    m_max = 10_000 if cfg.paper_scale else 1000
     rows = [(n, m, N, r, V, K)
-            for (n, m, N, K, _, r, V) in _pooled_sweep(cfg, n, m_max, points=6)]
+            for (n, m, N, K, _, r, V) in _pooled_sweep(cfg, cfg.n)]
     path = out / "fig7.csv"
     storage.write_table(path, ["n", "m", "N", "r_opt", "V_opt", "K"], rows)
     return path
 
 
-def _fig8(cfg: ScenarioConfig, out: Path, C: int = 3) -> Path:
-    """Optimal C-cluster layout with conditional moments per cluster."""
+def _fig8(cfg: ScenarioConfig, out: Path) -> Path:
+    """Optimal cluster layout with conditional moments per cluster."""
     dist = cfg.make_dist()
     protocol = cfg.make_protocol()
-    result = clustering.optimize(dist, C, cfg.n, cfg.m, protocol)
+    result = clustering.optimize(dist, cfg.clusters, cfg.n, cfg.m, protocol)
     rows = []
     for idx, rep in enumerate(result.plan.per_cluster):
         mom = rep.cond_moments
@@ -356,22 +347,28 @@ def _fig9(cfg: ScenarioConfig, out: Path) -> Path:
     return path
 
 
+FIGURES = {"fig6": _fig6, "fig7": _fig7, "fig8": _fig8, "fig9": _fig9}
+# options that a figure's own sweep overrides
+_FIGURE_UNREAD = {"fig6": ("n", "m", "clusters"), "fig7": ("m", "clusters")}
+
+
 def _cmd_reproduce(args) -> int:
-    cfg = _merge_config(args)
     figure = args.figure
     if figure not in FIGURES:
-        raise ValidationError(f"unknown figure id {figure!r}; choose from {FIGURES}")
-    if figure in ("fig8", "fig9") and not (getattr(args, "config", None)
-                                           or cfg.dist_file):
+        raise ValidationError(f"unknown figure id {figure!r}; choose from {tuple(FIGURES)}")
+    _refuse_unread(args, _FIGURE_UNREAD.get(figure, ()),
+                   f"is not read by reproduce {figure}")
+    cfg = _merge_config(args)
+    if figure in ("fig8", "fig9"):
         # the clusterization studies default to the flat fading law,
-        # where splitting matters most
-        cfg = dataclasses.replace(cfg, dist={"variant": "uniform",
-                                             "lo": 0.0, "hi": 1.0})
-    if figure == "fig9" and getattr(args, "clusters", None) is None:
-        cfg = dataclasses.replace(cfg, clusters=3)
+        # where splitting matters most, and to three clusters
+        if not args.config:
+            cfg = dataclasses.replace(cfg, dist={"variant": "uniform",
+                                                 "lo": 0.0, "hi": 1.0})
+        if args.clusters is None:
+            cfg = dataclasses.replace(cfg, clusters=3)
     out = _require_out(cfg, "reproduce")
-    fn = {"fig6": _fig6, "fig7": _fig7, "fig8": _fig8, "fig9": _fig9}[figure]
-    path = fn(cfg, out)
+    path = FIGURES[figure](cfg, out)
     storage.write_json(cfg, out / f"{figure}.scenario.json")
     print(f"wrote {path} and {out / (figure + '.scenario.json')}")
     return 0
@@ -379,8 +376,8 @@ def _cmd_reproduce(args) -> int:
 
 def _cmd_ingest(args) -> int:
     cfg = _merge_config(args)
-    out = _require_out(cfg, "ingest")
     trace = storage.read_trace(args.trace)
+    out = _require_out(cfg, "ingest")
     dist = Empirical(trace, bin_width=args.bin_width)
     mom = dist.moments()
     storage.write_json(dist.descriptor(), out / "dist.json")
@@ -390,17 +387,26 @@ def _cmd_ingest(args) -> int:
     return 0
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="JSON config file")
-    p.add_argument("--seed", type=int, help="master seed")
-    p.add_argument("--out", help="output directory")
-    p.add_argument("--n", type=int, help="states per package")
-    p.add_argument("--m", type=int, help="number of packages")
-    p.add_argument("--clusters", type=int, help="cluster count")
-    p.add_argument("--z-conf", dest="z_conf", type=float,
-                   help="confidence multiplier for worst-case bounds")
-    p.add_argument("--paper-scale", action="store_true",
-                   help="use publication-scale block sizes")
+# the shared options by dest; each is None when not given (store_const,
+# unlike store_true, keeps that for --paper-scale)
+_OPTIONS = {
+    "config": dict(help="JSON config file"),
+    "seed": dict(type=int, help="master seed"),
+    "n": dict(type=int, help="states per package"),
+    "m": dict(type=int, help="number of packages"),
+    "clusters": dict(type=int, help="cluster count"),
+    "z_conf": dict(type=float, help="confidence multiplier for worst-case bounds"),
+    "paper_scale": dict(action="store_const", const=True,
+                        help="use publication-scale block sizes"),
+    "out": dict(help="output directory"),
+}
+# the options of a model scenario
+_MODEL = ("config", "n", "m", "z_conf", "paper_scale", "out")
+
+
+def _add_options(p: argparse.ArgumentParser, *names: str) -> None:
+    for name in names:
+        p.add_argument("--" + name.replace("_", "-"), **_OPTIONS[name])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -410,35 +416,34 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="simulate a run and write it to --out")
-    _add_common(p)
+    _add_options(p, "seed", *_MODEL)
     p.set_defaults(fn=_cmd_simulate)
 
     p = sub.add_parser("estimate", help="estimate channel parameters of a stored run")
     p.add_argument("data", help="run directory written by simulate")
     p.add_argument("--blind", action="store_true",
                    help="skip the residual comparison against true T values")
-    _add_common(p)
     p.set_defaults(fn=_cmd_estimate)
 
     p = sub.add_parser("keyrate", help="secret key rate from a run or a config")
     p.add_argument("data", nargs="?", help="run directory (omit to use the model)")
-    _add_common(p)
+    _add_options(p, *_MODEL)
     p.set_defaults(fn=_cmd_keyrate)
 
     p = sub.add_parser("optimize", help="optimize r, V and cluster boundaries")
-    _add_common(p)
+    _add_options(p, "clusters", *_MODEL)
     p.set_defaults(fn=_cmd_optimize)
 
     p = sub.add_parser("reproduce",
                        help="emit the x/y series behind a study figure as CSV")
     p.add_argument("figure", help=f"one of {', '.join(FIGURES)}")
-    _add_common(p)
+    _add_options(p, "clusters", *_MODEL)
     p.set_defaults(fn=_cmd_reproduce)
 
     p = sub.add_parser("ingest", help="turn a measured T trace into a distribution file")
     p.add_argument("trace", help="CSV file with a single T column")
     p.add_argument("--bin-width", type=float, help="histogram bin width override")
-    _add_common(p)
+    _add_options(p, "config", "out")
     p.set_defaults(fn=_cmd_ingest)
     return ap
 

@@ -209,7 +209,7 @@ class ConditionalDensity:
 
     def __call__(self, s):
         arr = np.atleast_1d(np.asarray(s, dtype=float))
-        dens = np.array([self.dist.density(float(v)) for v in arr])
+        dens = self.dist.density(arr)
         _, _, v_w, _ = _sigma_arrays(arr, self.k, self.protocol)
         out = dens * _membership(arr, np.sqrt(v_w), *self.interval) / self.mass
         return float(out[0]) if np.isscalar(s) or np.ndim(s) == 0 else out

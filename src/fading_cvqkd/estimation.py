@@ -302,46 +302,35 @@ def _finish(X1_up, X2_low, eps_up, V_prime: float, xp) -> WorstCaseChannel:
                             unusable=unusable)
 
 
-def _resolve_z(protocol: ProtocolParams, z: float | None) -> float:
-    z = protocol.z_conf if z is None else float(z)
-    if z <= 0.0:
-        raise ParameterError(f"confidence multiplier must be positive, got {z}")
-    return z
-
-
-def worst_case(stats: AggregateStats, protocol: ProtocolParams,
-               z: float | None = None, eps_up: float | None = None) -> WorstCaseChannel:
+def worst_case(stats: AggregateStats, protocol: ProtocolParams) -> WorstCaseChannel:
     """Worst-case effective channel from joint bounds on X1 and X2.
 
     The key rate falls with X1 (it feeds the effective excess noise)
     and rises with X2, so the pessimistic corner is (X1 up, X2 down):
-    T_eff_low = (X2_low - X1_up)/2, eps_eff_up = eps_up + X1_up * V'.
-    eps_up defaults to the pooled residual-variance bound from stats.
-    The fields of stats may be arrays, one entry per cluster; the
-    channel's fields are then arrays too.
+    T_eff_low = (X2_low - X1_up)/2, eps_eff_up = eps_up + X1_up * V',
+    each bound protocol.z_conf standard errors out, eps_up the pooled
+    residual-variance bound.  The fields of stats may be arrays, one
+    entry per cluster; the channel's fields are then arrays too.
     """
-    z = _resolve_z(protocol, z)
+    z = protocol.z_conf
     xp = ew.of(stats.X1_hat)
-    if eps_up is None:
-        eps_up = _eps_upper(stats, z, xp)
+    eps_up = _eps_upper(stats, z, xp)
     X1_up = stats.X1_hat + z * stats.se_X1
     X2_low = stats.X2_hat - z * stats.se_X2
     return _finish(X1_up, X2_low, eps_up, protocol.V_prime, xp)
 
 
-def worst_case_rectangular(stats: AggregateStats, protocol: ProtocolParams,
-                           z: float | None = None,
-                           eps_up: float | None = None) -> WorstCaseChannel:
+def worst_case_rectangular(stats: AggregateStats,
+                           protocol: ProtocolParams) -> WorstCaseChannel:
     """Worst case from separate (rectangular) bounds on <sqrt T> and <T>.
 
     Kept as the naive baseline: it ignores the strong positive coupling
     between the two means, so its Var(sqrt T) bound
     <T>_up - (<sqrt T>_low)^2 sits far above the joint construction.
     """
-    z = _resolve_z(protocol, z)
+    z = protocol.z_conf
     xp = ew.of(stats.mean_sqrtT_hat)
-    if eps_up is None:
-        eps_up = _eps_upper(stats, z, xp)
+    eps_up = _eps_upper(stats, z, xp)
     mean_sqrt_low = _nonneg(stats.mean_sqrtT_hat - z * stats.se_mean_sqrtT,
                             "mean_sqrtT_low", xp)
     mean_T_up = stats.mean_T_hat + z * stats.se_mean_T

@@ -26,7 +26,7 @@ from .errors import ValidationError
 from .estimation import PackageEstimate
 
 __all__ = [
-    "write_run", "read_run", "write_estimates", "read_estimates",
+    "write_run", "read_run", "read_sidecar", "write_estimates", "read_estimates",
     "read_trace", "write_trace", "write_json", "read_json", "write_table",
     "protocol_descriptor", "protocol_from_descriptor",
     "M_NPY", "B_NPY", "RUN_CSV", "RUN_JSON", "TRUE_T_CSV", "ESTIMATES_CSV",
@@ -88,9 +88,33 @@ def write_json(obj, path) -> None:
         json.dumps(jsonable(obj), indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
+def _open(path, mode: str = "r"):
+    """Open an input file; a missing one is a ValidationError naming it."""
+    try:
+        return open(path, mode, newline=None if "b" in mode else "")
+    except FileNotFoundError:
+        raise ValidationError(f"{path}: missing") from None
+
+
+def _csv_rows(path, header: list[str], label):
+    """(row number, row) of each row of a CSV input whose header must
+    be header, every row checked for its field count."""
+    with _open(path) as fh:
+        rd = csv.reader(fh)
+        got = next(rd, None)
+        if got != header:
+            raise ValidationError(f"{label}: bad header {got}")
+        for row_no, row in enumerate(rd, start=2):
+            if len(row) != len(header):
+                raise ValidationError(f"{label} row {row_no}: expected "
+                                      f"{len(header)} fields")
+            yield row_no, row
+
+
 def read_json(path) -> dict:
     try:
-        return json.loads(Path(path).read_text())
+        with _open(path) as fh:
+            return json.load(fh)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}: not valid JSON: {exc}")
 
@@ -159,23 +183,16 @@ def _read_states_v1(src: Path, n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     M = np.zeros((m, n))
     B = np.zeros((m, n))
     seen = np.zeros((m, n), dtype=bool)
-    with open(src / RUN_CSV, newline="") as fh:
-        rd = csv.reader(fh)
-        header = next(rd, None)
-        if header != ["package", "j", "M", "B"]:
-            raise ValidationError(f"{RUN_CSV}: bad header {header}")
-        for row_no, row in enumerate(rd, start=2):
-            if len(row) != 4:
-                raise ValidationError(f"{RUN_CSV} row {row_no}: expected 4 fields")
-            i = _int_field(row_no, "package", row[0])
-            j = _int_field(row_no, "j", row[1])
-            if not (0 <= i < m and 0 <= j < n):
-                raise ValidationError(f"{RUN_CSV} row {row_no}: index ({i}, {j}) out of range")
-            if seen[i, j]:
-                raise ValidationError(f"{RUN_CSV} row {row_no}: duplicate index ({i}, {j})")
-            seen[i, j] = True
-            M[i, j] = _float_field(row_no, "M", row[2])
-            B[i, j] = _float_field(row_no, "B", row[3])
+    for row_no, row in _csv_rows(src / RUN_CSV, ["package", "j", "M", "B"], RUN_CSV):
+        i = _int_field(row_no, "package", row[0])
+        j = _int_field(row_no, "j", row[1])
+        if not (0 <= i < m and 0 <= j < n):
+            raise ValidationError(f"{RUN_CSV} row {row_no}: index ({i}, {j}) out of range")
+        if seen[i, j]:
+            raise ValidationError(f"{RUN_CSV} row {row_no}: duplicate index ({i}, {j})")
+        seen[i, j] = True
+        M[i, j] = _float_field(row_no, "M", row[2])
+        B[i, j] = _float_field(row_no, "B", row[3])
     if not seen.all():
         missing = int((~seen).sum())
         raise ValidationError(f"{RUN_CSV}: {missing} state(s) missing")
@@ -187,13 +204,11 @@ def _read_states_v1(src: Path, n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
 def _load_array(path: Path, shape: tuple[int, int]) -> np.ndarray:
     """A float64 array of the given shape from a .npy file; pickled
     object arrays are refused."""
-    try:
-        with open(path, "rb") as fh:
+    with _open(path, "rb") as fh:
+        try:
             a = np.lib.format.read_array(fh, allow_pickle=False)
-    except FileNotFoundError:
-        raise ValidationError(f"{path.name}: missing")
-    except (ValueError, EOFError) as exc:
-        raise ValidationError(f"{path.name}: not a plain .npy array: {exc}")
+        except (ValueError, EOFError) as exc:
+            raise ValidationError(f"{path.name}: not a plain .npy array: {exc}")
     if a.dtype != np.float64:
         raise ValidationError(f"{path.name}: dtype {a.dtype}, expected float64")
     if a.shape != shape:
@@ -210,15 +225,21 @@ def _read_states_v2(src: Path, n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
 _STATE_READERS = {RUN_FORMAT_V1: _read_states_v1, RUN_FORMAT_V2: _read_states_v2}
 
 
+def read_sidecar(in_dir) -> dict:
+    """The run.json sidecar of a run directory, with its keys checked."""
+    sidecar = read_json(Path(in_dir) / RUN_JSON)
+    for key in ("format", "dist", "protocol", "n", "m", "seed"):
+        if key not in sidecar:
+            raise ValidationError(f"{RUN_JSON}: missing key {key!r}")
+    return sidecar
+
+
 def read_run(in_dir) -> Run:
     """Rebuild a Run from a directory written by write_run (format v2)
     or by its CSV predecessor (format v1), validating the structure and
     refusing non-finite states."""
     src = Path(in_dir)
-    sidecar = read_json(src / RUN_JSON)
-    for key in ("format", "dist", "protocol", "n", "m", "seed"):
-        if key not in sidecar:
-            raise ValidationError(f"{RUN_JSON}: missing key {key!r}")
+    sidecar = read_sidecar(src)
     read_states = _STATE_READERS.get(sidecar["format"])
     if read_states is None:
         raise ValidationError(f"{RUN_JSON}: unknown run format {sidecar['format']!r}; "
@@ -231,19 +252,12 @@ def read_run(in_dir) -> Run:
                               f"got m = {m}, n = {n}")
 
     true_T = {}
-    with open(src / TRUE_T_CSV, newline="") as fh:
-        rd = csv.reader(fh)
-        header = next(rd, None)
-        if header != ["package", "T_true"]:
-            raise ValidationError(f"{TRUE_T_CSV}: bad header {header}")
-        for row_no, row in enumerate(rd, start=2):
-            if len(row) != 2:
-                raise ValidationError(f"{TRUE_T_CSV} row {row_no}: expected 2 fields")
-            i = _int_field(row_no, "package", row[0])
-            t = _float_field(row_no, "T_true", row[1])
-            if not (0.0 <= t <= 1.0):
-                raise ValidationError(f"{TRUE_T_CSV} row {row_no}: T_true outside [0, 1]")
-            true_T[i] = t
+    for row_no, row in _csv_rows(src / TRUE_T_CSV, ["package", "T_true"], TRUE_T_CSV):
+        i = _int_field(row_no, "package", row[0])
+        t = _float_field(row_no, "T_true", row[1])
+        if not (0.0 <= t <= 1.0):
+            raise ValidationError(f"{TRUE_T_CSV} row {row_no}: T_true outside [0, 1]")
+        true_T[i] = t
     if sorted(true_T) != list(range(m)):
         raise ValidationError(f"{TRUE_T_CSV}: package indices are not 0..{m - 1}")
 
@@ -263,32 +277,22 @@ def write_estimates(estimates: Sequence[PackageEstimate], path) -> None:
 
 def read_estimates(path) -> list[PackageEstimate]:
     out = []
-    with open(path, newline="") as fh:
-        rd = csv.reader(fh)
-        header = next(rd, None)
-        if header != _ESTIMATE_HEADER:
-            raise ValidationError(f"{path}: bad header {header}")
-        expect = 0
-        for row_no, row in enumerate(rd, start=2):
-            if len(row) != len(_ESTIMATE_HEADER):
-                raise ValidationError(f"{path} row {row_no}: expected "
-                                      f"{len(_ESTIMATE_HEADER)} fields")
-            i = _int_field(row_no, "package", row[0])
-            if i != expect:
-                raise ValidationError(f"{path} row {row_no}: package index {i}, "
-                                      f"expected {expect}")
-            expect += 1
-            k = _int_field(row_no, "k", row[6])
-            if k < 2:
-                raise ValidationError(f"{path} row {row_no}: k must be >= 2")
-            sqrtT_hat = _finite_field(row_no, "sqrtT_hat", row[1])
-            out.append(PackageEstimate(
-                sqrtT_hat=sqrtT_hat,
-                T_hat=_finite_field(row_no, "T_hat", row[2]),
-                sigma_sqrtT=_finite_field(row_no, "sigma_sqrtT", row[3]),
-                sigma_T=_finite_field(row_no, "sigma_T", row[4]),
-                vN_hat=_finite_field(row_no, "vN_hat", row[5]),
-                k=k, sign_anomaly=sqrtT_hat < 0.0))
+    for row_no, row in _csv_rows(path, _ESTIMATE_HEADER, path):
+        i = _int_field(row_no, "package", row[0])
+        if i != len(out):
+            raise ValidationError(f"{path} row {row_no}: package index {i}, "
+                                  f"expected {len(out)}")
+        k = _int_field(row_no, "k", row[6])
+        if k < 2:
+            raise ValidationError(f"{path} row {row_no}: k must be >= 2")
+        sqrtT_hat = _finite_field(row_no, "sqrtT_hat", row[1])
+        out.append(PackageEstimate(
+            sqrtT_hat=sqrtT_hat,
+            T_hat=_finite_field(row_no, "T_hat", row[2]),
+            sigma_sqrtT=_finite_field(row_no, "sigma_sqrtT", row[3]),
+            sigma_T=_finite_field(row_no, "sigma_T", row[4]),
+            vN_hat=_finite_field(row_no, "vN_hat", row[5]),
+            k=k, sign_anomaly=sqrtT_hat < 0.0))
     if not out:
         raise ValidationError(f"{path}: no estimate rows")
     return out
@@ -310,7 +314,7 @@ def read_trace(path) -> np.ndarray:
     run), in which case that column is extracted.
     """
     vals = []
-    with open(path, newline="") as fh:
+    with _open(path) as fh:
         rd = csv.reader(fh)
         header = next(rd, None)
         col = None

@@ -17,7 +17,7 @@ from fading_cvqkd import (
     key_rate,
     worst_case,
 )
-from fading_cvqkd.cli import main
+from fading_cvqkd.cli import build_parser, main
 from fading_cvqkd.storage import (
     B_NPY,
     ESTIMATES_CSV,
@@ -37,6 +37,19 @@ SIM = ["--n", "60", "--m", "12", "--seed", "42"]
 
 def _digest(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _status(argv):
+    """Exit status of a command, counting argparse's refusals, which
+    exit instead of returning."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+def _files(root):
+    return sorted(p for p in root.rglob("*") if p.is_file())
 
 
 def _read_csv(path):
@@ -190,22 +203,107 @@ def test_keyrate_refuses_an_infinite_estimate(tmp_path, capsys):
     assert float(read_json(out / "keyrate.json")["keyrate"]["K"]) == 0.0
 
 
-@pytest.mark.parametrize("command", ["estimate", "keyrate"])
-def test_data_commands_refuse_out(tmp_path, capsys, monkeypatch, command):
+@pytest.mark.parametrize("command, message", [
+    ("estimate", "unrecognized arguments: --out"),
+    ("keyrate", "writes into DATA"),
+], ids=["estimate", "keyrate"])
+def test_data_commands_refuse_out(tmp_path, capsys, monkeypatch, command, message):
     """estimate DATA and keyrate DATA write into DATA; an --out beside
     it was once accepted and silently ignored.  The refusal is of the
     flag: FADING_CVQKD_OUT, shared by every command, is still allowed."""
     run, elsewhere = tmp_path / "run", tmp_path / "elsewhere"
     assert main(["simulate", "--out", str(run)] + SIM) == 0
     capsys.readouterr()
-    assert main([command, str(run), "--out", str(elsewhere)]) == 2
-    assert "writes into DATA" in capsys.readouterr().err
+    assert _status([command, str(run), "--out", str(elsewhere)]) == 2
+    assert message in capsys.readouterr().err
     assert not elsewhere.exists()
     assert not (run / ESTIMATES_CSV).exists()
     assert not (run / "keyrate.json").exists()
     monkeypatch.setenv("FADING_CVQKD_OUT", str(elsewhere))
     assert main([command, str(run)]) == 0
     assert not elsewhere.exists()
+
+
+def test_each_subcommand_declares_only_the_options_it_reads():
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    declared = {name: sorted(o for a in p._actions for o in a.option_strings
+                             if o not in ("-h", "--help"))
+                for name, p in sub.choices.items()}
+    model = ["--config", "--m", "--n", "--out", "--paper-scale", "--z-conf"]
+    assert declared == {
+        "simulate": sorted(model + ["--seed"]),
+        "estimate": ["--blind"],
+        "keyrate": model,
+        "optimize": sorted(model + ["--clusters"]),
+        "reproduce": sorted(model + ["--clusters"]),
+        "ingest": ["--bin-width", "--config", "--out"],
+    }
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["estimate", "{run}", "--z-conf", "6.5"], "unrecognized arguments: --z-conf"),
+    (["keyrate", "{run}", "--n", "5"], "--n does not apply to keyrate DATA"),
+    (["keyrate", "{run}", "--z-conf", "6.5"], "--z-conf does not apply to keyrate DATA"),
+    (["keyrate", "{run}", "--paper-scale"], "--paper-scale does not apply"),
+    (["reproduce", "fig6", "--n", "50", "--out", "{new}"],
+     "--n is not read by reproduce fig6"),
+    (["reproduce", "fig7", "--m", "50", "--out", "{new}"],
+     "--m is not read by reproduce fig7"),
+    (["ingest", "{trace}", "--clusters", "2", "--out", "{new}"],
+     "unrecognized arguments: --clusters"),
+], ids=["estimate-z-conf", "keyrate-n", "keyrate-z-conf", "keyrate-paper-scale",
+        "fig6-n", "fig7-m", "ingest-clusters"])
+def test_unread_options_are_refused(tmp_path, capsys, argv, message):
+    """An option that a command accepted and never read once let
+    estimate DATA --z-conf 6.5 print the z = 2 bounds; now it exits 2
+    before writing anything."""
+    run = tmp_path / "run"
+    assert main(["simulate", "--out", str(run)] + SIM) == 0
+    before = _files(tmp_path)
+    capsys.readouterr()
+    paths = {"run": run, "new": tmp_path / "new", "trace": run / TRUE_T_CSV}
+    assert _status([a.format(**paths) for a in argv]) == 2
+    assert message in capsys.readouterr().err
+    assert _files(tmp_path) == before
+    assert not (tmp_path / "new").exists()
+
+
+@pytest.mark.parametrize("argv, missing", [
+    (["keyrate", "{d}/nowhere"], "nowhere/run.json: missing"),
+    (["estimate", "{d}/nowhere"], "nowhere/run.json: missing"),
+    (["ingest", "{d}/nowhere.csv", "--out", "{d}/x"], "nowhere.csv: missing"),
+    (["simulate", "--config", "{d}/nowhere.json", "--out", "{d}/x"],
+     "nowhere.json: missing"),
+], ids=["keyrate", "estimate", "ingest", "simulate"])
+def test_missing_inputs_fail_closed(tmp_path, capsys, argv, missing):
+    assert main([a.format(d=tmp_path) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and missing in err
+    assert not (tmp_path / "x").exists()
+
+
+def test_missing_true_T_fails_closed(tmp_path, capsys):
+    run = tmp_path / "run"
+    assert main(["simulate", "--out", str(run)] + SIM) == 0
+    (run / TRUE_T_CSV).unlink()
+    capsys.readouterr()
+    assert main(["estimate", str(run)]) == 2
+    assert "true_T.csv: missing" in capsys.readouterr().err
+
+
+def test_keyrate_validates_run_json_as_estimate_does(tmp_path, capsys):
+    """With estimates.csv present, keyrate once read run.json unchecked
+    and died with KeyError: 'n'."""
+    run = tmp_path / "run"
+    assert main(["simulate", "--out", str(run)] + SIM) == 0
+    assert main(["estimate", str(run)]) == 0
+    sidecar = read_json(run / RUN_JSON)
+    del sidecar["n"]
+    write_json(sidecar, run / RUN_JSON)
+    for command in ("estimate", "keyrate"):
+        capsys.readouterr()
+        assert main([command, str(run)]) == 2
+        assert "run.json: missing key 'n'" in capsys.readouterr().err
 
 
 def test_keyrate_model_mode_runs_without_data(tmp_path, capsys):
@@ -272,6 +370,16 @@ def test_reproduce_fig9_rates_do_not_decrease_with_clusters(tmp_path):
     assert K[2] >= K[1] - 1e-9
     scenario = read_json(out / "fig9.scenario.json")
     assert scenario["dist"]["variant"] == "uniform"
+
+
+def test_reproduce_fig8_runs_the_clusters_it_records(tmp_path):
+    out = tmp_path / "fig8"
+    assert main(["reproduce", "fig8", "--out", str(out), "--n", "400",
+                 "--m", "400", "--clusters", "1"]) == 0
+    _, rows = _read_csv(out / "fig8.csv")
+    assert len(rows) == 1
+    assert len(read_json(out / "fig8.json")["plan"]["per_cluster"]) == 1
+    assert read_json(out / "fig8.scenario.json")["clusters"] == 1
 
 
 def test_optimize_writes_its_search_into_the_plan(tmp_path):

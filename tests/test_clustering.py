@@ -262,7 +262,7 @@ def test_empirical_plan_matches_hand_composition():
     for rep, members in zip(plan.per_cluster, groups):
         sub = [ests[i] for i in members]
         stats = aggregate(sub, P)
-        wc = worst_case(stats, P, P.z_conf)
+        wc = worst_case(stats, P)
         K = key_rate(wc, len(members) * 2000, P).K
         assert rep.wc.T_eff_low == wc.T_eff_low
         assert rep.wc.eps_eff_up == wc.eps_eff_up

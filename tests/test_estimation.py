@@ -235,12 +235,12 @@ def test_worst_case_closed_form_at_zero_se():
     stats = AggregateStats(
         mean_sqrtT_hat=mean_sqrt, mean_T_hat=mean_T, X1_hat=X1, X2_hat=X2,
         se_X1=0.0, se_X2=0.0, m_used=1000, se_mean_sqrtT=0.0, se_mean_T=0.0,
-        eps_hat=0.01, vN_pooled=1.0, k_total=1e12)
-    wc = worst_case(stats, p, eps_up=0.01)
+        eps_hat=0.01, vN_pooled=0.0, k_total=1e12)
+    wc = worst_case(stats, p)
     assert wc.T_eff_low == pytest.approx(mean_sqrt**2, abs=1e-12)
     assert wc.eps_eff_up == pytest.approx(0.01 + X1 * p.V_prime, abs=1e-12)
     assert not wc.unusable
-    rect = worst_case_rectangular(stats, p, eps_up=0.01)
+    rect = worst_case_rectangular(stats, p)
     assert rect.T_eff_low == pytest.approx(wc.T_eff_low, abs=1e-12)
 
 
