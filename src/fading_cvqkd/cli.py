@@ -62,16 +62,29 @@ class ScenarioConfig:
         return storage.protocol_from_descriptor(self.protocol)
 
 
-def _merge_config(args) -> ScenarioConfig:
+def _merge_config(args, defaults: dict | None = None, unread: tuple[str, ...] = (),
+                  reason: str = "") -> ScenarioConfig:
+    """The scenario from the built-in defaults, the command's own
+    defaults, the config file, the environment and the flags, each
+    overriding the ones before.  A setting in unread that the file or
+    the environment gives raises ValidationError (with reason); the
+    flags are refused by _refuse_unread."""
     cfg = {
         "dist": {"variant": "truncated_normal", "mean": 0.5, "std": 0.1},
         "protocol": {},
+        **(defaults or {}),
     }
+
+    def take(name: str, val, source: str) -> None:
+        if name in unread:
+            raise ValidationError(f"{source} {reason}")
+        cfg[name] = val
+
     if args.config:
         file_cfg = storage.read_json(args.config)
         for key in ("dist", "dist_file", "n", "m", "seed", "clusters", "out"):
             if key in file_cfg:
-                cfg[key] = file_cfg[key]
+                take(key, file_cfg[key], f"{key!r} in {args.config}")
         cfg["protocol"].update(file_cfg.get("protocol", {}))
     for env_key, (name, conv) in _ENV_KEYS.items():
         raw = os.environ.get(env_key)
@@ -81,7 +94,7 @@ def _merge_config(args) -> ScenarioConfig:
             val = conv(raw)
         except ValueError:
             raise ValidationError(f"{env_key} is not a valid {conv.__name__}: {raw!r}")
-        cfg[name] = val
+        take(name, val, env_key)
     if getattr(args, "paper_scale", None):
         cfg["paper_scale"] = True
         cfg["n"], cfg["m"] = 100_000, 1000
@@ -329,7 +342,10 @@ def _fig8(cfg: ScenarioConfig, out: Path) -> Path:
                                "eps_eff_up", "K_c"], rows)
     storage.write_json({"r": result.r, "V": result.V,
                         "total_rate": result.total_rate,
-                        "plan": result.plan}, out / "fig8.json")
+                        "plan": result.plan,
+                        "diagnostic": result.diagnostic}, out / "fig8.json")
+    if result.diagnostic:
+        print(f"note: {result.diagnostic}")
     return path
 
 
@@ -348,25 +364,29 @@ def _fig9(cfg: ScenarioConfig, out: Path) -> Path:
 
 
 FIGURES = {"fig6": _fig6, "fig7": _fig7, "fig8": _fig8, "fig9": _fig9}
-# options that a figure's own sweep overrides
-_FIGURE_UNREAD = {"fig6": ("n", "m", "clusters"), "fig7": ("m", "clusters")}
+# the pooled figures and the sizes that each one's own sweep sets
+_POOLED_SWEEPS = {"fig6": ("n", "m"), "fig7": ("m",)}
 
 
 def _cmd_reproduce(args) -> int:
     figure = args.figure
     if figure not in FIGURES:
         raise ValidationError(f"unknown figure id {figure!r}; choose from {tuple(FIGURES)}")
-    _refuse_unread(args, _FIGURE_UNREAD.get(figure, ()),
-                   f"is not read by reproduce {figure}")
-    cfg = _merge_config(args)
-    if figure in ("fig8", "fig9"):
-        # the clusterization studies default to the flat fading law,
-        # where splitting matters most, and to three clusters
+    sweeps = _POOLED_SWEEPS.get(figure)
+    if sweeps is not None:
+        # a swept size is refused from every source; a pooled figure
+        # has no clusters, so --clusters is refused too
+        reason = f"is not read by reproduce {figure}"
+        _refuse_unread(args, (*sweeps, "clusters"), reason)
+        cfg = _merge_config(args, unread=sweeps, reason=reason)
+    else:
+        # the clusterization studies default to three clusters and,
+        # without a config file, to the flat fading law, where splitting
+        # matters most
+        cfg = _merge_config(args, defaults={"clusters": 3})
         if not args.config:
             cfg = dataclasses.replace(cfg, dist={"variant": "uniform",
                                                  "lo": 0.0, "hi": 1.0})
-        if args.clusters is None:
-            cfg = dataclasses.replace(cfg, clusters=3)
     out = _require_out(cfg, "reproduce")
     path = FIGURES[figure](cfg, out)
     storage.write_json(cfg, out / f"{figure}.scenario.json")

@@ -18,20 +18,25 @@ with C clusters has C+1 edges; infinite outer edges keep everything,
 finite outer edges trim (discard) the tails.
 
 The optimizer places the edges on Q equal-mass levels of the estimate
-marginal.  At each (r, V) point it scores every interval between two
-levels at once (an interval table built from one cumulative matrix of
-the mixture over the quadrature nodes), then finds the best chain of C
-intervals by dynamic programming, so the plan is exact on that grid.
+marginal, solved together: a span that holds every level in closed
+form, a cubic Hermite start from the marginal's CDF and density on Q + 1
+points of it, then Newton steps that take the CDF and the density from
+one pass of the kernel.  At each (r, V) point it scores every interval
+between two levels at once (an interval table built from one cumulative
+matrix of the mixture over the quadrature nodes), then finds the best
+chain of C intervals by dynamic programming, so the plan is exact on
+that grid.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
-from scipy.special import ndtr
+from scipy.special import ndtr, ndtri
 
 from . import elementwise as ew
 from .channel import ProtocolParams, noise_variance
@@ -64,7 +69,8 @@ _R_GRID = tuple(np.geomspace(0.01, 0.9, 12).tolist())
 _V_GRID = tuple(np.geomspace(0.5, 50.0, 12).tolist())
 _LEVELS = 64
 # the vector quantile solve: brentq's default tolerance, and a step cap
-# that bisection from the start grid alone reaches in about 35 steps
+# above the 37 halvings that bisection alone needs from a grid bracket
+# (at most 0.105 wide on the (r, V) grid)
 _XTOL = 1e-12
 _NEWTON_STEPS = 60
 # elements per temporary (rows x nodes) array of the mixture sums
@@ -124,8 +130,9 @@ class OptimizeResult:
     the intervals scored: the entries of every interval table plus the
     single-interval reports (the rescored plans and the final plan).
     search records the grid pass and the two refinement passes.
-    diagnostic is set when the search ended degenerate (no positive
-    rate anywhere).
+    diagnostic notes a search that ended degenerate (no positive rate
+    anywhere), the clusters of a positive-rate plan that carry no key
+    (K_c = 0; they stay in the plan) and the clusters below 1% mass.
     """
 
     plan: ClusterPlan
@@ -255,8 +262,21 @@ def marginal_pdf(t_hat, dist: TransmittanceDistribution, k: int,
     return float(acc[0]) if np.isscalar(t_hat) or np.ndim(t_hat) == 0 else acc
 
 
-def _normal_pdf(z: np.ndarray) -> np.ndarray:
-    return np.exp(-0.5 * z * z) * (1.0 / math.sqrt(2.0 * math.pi))
+def _hermite_root(g0: np.ndarray, g1: np.ndarray, m0: np.ndarray,
+                  m1: np.ndarray) -> np.ndarray:
+    """u in [0, 1] where the cubic Hermite interpolant g(u) of the values
+    g0 <= 0 < g1 and slopes m0, m1 at u = 0, 1 crosses zero, within
+    rounding of the cubic: three Newton steps from the linear root,
+    kept inside [0, 1]."""
+    c2 = 3.0 * (g1 - g0) - 2.0 * m0 - m1
+    c3 = m0 + m1 - 2.0 * (g1 - g0)
+    u = -g0 / (g1 - g0)
+    for _ in range(3):
+        slope = m0 + u * (2.0 * c2 + 3.0 * c3 * u)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = u - (g0 + u * (m0 + u * (c2 + c3 * u))) / slope
+        u = np.clip(np.where(slope > 0.0, step, u), 0.0, 1.0)
+    return u
 
 
 class _Evaluator(_Nodes):
@@ -286,6 +306,12 @@ class _Evaluator(_Nodes):
         self.columns = (sq, self.s, self.s * sq, self.s**2,
                         self.v_u, self.v_w, self.c_uw, self.vN)
         self.evaluations = 0
+
+    @cached_property
+    def pdf_w(self) -> np.ndarray:
+        """Node weights of the marginal density, fw / (sigma sqrt(2 pi));
+        built on first use, so a C = 0 evaluator never pays for them."""
+        return self.fw / (self.sigma * math.sqrt(2.0 * math.pi))
 
     # ---- per-cluster statistics: floats for one interval, arrays for many
 
@@ -344,35 +370,60 @@ class _Evaluator(_Nodes):
 
     # ---- every interval between Q levels at once --------------------
 
-    def _mix(self, t: np.ndarray, kernel, weights: np.ndarray) -> np.ndarray:
-        """kernel((t_i - s_j) / sigma_j) @ weights, in row blocks of
-        _BLOCK elements so that no (len(t), nodes) array is built."""
+    def _z(self, t: np.ndarray):
+        """(t_i - s_j) / sigma_j in row blocks of _BLOCK elements, so that
+        no (len(t), nodes) array is built."""
         rows = max(1, _BLOCK // self.s.size)
-        return np.concatenate([kernel((t[i:i + rows, None] - self.s) / self.sigma) @ weights
-                               for i in range(0, t.size, rows)])
+        for i in range(0, t.size, rows):
+            yield (t[i:i + rows, None] - self.s) / self.sigma
+
+    def _cdf_pdf(self, t: np.ndarray):
+        """CDF and density of the estimate marginal at t, both from one z
+        per row block."""
+        cdf, pdf = zip(*[(ndtr(z) @ self.fw, np.exp(-0.5 * z * z) @ self.pdf_w)
+                         for z in self._z(t)])
+        return np.concatenate(cdf), np.concatenate(pdf)
+
+    def span(self, Q: int) -> tuple[float, float]:
+        """Points lo < hi with F(lo) <= 1 / (2 Q) and F(hi) >= 1 - 1 / (2 Q)
+        for the estimate marginal F, half a level past the outer levels,
+        without evaluating F: kernel j puts mass p below s_j + sigma_j
+        ndtri(p), so with weights summing to 1, F is at most p at the
+        least of these points and at least p at the greatest."""
+        z = -float(ndtri(0.5 / Q))
+        return (float(np.min(self.s - z * self.sigma)),
+                float(np.max(self.s + z * self.sigma)))
 
     def quantiles(self, Q: int) -> np.ndarray:
         """The Q - 1 inner edges that split the estimate marginal into Q
-        levels of equal mass, solved together: linear interpolation of
-        the CDF on 4Q + 1 points gives a bracket and a start, then
-        bracketed Newton steps on the whole level vector (a step that
-        leaves its bracket bisects it) run until every edge moves by at
-        most _XTOL."""
+        levels of equal mass, solved together.
+
+        A grid of Q + 1 points over span(Q), which holds every level
+        with half a level to spare at each end, gives each level a
+        bracket, and the cubic Hermite interpolant of the marginal CDF
+        (its values and slopes on the grid) a start.  Bracketed Newton
+        steps on the whole level vector (a step that leaves its bracket
+        bisects it), each one kernel pass for the CDF and its density,
+        then run until every edge moves by at most _XTOL.  A level the
+        grid does not bracket raises NumericalError.
+        """
         q = np.arange(1, Q) / Q
-        grid = np.linspace(float(np.min(self.s - 9.0 * self.sigma)),
-                           float(np.max(self.s + 9.0 * self.sigma)), 4 * Q + 1)
-        cdf = self._mix(grid, ndtr, self.fw)
+        grid = np.linspace(*self.span(Q), Q + 1)
+        cdf, pdf = self._cdf_pdf(grid)
         j = np.searchsorted(cdf, q, side="right")       # cdf[j - 1] <= q < cdf[j]
         if j[0] < 1 or j[-1] >= grid.size:
             raise NumericalError(f"quantile bracket failed: the estimate marginal "
-                                 f"spans [{cdf[0]}, {cdf[-1]}] on its support")
+                                 f"spans [{cdf[0]}, {cdf[-1]}] on "
+                                 f"[{grid[0]}, {grid[-1]}]")
         lo, hi = grid[j - 1], grid[j]
-        t = lo + (q - cdf[j - 1]) / (cdf[j] - cdf[j - 1]) * (hi - lo)
+        width = hi - lo
+        t = lo + width * _hermite_root(cdf[j - 1] - q, cdf[j] - q,
+                                       width * pdf[j - 1], width * pdf[j])
         live = np.arange(q.size)
         for _ in range(_NEWTON_STEPS):
             tl = t[live]
-            gap = self._mix(tl, ndtr, self.fw) - q[live]
-            slope = self._mix(tl, _normal_pdf, self.fw / self.sigma)
+            cdf, slope = self._cdf_pdf(tl)
+            gap = cdf - q[live]
             lo[live] = np.where(gap < 0.0, tl, lo[live])
             hi[live] = np.where(gap > 0.0, tl, hi[live])
             a, b = lo[live], hi[live]
@@ -402,8 +453,8 @@ class _Evaluator(_Nodes):
         instead of being masked.
         """
         edges = np.concatenate(([-math.inf], self.quantiles(Q), [math.inf]))
-        G = self._mix(edges, ndtr, self.fw[:, None]
-                      * np.column_stack((np.ones_like(self.s), *self.columns)))
+        weights = self.fw[:, None] * np.column_stack((np.ones_like(self.s), *self.columns))
+        G = np.concatenate([ndtr(z) @ weights for z in self._z(edges)])
         cdf = G[:, 0]
         rate = np.full((Q + 1, Q + 1), -math.inf)
         self.evaluations += Q * (Q + 1) // 2
@@ -648,6 +699,11 @@ def optimize(dist: TransmittanceDistribution, C: int, n: int, m: int,
     if plan.total_rate <= 0.0:
         notes.append("no positive key rate anywhere on the search grid; "
                      "the channel statistics or block sizes do not support a key")
+    else:
+        idle = [f"{i} [{rep.interval[0]:.4f}, {rep.interval[1]:.4f})"
+                for i, rep in enumerate(plan.per_cluster) if rep.K_c <= 0.0]
+        if idle:
+            notes.append(f"{len(idle)} cluster(s) carry no key: {', '.join(idle)}")
     light = [rep.mass for rep in plan.per_cluster if rep.mass < 0.01]
     if light:
         notes.append(f"{len(light)} cluster(s) below 1% mass: "

@@ -89,11 +89,14 @@ def write_json(obj, path) -> None:
 
 
 def _open(path, mode: str = "r"):
-    """Open an input file; a missing one is a ValidationError naming it."""
+    """Open an input file; a missing one, a directory, or a path through
+    a file is a ValidationError naming it."""
     try:
         return open(path, mode, newline=None if "b" in mode else "")
     except FileNotFoundError:
         raise ValidationError(f"{path}: missing") from None
+    except (IsADirectoryError, NotADirectoryError) as exc:
+        raise ValidationError(f"{path}: {exc.strerror.lower()}") from None
 
 
 def _csv_rows(path, header: list[str], label):

@@ -282,6 +282,20 @@ def test_missing_inputs_fail_closed(tmp_path, capsys, argv, missing):
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["estimate", "{d}/afile"], "afile/run.json: not a directory"),
+    (["ingest", "{d}", "--out", "{d}/x"], ": is a directory"),
+], ids=["estimate-file", "ingest-directory"])
+def test_input_paths_of_the_wrong_kind_fail_closed(tmp_path, capsys, argv, message):
+    """A run directory that is a file and a trace that is a directory
+    once ended in NotADirectoryError and IsADirectoryError tracebacks."""
+    (tmp_path / "afile").write_text("not a run\n")
+    assert main([a.format(d=tmp_path) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    assert not (tmp_path / "x").exists()
+
+
 def test_missing_true_T_fails_closed(tmp_path, capsys):
     run = tmp_path / "run"
     assert main(["simulate", "--out", str(run)] + SIM) == 0
@@ -380,6 +394,46 @@ def test_reproduce_fig8_runs_the_clusters_it_records(tmp_path):
     assert len(rows) == 1
     assert len(read_json(out / "fig8.json")["plan"]["per_cluster"]) == 1
     assert read_json(out / "fig8.scenario.json")["clusters"] == 1
+
+
+def test_reproduce_takes_the_cluster_count_from_every_source(tmp_path, monkeypatch):
+    """fig9 falls back to three clusters only when no source sets one;
+    it once replaced a config file's or FADING_CVQKD_CLUSTERS' count with 3."""
+    cfg = tmp_path / "cfg.json"
+    write_json({"clusters": 0, "n": 200, "m": 200}, cfg)
+
+    def rows(*extra):
+        out = tmp_path / "fig9"
+        assert main(["reproduce", "fig9", "--out", str(out), *extra]) == 0
+        counts = [int(r["C"]) for r in _read_csv(out / "fig9.csv")[1]]
+        assert read_json(out / "fig9.scenario.json")["clusters"] == counts[-1]
+        return counts
+
+    assert rows("--config", str(cfg)) == [0]
+    monkeypatch.setenv("FADING_CVQKD_CLUSTERS", "1")
+    assert rows("--config", str(cfg)) == [0, 1]
+    assert rows("--config", str(cfg), "--clusters", "0") == [0]
+
+
+@pytest.mark.parametrize("figure, source, message", [
+    ("fig6", "file-n", "'n' in"),
+    ("fig6", "FADING_CVQKD_M", "FADING_CVQKD_M"),
+    ("fig7", "file-m", "'m' in"),
+    ("fig7", "FADING_CVQKD_M", "FADING_CVQKD_M"),
+], ids=["fig6-file-n", "fig6-env-m", "fig7-file-m", "fig7-env-m"])
+def test_pooled_figures_refuse_swept_sizes_from_file_and_environment(
+        tmp_path, capsys, monkeypatch, figure, source, message):
+    """A size the figure's sweep sets is refused from the config file and
+    the environment as it is as a flag, before anything is written."""
+    cfg = tmp_path / "cfg.json"
+    write_json({source[-1]: 300} if source.startswith("file") else {}, cfg)
+    if source.startswith("FADING"):
+        monkeypatch.setenv(source, "300")
+    out = tmp_path / "out"
+    assert main(["reproduce", figure, "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert message in err and f"is not read by reproduce {figure}" in err
+    assert not out.exists()
 
 
 def test_optimize_writes_its_search_into_the_plan(tmp_path):

@@ -354,12 +354,14 @@ def test_optimize_result_is_pinned():
     refinement passes and the evaluator gave it when this was pinned.
     The plan is the one coordinate descent found; the evaluations are
     the interval tables' entries (144 x 2,080 + 9 x 8,256 + 9 x 32,896)
-    plus one report per point and one for the final plan."""
+    plus one report per point and one for the final plan.  The edge is
+    level 182 of 256, which the computed marginal CDF meets exactly at
+    two neighbouring floats; the quantile solve returns the upper one."""
     res = optimize(UNI, 1, 400, 400, P)
-    assert res.total_rate == 0.002338040097715117
+    assert res.total_rate == 0.0023380400977134914
     assert res.r == 0.5397212245017438
     assert res.V == 4.999999999999998
-    assert res.plan.boundaries == (0.6897817977059991, math.inf)
+    assert res.plan.boundaries == (0.6897817977059992, math.inf)
     assert res.evaluations == 670051
     assert [(p.Q, p.points, p.intervals) for p in res.search] == [
         (64, 144, 144 * 2081), (128, 9, 9 * 8257), (256, 9, 9 * 32897)]
@@ -429,6 +431,9 @@ def test_optimize_validates_parameters():
 SMALL_EMPIRICAL = Empirical(TruncatedNormal(0.5, 0.15).sample(5, 100))
 FOUR_LAWS = (UNI, TN, LogNegativeWeibull(1.47, 0.6),
              Empirical(LogNegativeWeibull(1.25, 0.8).sample(9, 400)))
+# a measured trace's size: 1,600 quadrature nodes, 10x a parametric law's
+TRACE_LAW = Empirical(LogNegativeWeibull(1.47, 0.6).sample(11, 1600))
+GRID_CORNERS = [(0.01, 0.5), (0.01, 50.0), (0.9, 0.5), (0.9, 50.0)]
 
 
 def _evaluator(dist, r=0.26, V=5.0, n=1000, m=1000):
@@ -440,11 +445,13 @@ def _edges(ev, Q):
     return [-math.inf, *ev.quantiles(Q), math.inf]
 
 
-@pytest.mark.parametrize("dist", FOUR_LAWS, ids=["uniform", "tnorm", "lnw", "empirical"])
-@pytest.mark.parametrize("r, V", [(0.01, 0.5), (0.01, 50.0), (0.9, 0.5), (0.9, 50.0)])
+@pytest.mark.parametrize("dist", [*FOUR_LAWS, TRACE_LAW],
+                         ids=["uniform", "tnorm", "lnw", "empirical", "empirical-1600"])
+@pytest.mark.parametrize("r, V", [*GRID_CORNERS, (0.26, 5.0)])
 def test_vector_quantiles_match_brentq(dist, r, V):
-    """At the corners of the (r, V) grid the level vector solved at once
-    matches one tight brentq solve per level of the same marginal CDF."""
+    """At the corners of the (r, V) grid and inside it the level vector
+    solved at once matches one tight brentq solve per level of the same
+    marginal CDF."""
     ev = _evaluator(dist, r, V)
     Q = 64
     t = ev.quantiles(Q)
@@ -454,6 +461,45 @@ def test_vector_quantiles_match_brentq(dist, r, V):
     ref = [brentq(lambda x: cdf(x) - i / Q, lo, hi, xtol=1e-15, rtol=8.9e-16)
            for i in range(1, Q)]
     assert np.max(np.abs(t - ref)) <= 1e-12
+
+
+@pytest.mark.parametrize("dist", FOUR_LAWS, ids=["uniform", "tnorm", "lnw", "empirical"])
+@pytest.mark.parametrize("r, V", GRID_CORNERS)
+@pytest.mark.parametrize("Q", [64, 128, 256])
+def test_quantile_span_brackets_every_level(dist, r, V, Q):
+    """The closed-form span holds the outer levels: F(lo) < 1 / Q and
+    F(hi) > 1 - 1 / Q at every resolution the search uses."""
+    ev = _evaluator(dist, r, V)
+    lo, hi = ev.span(Q)
+    cdf = ndtr((np.array([lo, hi])[:, None] - ev.s) / ev.sigma) @ ev.fw
+    assert cdf[0] < 1 / Q and cdf[1] > 1 - 1 / Q
+
+
+def test_broken_quantile_bracket_raises():
+    """A marginal that never reaches the upper levels (here half of the
+    weights dropped) fails closed instead of returning an edge."""
+    s, fw = clustering._rule(UNI)
+    ev = clustering._Evaluator((s, 0.5 * fw), replace(P, r=0.26, V=5.0), 260, 1000,
+                               n=1000)
+    with pytest.raises(NumericalError, match="quantile bracket failed"):
+        ev.quantiles(64)
+
+
+def test_quantile_solve_kernel_work(monkeypatch):
+    """Kernel work of one quantiles(64) on the 1,600-node law at (r, V) =
+    (0.26, 5), counted as ndtr elements rather than timed.  The grid of
+    Q + 1 points, the Hermite start and fused Newton steps take 332,800
+    elements (3.25 Q N); the former 4Q + 1 point grid over +-9 sigma
+    with a linear start took 873,600 (8.5 Q N).  The bound is half of
+    that."""
+    count = []
+
+    def counted(x):
+        count.append(np.size(x))
+        return ndtr(x)
+    monkeypatch.setattr(clustering, "ndtr", counted)
+    _evaluator(TRACE_LAW).quantiles(64)
+    assert sum(count) <= 873_600 // 2
 
 
 @pytest.mark.parametrize("block", [None, 40], ids=["blocks", "one-row-blocks"])
@@ -581,6 +627,20 @@ def test_optimize_records_its_search():
     assert len(skipped) == 12 and {s["r"] for s in skipped} == {0.01}
     assert all(s["error"] == "InsufficientDataError" and "fewer than 2" in s["message"]
                for s in skipped)
+
+
+def test_optimize_names_the_clusters_that_carry_no_key(monkeypatch):
+    """The C = 2 optimum on Uniform(0, 1) is the C = 1 plan below a
+    zero-rate cluster: the diagnostic names that cluster, and the plan
+    keeps it."""
+    monkeypatch.setattr(clustering, "_LEVELS", 8)
+    res = optimize(UNI, 2, 1000, 1000, P)
+    low, high = res.plan.per_cluster
+    assert low.K_c == 0.0 < high.K_c
+    assert f"1 cluster(s) carry no key: 0 [-inf, {low.interval[1]:.4f})" in res.diagnostic
+    assert "no positive key rate" not in res.diagnostic
+    hopeless = optimize(Uniform(0.001, 0.02), 1, 200, 200, P)
+    assert "carry no key" not in hopeless.diagnostic
 
 
 def test_optimize_refuses_when_no_plan_is_feasible():
