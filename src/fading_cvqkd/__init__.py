@@ -4,7 +4,8 @@ from .channel import Package, ProtocolParams, Run, noise_variance, \
     simulate_package, simulate_run
 from .clustering import ClusterPlan, ClusterReport, ConditionalDensity, \
     OptimizeResult, cluster_assign, cluster_stats, conditional_pdf, \
-    marginal_pdf, optimize, total_key_rate, total_key_rate_from_estimates
+    marginal_pdf, optimize, optimize_each, total_key_rate, \
+    total_key_rate_from_estimates
 from .distributions import Empirical, LogNegativeWeibull, Moments, \
     TransmittanceDistribution, TruncatedNormal, Uniform, \
     beam_geometry_constants, calibrate_beam_wander, from_descriptor
@@ -12,8 +13,8 @@ from .errors import ClusterTooSmallError, EmptyClusterError, FadingCVQKDError, \
     InsufficientDataError, NumericalError, ParameterError, \
     UnphysicalStateError, ValidationError
 from .estimation import AggregateStats, PackageEstimate, WorstCaseChannel, \
-    aggregate, estimate_noise, estimate_package, estimate_run, estimate_sqrtT, \
-    estimate_T, worst_case, worst_case_rectangular
+    aggregate, estimate_flags, estimate_noise, estimate_package, estimate_run, \
+    estimate_sqrtT, estimate_T, worst_case, worst_case_rectangular
 from .security import EffectiveChannel, KeyRateReport, delta_fs, \
     effective_channel, gaussian_entropy, holevo_bound, key_rate, \
     mutual_information
@@ -25,7 +26,8 @@ __all__ = [
     "simulate_package", "simulate_run",
     "ClusterPlan", "ClusterReport", "ConditionalDensity", "OptimizeResult",
     "cluster_assign", "cluster_stats", "conditional_pdf", "marginal_pdf",
-    "optimize", "total_key_rate", "total_key_rate_from_estimates",
+    "optimize", "optimize_each", "total_key_rate",
+    "total_key_rate_from_estimates",
     "Empirical", "LogNegativeWeibull", "Moments",
     "TransmittanceDistribution", "TruncatedNormal", "Uniform",
     "beam_geometry_constants", "calibrate_beam_wander", "from_descriptor",
@@ -33,8 +35,8 @@ __all__ = [
     "InsufficientDataError", "NumericalError", "ParameterError",
     "UnphysicalStateError", "ValidationError",
     "AggregateStats", "PackageEstimate", "WorstCaseChannel", "aggregate",
-    "estimate_noise", "estimate_package", "estimate_run", "estimate_sqrtT",
-    "estimate_T", "worst_case", "worst_case_rectangular",
+    "estimate_flags", "estimate_noise", "estimate_package", "estimate_run",
+    "estimate_sqrtT", "estimate_T", "worst_case", "worst_case_rectangular",
     "EffectiveChannel", "KeyRateReport", "delta_fs", "effective_channel",
     "gaussian_entropy", "holevo_bound", "key_rate", "mutual_information",
     "__version__",

@@ -170,7 +170,8 @@ def _cmd_estimate(args) -> int:
     stats = estimation.aggregate(estimates, run.protocol)
     wc = estimation.worst_case(stats, run.protocol)
     rect = estimation.worst_case_rectangular(stats, run.protocol)
-    report = {"aggregate": stats, "worst_case": wc, "worst_case_rectangular": rect}
+    report = {"aggregate": stats, "worst_case": wc, "worst_case_rectangular": rect,
+              "flags": estimation.estimate_flags(estimates, run.protocol)}
     storage.write_json(report, run_dir / "estimate.json")
     wrote = [str(run_dir / ESTIMATES_CSV), str(run_dir / "estimate.json")]
     if not args.blind:
@@ -353,11 +354,10 @@ def _fig9(cfg: ScenarioConfig, out: Path) -> Path:
     """Best total key rate vs cluster count C = 0..C_max."""
     dist = cfg.make_dist()
     protocol = cfg.make_protocol()
-    rows = []
-    for C in range(cfg.clusters + 1):
-        result = clustering.optimize(dist, C, cfg.n, cfg.m, protocol)
-        rows.append((C, result.total_rate, result.r, result.V,
-                     result.plan.kept_mass))
+    results = clustering.optimize_each(dist, range(cfg.clusters + 1), cfg.n, cfg.m,
+                                       protocol)
+    rows = [(C, res.total_rate, res.r, res.V, res.plan.kept_mass)
+            for C, res in enumerate(results)]
     path = out / "fig9.csv"
     storage.write_table(path, ["C", "K", "r_opt", "V_opt", "kept_mass"], rows)
     return path

@@ -26,6 +26,11 @@ between two levels at once (an interval table built from one cumulative
 matrix of the mixture over the quadrature nodes), then finds the best
 chain of C intervals by dynamic programming, so the plan is exact on
 that grid.
+
+The table does not depend on C, only the dynamic program does, so
+optimize_each searches for several cluster counts at once and shares
+each point's table among them; each count still reports its own plan
+and search record, the same as optimize gives for it alone.
 """
 
 from __future__ import annotations
@@ -60,6 +65,7 @@ __all__ = [
     "cluster_assign",
     "total_key_rate_from_estimates",
     "optimize",
+    "optimize_each",
 ]
 
 _MASS_FLOOR = 1e-12
@@ -474,16 +480,12 @@ class _Evaluator(_Nodes):
             rate[a, b] = sums[:, 0] * K
         return edges, cdf, rate
 
-    def best_edges(self, C: int, Q: int, min_mass: float = 0.0) -> tuple[float, ...]:
-        """Edges of the best C-cluster plan on Q levels (see _chain)."""
-        edges, cdf, rate = self.table(Q, min_mass)
-        return tuple(float(edges[lv]) for lv in _chain(rate, cdf, C))
 
-
-def _chain(rate: np.ndarray, cdf: np.ndarray, C: int) -> list[int]:
-    """Levels l_0 < ... < l_C of the C chained intervals (l_i, l_i+1)
-    of highest total rate, by dynamic programming over the interval
-    table; the outer levels are free, so the tails may be trimmed.
+def _chain(table: tuple[np.ndarray, np.ndarray, np.ndarray], C: int) -> tuple[float, ...]:
+    """Edges at the levels l_0 < ... < l_C of the C chained intervals
+    (l_i, l_i+1) of highest total rate, by dynamic programming over the
+    interval table (edges, cdf, rate); the outer levels are free, so the
+    tails may be trimmed.
 
     Plans compare on (rate, kept mass), and the kept mass of a chain is
     cdf[l_C] - cdf[l_0].  For each end level the program keeps the chain of
@@ -492,6 +494,7 @@ def _chain(rate: np.ndarray, cdf: np.ndarray, C: int) -> list[int]:
     mass), the lowest level on a tie.  Raises ClusterTooSmallError when
     no chain has every interval feasible.
     """
+    edges, cdf, rate = table
     levels = np.arange(rate.shape[0])
     total = np.zeros(levels.size)   # best rate of the chains ending at each level
     first = levels                  # and the first level of that chain
@@ -509,7 +512,7 @@ def _chain(rate: np.ndarray, cdf: np.ndarray, C: int) -> list[int]:
                                     -math.inf)))]
     for prev in reversed(back):
         chain.append(int(prev[chain[-1]]))
-    return chain[::-1]
+    return tuple(float(edges[lv]) for lv in reversed(chain))
 
 
 def _check_edges(boundaries: Sequence[float]) -> list[float]:
@@ -628,86 +631,130 @@ def optimize(dist: TransmittanceDistribution, C: int, n: int, m: int,
     any cluster lighter than that probability mass.  The result unpacks
     as (plan, r, V); its search field records each pass.  The law's
     quadrature rule is built once per call and shared read-only by the
-    evaluators of every (r, V) point.
+    evaluators of every (r, V) point.  This is optimize_each of (C,).
     """
-    if C < 0:
-        raise ParameterError(f"cluster count must be >= 0, got {C}")
+    return optimize_each(dist, (C,), n, m, protocol, min_mass=min_mass)[0]
+
+
+_SKIPPED = (ParameterError, InsufficientDataError, ClusterTooSmallError)
+
+
+def optimize_each(dist: TransmittanceDistribution, clusters: Sequence[int], n: int,
+                  m: int, protocol: ProtocolParams, *,
+                  min_mass: float = 0.0) -> tuple[OptimizeResult, ...]:
+    """The optimize result of each distinct cluster count in clusters,
+    from one search.  Each pass visits the union of the points that the
+    counts want in (r, V) order, each count's own order; a point builds
+    one evaluator and, if a count C >= 1 wants it, one interval table,
+    which those counts share.  Each count folds into its own best key
+    and refines around its own best point, and its record states the
+    intervals its own search scored, so each result equals optimize's
+    for that count alone, field for field.
+    """
+    counts = tuple(clusters)
+    if not counts or len(set(counts)) < len(counts) or min(counts) < 0:
+        raise ParameterError(f"need one or more distinct cluster counts >= 0, "
+                             f"got {counts}")
+    if _LEVELS < max(counts) + 1:
+        raise ParameterError(f"level resolution {_LEVELS} too coarse for "
+                             f"{max(counts)} clusters")
     if not (0.0 <= min_mass < 1.0):
         raise ParameterError(f"min_mass must lie in [0, 1), got {min_mass}")
-    if _LEVELS < C + 1:
-        raise ParameterError(f"level resolution {_LEVELS} too coarse for {C} clusters")
     n, m = int(n), int(m)
     rule = _rule(dist)
-    passes: list[SearchPass] = []
+    passes: dict[int, list[SearchPass]] = {C: [] for C in counts}
+    best: dict[int, tuple | None] = dict.fromkeys(counts)
 
-    def search(points, Q: int, best=None):
-        """Fold the best plan of each (r, V) point at resolution Q into
-        best, the smallest key (-rate, -mass, r, V, edges); points where
-        no plan is feasible are skipped and recorded with the pass."""
-        skipped = []
-        intervals = 0
-        for r, V in points:
-            ev = None
+    def search(wanted: dict[int, list[tuple[float, float]]], Q: int) -> None:
+        """Fold the best plan of each point of wanted[C] at resolution Q
+        into best[C], the smallest key (-rate, -mass, r, V, edges); the
+        points where C has no feasible plan are skipped and recorded."""
+        want: dict[tuple[float, float], list[int]] = {}
+        for C, points in wanted.items():
+            for point in points:
+                want.setdefault(point, []).append(C)
+        skipped = {C: [] for C in wanted}
+        intervals = dict.fromkeys(wanted, 0)
+        for (r, V), here in sorted(want.items()):
+            table = None  # so that one table is alive at a time
             try:
                 ev = _Evaluator(rule, replace(protocol, r=r, V=V),
                                 disclosed_count(n, r), m, n=n)
-                plan = ev.plan((-math.inf, math.inf) if C == 0
-                               else ev.best_edges(C, Q, min_mass))
-                if any(rep.cond_moments is None or rep.mass < min_mass
-                       for rep in plan.per_cluster):
-                    raise ClusterTooSmallError("the rescored plan has a cluster below "
-                                               "2 expected packages or min_mass")
-            except (ParameterError, InsufficientDataError, ClusterTooSmallError) as exc:
-                skipped.append({"r": r, "V": V, "error": type(exc).__name__,
-                                "message": str(exc)})
+            except _SKIPPED as exc:
+                for C in here:
+                    skipped[C].append({"r": r, "V": V, "error": type(exc).__name__,
+                                       "message": str(exc)})
                 continue
-            finally:
-                if ev is not None:
-                    intervals += ev.evaluations
-            key = (-plan.total_rate, -plan.kept_mass, r, V, plan.boundaries)
-            if best is None or key < best:
-                best = key
-        passes.append(SearchPass(Q=Q, points=len(points), intervals=intervals,
-                                 skipped=tuple(skipped)))
-        return best
+            if max(here) > 0:
+                try:
+                    table = ev.table(Q, min_mass)
+                except _SKIPPED as exc:
+                    table = exc
+            tabled = ev.evaluations
+            for C in here:
+                # C's record: the table's entries if C reads it, and its reports
+                ev.evaluations = tabled if C > 0 else 0
+                try:
+                    if C > 0 and isinstance(table, Exception):
+                        raise table
+                    plan = ev.plan(_chain(table, C) if C > 0 else (-math.inf, math.inf))
+                    if any(rep.cond_moments is None or rep.mass < min_mass
+                           for rep in plan.per_cluster):
+                        raise ClusterTooSmallError("the rescored plan has a cluster below "
+                                                   "2 expected packages or min_mass")
+                except _SKIPPED as exc:
+                    skipped[C].append({"r": r, "V": V, "error": type(exc).__name__,
+                                       "message": str(exc)})
+                    continue
+                finally:
+                    intervals[C] += ev.evaluations
+                key = (-plan.total_rate, -plan.kept_mass, r, V, plan.boundaries)
+                if best[C] is None or key < best[C]:
+                    best[C] = key
+        for C, points in wanted.items():
+            passes[C].append(SearchPass(Q=Q, points=len(points), intervals=intervals[C],
+                                        skipped=tuple(skipped[C])))
 
-    Q = _LEVELS
-    best = search([(r, V) for r in _R_GRID for V in _V_GRID], Q)
-    if best is None:
-        last = passes[-1].skipped[-1]
-        raise ParameterError(f"no feasible (r, V) grid point; the last one failed "
-                             f"with {last['error']}: {last['message']}")
+    search({C: [(r, V) for r in _R_GRID for V in _V_GRID] for C in counts}, _LEVELS)
+    for C in counts:
+        if best[C] is None:
+            last = passes[C][-1].skipped[-1]
+            raise ParameterError(f"no feasible (r, V) grid point for {C} cluster(s); the "
+                                 f"last one failed with {last['error']}: {last['message']}")
 
-    # local refinement: halve the geometric step around the best point
-    # and double the level resolution, twice; the incumbent's key stays
-    # comparable because it holds the rescored rate of its own edges
+    # local refinement: halve the geometric step around each count's best
+    # point and double the level resolution, twice; an incumbent's key
+    # stays comparable because it holds the rescored rate of its own edges
     r_step = (_R_GRID[-1] / _R_GRID[0]) ** (1.0 / (len(_R_GRID) - 1))
     V_step = (_V_GRID[-1] / _V_GRID[0]) ** (1.0 / (len(_V_GRID) - 1))
     for pass_idx in (1, 2):
-        Q *= 2
-        r, V = best[2], best[3]
-        points = [(r_c, V_c) for r_c in _around(r, r_step ** (0.5 ** pass_idx), _R_GRID)
-                  for V_c in _around(V, V_step ** (0.5 ** pass_idx), _V_GRID)]
-        best = search(points, Q, best)
+        search({C: [(r_c, V_c)
+                    for r_c in _around(best[C][2], r_step ** (0.5 ** pass_idx), _R_GRID)
+                    for V_c in _around(best[C][3], V_step ** (0.5 ** pass_idx), _V_GRID)]
+                for C in counts}, _LEVELS * 2 ** pass_idx)
 
-    _, _, best_r, best_V, best_edges = best
-    proto = replace(protocol, r=best_r, V=best_V)
-    ev = _Evaluator(rule, proto, disclosed_count(n, best_r), m, n=n)
-    plan = ev.plan(best_edges)
-    evaluations = sum(p.intervals for p in passes) + ev.evaluations
-    notes = []
-    if plan.total_rate <= 0.0:
-        notes.append("no positive key rate anywhere on the search grid; "
-                     "the channel statistics or block sizes do not support a key")
-    else:
-        idle = [f"{i} [{rep.interval[0]:.4f}, {rep.interval[1]:.4f})"
-                for i, rep in enumerate(plan.per_cluster) if rep.K_c <= 0.0]
-        if idle:
-            notes.append(f"{len(idle)} cluster(s) carry no key: {', '.join(idle)}")
-    light = [rep.mass for rep in plan.per_cluster if rep.mass < 0.01]
-    if light:
-        notes.append(f"{len(light)} cluster(s) below 1% mass: "
-                     f"{['%.4f' % v for v in light]}")
-    return OptimizeResult(plan=plan, r=best_r, V=best_V, protocol=proto,
-                          total_rate=plan.total_rate, evaluations=evaluations,
-                          diagnostic="; ".join(notes) or None, search=tuple(passes))
+    results = []
+    for C in counts:
+        _, _, best_r, best_V, best_edges = best[C]
+        proto = replace(protocol, r=best_r, V=best_V)
+        ev = _Evaluator(rule, proto, disclosed_count(n, best_r), m, n=n)
+        plan = ev.plan(best_edges)
+        evaluations = sum(p.intervals for p in passes[C]) + ev.evaluations
+        notes = []
+        if plan.total_rate <= 0.0:
+            notes.append("no positive key rate anywhere on the search grid; "
+                         "the channel statistics or block sizes do not support a key")
+        else:
+            idle = [f"{i} [{rep.interval[0]:.4f}, {rep.interval[1]:.4f})"
+                    for i, rep in enumerate(plan.per_cluster) if rep.K_c <= 0.0]
+            if idle:
+                notes.append(f"{len(idle)} cluster(s) carry no key: {', '.join(idle)}")
+        light = [rep.mass for rep in plan.per_cluster if rep.mass < 0.01]
+        if light:
+            notes.append(f"{len(light)} cluster(s) below 1% mass: "
+                         f"{['%.4f' % v for v in light]}")
+        results.append(OptimizeResult(
+            plan=plan, r=best_r, V=best_V, protocol=proto, total_rate=plan.total_rate,
+            evaluations=evaluations, diagnostic="; ".join(notes) or None,
+            search=tuple(passes[C])))
+    return tuple(results)

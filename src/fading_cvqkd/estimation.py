@@ -30,6 +30,7 @@ __all__ = [
     "WorstCaseChannel",
     "estimate_sqrtT",
     "estimate_T",
+    "estimate_flags",
     "estimate_noise",
     "disclosed_count",
     "sqrtT_variance",
@@ -190,14 +191,29 @@ def estimate_noise(M, B, V: float, V_S: float) -> tuple[float, float]:
     use.
     """
     est = _core(M, B, V)
-    vN_hat = est.vN_hat
-    eps_hat = vN_hat - 1.0 + est.T_hat * (1.0 - V_S)
-    tol = max(4.0 * math.sqrt(2.0 / est.k) * max(vN_hat, 0.0), 1e-9)
+    eps_hat, tol = _excess_noise(est, V_S)
     if eps_hat < -tol:
         warnings.warn(f"excess noise estimate {eps_hat:.4g} is negative beyond "
                       f"sampling tolerance {tol:.4g}; model mismatch?",
                       RuntimeWarning, stacklevel=2)
-    return vN_hat, eps_hat
+    return est.vN_hat, eps_hat
+
+
+def _excess_noise(est: PackageEstimate, V_S: float) -> tuple[float, float]:
+    """A package's eps_hat = vN_hat - 1 + T_hat*(1 - V_S) and its
+    model-mismatch tolerance, 4 standard errors of the residual
+    variance: an eps_hat below -tol signals model mismatch."""
+    eps_hat = est.vN_hat - 1.0 + est.T_hat * (1.0 - V_S)
+    return eps_hat, max(4.0 * math.sqrt(2.0 / est.k) * max(est.vN_hat, 0.0), 1e-9)
+
+
+def estimate_flags(estimates: Sequence[PackageEstimate],
+                   protocol: ProtocolParams) -> dict[str, int]:
+    """Counts of flagged packages: sign_anomalies (a negative sqrt-T
+    estimate) and noise_mismatch (eps_hat below -tol, see _excess_noise)."""
+    gaps = [_excess_noise(e, protocol.V_S) for e in estimates]
+    return {"sign_anomalies": sum(e.sign_anomaly for e in estimates),
+            "noise_mismatch": sum(eps < -tol for eps, tol in gaps)}
 
 
 def disclosed_count(n: int, r: float) -> int:

@@ -12,11 +12,14 @@ from fading_cvqkd import (
     Run,
     Uniform,
     aggregate,
+    estimate_noise,
     estimate_run,
     from_descriptor,
     key_rate,
     worst_case,
+    worst_case_rectangular,
 )
+from fading_cvqkd import clustering
 from fading_cvqkd.cli import build_parser, main
 from fading_cvqkd.storage import (
     B_NPY,
@@ -24,6 +27,7 @@ from fading_cvqkd.storage import (
     M_NPY,
     RUN_JSON,
     TRUE_T_CSV,
+    jsonable,
     read_estimates,
     read_json,
     read_run,
@@ -123,6 +127,32 @@ def test_noiseless_data_nulls_the_slope_residual_only(tmp_path):
     resid = [abs(float(r["resid"])) for r in rows]
     assert max(resid_ml) < 1e-12
     assert min(resid) > 1e-6
+
+
+def test_estimate_reports_its_flags(tmp_path):
+    """Package 0 has anti-correlated data (a negative sqrt-T estimate)
+    and package 1 no noise (eps_hat near -1); estimate.json counts them
+    under flags and its other fields are the in-process results."""
+    rng = np.random.default_rng(9)
+    p = ProtocolParams()
+    T = np.array([0.3, 0.49, 0.5, 0.6, 0.7])
+    M = rng.normal(0.0, math.sqrt(p.V), (5, 400))
+    B = np.sqrt(T)[:, None] * M + rng.normal(0.0, 1.0, M.shape)
+    B[0] = -0.3 * M[0] + rng.normal(0.0, 1.0, 400)
+    B[1] = 0.7 * M[1]
+    run = Run(M=M, B=B, true_T=T, dist=Uniform(0.2, 0.9), protocol=p, seed=0)
+    out = tmp_path / "flagged"
+    write_run(run, out)
+    assert main(["estimate", str(out)]) == 0
+    report = read_json(out / "estimate.json")
+    assert report.pop("flags") == {"sign_anomalies": 1, "noise_mismatch": 1}
+    estimates = estimate_run(run)
+    assert [e.sign_anomaly for e in estimates] == [True, False, False, False, False]
+    stats = aggregate(estimates, p)
+    assert report == jsonable({"aggregate": stats, "worst_case": worst_case(stats, p),
+                               "worst_case_rectangular": worst_case_rectangular(stats, p)})
+    with pytest.warns(RuntimeWarning, match="negative beyond"):
+        estimate_noise(M[1, :estimates[1].k], B[1, :estimates[1].k], p.V, p.V_S)
 
 
 # ---- keyrate ------------------------------------------------------------
@@ -384,6 +414,34 @@ def test_reproduce_fig9_rates_do_not_decrease_with_clusters(tmp_path):
     assert K[2] >= K[1] - 1e-9
     scenario = read_json(out / "fig9.scenario.json")
     assert scenario["dist"]["variant"] == "uniform"
+
+
+def test_fig9_builds_each_interval_table_once(tmp_path, monkeypatch):
+    """fig9 shares each (r, V, Q) table among the cluster counts: the
+    C = 1..3 searches settle on the same points, so the three counts
+    build as many tables (144 + 9 + 9) as one optimize does, where one
+    search per count built 486."""
+    tables = []
+    original = clustering._Evaluator.table
+
+    def counted(self, Q, min_mass=0.0):
+        tables.append(Q)
+        return original(self, Q, min_mass)
+
+    monkeypatch.setattr(clustering._Evaluator, "table", counted)
+    assert main(["reproduce", "fig9", "--out", str(tmp_path / "fig9"), "--n", "1000",
+                 "--m", "1000", "--clusters", "3"]) == 0
+    assert len(tables) == 162
+    tables.clear()
+    clustering.optimize(Uniform(0.0, 1.0), 2, 1000, 1000, ProtocolParams())
+    assert len(tables) == 162
+
+
+def test_fig9_refuses_a_negative_cluster_count(tmp_path, capsys):
+    """It once wrote a fig9.csv with no rows and exited 0."""
+    assert main(["reproduce", "fig9", "--clusters", "-1", "--out", str(tmp_path)]) == 2
+    assert "cluster counts >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "fig9.csv").exists()
 
 
 def test_reproduce_fig8_runs_the_clusters_it_records(tmp_path):

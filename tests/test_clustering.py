@@ -3,7 +3,7 @@ empirical/analytic agreement, and the boundary optimizer."""
 
 import itertools
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -33,6 +33,7 @@ from fading_cvqkd import (
     key_rate,
     marginal_pdf,
     optimize,
+    optimize_each,
     simulate_run,
     total_key_rate,
     total_key_rate_from_estimates,
@@ -557,7 +558,7 @@ def _brute_force(ev, edges, C, min_mass):
 def test_dynamic_program_matches_brute_force(dist, C, min_mass):
     ev = _evaluator(dist)
     edges = _edges(ev, 10)
-    best = ev.best_edges(C, 10, min_mass)
+    best = clustering._chain(ev.table(10, min_mass), C)
     assert set(best) <= set(edges) and len(best) == C + 1
     plan = ev.plan(best)
     assert all(rep.cond_moments is not None and rep.mass >= min_mass
@@ -570,7 +571,7 @@ def test_dynamic_program_matches_brute_force(dist, C, min_mass):
 def test_dynamic_program_reports_no_feasible_chain():
     ev = _evaluator(UNI)
     with pytest.raises(ClusterTooSmallError):
-        ev.best_edges(3, 10, min_mass=0.4)
+        clustering._chain(ev.table(10, min_mass=0.4), 3)
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf])
@@ -646,3 +647,27 @@ def test_optimize_names_the_clusters_that_carry_no_key(monkeypatch):
 def test_optimize_refuses_when_no_plan_is_feasible():
     with pytest.raises(ParameterError, match="no feasible"):
         optimize(UNI, 3, 1000, 1000, P, min_mass=0.4)
+
+
+# one joint search for several cluster counts against one search per count;
+# at n = 100 the 12 grid points at r = 0.01 are skipped, and the counts
+# refine around different points and skip different neighbours
+@pytest.mark.parametrize("dist, n, min_mass", [
+    *[(law, 400, 0.0) for law in DESK_LAWS.values()],
+    (TRACE_LAW, 400, 0.0),
+    (UNI, 400, 0.1),
+    (UNI, 100, 0.0),
+], ids=[*DESK_LAWS, "empirical-1600", "uniform-min-mass", "uniform-n100"])
+def test_optimize_each_equals_one_optimize_per_count(dist, n, min_mass):
+    joint = optimize_each(dist, (0, 1, 2, 3), n, 400, P, min_mass=min_mass)
+    for C, res in enumerate(joint):
+        alone = optimize(dist, C, n, 400, P, min_mass=min_mass)
+        for f in fields(alone):
+            assert getattr(res, f.name) == getattr(alone, f.name), (C, f.name)
+
+
+@pytest.mark.parametrize("clusters", [(), (1, 2, 1), (0, -1), (1, 64)],
+                         ids=["empty", "repeated", "negative", "too-many"])
+def test_optimize_each_validates_the_counts(clusters):
+    with pytest.raises(ParameterError):
+        optimize_each(UNI, clusters, 400, 400, P)
