@@ -19,13 +19,13 @@ finite outer edges trim (discard) the tails.
 
 The optimizer places the edges on Q equal-mass levels of the estimate
 marginal, solved together: a span that holds every level in closed
-form, a cubic Hermite start from the marginal's CDF and density on Q + 1
-points of it, then Newton steps that take the CDF and the density from
-one pass of the kernel.  At each (r, V) point it scores every interval
-between two levels at once (an interval table built from one cumulative
-matrix of the mixture over the quadrature nodes), then finds the best
-chain of C intervals by dynamic programming, so the plan is exact on
-that grid.
+form, a cubic Hermite start on Q/2 + 1 points of it, then Newton steps
+that take the kernel sums and the density from one kernel pass.  At each
+(r, V) point it scores every interval between two levels at once, from
+an interval table read off each level's confirming pass (every edge is
+a point the solve evaluated, within _XTOL of the root), then finds the
+best chain of C intervals by dynamic programming, so the plan is exact
+on that grid.
 
 The table does not depend on C, only the dynamic program does, so
 optimize_each searches for several cluster counts at once and shares
@@ -74,9 +74,9 @@ _ORDER = 160  # nodes of the fading law's quadrature rule
 _R_GRID = tuple(np.geomspace(0.01, 0.9, 12).tolist())
 _V_GRID = tuple(np.geomspace(0.5, 50.0, 12).tolist())
 _LEVELS = 64
-# the vector quantile solve: brentq's default tolerance, and a step cap
-# above the 37 halvings that bisection alone needs from a grid bracket
-# (at most 0.105 wide on the (r, V) grid)
+# the quantile solve: each edge is a point it evaluated, within brentq's xtol
+# of the root (a level stops at a correction of _XTOL / 2); the step cap tops
+# the 38 halvings bisection needs from a grid bracket (<= 0.21 on the grid)
 _XTOL = 1e-12
 _NEWTON_STEPS = 60
 # elements per temporary (rows x nodes) array of the mixture sums
@@ -319,6 +319,11 @@ class _Evaluator(_Nodes):
         built on first use, so a C = 0 evaluator never pays for them."""
         return self.fw / (self.sigma * math.sqrt(2.0 * math.pi))
 
+    @cached_property
+    def kernel_w(self) -> np.ndarray:
+        """Weights fw * [1, columns] of the kernel sums, built on first use."""
+        return self.fw[:, None] * np.column_stack((np.ones_like(self.s), *self.columns))
+
     # ---- per-cluster statistics: floats for one interval, arrays for many
 
     def _stats(self, mass, sums) -> AggregateStats:
@@ -384,11 +389,11 @@ class _Evaluator(_Nodes):
             yield (t[i:i + rows, None] - self.s) / self.sigma
 
     def _cdf_pdf(self, t: np.ndarray):
-        """CDF and density of the estimate marginal at t, both from one z
-        per row block."""
-        cdf, pdf = zip(*[(ndtr(z) @ self.fw, np.exp(-0.5 * z * z) @ self.pdf_w)
-                         for z in self._z(t)])
-        return np.concatenate(cdf), np.concatenate(pdf)
+        """Kernel sums G = F @ kernel_w (G[:, 0] the marginal CDF) and the
+        marginal density at t, both from one z per row block."""
+        G, pdf = zip(*[(ndtr(z) @ self.kernel_w, np.exp(-0.5 * z * z) @ self.pdf_w)
+                       for z in self._z(t)])
+        return np.concatenate(G), np.concatenate(pdf)
 
     def span(self, Q: int) -> tuple[float, float]:
         """Points lo < hi with F(lo) <= 1 / (2 Q) and F(hi) >= 1 - 1 / (2 Q)
@@ -400,22 +405,25 @@ class _Evaluator(_Nodes):
         return (float(np.min(self.s - z * self.sigma)),
                 float(np.max(self.s + z * self.sigma)))
 
-    def quantiles(self, Q: int) -> np.ndarray:
-        """The Q - 1 inner edges that split the estimate marginal into Q
-        levels of equal mass, solved together.
+    def _solve(self, Q: int) -> tuple[np.ndarray, np.ndarray]:
+        """The Q + 1 edges (-inf, the Q - 1 quantiles that split the
+        estimate marginal into Q levels of equal mass, +inf) and the kernel
+        sums G at each edge: 0 at -inf, the column sums of kernel_w at +inf.
 
-        A grid of Q + 1 points over span(Q), which holds every level
-        with half a level to spare at each end, gives each level a
-        bracket, and the cubic Hermite interpolant of the marginal CDF
-        (its values and slopes on the grid) a start.  Bracketed Newton
-        steps on the whole level vector (a step that leaves its bracket
-        bisects it), each one kernel pass for the CDF and its density,
-        then run until every edge moves by at most _XTOL.  A level the
-        grid does not bracket raises NumericalError.
+        A grid of Q/2 + 1 points over span(Q), which holds every level
+        with half a level to spare at each end, gives each level a bracket
+        and the cubic Hermite interpolant of the marginal CDF a start (Q + 1
+        points cost more kernel work than the steps they save).  Bracketed
+        Newton steps on the whole level vector (a step that leaves its
+        bracket bisects it), one kernel pass each, run until a level's
+        correction is at most _XTOL / 2; the level keeps the point that
+        pass evaluated and its row of G, so every edge is within _XTOL of
+        its root.  A level the grid does not bracket raises NumericalError.
         """
         q = np.arange(1, Q) / Q
-        grid = np.linspace(*self.span(Q), Q + 1)
-        cdf, pdf = self._cdf_pdf(grid)
+        grid = np.linspace(*self.span(Q), Q // 2 + 1)
+        G, pdf = self._cdf_pdf(grid)
+        cdf = G[:, 0]
         j = np.searchsorted(cdf, q, side="right")       # cdf[j - 1] <= q < cdf[j]
         if j[0] < 1 or j[-1] >= grid.size:
             raise NumericalError(f"quantile bracket failed: the estimate marginal "
@@ -425,24 +433,31 @@ class _Evaluator(_Nodes):
         width = hi - lo
         t = lo + width * _hermite_root(cdf[j - 1] - q, cdf[j] - q,
                                        width * pdf[j - 1], width * pdf[j])
+        edge_G = np.empty((q.size, G.shape[1]))
         live = np.arange(q.size)
         for _ in range(_NEWTON_STEPS):
             tl = t[live]
-            cdf, slope = self._cdf_pdf(tl)
-            gap = cdf - q[live]
+            G, slope = self._cdf_pdf(tl)
+            gap = G[:, 0] - q[live]
             lo[live] = np.where(gap < 0.0, tl, lo[live])
             hi[live] = np.where(gap > 0.0, tl, hi[live])
             a, b = lo[live], hi[live]
             with np.errstate(divide="ignore", invalid="ignore"):
                 step = tl - gap / slope
             step = np.where((step > a) & (step < b), step, 0.5 * (a + b))
-            step = np.where(gap == 0.0, tl, step)
-            t[live] = step
-            live = live[np.abs(step - tl) > _XTOL]
+            done = (gap == 0.0) | (np.abs(step - tl) <= _XTOL / 2)
+            edge_G[live[done]] = G[done]
+            t[live] = np.where(done, tl, step)
+            live = live[~done]
             if live.size == 0:
-                return t
+                return (np.concatenate(([-math.inf], t, [math.inf])),
+                        np.vstack((np.zeros(G.shape[1]), edge_G, self.kernel_w.sum(axis=0))))
         raise NumericalError(f"{live.size} of {q.size} quantile levels did not "
                              f"converge in {_NEWTON_STEPS} steps")
+
+    def quantiles(self, Q: int) -> np.ndarray:
+        """The Q - 1 equal-mass edges of _solve(Q), each within _XTOL of its root."""
+        return self._solve(Q)[0][1:-1]
 
     def table(self, Q: int, min_mass: float = 0.0):
         """Score every interval between the Q + 1 edges (-inf, the Q - 1
@@ -452,15 +467,13 @@ class _Evaluator(_Nodes):
         which is -inf unless a < b and the interval is feasible
         (mass >= _MASS_FLOOR, >= 2 expected packages, mass >= min_mass).
 
-        With G = F @ (fw * [1, columns]), F the kernel CDF at each edge
-        and node, the weighted sums of interval (a, b) are G[b] - G[a].
-        The feasible intervals go through worst_case and key_rate as
-        arrays, a block of rows of a at a time; a non-finite rate raises
-        instead of being masked.
+        With G = F @ kernel_w, F the kernel CDF at each edge and node, the
+        weighted sums of interval (a, b) are G[b] - G[a]; G comes from the
+        quantile solve, so the table makes no kernel pass of its own.  The
+        feasible intervals go through worst_case and key_rate as arrays, a
+        block of rows of a at a time; a non-finite rate raises, unmasked.
         """
-        edges = np.concatenate(([-math.inf], self.quantiles(Q), [math.inf]))
-        weights = self.fw[:, None] * np.column_stack((np.ones_like(self.s), *self.columns))
-        G = np.concatenate([ndtr(z) @ weights for z in self._z(edges)])
+        edges, G = self._solve(Q)
         cdf = G[:, 0]
         rate = np.full((Q + 1, Q + 1), -math.inf)
         self.evaluations += Q * (Q + 1) // 2
@@ -519,7 +532,7 @@ def _check_edges(boundaries: Sequence[float]) -> list[float]:
     edges = [float(b) for b in boundaries]
     if len(edges) < 2:
         raise ParameterError("a plan needs at least two edges")
-    if any(edges[i] >= edges[i + 1] for i in range(len(edges) - 1)):
+    if not all(a < b for a, b in zip(edges, edges[1:])):   # NaN fails too
         raise ParameterError(f"edges must be strictly increasing, got {edges}")
     return edges
 

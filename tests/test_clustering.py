@@ -213,6 +213,21 @@ def test_plan_edge_validation():
         total_key_rate(UNI, (0.5,), 500, 500, P)
 
 
+@pytest.mark.parametrize("edges", [(-math.inf, math.nan, math.inf), (math.nan, 0.5),
+                                   (0.2, 0.5, math.nan)], ids=["inner", "lower", "upper"])
+def test_nan_edge_fails_closed(edges):
+    """A NaN edge compares false both ways, so it must not pass for an
+    increasing edge or read as an open tail: Uniform(0, 1) with edges
+    (-inf, nan, inf) once gave two clusters of mass 1.0 each."""
+    _, ests, _ = _median_split_run(n=2000, m=300)
+    with pytest.raises(ParameterError, match="strictly increasing"):
+        total_key_rate(UNI, edges, 1000, 1000, replace(P, r=0.26, V=5.0))
+    with pytest.raises(ParameterError, match="strictly increasing"):
+        cluster_assign(ests, edges)
+    with pytest.raises(ParameterError, match="strictly increasing"):
+        total_key_rate_from_estimates(ests, edges, 2000, P)
+
+
 def test_zero_fluctuation_plan_matches_fixed_channel_as_margins_vanish():
     # with no fading and the confidence factor sent to zero the plan
     # machinery collapses onto the plain fixed-channel rate
@@ -356,13 +371,15 @@ def test_optimize_result_is_pinned():
     The plan is the one coordinate descent found; the evaluations are
     the interval tables' entries (144 x 2,080 + 9 x 8,256 + 9 x 32,896)
     plus one report per point and one for the final plan.  The edge is
-    level 182 of 256, which the computed marginal CDF meets exactly at
-    two neighbouring floats; the quantile solve returns the upper one."""
+    level 182 of 256: the quantile solve returns the point its last
+    Newton pass evaluated, whose correction was below _XTOL / 2, three
+    floats below the two where the computed marginal CDF meets the level
+    exactly."""
     res = optimize(UNI, 1, 400, 400, P)
-    assert res.total_rate == 0.0023380400977134914
+    assert res.total_rate == 0.002338040097707082
     assert res.r == 0.5397212245017438
     assert res.V == 4.999999999999998
-    assert res.plan.boundaries == (0.6897817977059992, math.inf)
+    assert res.plan.boundaries == (0.6897817977059989, math.inf)
     assert res.evaluations == 670051
     assert [(p.Q, p.points, p.intervals) for p in res.search] == [
         (64, 144, 144 * 2081), (128, 9, 9 * 8257), (256, 9, 9 * 32897)]
@@ -487,20 +504,44 @@ def test_broken_quantile_bracket_raises():
 
 
 def test_quantile_solve_kernel_work(monkeypatch):
-    """Kernel work of one quantiles(64) on the 1,600-node law at (r, V) =
-    (0.26, 5), counted as ndtr elements rather than timed.  The grid of
-    Q + 1 points, the Hermite start and fused Newton steps take 332,800
-    elements (3.25 Q N); the former 4Q + 1 point grid over +-9 sigma
-    with a linear start took 873,600 (8.5 Q N).  The bound is half of
-    that."""
+    """Kernel work of one interval table at Q = 64 on the 1,600-node law
+    at (r, V) = (0.26, 5), its quantile solve included, counted as ndtr
+    elements rather than timed.  A start grid of Q/2 + 1 points, the
+    Hermite start and fused Newton steps whose last pass gives the table
+    its rows take 296,000 elements (2.9 Q N).  The solve alone took
+    332,800 (3.25 Q N) when it started from Q + 1 points and the table
+    evaluated the kernel again at the converged edges, 436,800 in all;
+    the bound is the former solve alone."""
     count = []
 
     def counted(x):
         count.append(np.size(x))
         return ndtr(x)
     monkeypatch.setattr(clustering, "ndtr", counted)
-    _evaluator(TRACE_LAW).quantiles(64)
-    assert sum(count) <= 873_600 // 2
+    _evaluator(TRACE_LAW).table(64)
+    assert sum(count) <= 332_800
+
+
+@pytest.mark.parametrize("dist", [*FOUR_LAWS, TRACE_LAW],
+                         ids=["uniform", "tnorm", "lnw", "empirical", "empirical-1600"])
+@pytest.mark.parametrize("r, V", GRID_CORNERS)
+def test_interval_table_reads_the_quantile_solve(dist, r, V):
+    """The table's edges are quantiles(Q), and its kernel sums are the
+    marginal's at those edges, recomputed there: the CDF and the weighted
+    node columns at each finite edge, 0 at -inf and the column sums of
+    the weights at +inf."""
+    ev = _evaluator(dist, r, V)
+    Q = 64
+    edges, cdf, _ = ev.table(Q)
+    assert list(edges) == _edges(ev, Q)
+    F = ndtr((edges[1:-1, None] - ev.s) / ev.sigma)
+    np.testing.assert_allclose(cdf[1:-1], F @ ev.fw, rtol=1e-14, atol=0.0)
+    W = np.column_stack([ev.fw, *(ev.fw * col for col in ev.columns)])
+    solved_edges, G = ev._solve(Q)
+    assert np.array_equal(solved_edges, edges) and np.array_equal(G[:, 0], cdf)
+    np.testing.assert_allclose(G[1:-1], F @ W, rtol=1e-14, atol=0.0)
+    assert np.all(G[0] == 0.0)
+    np.testing.assert_allclose(G[-1], W.sum(axis=0), rtol=1e-14, atol=0.0)
 
 
 @pytest.mark.parametrize("block", [None, 40], ids=["blocks", "one-row-blocks"])
