@@ -12,9 +12,9 @@ from .distributions import Empirical, LogNegativeWeibull, Moments, \
 from .errors import ClusterTooSmallError, EmptyClusterError, FadingCVQKDError, \
     InsufficientDataError, NumericalError, ParameterError, \
     UnphysicalStateError, ValidationError
-from .estimation import AggregateStats, PackageEstimate, WorstCaseChannel, \
-    aggregate, estimate_flags, estimate_noise, estimate_package, estimate_run, \
-    estimate_sqrtT, estimate_T, worst_case, worst_case_rectangular
+from .estimation import AggregateStats, Estimates, WorstCaseChannel, \
+    aggregate, estimate_flags, estimate_noise, estimate_run, estimate_sqrtT, \
+    estimate_T, worst_case, worst_case_rectangular
 from .security import EffectiveChannel, KeyRateReport, delta_fs, \
     effective_channel, gaussian_entropy, holevo_bound, key_rate, \
     mutual_information
@@ -34,8 +34,8 @@ __all__ = [
     "ClusterTooSmallError", "EmptyClusterError", "FadingCVQKDError",
     "InsufficientDataError", "NumericalError", "ParameterError",
     "UnphysicalStateError", "ValidationError",
-    "AggregateStats", "PackageEstimate", "WorstCaseChannel", "aggregate",
-    "estimate_flags", "estimate_noise", "estimate_package", "estimate_run",
+    "AggregateStats", "Estimates", "WorstCaseChannel", "aggregate",
+    "estimate_flags", "estimate_noise", "estimate_run",
     "estimate_sqrtT", "estimate_T", "worst_case", "worst_case_rectangular",
     "EffectiveChannel", "KeyRateReport", "delta_fs", "effective_channel",
     "gaussian_entropy", "holevo_bound", "key_rate", "mutual_information",

@@ -150,16 +150,12 @@ def _ml_sqrt_slope(M: np.ndarray, B: np.ndarray) -> float:
     return float(np.dot(M, B) / np.dot(M, M))
 
 
-def _write_residuals(run, estimates, path) -> None:
-    rows = []
-    for i, (T, M, B, est) in enumerate(zip(run.true_T.tolist(), run.M, run.B,
-                                           estimates)):
-        root = math.sqrt(T)
-        rows.append((i, T, est.sqrtT_hat,
-                     est.sqrtT_hat - root,
-                     _ml_sqrt_slope(M[:est.k], B[:est.k]) - root))
-    storage.write_table(path, ["package", "T_true", "sqrtT_hat",
-                               "resid", "resid_ml"], rows)
+def _write_residuals(run, est, path) -> None:
+    root = np.sqrt(run.true_T)
+    slope = np.array([_ml_sqrt_slope(M[:est.k], B[:est.k]) for M, B in zip(run.M, run.B)])
+    storage.write_table(path, ["package", "T_true", "sqrtT_hat", "resid", "resid_ml"],
+                        zip(range(run.m), run.true_T.tolist(), est.sqrtT_hat.tolist(),
+                            (est.sqrtT_hat - root).tolist(), (slope - root).tolist()))
 
 
 def _cmd_estimate(args) -> int:
@@ -192,9 +188,8 @@ def _check_estimates_match_run(estimates, sidecar: dict, protocol, path) -> None
     if len(estimates) != m:
         raise ValidationError(f"{path} has {len(estimates)} rows but the run has "
                               f"{m} packages; rerun estimate")
-    stray = sorted({e.k for e in estimates} - {k})
-    if stray:
-        raise ValidationError(f"{path} has k = {stray[0]} but the run discloses "
+    if estimates.k != k:
+        raise ValidationError(f"{path} has k = {estimates.k} but the run discloses "
                               f"k = {k} states per package; rerun estimate")
 
 

@@ -48,7 +48,7 @@ from .channel import ProtocolParams, noise_variance
 from .distributions import Moments, TransmittanceDistribution
 from .errors import (ClusterTooSmallError, EmptyClusterError,
                      InsufficientDataError, NumericalError, ParameterError)
-from .estimation import AggregateStats, PackageEstimate, T_variance, \
+from .estimation import AggregateStats, Estimates, T_variance, \
     WorstCaseChannel, aggregate, disclosed_count, sqrtT_variance, worst_case
 from .security import key_rate
 
@@ -74,8 +74,9 @@ _ORDER = 160  # nodes of the fading law's quadrature rule
 _R_GRID = tuple(np.geomspace(0.01, 0.9, 12).tolist())
 _V_GRID = tuple(np.geomspace(0.5, 50.0, 12).tolist())
 _LEVELS = 64
-# the quantile solve: each edge is a point it evaluated, within brentq's xtol
-# of the root (a level stops at a correction of _XTOL / 2); the step cap tops
+# the quantile solve: each edge is a point it evaluated, within _XTOL of the
+# root, the xtol of the brentq reference in test_vector_quantiles_match_brentq
+# (a level stops at a correction of _XTOL / 2); the step cap tops
 # the 38 halvings bisection needs from a grid bracket (<= 0.21 on the grid)
 _XTOL = 1e-12
 _NEWTON_STEPS = 60
@@ -569,49 +570,40 @@ def total_key_rate(dist: TransmittanceDistribution, boundaries: Sequence[float],
 
 # ---- empirical counterpart on simulated/ingested estimates ----------
 
-def cluster_assign(estimates: Sequence[PackageEstimate],
-                   boundaries: Sequence[float]) -> list[list[int]]:
-    """Assign package indices to clusters by their T_hat estimate.
-    Estimates outside the outer edges are left unassigned (trimmed)."""
+def cluster_assign(est: Estimates, boundaries: Sequence[float]) -> np.ndarray:
+    """The cluster label of each package by its T_hat estimate: c where
+    edges[c] <= T_hat < edges[c + 1], and -1 outside the outer edges
+    (trimmed)."""
     edges = _check_edges(boundaries)
-    t = np.array([e.T_hat for e in estimates])
-    idx = np.searchsorted(np.asarray(edges), t, side="right") - 1
-    groups: list[list[int]] = [[] for _ in range(len(edges) - 1)]
-    for i, c in enumerate(idx):
-        if 0 <= c < len(groups):
-            groups[c].append(i)
-    return groups
+    labels = np.searchsorted(edges, est.T_hat, side="right") - 1
+    return np.where(labels < len(edges) - 1, labels, -1)
 
 
-def total_key_rate_from_estimates(estimates: Sequence[PackageEstimate],
-                                  boundaries: Sequence[float],
+def total_key_rate_from_estimates(est: Estimates, boundaries: Sequence[float],
                                   n: int, protocol: ProtocolParams) -> ClusterPlan:
     """Empirical version of total_key_rate, operating on per-package
     estimates from data rather than on the fading law."""
-    m_total = len(estimates)
+    m_total = len(est)
     if m_total < 2:
         raise InsufficientDataError("need at least 2 packages")
-    groups = cluster_assign(estimates, boundaries)
+    labels = cluster_assign(est, boundaries)
     edges = _check_edges(boundaries)
     reports = []
-    usable = 0
-    for c, members in enumerate(groups):
+    for c in range(len(edges) - 1):
         interval = (edges[c], edges[c + 1])
+        members = est[labels == c]
         mass = len(members) / m_total
         if len(members) < 2:
             reports.append(ClusterReport(interval=interval, mass=mass,
                                          cond_moments=None, wc=None,
                                          N_c=0, K_c=0.0))
             continue
-        sub = [estimates[i] for i in members]
-        stats = aggregate(sub, protocol)
-        wc = worst_case(stats, protocol)
+        wc = worst_case(aggregate(members, protocol), protocol)
         N_c = len(members) * int(n)
         K_c = key_rate(wc, N_c, protocol).K
         reports.append(ClusterReport(interval=interval, mass=mass,
                                      cond_moments=None, wc=wc, N_c=N_c, K_c=K_c))
-        usable += 1
-    if usable == 0:
+    if all(r.wc is None for r in reports):
         raise ClusterTooSmallError("no cluster holds 2 or more packages")
     total = sum(r.mass * r.K_c for r in reports)
     return ClusterPlan(boundaries=tuple(edges), per_cluster=tuple(reports),

@@ -5,10 +5,13 @@ The square-root transmittance estimator is the normalized covariance
 
     sqrtT_hat = (1/(V*k)) sum_j M_j B_j,
 
-unbiased for sqrt(T) with variance (2T + V_N/V)/k.  Aggregating over
-packages yields bias-corrected estimates of the fluctuation statistics
-X1 = <T> - <sqrt T>^2 and X2 = <T> + <sqrt T>^2 whose joint confidence
-bounds determine the worst-case effective channel.
+unbiased for sqrt(T) with variance (2T + V_N/V)/k.  The estimates of a
+run are columns: one Estimates holds an (m,) array per quantity, all
+from the same k, and est[rows] selects packages by mask or index.
+Aggregating over packages yields bias-corrected estimates of the
+fluctuation statistics X1 = <T> - <sqrt T>^2 and X2 = <T> + <sqrt T>^2
+whose joint confidence bounds determine the worst-case effective
+channel.
 """
 
 from __future__ import annotations
@@ -16,16 +19,16 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Sequence
+from typing import ClassVar
 
 import numpy as np
 
 from . import elementwise as ew
-from .channel import Package, ProtocolParams, Run
+from .channel import ProtocolParams, Run
 from .errors import InsufficientDataError, NumericalError, ParameterError
 
 __all__ = [
-    "PackageEstimate",
+    "Estimates",
     "AggregateStats",
     "WorstCaseChannel",
     "estimate_sqrtT",
@@ -35,7 +38,6 @@ __all__ = [
     "disclosed_count",
     "sqrtT_variance",
     "T_variance",
-    "estimate_package",
     "estimate_run",
     "aggregate",
     "worst_case",
@@ -45,22 +47,52 @@ __all__ = [
 _VAR_FLOOR = 1e-30
 
 
-@dataclass(frozen=True)
-class PackageEstimate:
-    """Point estimates and model standard deviations for one package.
+@dataclass(frozen=True, eq=False)
+class Estimates:
+    """Point estimates and model standard deviations of m packages, each
+    a read-only (m,) column, all from k disclosed states per package.
 
-    sign_anomaly marks a negative sqrt-T estimate (anti-correlated
-    disclosed data); the value is kept unclamped so averages stay
-    unbiased, but downstream consumers may want to know.
+    Every value must be finite and k at least 2, so no consumer sees a
+    NaN that a comparison would silently drop.  len() is m; est[rows]
+    takes a boolean mask or an index array and returns an Estimates.
     """
 
-    sqrtT_hat: float
-    T_hat: float
-    sigma_sqrtT: float
-    sigma_T: float
-    vN_hat: float
+    sqrtT_hat: np.ndarray
+    T_hat: np.ndarray
+    sigma_sqrtT: np.ndarray
+    sigma_T: np.ndarray
+    vN_hat: np.ndarray
     k: int
-    sign_anomaly: bool = False
+
+    columns: ClassVar = ("sqrtT_hat", "T_hat", "sigma_sqrtT", "sigma_T", "vN_hat")
+
+    def __post_init__(self):
+        if self.k < 2:
+            raise InsufficientDataError(f"need k >= 2 disclosed states, got {self.k}")
+        cols = {name: np.array(getattr(self, name), dtype=float) for name in self.columns}
+        for name, col in cols.items():
+            if col.ndim != 1 or col.shape != cols["T_hat"].shape:
+                raise ParameterError(f"columns must be 1-d and of one length; {name} has "
+                                     f"shape {col.shape}, T_hat {cols['T_hat'].shape}")
+            if not np.isfinite(col).all():
+                raise ParameterError(f"column {name} holds a non-finite value at "
+                                     f"package {np.flatnonzero(~np.isfinite(col))[0]}")
+            col.flags.writeable = False
+            object.__setattr__(self, name, col)
+
+    @property
+    def sign_anomaly(self) -> np.ndarray:
+        """Packages with a negative sqrt-T estimate (anti-correlated
+        disclosed data); the value is kept unclamped so averages stay
+        unbiased, but downstream consumers may want to know."""
+        return self.sqrtT_hat < 0.0
+
+    def __len__(self) -> int:
+        return len(self.T_hat)
+
+    def __getitem__(self, rows) -> Estimates:
+        return Estimates(**{name: getattr(self, name)[rows] for name in self.columns},
+                         k=self.k)
 
 
 @dataclass(frozen=True)
@@ -127,37 +159,26 @@ def T_variance(T, v_u):
     return 4.0 * T * v_u + 2.0 * v_u**2
 
 
-def _estimates(M: np.ndarray, B: np.ndarray, V: float,
-               k: int) -> list[PackageEstimate]:
-    """Estimates of each row of (rows, k) disclosed pairs.
-
-    The two O(rows*k) sums, sum(M*B) and the residual sum of squares,
-    run over all rows at once; the scalar tail stays per row in Python
-    floats, so a row's estimate is bit-equal whether it is estimated
-    alone or with a whole run.
-    """
+def _estimates(M: np.ndarray, B: np.ndarray, V: float, k: int) -> Estimates:
+    """Estimates of each row of (rows, k) disclosed pairs, every step an
+    array expression over all rows, so a row's estimate is bit-equal
+    whether it is estimated alone or with a whole run."""
     sqrtT = np.sum(M * B, axis=1) / (V * k)
     resid = B - sqrtT[:, None] * M
     vN = np.sum(resid**2, axis=1) / (k - 1)
-    out = []
-    for sqrtT_hat, vN_hat in zip(sqrtT.tolist(), vN.tolist()):
-        T_hat = sqrtT_hat**2
-        # model variance of the sqrt estimator with plug-in (T, V_N)
-        v_u = max(sqrtT_variance(T_hat, max(vN_hat, 0.0), V, k), _VAR_FLOOR)
-        out.append(PackageEstimate(
-            sqrtT_hat=sqrtT_hat, T_hat=T_hat,
-            sigma_sqrtT=math.sqrt(v_u),
-            sigma_T=math.sqrt(T_variance(T_hat, v_u)),
-            vN_hat=vN_hat, k=k, sign_anomaly=sqrtT_hat < 0.0))
-    return out
+    T_hat = np.square(sqrtT)
+    # model variance of the sqrt estimator with plug-in (T, V_N)
+    v_u = np.maximum(sqrtT_variance(T_hat, np.maximum(vN, 0.0), V, k), _VAR_FLOOR)
+    return Estimates(sqrtT_hat=sqrtT, T_hat=T_hat, sigma_sqrtT=np.sqrt(v_u),
+                     sigma_T=np.sqrt(T_variance(T_hat, v_u)), vN_hat=vN, k=k)
 
 
-def _core(M, B, V: float) -> PackageEstimate:
-    """Shared plumbing of the 1-d estimators: all k pairs disclosed."""
+def _core(M, B, V: float) -> Estimates:
+    """Shared plumbing of the 1-d estimators: all k pairs disclosed, one row."""
     M, B, k = _check_pairs(M, B)
     if not (V > 0.0):
         raise ParameterError(f"modulation variance must be positive, got {V}")
-    return _estimates(M[None], B[None], V, k)[0]
+    return _estimates(M[None], B[None], V, k)
 
 
 def estimate_sqrtT(M, B, V: float) -> tuple[float, float]:
@@ -167,7 +188,7 @@ def estimate_sqrtT(M, B, V: float) -> tuple[float, float]:
     deviation sqrt((2T + V_N/V)/k) is evaluated at plug-in estimates.
     """
     est = _core(M, B, V)
-    return est.sqrtT_hat, est.sigma_sqrtT
+    return float(est.sqrtT_hat[0]), float(est.sigma_sqrtT[0])
 
 
 def estimate_T(M, B, V: float) -> tuple[float, float]:
@@ -178,7 +199,7 @@ def estimate_T(M, B, V: float) -> tuple[float, float]:
     second-order term 2*Var(sqrtT_hat)^2, which matters only near T=0.
     """
     est = _core(M, B, V)
-    return est.T_hat, est.sigma_T
+    return float(est.T_hat[0]), float(est.sigma_T[0])
 
 
 def estimate_noise(M, B, V: float, V_S: float) -> tuple[float, float]:
@@ -191,29 +212,29 @@ def estimate_noise(M, B, V: float, V_S: float) -> tuple[float, float]:
     use.
     """
     est = _core(M, B, V)
-    eps_hat, tol = _excess_noise(est, V_S)
+    eps_hat, tol = (float(x[0]) for x in _excess_noise(est, V_S))
     if eps_hat < -tol:
         warnings.warn(f"excess noise estimate {eps_hat:.4g} is negative beyond "
                       f"sampling tolerance {tol:.4g}; model mismatch?",
                       RuntimeWarning, stacklevel=2)
-    return est.vN_hat, eps_hat
+    return float(est.vN_hat[0]), eps_hat
 
 
-def _excess_noise(est: PackageEstimate, V_S: float) -> tuple[float, float]:
-    """A package's eps_hat = vN_hat - 1 + T_hat*(1 - V_S) and its
+def _excess_noise(est: Estimates, V_S: float) -> tuple[np.ndarray, np.ndarray]:
+    """Each package's eps_hat = vN_hat - 1 + T_hat*(1 - V_S) and its
     model-mismatch tolerance, 4 standard errors of the residual
     variance: an eps_hat below -tol signals model mismatch."""
     eps_hat = est.vN_hat - 1.0 + est.T_hat * (1.0 - V_S)
-    return eps_hat, max(4.0 * math.sqrt(2.0 / est.k) * max(est.vN_hat, 0.0), 1e-9)
+    return eps_hat, np.maximum(4.0 * math.sqrt(2.0 / est.k) * np.maximum(est.vN_hat, 0.0),
+                               1e-9)
 
 
-def estimate_flags(estimates: Sequence[PackageEstimate],
-                   protocol: ProtocolParams) -> dict[str, int]:
+def estimate_flags(est: Estimates, protocol: ProtocolParams) -> dict[str, int]:
     """Counts of flagged packages: sign_anomalies (a negative sqrt-T
     estimate) and noise_mismatch (eps_hat below -tol, see _excess_noise)."""
-    gaps = [_excess_noise(e, protocol.V_S) for e in estimates]
-    return {"sign_anomalies": sum(e.sign_anomaly for e in estimates),
-            "noise_mismatch": sum(eps < -tol for eps, tol in gaps)}
+    eps_hat, tol = _excess_noise(est, protocol.V_S)
+    return {"sign_anomalies": int(np.count_nonzero(est.sign_anomaly)),
+            "noise_mismatch": int(np.count_nonzero(eps_hat < -tol))}
 
 
 def disclosed_count(n: int, r: float) -> int:
@@ -226,22 +247,16 @@ def disclosed_count(n: int, r: float) -> int:
     return min(n, k)
 
 
-def estimate_package(pkg: Package, protocol: ProtocolParams) -> PackageEstimate:
-    """Estimate one package from its first k = r*n disclosed states."""
-    k = disclosed_count(pkg.n, protocol.r)
-    return _estimates(pkg.M[None, :k], pkg.B[None, :k], protocol.V, k)[0]
-
-
-def estimate_run(run: Run) -> list[PackageEstimate]:
+def estimate_run(run: Run) -> Estimates:
     """Estimate every package of a run from its first k = r*n states,
     in one pass over the disclosed prefix of the (m, n) arrays."""
     k = disclosed_count(run.n, run.protocol.r)
     return _estimates(run.M[:, :k], run.B[:, :k], run.protocol.V, k)
 
 
-def aggregate(estimates: Sequence[PackageEstimate],
-              protocol: ProtocolParams) -> AggregateStats:
-    """Combine per-package estimates into bias-corrected fluctuation stats.
+def aggregate(est: Estimates, protocol: ProtocolParams) -> AggregateStats:
+    """Combine the packages of est into bias-corrected fluctuation stats;
+    est[rows] aggregates a subset.
 
     With u_i = sqrtT_hat_i and w_i = T_hat_i - sigma_sqrtT_i^2 (w is
     unbiased for T_i because squaring adds the estimator variance), the
@@ -254,11 +269,11 @@ def aggregate(estimates: Sequence[PackageEstimate],
     The pooled residual variance is likewise corrected for the
     2*T*V/(k-1) inflation of the fixed-denominator slope estimator.
     """
-    m = len(estimates)
+    m = len(est)
     if m < 2:
         raise InsufficientDataError("need at least 2 packages to aggregate")
-    u = np.array([e.sqrtT_hat for e in estimates])
-    w = np.array([e.T_hat - e.sigma_sqrtT**2 for e in estimates])
+    u = est.sqrtT_hat
+    w = est.T_hat - np.square(est.sigma_sqrtT)
     mean_u = float(np.mean(u))
     mean_w = float(np.mean(w))
     s2_u = float(np.var(u, ddof=1))
@@ -271,15 +286,14 @@ def aggregate(estimates: Sequence[PackageEstimate],
     se_X2 = float(np.std(psi2, ddof=1)) / math.sqrt(m)
     se_mean_sqrtT = math.sqrt(s2_u / m)
     se_mean_T = float(np.std(w, ddof=1)) / math.sqrt(m)
-    vN = np.array([e.vN_hat for e in estimates])
-    k_arr = np.array([e.k for e in estimates], dtype=float)
-    k_total = float(np.sum(k_arr))
+    k = float(est.k)
+    k_total = m * k
     w_plus = np.maximum(w, 0.0)
     # the residual variance of the fixed-denominator slope estimator sits
     # 2*T*V/(k-1) above V_N; subtract that before pooling by disclosed count
-    vN_corr = vN - 2.0 * protocol.V * w_plus / (k_arr - 1.0)
-    vN_pooled = float(np.sum(vN_corr * k_arr) / k_total)
-    eps_hat = float(np.sum((vN_corr - 1.0 + w_plus * (1.0 - protocol.V_S)) * k_arr)
+    vN_corr = est.vN_hat - 2.0 * protocol.V * w_plus / (k - 1.0)
+    vN_pooled = float(np.sum(vN_corr * k) / k_total)
+    eps_hat = float(np.sum((vN_corr - 1.0 + w_plus * (1.0 - protocol.V_S)) * k)
                     / k_total)
     return AggregateStats(
         mean_sqrtT_hat=mean_u, mean_T_hat=mean_w,

@@ -23,7 +23,7 @@ import numpy as np
 from .channel import ProtocolParams, Run
 from .distributions import TransmittanceDistribution, from_descriptor
 from .errors import ValidationError
-from .estimation import PackageEstimate
+from .estimation import Estimates
 
 __all__ = [
     "write_run", "read_run", "read_sidecar", "write_estimates", "read_estimates",
@@ -41,8 +41,7 @@ ESTIMATES_CSV = "estimates.csv"
 RUN_FORMAT_V1 = "fading-cvqkd-run-v1"
 RUN_FORMAT_V2 = "fading-cvqkd-run-v2"
 
-_ESTIMATE_HEADER = ["package", "sqrtT_hat", "T_hat", "sigma_sqrtT",
-                    "sigma_T", "vN_hat", "k"]
+_ESTIMATE_HEADER = ["package", *Estimates.columns, "k"]
 
 
 def _fmt(x: float) -> str:
@@ -269,36 +268,35 @@ def read_run(in_dir) -> Run:
                protocol=protocol, seed=int(sidecar["seed"]))
 
 
-def write_estimates(estimates: Sequence[PackageEstimate], path) -> None:
+def write_estimates(est: Estimates, path) -> None:
+    """One row per package: its index, the float columns, then k."""
+    columns = zip(*(map(repr, getattr(est, name).tolist()) for name in Estimates.columns))
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(_ESTIMATE_HEADER)
-        for i, e in enumerate(estimates):
-            w.writerow([i, _fmt(e.sqrtT_hat), _fmt(e.T_hat), _fmt(e.sigma_sqrtT),
-                        _fmt(e.sigma_T), _fmt(e.vN_hat), e.k])
+        w.writerows((i, *row, est.k) for i, row in enumerate(columns))
 
 
-def read_estimates(path) -> list[PackageEstimate]:
-    out = []
-    for row_no, row in _csv_rows(path, _ESTIMATE_HEADER, path):
-        i = _int_field(row_no, "package", row[0])
-        if i != len(out):
-            raise ValidationError(f"{path} row {row_no}: package index {i}, "
-                                  f"expected {len(out)}")
-        k = _int_field(row_no, "k", row[6])
-        if k < 2:
-            raise ValidationError(f"{path} row {row_no}: k must be >= 2")
-        sqrtT_hat = _finite_field(row_no, "sqrtT_hat", row[1])
-        out.append(PackageEstimate(
-            sqrtT_hat=sqrtT_hat,
-            T_hat=_finite_field(row_no, "T_hat", row[2]),
-            sigma_sqrtT=_finite_field(row_no, "sigma_sqrtT", row[3]),
-            sigma_T=_finite_field(row_no, "sigma_T", row[4]),
-            vN_hat=_finite_field(row_no, "vN_hat", row[5]),
-            k=k, sign_anomaly=sqrtT_hat < 0.0))
-    if not out:
+def read_estimates(path) -> Estimates:
+    """Rebuild the Estimates of write_estimates, refusing a row out of
+    order, a non-finite field or a k that differs from row 2's."""
+    rows = list(_csv_rows(path, _ESTIMATE_HEADER, path))
+    if not rows:
         raise ValidationError(f"{path}: no estimate rows")
-    return out
+    k = _int_field(rows[0][0], "k", rows[0][1][-1])
+    if k < 2:
+        raise ValidationError(f"{path} row 2: k must be >= 2")
+    for i, (row_no, row) in enumerate(rows):
+        index = _int_field(row_no, "package", row[0])
+        if index != i:
+            raise ValidationError(f"{path} row {row_no}: package index {index}, "
+                                  f"expected {i}")
+        k_row = _int_field(row_no, "k", row[-1])
+        if k_row != k:
+            raise ValidationError(f"{path} row {row_no}: k = {k_row}, but row 2 "
+                                  f"has k = {k}")
+    return Estimates(**{name: [_finite_field(row_no, name, row[j]) for row_no, row in rows]
+                        for j, name in enumerate(Estimates.columns, start=1)}, k=k)
 
 
 def write_trace(values, path) -> None:

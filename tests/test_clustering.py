@@ -18,6 +18,7 @@ from fading_cvqkd import (
     EffectiveChannel,
     Empirical,
     EmptyClusterError,
+    Estimates,
     LogNegativeWeibull,
     NumericalError,
     ParameterError,
@@ -158,7 +159,7 @@ def test_marginal_density_matches_simulated_estimates():
     assert np.trapezoid(dens, grid) == pytest.approx(1.0, abs=2e-3)
 
     run = simulate_run(UNI, n, m, P, seed=4242)
-    t_hat = np.array([e.T_hat for e in estimate_run(run)])
+    t_hat = estimate_run(run).T_hat
     for x in (0.3, 0.5, 0.7):
         cdf_model = np.trapezoid(dens[grid <= x], grid[grid <= x])
         cdf_mc = float(np.mean(t_hat <= x))
@@ -249,35 +250,59 @@ def test_zero_fluctuation_plan_matches_fixed_channel_as_margins_vanish():
 def _median_split_run(seed=777, n=30_000, m=1000):
     run = simulate_run(TN, n, m, P, seed=seed)
     ests = estimate_run(run)
-    med = float(np.median([e.T_hat for e in ests]))
+    med = float(np.median(ests.T_hat))
     return run, ests, (-math.inf, med, math.inf)
 
 
 def test_cluster_assign_partitions_every_package():
     _, ests, edges = _median_split_run(n=2000, m=300)
-    groups = cluster_assign(ests, edges)
-    assert sum(len(g) for g in groups) == len(ests)
-    assert sorted(i for g in groups for i in g) == list(range(len(ests)))
+    labels = cluster_assign(ests, edges)
+    assert labels.shape == (len(ests),)
+    assert np.array_equal(labels, (ests.T_hat >= edges[1]).astype(int))
     # finite outer edges trim
     trimmed = cluster_assign(ests, (edges[1], math.inf))
-    assert len(trimmed[0]) < len(ests)
+    assert np.array_equal(trimmed == -1, labels == 0)
 
 
 def test_cluster_assign_puts_edge_value_in_upper_cluster():
     _, ests, _ = _median_split_run(n=2000, m=300)
-    pivot = ests[5].T_hat
-    groups = cluster_assign(ests, (-math.inf, pivot, math.inf))
-    assert 5 in groups[1]
+    pivot = ests.T_hat[5]
+    labels = cluster_assign(ests, (-math.inf, pivot, math.inf))
+    assert labels[5] == 1
+    # and the upper outer edge is open: a value on it is trimmed
+    assert cluster_assign(ests, (-math.inf, pivot))[5] == -1
+
+
+def test_nan_estimate_fails_closed():
+    """searchsorted puts a NaN T_hat past the last edge, so 20 estimates
+    with one NaN and edges (-inf, 0.5, inf) once gave groups of 9 and 10
+    and a kept mass of 0.95, and aggregate all-NaN stats.  Estimates now
+    refuses the NaN, and its columns are read-only, so aggregate,
+    cluster_assign and total_key_rate_from_estimates only see finite data."""
+    T = np.linspace(0.3, 0.7, 20)
+    cols = dict(sqrtT_hat=np.sqrt(T), T_hat=T, sigma_sqrtT=np.full(20, 0.001),
+                sigma_T=np.full(20, 0.001), vN_hat=np.full(20, 1.01))
+    edges = (-math.inf, 0.5, math.inf)
+    est = Estimates(**cols, k=300)
+    plan = total_key_rate_from_estimates(est, edges, 1000, P)
+    assert plan.kept_mass == 1.0
+    assert np.bincount(cluster_assign(est, edges)).tolist() == [10, 10]
+    assert aggregate(est, P).m_used == 20
+    T[7] = math.nan
+    with pytest.raises(ParameterError, match="non-finite value at package 7"):
+        Estimates(**cols, k=300)
+    with pytest.raises(ValueError, match="read-only"):
+        est.T_hat[7] = math.nan
 
 
 def test_empirical_plan_matches_hand_composition():
     _, ests, edges = _median_split_run(n=2000, m=300)
     plan = total_key_rate_from_estimates(ests, edges, 2000, P)
-    groups = cluster_assign(ests, edges)
+    labels = cluster_assign(ests, edges)
     total = 0.0
-    for rep, members in zip(plan.per_cluster, groups):
-        sub = [ests[i] for i in members]
-        stats = aggregate(sub, P)
+    for c, rep in enumerate(plan.per_cluster):
+        members = ests[labels == c]
+        stats = aggregate(members, P)
         wc = worst_case(stats, P)
         K = key_rate(wc, len(members) * 2000, P).K
         assert rep.wc.T_eff_low == wc.T_eff_low
@@ -289,9 +314,9 @@ def test_empirical_plan_matches_hand_composition():
 
 def test_empirical_plan_needs_one_usable_cluster():
     _, ests, _ = _median_split_run(n=2000, m=300)
-    three = sorted(ests[:3], key=lambda e: e.T_hat)
-    a = (three[0].T_hat + three[1].T_hat) / 2.0
-    b = (three[1].T_hat + three[2].T_hat) / 2.0
+    three = ests[np.argsort(ests.T_hat[:3])]
+    a = (three.T_hat[0] + three.T_hat[1]) / 2.0
+    b = (three.T_hat[1] + three.T_hat[2]) / 2.0
     with pytest.raises(ClusterTooSmallError):
         total_key_rate_from_estimates(three, (-math.inf, a, b, math.inf),
                                       2000, P)
@@ -305,15 +330,15 @@ def test_analytic_and_empirical_pipelines_agree_on_shared_run():
     # the tolerance is the combined 4-sigma band of both routes.
     n, m = 30_000, 1000
     _, ests, edges = _median_split_run(seed=777, n=n, m=m)
-    emp = Empirical(np.clip([e.T_hat for e in ests], 0.0, 1.0))
+    emp = Empirical(np.clip(ests.T_hat, 0.0, 1.0))
     Vp = P.V + P.V_S - 1.0
     for plan_edges in (edges, (-math.inf, math.inf)):
         ana = total_key_rate(emp, plan_edges, n, m, P)
         mc = total_key_rate_from_estimates(ests, plan_edges, n, P)
-        groups = cluster_assign(ests, plan_edges)
+        labels = cluster_assign(ests, plan_edges)
         assert abs(ana.kept_mass - mc.kept_mass) < 0.02
         for c, (ca, cb) in enumerate(zip(ana.per_cluster, mc.per_cluster)):
-            stats = aggregate([ests[i] for i in groups[c]], P)
+            stats = aggregate(ests[labels == c], P)
             se_T = 0.5 * math.hypot(stats.se_X1, stats.se_X2)
             se_e = math.hypot(Vp * stats.se_X1,
                               math.sqrt(2.0 / stats.k_total) * stats.vN_pooled)

@@ -7,17 +7,17 @@ import numpy as np
 import pytest
 
 from fading_cvqkd import (
+    AggregateStats,
+    Estimates,
     InsufficientDataError,
     NumericalError,
-    PackageEstimate,
-    AggregateStats,
     ParameterError,
     ProtocolParams,
+    Run,
     TruncatedNormal,
     Uniform,
     aggregate,
     estimate_noise,
-    estimate_package,
     estimate_run,
     estimate_sqrtT,
     estimate_T,
@@ -149,15 +149,16 @@ def test_noise_estimate_identity_and_warning():
         estimate_noise(M, 0.5 * M, 4.0, 1.0)
 
 
-def test_estimate_package_uses_disclosed_prefix():
+def test_estimate_run_uses_disclosed_prefix():
     p = ProtocolParams(V=5.0, r=0.2)
-    pkg = simulate_package(0.55, 1000, p, seed=8)
-    est = estimate_package(pkg, p)
+    run = simulate_run(Uniform(0.3, 0.8), 1000, 3, p, seed=8)
+    est = estimate_run(run)
     assert est.k == 200
-    u, su = estimate_sqrtT(pkg.M[:200], pkg.B[:200], p.V)
-    assert est.sqrtT_hat == u and est.sigma_sqrtT == su
-    assert est.T_hat == u * u
-    assert not est.sign_anomaly
+    for i, pkg in enumerate(run.packages):
+        u, su = estimate_sqrtT(pkg.M[:200], pkg.B[:200], p.V)
+        assert est.sqrtT_hat[i] == u and est.sigma_sqrtT[i] == su
+        assert est.T_hat[i] == u * u
+    assert not est.sign_anomaly.any()
 
 
 def test_sign_anomaly_flag():
@@ -166,17 +167,43 @@ def test_sign_anomaly_flag():
     B = -0.3 * M + rng.normal(0.0, 1.0, 300)
     u, _ = estimate_sqrtT(M, B, 10.0)
     assert u < 0.0
-    pkg_est = estimate_package(
-        simulate_package(0.0, 300, ProtocolParams(r=0.999), seed=2),
-        ProtocolParams(r=0.999))
-    assert pkg_est.sign_anomaly == (pkg_est.sqrtT_hat < 0.0)
+    est = estimate_run(simulate_run(Uniform(0.0, 1e-9), 300, 20,
+                                    ProtocolParams(r=0.999), seed=2))
+    assert np.array_equal(est.sign_anomaly, est.sqrtT_hat < 0.0)
+    assert 0 < np.count_nonzero(est.sign_anomaly) < 20
 
 
 def test_estimate_run_maps_packages():
+    """Row i of estimate_run is package i estimated alone, and est[rows]
+    selects rows by index array or mask."""
     run = simulate_run(Uniform(0.3, 0.8), 100, 12, ProtocolParams(), seed=6)
     ests = estimate_run(run)
     assert len(ests) == 12
-    assert ests[3] == estimate_package(run.packages[3], run.protocol)
+    pkg = run.packages[3]
+    alone = estimate_run(Run(M=pkg.M[None], B=pkg.B[None], true_T=[pkg.true_T],
+                             dist=run.dist, protocol=run.protocol, seed=0))
+    picked = ests[np.array([3])]
+    masked = ests[np.arange(12) == 3]
+    for name in Estimates.columns:
+        assert getattr(picked, name) == getattr(alone, name) == getattr(masked, name)
+    assert picked.k == alone.k == ests.k
+
+
+def test_estimates_refuse_bad_columns():
+    """Estimates are finite columns of one length from k >= 2 states, so
+    no consumer can receive a NaN or a ragged table."""
+    cols = dict(sqrtT_hat=[0.5, 0.6], T_hat=[0.25, 0.36], sigma_sqrtT=[0.01, 0.01],
+                sigma_T=[0.01, 0.01], vN_hat=[1.0, 1.0])
+    for name in Estimates.columns:
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ParameterError, match=f"column {name} holds a non-finite"):
+                Estimates(**{**cols, name: [0.5, bad]}, k=100)
+    with pytest.raises(ParameterError, match="one length"):
+        Estimates(**{**cols, "vN_hat": [1.0]}, k=100)
+    with pytest.raises(ParameterError, match="1-d"):
+        Estimates(**{**cols, "T_hat": [[0.25, 0.36]]}, k=100)
+    with pytest.raises(InsufficientDataError, match="k >= 2"):
+        Estimates(**cols, k=1)
 
 
 def test_aggregate_zero_noise_synthetic():
@@ -184,15 +211,15 @@ def test_aggregate_zero_noise_synthetic():
     variance of sqrt(T) and a constant channel gives X1 = 0, X2 = 2T."""
     p = ProtocolParams()
     T = 0.64
-    const = [PackageEstimate(math.sqrt(T), T, 0.0, 0.0, 0.0, 100)
-             for _ in range(50)]
+    zeros = np.zeros(50)
+    const = Estimates(np.full(50, math.sqrt(T)), np.full(50, T), zeros, zeros, zeros, 100)
     stats = aggregate(const, p)
     assert stats.X1_hat == pytest.approx(0.0, abs=1e-15)
     assert stats.X2_hat == pytest.approx(2.0 * T, abs=1e-12)
     rng = np.random.default_rng(30)
     u = rng.uniform(0.4, 0.9, 200)
-    varied = [PackageEstimate(ui, ui * ui, 0.0, 0.0, 0.0, 100) for ui in u]
-    stats = aggregate(varied, p)
+    zeros = np.zeros(200)
+    stats = aggregate(Estimates(u, u * u, zeros, zeros, zeros, 100), p)
     assert stats.X1_hat == pytest.approx(float(np.var(u, ddof=1)), rel=1e-10)
     expect_X2 = float(np.mean(u**2) + np.mean(u) ** 2 - np.var(u, ddof=1) / 200)
     assert stats.X2_hat == pytest.approx(expect_X2, rel=1e-10)
@@ -221,7 +248,7 @@ def test_pooled_noise_bias_removed():
     assert abs(stats.vN_pooled - vN_true) < 6.0 * se
     assert abs(stats.eps_hat - p.epsilon) < 6.0 * se
     # the raw per-package average sits 2 T V/(k-1) higher
-    raw = float(np.mean([e.vN_hat for e in estimate_run(run)]))
+    raw = float(np.mean(estimate_run(run).vN_hat))
     assert raw - vN_true > 10.0 * se
 
 
@@ -290,19 +317,21 @@ def test_unusable_flag_on_crossed_bounds():
 
 def test_estimate_run_is_bit_equal_to_the_per_package_formula():
     """The vectorized pass over the disclosed prefix reproduces the
-    1-d per-package sums bit for bit, and so does the scalar tail."""
+    1-d per-package sums bit for bit, and so does the tail, whose
+    squares are correctly rounded products (not libm pow)."""
     p = ProtocolParams(V=5.0, r=0.5)
     run = simulate_run(Uniform(0.0, 1.0), 40, 500, p, seed=31)
     ests = estimate_run(run)
     k = 20
-    for pkg, est in zip(run.packages, ests):
+    assert ests.k == k
+    for i, pkg in enumerate(run.packages):
         M, B = pkg.M[:k], pkg.B[:k]
         u = float(np.sum(M * B) / (p.V * k))
         vN = float(np.sum((B - u * M)**2) / (k - 1))
-        v_u = max((2.0 * u**2 + max(vN, 0.0) / p.V) / k, 1e-30)
-        assert (est.sqrtT_hat, est.T_hat, est.vN_hat, est.k) == (u, u**2, vN, k)
-        assert est.sigma_sqrtT == math.sqrt(v_u)
-        assert est.sigma_T == math.sqrt(4.0 * u**2 * v_u + 2.0 * v_u**2)
+        v_u = max((2.0 * (u * u) + max(vN, 0.0) / p.V) / k, 1e-30)
+        assert (ests.sqrtT_hat[i], ests.T_hat[i], ests.vN_hat[i]) == (u, u * u, vN)
+        assert ests.sigma_sqrtT[i] == math.sqrt(v_u)
+        assert ests.sigma_T[i] == math.sqrt(4.0 * (u * u) * v_u + 2.0 * (v_u * v_u))
 
 
 @pytest.mark.parametrize("field", ["eps_hat", "vN_pooled"])
@@ -348,9 +377,10 @@ def test_estimation_validation_errors():
     with pytest.raises(ParameterError):
         estimate_sqrtT([1.0, 2.0], [1.0], 10.0)
     with pytest.raises(InsufficientDataError):
-        aggregate([PackageEstimate(0.5, 0.25, 0.01, 0.01, 1.0, 100)],
+        aggregate(Estimates([0.5], [0.25], [0.01], [0.01], [1.0], 100),
                   ProtocolParams())
-    p = ProtocolParams(r=0.001)
     pkg = simulate_package(0.5, 100, ProtocolParams(), seed=1)
+    run = Run(M=pkg.M[None], B=pkg.B[None], true_T=[0.5], dist=Uniform(0.4, 0.6),
+              protocol=ProtocolParams(r=0.001), seed=1)
     with pytest.raises(InsufficientDataError):
-        estimate_package(pkg, p)
+        estimate_run(run)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from fading_cvqkd import (
-    PackageEstimate,
+    Estimates,
     ProtocolParams,
     Uniform,
     ValidationError,
@@ -213,25 +213,31 @@ def test_estimates_round_trip_is_exact(tmp_path):
     write_estimates(ests, path)
     back = read_estimates(path)
     assert len(back) == len(ests)
-    for a, b in zip(ests, back):
-        assert b.sqrtT_hat == a.sqrtT_hat
-        assert b.T_hat == a.T_hat
-        assert b.sigma_sqrtT == a.sigma_sqrtT
-        assert b.sigma_T == a.sigma_T
-        assert b.vN_hat == a.vN_hat
-        assert b.k == a.k
+    for name in Estimates.columns:
+        assert np.array_equal(getattr(back, name), getattr(ests, name))
+    assert back.k == ests.k
 
 
 def test_read_estimates_recomputes_sign_anomaly(tmp_path):
-    neg = PackageEstimate(sqrtT_hat=-0.02, T_hat=0.0004, sigma_sqrtT=0.05,
-                          sigma_T=0.01, vN_hat=1.0, k=100, sign_anomaly=True)
-    pos = PackageEstimate(sqrtT_hat=0.7, T_hat=0.49, sigma_sqrtT=0.05,
-                          sigma_T=0.07, vN_hat=1.0, k=100)
+    est = Estimates(sqrtT_hat=[-0.02, 0.7], T_hat=[0.0004, 0.49], sigma_sqrtT=[0.05, 0.05],
+                    sigma_T=[0.01, 0.07], vN_hat=[1.0, 1.0], k=100)
     path = tmp_path / "est.csv"
-    write_estimates([neg, pos], path)
-    back = read_estimates(path)
-    assert back[0].sign_anomaly is True
-    assert back[1].sign_anomaly is False
+    write_estimates(est, path)
+    assert read_estimates(path).sign_anomaly.tolist() == [True, False]
+
+
+def test_read_estimates_refuses_a_second_k(tmp_path):
+    """One table, one k: a row whose k differs from row 2's is refused
+    by row, not passed on as a package estimated from other data."""
+    ests = estimate_run(_small_run(m=4))
+    path = tmp_path / "est.csv"
+    write_estimates(ests, path)
+    lines = path.read_text().splitlines()
+    lines[3] = lines[3].rsplit(",", 1)[0] + f",{ests.k + 1}"  # package 2
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValidationError, match=f"row 4: k = {ests.k + 1}, but row 2 "
+                                              f"has k = {ests.k}"):
+        read_estimates(path)
 
 
 def test_read_estimates_validates(tmp_path):
