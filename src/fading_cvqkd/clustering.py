@@ -41,7 +41,6 @@ from functools import cached_property
 from typing import Sequence
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from . import elementwise as ew
 from .channel import ProtocolParams, noise_variance
@@ -164,6 +163,19 @@ def _sigma_arrays(s: np.ndarray, k: int, protocol: ProtocolParams):
     v_w = T_variance(s, v_u)
     c_uw = 2.0 * np.sqrt(s) * v_u
     return vN, v_u, v_w, c_uw
+
+
+def ndtr(x):
+    """The standard normal CDF, scipy.special.ndtr, imported when called
+    like every scipy import of the package (see distributions._quad)."""
+    from scipy.special import ndtr
+    return ndtr(x)
+
+
+def ndtri(p):
+    """The inverse of ndtr, scipy.special.ndtri, imported the same way."""
+    from scipy.special import ndtri
+    return ndtri(p)
 
 
 def _membership(s: np.ndarray, sigma: np.ndarray, lo: float, hi: float):

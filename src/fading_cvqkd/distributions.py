@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
-from scipy import integrate, special
 
 from .errors import NumericalError, ParameterError
 
@@ -56,6 +55,10 @@ class Moments:
 
 def _quad(fn, lo: float, hi: float, **kwargs) -> float:
     """Adaptive quadrature with a hard failure on non-convergence."""
+    # scipy is imported where it computes, here and below, not at module
+    # level: every CLI invocation is a fresh interpreter, and loading
+    # scipy.integrate and scipy.special cost each start-up about 0.6 s
+    from scipy import integrate
     out = integrate.quad(fn, lo, hi, epsabs=_QUAD_ABS_TOL, epsrel=1e-10,
                          limit=200, full_output=1, **kwargs)
     if len(out) > 3:
@@ -180,6 +183,7 @@ class TruncatedNormal(TransmittanceDistribution):
     def _cdf_bounds(self) -> tuple[float, float]:
         """(lo, hi) with hi - lo the mass inside [0, 1]: the normal CDF at
         0 and 1, or, reflected, its upper tail at 1 and 0."""
+        from scipy import special
         a, b = -self.mean / self.std, (1.0 - self.mean) / self.std
         if self.mean < 0.0:
             return float(special.ndtr(-b)), float(special.ndtr(-a))
@@ -197,6 +201,7 @@ class TruncatedNormal(TransmittanceDistribution):
         return float(out) if np.isscalar(t) else out
 
     def sample(self, seed, count: int) -> np.ndarray:
+        from scipy import special
         rng = _as_rng(seed)
         u = rng.uniform(*self._cdf_bounds(), self._check_count(count))
         sign = -1.0 if self.mean < 0.0 else 1.0
@@ -227,6 +232,7 @@ def beam_geometry_constants(w_over_a: float) -> tuple[float, float, float]:
     """
     if not (w_over_a > 0.0) or not math.isfinite(w_over_a):
         raise ParameterError(f"beam ratio must be positive, got {w_over_a}")
+    from scipy import special
     x = 1.0 / w_over_a**2
     T0 = 1.0 - math.exp(-2.0 * x)
     arg = 4.0 * x
@@ -423,11 +429,12 @@ class Empirical(TransmittanceDistribution):
         n = self.samples.size
         if n <= 4096:
             return self.samples, np.full(n, 1.0 / n)
-        # heavy traces: collapse to a probability-weighted histogram
-        counts, edges = np.histogram(self.samples, bins=2048)
-        centers = 0.5 * (edges[:-1] + edges[1:])
+        # heavy traces: collapse to a probability-weighted histogram whose
+        # nodes are the bins' sample means, so the rule keeps E[T] exact
+        counts, _ = np.histogram(self.samples, bins=2048)
+        sums, _ = np.histogram(self.samples, bins=2048, weights=self.samples)
         keep = counts > 0
-        return centers[keep], counts[keep] / n
+        return sums[keep] / counts[keep], counts[keep] / n
 
     def descriptor(self) -> dict:
         d = {"variant": "empirical", "samples": [float(s) for s in self.samples]}

@@ -3,6 +3,10 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +23,7 @@ from fading_cvqkd import (
     worst_case,
     worst_case_rectangular,
 )
+import fading_cvqkd
 from fading_cvqkd import clustering
 from fading_cvqkd.cli import build_parser, main
 from fading_cvqkd.storage import (
@@ -350,6 +355,16 @@ def test_keyrate_validates_run_json_as_estimate_does(tmp_path, capsys):
         assert "run.json: missing key 'n'" in capsys.readouterr().err
 
 
+def test_keyrate_refuses_an_overflowing_modulation_variance(tmp_path, capsys):
+    """V = 1e200 once ended keyrate --config in an OverflowError traceback."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"protocol": {"V": 1e200}}))
+    assert main(["keyrate", "--config", str(cfg), "--out", str(tmp_path / "k")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "overflows" in err
+    assert not (tmp_path / "k").exists()
+
+
 def test_keyrate_model_mode_runs_without_data(tmp_path, capsys):
     out = tmp_path / "model"
     assert main(["keyrate", "--out", str(out), "--n", "500", "--m", "500"]) == 0
@@ -556,3 +571,39 @@ def test_ingest_constant_trace_has_zero_spread(tmp_path):
     mom = dist.moments()
     assert mom.var_sqrtT == 0.0
     assert mom.mean_T == pytest.approx(0.6, rel=1e-12)
+
+
+# a fresh interpreter runs argv (if any) through main, then prints the
+# scipy modules it loaded on its last line
+NO_SCIPY_CHILD = """\
+import sys
+import fading_cvqkd
+if sys.argv[1:]:
+    from fading_cvqkd.cli import main
+    try:
+        assert main(sys.argv[1:]) == 0
+    except SystemExit as exc:
+        assert exc.code == 0
+print("scipy:", sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["--help"], ["keyrate", "{run}"], ["ingest", "{run}/true_T.csv", "--out", "{d}/ingest"],
+], ids=["import", "help", "keyrate-data", "ingest"])
+def test_commands_without_numerics_load_no_scipy(tmp_path, argv):
+    """Each CLI invocation is a fresh interpreter, and loading scipy costs
+    it about 0.6 s, so scipy loads only in the functions that compute with
+    it: importing the package, --help, keyrate on a run that has its
+    estimates and ingest load none of it."""
+    run = tmp_path / "run"
+    if any("{run}" in a for a in argv):
+        assert main(["simulate", "--out", str(run)] + SIM) == 0
+        assert main(["estimate", str(run)]) == 0
+    src = str(Path(fading_cvqkd.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    child = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY_CHILD, *(a.format(run=run, d=tmp_path) for a in argv)],
+        env=env, capture_output=True, text=True, check=True)
+    assert child.stdout.splitlines()[-1] == "scipy: []"

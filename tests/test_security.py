@@ -233,3 +233,11 @@ def test_security_validation():
         key_rate(EffectiveChannel(T=0.5, eps=0.0), 1, ProtocolParams())
     with pytest.raises(ParameterError):
         mutual_information(0.5, ProtocolParams())
+
+
+@pytest.mark.parametrize("T, eps", [(0.5, 0.01), (np.array([0.5, 0.3]), np.array([0.01, 0.02]))],
+                         ids=["scalar", "array"])
+def test_overflowing_modulation_variance_fails_closed(T, eps):
+    """V_A**2 past the double range once escaped as a bare OverflowError."""
+    with pytest.raises(ParameterError, match="V = 1e\\+200 overflows"):
+        key_rate(EffectiveChannel(T=T, eps=eps), 10**6, ProtocolParams(V=1e200))
