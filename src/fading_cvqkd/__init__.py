@@ -4,7 +4,7 @@ from .channel import Package, ProtocolParams, Run, noise_variance, \
     simulate_package, simulate_run
 from .clustering import ClusterPlan, ClusterReport, ConditionalDensity, \
     OptimizeResult, cluster_assign, cluster_stats, conditional_pdf, \
-    marginal_pdf, optimize, optimize_each, total_key_rate, \
+    marginal_pdf, optimize, optimize_each, rate_ceiling, total_key_rate, \
     total_key_rate_from_estimates
 from .distributions import Empirical, LogNegativeWeibull, Moments, \
     TransmittanceDistribution, TruncatedNormal, Uniform, \
@@ -26,7 +26,7 @@ __all__ = [
     "simulate_package", "simulate_run",
     "ClusterPlan", "ClusterReport", "ConditionalDensity", "OptimizeResult",
     "cluster_assign", "cluster_stats", "conditional_pdf", "marginal_pdf",
-    "optimize", "optimize_each", "total_key_rate",
+    "optimize", "optimize_each", "rate_ceiling", "total_key_rate",
     "total_key_rate_from_estimates",
     "Empirical", "LogNegativeWeibull", "Moments",
     "TransmittanceDistribution", "TruncatedNormal", "Uniform",

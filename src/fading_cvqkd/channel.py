@@ -57,6 +57,10 @@ class ProtocolParams:
                 raise ParameterError(f"{f.name} must be finite, got {val}")
         if not (self.V > 0.0):
             raise ParameterError(f"modulation variance must be positive, got {self.V}")
+        if not math.isfinite((self.V + self.V_S) * (self.V + self.V_S)):
+            # the covariance matrix holds (V + V_S)^2; a float power would raise
+            raise ParameterError(f"modulation variance V = {self.V:g} overflows "
+                                 "the covariance matrix in double precision")
         if not (0.0 < self.V_S <= 1.0):
             raise ParameterError(f"signal state variance must lie in (0, 1], got {self.V_S}")
         if self.epsilon < 0.0:

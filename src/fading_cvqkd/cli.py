@@ -130,8 +130,9 @@ _STALE_AFTER_SIMULATE = (ESTIMATES_CSV, "estimate.json", "residuals.csv",
 
 def _cmd_simulate(args) -> int:
     cfg = _merge_config(args)
+    dist, protocol = cfg.make_dist(), cfg.make_protocol()   # validated before out is made
     out = _require_out(cfg, "simulate")
-    run = simulate_run(cfg.make_dist(), cfg.n, cfg.m, cfg.make_protocol(), cfg.seed)
+    run = simulate_run(dist, cfg.n, cfg.m, protocol, cfg.seed)
     for name in _STALE_AFTER_SIMULATE:
         (out / name).unlink(missing_ok=True)
     storage.write_run(run, out)
@@ -346,15 +347,22 @@ def _fig8(cfg: ScenarioConfig, out: Path) -> Path:
 
 
 def _fig9(cfg: ScenarioConfig, out: Path) -> Path:
-    """Best total key rate vs cluster count C = 0..C_max."""
+    """Best total key rate vs cluster count C = 0..C_max, next to the
+    known-transmittance rate K_known at the same (r, V) and the share of
+    it that C clusters reach."""
     dist = cfg.make_dist()
     protocol = cfg.make_protocol()
     results = clustering.optimize_each(dist, range(cfg.clusters + 1), cfg.n, cfg.m,
                                        protocol)
-    rows = [(C, res.total_rate, res.r, res.V, res.plan.kept_mass)
-            for C, res in enumerate(results)]
+    rule = dist.expectation_rule()
+    rows = []
+    for C, res in enumerate(results):
+        K_known = clustering.rate_ceiling(rule, res.protocol)
+        rows.append((C, res.total_rate, res.r, res.V, res.plan.kept_mass, K_known,
+                     res.total_rate / K_known if K_known > 0.0 else 0.0))
     path = out / "fig9.csv"
-    storage.write_table(path, ["C", "K", "r_opt", "V_opt", "kept_mass"], rows)
+    storage.write_table(path, ["C", "K", "r_opt", "V_opt", "kept_mass", "K_known",
+                               "K_over_K_known"], rows)
     return path
 
 

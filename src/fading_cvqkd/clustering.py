@@ -31,6 +31,13 @@ The table does not depend on C, only the dynamic program does, so
 optimize_each searches for several cluster counts at once and shares
 each point's table among them; each count still reports its own plan
 and search record, the same as optimize gives for it alone.
+
+No plan at an (r, V) point can beat rate_ceiling there, the rate of a
+protocol that knew each package's transmittance, less the finite-size
+terms every cluster must pay at least.  The search visits the points
+best ceiling first, and a count C >= 1 skips the table of a point whose
+ceiling lies below its incumbent rate, recording it as pruned; the plan
+found stays the same, since a pruned point could only have lost.
 """
 
 from __future__ import annotations
@@ -38,6 +45,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from operator import itemgetter
 from typing import Sequence
 
 import numpy as np
@@ -49,7 +57,7 @@ from .errors import (ClusterTooSmallError, EmptyClusterError,
                      InsufficientDataError, NumericalError, ParameterError)
 from .estimation import AggregateStats, Estimates, T_variance, \
     WorstCaseChannel, aggregate, disclosed_count, sqrtT_variance, worst_case
-from .security import key_rate
+from .security import EffectiveChannel, delta_fs, key_rate
 
 __all__ = [
     "ClusterReport",
@@ -65,6 +73,7 @@ __all__ = [
     "total_key_rate_from_estimates",
     "optimize",
     "optimize_each",
+    "rate_ceiling",
 ]
 
 _MASS_FLOOR = 1e-12
@@ -119,13 +128,16 @@ class ClusterPlan:
 @dataclass(frozen=True)
 class SearchPass:
     """One pass of the (r, V) search at Q boundary levels: the points
-    tried, the intervals scored, and each skipped point as a dict with
-    its r, V and the error (type name and message) that ruled it out."""
+    tried, the intervals scored, each skipped point as a dict with its
+    r, V and the error (type name and message) that ruled it out, and
+    each pruned point as a dict with its r, V and the rate_ceiling below
+    the incumbent rate that ruled it out; both in (r, V) order."""
 
     Q: int
     points: int
     intervals: int
     skipped: tuple[dict, ...] = ()
+    pruned: tuple[dict, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -629,6 +641,46 @@ def _around(x: float, factor: float, grid: Sequence[float]) -> list[float]:
     return sorted({min(grid[-1], max(grid[0], v)) for v in (x / factor, x, x * factor)})
 
 
+def rate_ceiling(rule: tuple[np.ndarray, np.ndarray], protocol: ProtocolParams,
+                 n: int | None = None, m: int | None = None) -> float:
+    """The most that any plan can reach at the protocol's (r, V) on a
+    fading law with quadrature rule (nodes s_j, weights fw_j), such as
+    dist.expectation_rule(), with m packages of n states:
+
+        (1 - r) sum_j fw_j max(0, K_inf(s_j, eps*) - delta_min)
+
+    where delta_min = delta_fs(floor((1 - r) m n)) and eps* = epsilon +
+    z_conf sqrt(2 / (m k)) min_j V_N(s_j), k = disclosed_count(n, r): the
+    worst case's eps_up at eps_hat = epsilon, k_total = m k and
+    vN_pooled = min V_N.  With n = m = None it is K_known = (1 - r)
+    E_f[K_inf+(T, epsilon)], the rate of a protocol that knew each
+    package's T (eps* = epsilon, delta_min = 0).
+
+    Why no plan beats it, cluster by cluster (mass f_c, <.>_c the mean
+    over the nodes with weights fw_j P(T_hat in c | s_j) / f_c):
+    - T_eff_low <= <sqrt T>_c^2 <= <T>_c (the bound lies below the exact
+      moment, then Jensen), and eps_eff_up >= eps_up >= eps*, since
+      k_total = f_c m k <= m k and vN_pooled = <V_N>_c >= min V_N;
+    - n_key_c <= floor((1 - r) m n), so the cluster pays delta >= delta_min;
+    - K_inf+ rises in T, falls in eps and is convex in T, so with the
+      convex g(T) = max(0, K_inf(T, eps*) - delta_min),
+      K_c <= (1 - r) g(<T>_c);
+    - Jensen over the cluster's conditional measure gives f_c g(<T>_c) <=
+      sum_j fw_j P(T_hat in c | s_j) g(s_j), and over disjoint clusters
+      those probabilities sum to at most 1 (a trimmed tail drops out), so
+      the clusters' masses at each node sum to at most f.
+    """
+    s, fw = rule
+    eps, delta = protocol.epsilon, 0.0
+    if n is not None:
+        n, m = int(n), int(m)
+        vN_min = float(np.min(noise_variance(s, protocol)))
+        eps += protocol.z_conf * math.sqrt(2.0 / (m * disclosed_count(n, protocol.r))) * vN_min
+        delta = delta_fs(math.floor((1.0 - protocol.r) * (m * n)), protocol)
+    K_inf = key_rate(EffectiveChannel(T=s, eps=np.full(s.shape, eps)), None, protocol).K_inf
+    return (1.0 - protocol.r) * float(np.dot(fw, np.maximum(0.0, K_inf - delta)))
+
+
 def optimize(dist: TransmittanceDistribution, C: int, n: int, m: int,
              protocol: ProtocolParams, *, min_mass: float = 0.0) -> OptimizeResult:
     """Jointly choose the disclosure fraction r, modulation variance V
@@ -641,7 +693,9 @@ def optimize(dist: TransmittanceDistribution, C: int, n: int, m: int,
     and a dynamic program picks the best C chained intervals, outer
     edges free (see _chain); the winning edges are then rescored
     through the single-interval reports, and points compare on those
-    numbers by the key (-rate, -kept mass, r, V, edges).  C = 0
+    numbers by the key (-rate, -kept mass, r, V, edges); a point whose
+    rate_ceiling lies below the best rate found so far builds no table
+    (see optimize_each), which changes no result.  C = 0
     evaluates the pooled (single all-inclusive cluster) protocol with
     one report per point and no table.  The bounds hold at the
     confidence multiplier protocol.z_conf.  min_mass rejects plans with
@@ -661,12 +715,19 @@ def optimize_each(dist: TransmittanceDistribution, clusters: Sequence[int], n: i
                   min_mass: float = 0.0) -> tuple[OptimizeResult, ...]:
     """The optimize result of each distinct cluster count in clusters,
     from one search.  Each pass visits the union of the points that the
-    counts want in (r, V) order, each count's own order; a point builds
-    one evaluator and, if a count C >= 1 wants it, one interval table,
-    which those counts share.  Each count folds into its own best key
-    and refines around its own best point, and its record states the
-    intervals its own search scored, so each result equals optimize's
-    for that count alone, field for field.
+    counts want best first: in descending rate_ceiling (computed where
+    some count C >= 1 wants the point, +inf elsewhere and where it
+    fails), ties in (r, V) order, so each count sees its own points in
+    the same order as alone.  A count C >= 1 prunes a point whose
+    ceiling lies below its incumbent rate; a point that some count
+    still wants builds one evaluator and, if a count C >= 1 is among
+    them, one interval table, which those counts share.  Each count
+    folds into its own best key and refines around its own best point,
+    and its record states the intervals its own search scored, so each
+    result equals optimize's for that count alone, field for field.
+    The key is a minimum over the points and a pruned point's rate lies
+    strictly below it, so neither the order nor the pruning changes the
+    plan, r or V that a count finds.
     """
     counts = tuple(clusters)
     if not counts or len(set(counts)) < len(counts) or min(counts) < 0:
@@ -682,17 +743,39 @@ def optimize_each(dist: TransmittanceDistribution, clusters: Sequence[int], n: i
     passes: dict[int, list[SearchPass]] = {C: [] for C in counts}
     best: dict[int, tuple | None] = dict.fromkeys(counts)
 
+    def ceiling_at(r: float, V: float) -> float:
+        """rate_ceiling at (r, V), or +inf (nothing pruned) where it
+        fails; the point's own scoring then records why."""
+        try:
+            return rate_ceiling(rule, replace(protocol, r=r, V=V), n, m)
+        except _SKIPPED:
+            return math.inf
+
     def search(wanted: dict[int, list[tuple[float, float]]], Q: int) -> None:
         """Fold the best plan of each point of wanted[C] at resolution Q
         into best[C], the smallest key (-rate, -mass, r, V, edges); the
-        points where C has no feasible plan are skipped and recorded."""
+        points where C has no feasible plan are skipped, those whose
+        ceiling lies below C's incumbent rate pruned, and both recorded."""
         want: dict[tuple[float, float], list[int]] = {}
         for C, points in wanted.items():
             for point in points:
                 want.setdefault(point, []).append(C)
+        ceiling = {point: ceiling_at(*point) if max(here) > 0 else math.inf
+                   for point, here in want.items()}
         skipped = {C: [] for C in wanted}
+        pruned = {C: [] for C in wanted}
         intervals = dict.fromkeys(wanted, 0)
-        for (r, V), here in sorted(want.items()):
+        for r, V in sorted(want, key=lambda point: (-ceiling[point], point)):
+            here = []
+            for C in want[r, V]:
+                # the 1e-9 covers rounding between the ceiling and a plan's rate
+                if C > 0 and best[C] is not None \
+                        and ceiling[r, V] * (1.0 + 1e-9) < -best[C][0]:
+                    pruned[C].append({"r": r, "V": V, "ceiling": ceiling[r, V]})
+                else:
+                    here.append(C)
+            if not here:
+                continue
             table = None  # so that one table is alive at a time
             try:
                 ev = _Evaluator(rule, replace(protocol, r=r, V=V),
@@ -728,9 +811,11 @@ def optimize_each(dist: TransmittanceDistribution, clusters: Sequence[int], n: i
                 key = (-plan.total_rate, -plan.kept_mass, r, V, plan.boundaries)
                 if best[C] is None or key < best[C]:
                     best[C] = key
+        in_order = itemgetter("r", "V")
         for C, points in wanted.items():
             passes[C].append(SearchPass(Q=Q, points=len(points), intervals=intervals[C],
-                                        skipped=tuple(skipped[C])))
+                                        skipped=tuple(sorted(skipped[C], key=in_order)),
+                                        pruned=tuple(sorted(pruned[C], key=in_order))))
 
     search({C: [(r, V) for r in _R_GRID for V in _V_GRID] for C in counts}, _LEVELS)
     for C in counts:

@@ -83,6 +83,18 @@ def test_simulate_requires_out(capsys):
     assert "needs --out" in capsys.readouterr().err
 
 
+def test_simulate_refuses_an_overflowing_modulation_variance(tmp_path, capsys):
+    """V = 1e200 once gave a run with |M| near 1e100 and exit status 0."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"protocol": {"V": 1e200}}))
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out),
+                 "--n", "100", "--m", "50"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "overflows" in err
+    assert not out.exists()
+
+
 # ---- estimate -----------------------------------------------------------
 
 def test_estimate_matches_in_process_results(tmp_path):
@@ -427,15 +439,21 @@ def test_reproduce_fig9_rates_do_not_decrease_with_clusters(tmp_path):
     K = [float(r["K"]) for r in rows]
     assert K[1] >= K[0] - 1e-9
     assert K[2] >= K[1] - 1e-9
+    # no row beats the known-transmittance rate at its own (r, V)
+    for row in rows:
+        K_known = float(row["K_known"])
+        assert 0.0 <= float(row["K"]) <= K_known
+        assert float(row["K_over_K_known"]) == float(row["K"]) / K_known
     scenario = read_json(out / "fig9.scenario.json")
     assert scenario["dist"]["variant"] == "uniform"
 
 
 def test_fig9_builds_each_interval_table_once(tmp_path, monkeypatch):
     """fig9 shares each (r, V, Q) table among the cluster counts: the
-    C = 1..3 searches settle on the same points, so the three counts
-    build as many tables (144 + 9 + 9) as one optimize does, where one
-    search per count built 486."""
+    C = 1..3 searches settle on the same points and prune the same 38
+    grid points, so the three counts build as many tables (106 + 9 + 9)
+    as one optimize does, where one search per count built 486 and,
+    before the ceiling pruned, the shared search 162."""
     tables = []
     original = clustering._Evaluator.table
 
@@ -446,10 +464,10 @@ def test_fig9_builds_each_interval_table_once(tmp_path, monkeypatch):
     monkeypatch.setattr(clustering._Evaluator, "table", counted)
     assert main(["reproduce", "fig9", "--out", str(tmp_path / "fig9"), "--n", "1000",
                  "--m", "1000", "--clusters", "3"]) == 0
-    assert len(tables) == 162
+    assert len(tables) == 124
     tables.clear()
     clustering.optimize(Uniform(0.0, 1.0), 2, 1000, 1000, ProtocolParams())
-    assert len(tables) == 162
+    assert len(tables) == 124
 
 
 def test_fig9_refuses_a_negative_cluster_count(tmp_path, capsys):
@@ -525,6 +543,22 @@ def test_optimize_writes_its_search_into_the_plan(tmp_path):
     assert len(skipped) == 12
     assert {(s["r"], s["error"]) for s in skipped} == {(0.01, "InsufficientDataError")}
     assert all("fewer than 2 disclosed states" in s["message"] for s in skipped)
+
+
+def test_optimize_writes_the_pruned_points_into_the_plan(tmp_path):
+    """At n = m = 1000 the C = 1 search on Uniform(0, 1) prunes 38 grid
+    points, each with a ceiling below the rate it found."""
+    cfg = tmp_path / "uniform.json"
+    write_json({"dist": {"variant": "uniform", "lo": 0.0, "hi": 1.0}}, cfg)
+    out = tmp_path / "opt"
+    assert main(["optimize", "--config", str(cfg), "--clusters", "1",
+                 "--out", str(out)]) == 0
+    plan = read_json(out / "plan.json")
+    pruned = plan["search"][0]["pruned"]
+    assert len(pruned) == 38 and plan["search"][0]["skipped"] == []
+    assert all(p["ceiling"] < plan["plan"]["total_rate"] for p in pruned)
+    assert [(p["r"], p["V"]) for p in pruned] == sorted((p["r"], p["V"]) for p in pruned)
+    assert [p["pruned"] for p in plan["search"][1:]] == [[], []]
 
 
 def test_reproduce_fig7_marks_zero_rate_rows_with_nan(tmp_path):

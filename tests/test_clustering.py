@@ -394,9 +394,10 @@ def test_optimize_result_is_pinned():
     """The search result, bit for bit, as the grid pass, the two
     refinement passes and the evaluator gave it when this was pinned.
     The plan is the one coordinate descent found; the evaluations are
-    the interval tables' entries (144 x 2,080 + 9 x 8,256 + 9 x 32,896)
-    plus one report per point and one for the final plan.  The edge is
-    level 182 of 256: the quantile solve returns the point its last
+    the interval tables' entries (132 x 2,080 + 9 x 8,256 + 9 x 32,896;
+    670,051 before the ceiling pruned 12 grid points) plus one report
+    per point scored and one for the final plan.  The edge is level 182
+    of 256: the quantile solve returns the point its last
     Newton pass evaluated, whose correction was below _XTOL / 2, three
     floats below the two where the computed marginal CDF meets the level
     exactly."""
@@ -405,9 +406,10 @@ def test_optimize_result_is_pinned():
     assert res.r == 0.5397212245017438
     assert res.V == 4.999999999999998
     assert res.plan.boundaries == (0.6897817977059989, math.inf)
-    assert res.evaluations == 670051
+    assert res.evaluations == 645079
     assert [(p.Q, p.points, p.intervals) for p in res.search] == [
-        (64, 144, 144 * 2081), (128, 9, 9 * 8257), (256, 9, 9 * 32897)]
+        (64, 144, 132 * 2081), (128, 9, 9 * 8257), (256, 9, 9 * 32897)]
+    assert [len(p.pruned) for p in res.search] == [12, 0, 0]
 
 
 # the pooled (C = 0) searches behind fig6 (TN) and fig7 (LNW, whose rule
@@ -717,13 +719,15 @@ def test_optimize_refuses_when_no_plan_is_feasible():
 
 # one joint search for several cluster counts against one search per count;
 # at n = 100 the 12 grid points at r = 0.01 are skipped, and the counts
-# refine around different points and skip different neighbours
+# refine around different points and skip different neighbours; at
+# n = 1000 the counts C >= 1 prune 49 grid points each, in best-first order
 @pytest.mark.parametrize("dist, n, min_mass", [
     *[(law, 400, 0.0) for law in DESK_LAWS.values()],
     (TRACE_LAW, 400, 0.0),
     (UNI, 400, 0.1),
     (UNI, 100, 0.0),
-], ids=[*DESK_LAWS, "empirical-1600", "uniform-min-mass", "uniform-n100"])
+    (TN, 1000, 0.0),
+], ids=[*DESK_LAWS, "empirical-1600", "uniform-min-mass", "uniform-n100", "tnorm-n1000"])
 def test_optimize_each_equals_one_optimize_per_count(dist, n, min_mass):
     joint = optimize_each(dist, (0, 1, 2, 3), n, 400, P, min_mass=min_mass)
     for C, res in enumerate(joint):
@@ -737,3 +741,83 @@ def test_optimize_each_equals_one_optimize_per_count(dist, n, min_mass):
 def test_optimize_each_validates_the_counts(clusters):
     with pytest.raises(ParameterError):
         optimize_each(UNI, clusters, 400, 400, P)
+
+
+# ---- the known-transmittance ceiling and the pruning it allows ------
+
+CEILING_LAWS = {**DESK_LAWS, "empirical-1600": TRACE_LAW}
+
+
+@pytest.mark.parametrize("name", list(CEILING_LAWS))
+def test_pruning_changes_no_result(name, monkeypatch):
+    """With the ceiling at +inf no point is pruned, and every count finds
+    the plan, r, V and rate of the pruned search; at n = m = 1000 each
+    count C >= 1 prunes dozens of grid points."""
+    pruned = optimize_each(CEILING_LAWS[name], (0, 1, 2, 3), 1000, 1000, P)
+    assert all(res.search[0].pruned for res in pruned[1:])
+    assert not pruned[0].search[0].pruned
+    monkeypatch.setattr(clustering, "rate_ceiling", lambda *args: math.inf)
+    full = optimize_each(CEILING_LAWS[name], (0, 1, 2, 3), 1000, 1000, P)
+    for C, (res, ref) in enumerate(zip(pruned, full)):
+        assert not any(p.pruned for p in ref.search)
+        for f in ("plan", "r", "V", "protocol", "total_rate"):
+            assert getattr(res, f) == getattr(ref, f), (C, f)
+        assert res.evaluations <= ref.evaluations
+
+
+@pytest.mark.parametrize("size", [1000, 400])
+@pytest.mark.parametrize("name", list(CEILING_LAWS))
+def test_no_plan_beats_the_ceiling(name, size):
+    """At every grid point the best chain of C = 1..3 intervals, rescored,
+    stays below rate_ceiling, which stays below K_known; each cluster's
+    rate stays below (1 - r) K_inf+ at its mean transmittance and the
+    true excess noise."""
+    rule = clustering._rule(CEILING_LAWS[name])
+    for r, V in itertools.product(clustering._R_GRID, clustering._V_GRID):
+        ev = _evaluator(CEILING_LAWS[name], r, V, n=size, m=size)
+        ceiling = clustering.rate_ceiling(rule, ev.protocol, size, size)
+        assert ceiling <= clustering.rate_ceiling(rule, ev.protocol)
+        table = ev.table(clustering._LEVELS)
+        for C in (1, 2, 3):
+            plan = ev.plan(clustering._chain(table, C))
+            assert plan.total_rate <= ceiling * (1.0 + 1e-12), (r, V, C)
+            for rep in plan.per_cluster:
+                if rep.cond_moments is None:
+                    continue
+                known = key_rate(EffectiveChannel(T=rep.cond_moments.mean_T, eps=P.epsilon),
+                                 None, ev.protocol).K
+                assert rep.K_c <= (1.0 - r) * known * (1.0 + 1e-12), (r, V, C)
+
+
+def test_ceiling_assumptions_hold():
+    """rate_ceiling rests on K_inf+ rising in T, falling in eps and being
+    convex in T: checked on a 2,001-point T grid over the search's V, for
+    coherent and squeezed signal states and three efficiencies."""
+    T = np.linspace(0.0, 1.0, 2001)
+    for V, V_S, beta in itertools.product(clustering._V_GRID, (1.0, 0.5, 0.05),
+                                          (0.8, 0.95, 1.0)):
+        if V + V_S - 1.0 <= 0.0:
+            continue
+        above = None
+        for eps in (0.0, 0.01, 0.05):
+            proto = ProtocolParams(V=V, V_S=V_S, epsilon=eps, beta=beta)
+            K = key_rate(EffectiveChannel(T=T, eps=np.full_like(T, eps)), None, proto).K
+            assert np.diff(K).min() >= -1e-12, (V, V_S, beta, eps)
+            assert np.diff(K, 2).min() >= -1e-12, (V, V_S, beta, eps)
+            if above is not None:
+                assert (K - above).max() <= 1e-12, (V, V_S, beta, eps)
+            above = K
+
+
+def test_known_transmittance_ceiling_of_a_point_law():
+    """On a single transmittance T the ceiling is (1 - r) K_inf+(T, eps)
+    and, with n and m, the same rate at eps* less delta_min."""
+    proto = replace(P, r=0.2, V=5.0)
+    rule = (np.array([0.6]), np.array([1.0]))
+    known = key_rate(EffectiveChannel(T=0.6, eps=P.epsilon), None, proto)
+    assert clustering.rate_ceiling(rule, proto) == pytest.approx(0.8 * known.K, rel=1e-15)
+    k = clustering.disclosed_count(1000, 0.2)
+    eps_star = P.epsilon + P.z_conf * math.sqrt(2.0 / (1000 * k)) * (1.0 + P.epsilon)
+    finite = key_rate(EffectiveChannel(T=0.6, eps=eps_star), 1000 * 1000, proto)
+    assert clustering.rate_ceiling(rule, proto, 1000, 1000) == \
+        pytest.approx(finite.K, rel=1e-12)

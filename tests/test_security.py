@@ -241,3 +241,13 @@ def test_overflowing_modulation_variance_fails_closed(T, eps):
     """V_A**2 past the double range once escaped as a bare OverflowError."""
     with pytest.raises(ParameterError, match="V = 1e\\+200 overflows"):
         key_rate(EffectiveChannel(T=T, eps=eps), 10**6, ProtocolParams(V=1e200))
+
+
+def test_protocol_refuses_a_modulation_variance_past_double_precision():
+    """(V + V_S)^2 must be finite: V = 1e200 once reached simulate.  Just
+    below that limit a float product in holevo_bound still overflows,
+    and it says so."""
+    with pytest.raises(ParameterError, match="V = 1e\\+200 overflows"):
+        ProtocolParams(V=1e200)
+    with pytest.raises(ParameterError, match="V = 1.3e\\+154 overflows"):
+        key_rate(EffectiveChannel(T=0.5, eps=0.01), 10**6, ProtocolParams(V=1.3e154))
