@@ -25,7 +25,7 @@ from . import clustering, estimation, security, storage
 from .channel import ProtocolParams, simulate_run
 from .distributions import Empirical, from_descriptor
 from .errors import FadingCVQKDError, ValidationError
-from .storage import B_NPY, ESTIMATES_CSV, M_NPY, RUN_CSV, RUN_JSON, TRUE_T_CSV
+from .storage import B_NPY, ESTIMATES_CSV, M_NPY, RUN_JSON, TRUE_T_CSV
 
 _ENV_KEYS = {
     "FADING_CVQKD_SEED": ("seed", int),
@@ -122,10 +122,10 @@ def _require_out(cfg: ScenarioConfig, command: str) -> Path:
     return out
 
 
-# files that estimate and keyrate derive from a run, and the state table
-# of a format v1 run: a new run in the same directory makes them stale
+# files that estimate and keyrate derive from a run: a new run in the
+# same directory makes them stale
 _STALE_AFTER_SIMULATE = (ESTIMATES_CSV, "estimate.json", "residuals.csv",
-                         "keyrate.json", RUN_CSV)
+                         "keyrate.json")
 
 
 def _cmd_simulate(args) -> int:
@@ -401,7 +401,7 @@ def _cmd_ingest(args) -> int:
     cfg = _merge_config(args)
     trace = storage.read_trace(args.trace)
     out = _require_out(cfg, "ingest")
-    dist = Empirical(trace, bin_width=args.bin_width)
+    dist = Empirical(trace)
     mom = dist.moments()
     storage.write_json(dist.descriptor(), out / "dist.json")
     print(f"ingested {trace.size} samples: <T> {mom.mean_T:.5f}, "
@@ -465,7 +465,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ingest", help="turn a measured T trace into a distribution file")
     p.add_argument("trace", help="CSV file with a single T column")
-    p.add_argument("--bin-width", type=float, help="histogram bin width override")
     _add_options(p, "config", "out")
     p.set_defaults(fn=_cmd_ingest)
     return ap

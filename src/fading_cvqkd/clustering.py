@@ -484,13 +484,13 @@ class _Evaluator(_Nodes):
         """The Q - 1 equal-mass edges of _solve(Q), each within _XTOL of its root."""
         return self._solve(Q)[0][1:-1]
 
-    def table(self, Q: int, min_mass: float = 0.0):
+    def table(self, Q: int):
         """Score every interval between the Q + 1 edges (-inf, the Q - 1
         quantiles, +inf).  Returns the edges, the marginal CDF at each
         edge (interval (a, b) holds mass cdf[b] - cdf[a]) and the
         (Q+1, Q+1) matrix of rate contributions mass * K_c over (a, b),
         which is -inf unless a < b and the interval is feasible
-        (mass >= _MASS_FLOOR, >= 2 expected packages, mass >= min_mass).
+        (mass >= _MASS_FLOOR and >= 2 expected packages).
 
         With G = F @ kernel_w, F the kernel CDF at each edge and node, the
         weighted sums of interval (a, b) are G[b] - G[a]; G comes from the
@@ -505,7 +505,7 @@ class _Evaluator(_Nodes):
         rows = max(1, _BLOCK // 2 // (Q + 1))
         for a0 in range(0, Q, rows):
             mass = cdf - cdf[a0:a0 + rows, None]
-            keep = ~((mass < _MASS_FLOOR) | (mass * self.m < 2.0) | (mass < min_mass))
+            keep = ~((mass < _MASS_FLOOR) | (mass * self.m < 2.0))
             a, b = np.nonzero(np.triu(keep, a0 + 1))
             a += a0
             sums = G[b] - G[a]
@@ -682,7 +682,7 @@ def rate_ceiling(rule: tuple[np.ndarray, np.ndarray], protocol: ProtocolParams,
 
 
 def optimize(dist: TransmittanceDistribution, C: int, n: int, m: int,
-             protocol: ProtocolParams, *, min_mass: float = 0.0) -> OptimizeResult:
+             protocol: ProtocolParams) -> OptimizeResult:
     """Jointly choose the disclosure fraction r, modulation variance V
     and the C cluster boundaries maximizing the total key rate.
 
@@ -698,21 +698,20 @@ def optimize(dist: TransmittanceDistribution, C: int, n: int, m: int,
     (see optimize_each), which changes no result.  C = 0
     evaluates the pooled (single all-inclusive cluster) protocol with
     one report per point and no table.  The bounds hold at the
-    confidence multiplier protocol.z_conf.  min_mass rejects plans with
-    any cluster lighter than that probability mass.  The result unpacks
-    as (plan, r, V); its search field records each pass.  The law's
-    quadrature rule is built once per call and shared read-only by the
-    evaluators of every (r, V) point.  This is optimize_each of (C,).
+    confidence multiplier protocol.z_conf.  A plan is feasible when each
+    of its clusters holds two or more expected packages.  The result
+    unpacks as (plan, r, V); its search field records each pass.  The
+    law's quadrature rule is built once per call and shared read-only by
+    the evaluators of every (r, V) point.  This is optimize_each of (C,).
     """
-    return optimize_each(dist, (C,), n, m, protocol, min_mass=min_mass)[0]
+    return optimize_each(dist, (C,), n, m, protocol)[0]
 
 
 _SKIPPED = (ParameterError, InsufficientDataError, ClusterTooSmallError)
 
 
 def optimize_each(dist: TransmittanceDistribution, clusters: Sequence[int], n: int,
-                  m: int, protocol: ProtocolParams, *,
-                  min_mass: float = 0.0) -> tuple[OptimizeResult, ...]:
+                  m: int, protocol: ProtocolParams) -> tuple[OptimizeResult, ...]:
     """The optimize result of each distinct cluster count in clusters,
     from one search.  Each pass visits the union of the points that the
     counts want best first: in descending rate_ceiling (computed where
@@ -736,8 +735,6 @@ def optimize_each(dist: TransmittanceDistribution, clusters: Sequence[int], n: i
     if _LEVELS < max(counts) + 1:
         raise ParameterError(f"level resolution {_LEVELS} too coarse for "
                              f"{max(counts)} clusters")
-    if not (0.0 <= min_mass < 1.0):
-        raise ParameterError(f"min_mass must lie in [0, 1), got {min_mass}")
     n, m = int(n), int(m)
     rule = _rule(dist)
     passes: dict[int, list[SearchPass]] = {C: [] for C in counts}
@@ -787,7 +784,7 @@ def optimize_each(dist: TransmittanceDistribution, clusters: Sequence[int], n: i
                 continue
             if max(here) > 0:
                 try:
-                    table = ev.table(Q, min_mass)
+                    table = ev.table(Q)
                 except _SKIPPED as exc:
                     table = exc
             tabled = ev.evaluations
@@ -798,10 +795,9 @@ def optimize_each(dist: TransmittanceDistribution, clusters: Sequence[int], n: i
                     if C > 0 and isinstance(table, Exception):
                         raise table
                     plan = ev.plan(_chain(table, C) if C > 0 else (-math.inf, math.inf))
-                    if any(rep.cond_moments is None or rep.mass < min_mass
-                           for rep in plan.per_cluster):
+                    if any(rep.cond_moments is None for rep in plan.per_cluster):
                         raise ClusterTooSmallError("the rescored plan has a cluster below "
-                                                   "2 expected packages or min_mass")
+                                                   "2 expected packages")
                 except _SKIPPED as exc:
                     skipped[C].append({"r": r, "V": V, "error": type(exc).__name__,
                                        "message": str(exc)})

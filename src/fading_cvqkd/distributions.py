@@ -372,14 +372,14 @@ class LogNegativeWeibull(TransmittanceDistribution):
 class Empirical(TransmittanceDistribution):
     """Empirical law given by measured transmittance samples in [0, 1].
 
-    The density is a histogram (Freedman-Diaconis bin width unless
-    overridden); expectations use the raw sample measure.
+    The density is a histogram of Freedman-Diaconis bin width
+    2 IQR n^(-1/3), with at most one bin per sample, and one bin when
+    the IQR is 0; expectations use the raw sample measure.
     """
 
     samples: np.ndarray
-    bin_width: float | None = None
 
-    def __init__(self, samples: Iterable[float], bin_width: float | None = None):
+    def __init__(self, samples: Iterable[float]):
         arr = np.asarray(list(samples) if not isinstance(samples, np.ndarray) else samples,
                          dtype=float)
         if arr.size == 0:
@@ -389,18 +389,16 @@ class Empirical(TransmittanceDistribution):
         if np.any(arr < 0.0) or np.any(arr > 1.0):
             bad = int(np.sum((arr < 0.0) | (arr > 1.0)))
             raise ParameterError(f"{bad} empirical sample(s) outside [0, 1]")
-        if bin_width is not None and not (0.0 < bin_width <= 1.0):
-            raise ParameterError(f"bin width must lie in (0, 1], got {bin_width}")
         arr = arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "samples", arr)
-        object.__setattr__(self, "bin_width", bin_width)
-        if bin_width is None:
-            hist, edges = np.histogram(arr, bins="fd", density=True)
-        else:
-            lo, hi = float(arr.min()), float(arr.max())
-            nbins = max(1, math.ceil((hi - lo) / bin_width)) if hi > lo else 1
-            hist, edges = np.histogram(arr, bins=nbins, density=True)
+        # the width of np.histogram's "fd" rule, whose bin count is unbounded:
+        # a steady trace with one dropout asks it for billions of bins
+        q75, q25 = np.percentile(arr, [75, 25])
+        width = 2.0 * float(q75 - q25) * arr.size ** (-1.0 / 3.0)
+        spread = float(arr.max()) - float(arr.min())
+        nbins = math.ceil(min(arr.size, spread / width)) if width > 0.0 else 1
+        hist, edges = np.histogram(arr, bins=nbins, density=True)
         object.__setattr__(self, "_hist", hist)
         object.__setattr__(self, "_edges", edges)
 
@@ -437,10 +435,7 @@ class Empirical(TransmittanceDistribution):
         return sums[keep] / counts[keep], counts[keep] / n
 
     def descriptor(self) -> dict:
-        d = {"variant": "empirical", "samples": [float(s) for s in self.samples]}
-        if self.bin_width is not None:
-            d["bin_width"] = self.bin_width
-        return d
+        return {"variant": "empirical", "samples": [float(s) for s in self.samples]}
 
 
 def from_descriptor(d: dict) -> TransmittanceDistribution:
@@ -456,5 +451,5 @@ def from_descriptor(d: dict) -> TransmittanceDistribution:
     if variant == "log_negative_weibull":
         return LogNegativeWeibull(float(d["w_over_a"]), float(d["sigma_b"]))
     if variant == "empirical":
-        return Empirical(d["samples"], d.get("bin_width"))
+        return Empirical(d["samples"])
     raise ParameterError(f"unknown distribution variant: {variant!r}")

@@ -2,10 +2,8 @@
 
 A run directory (format v2) holds the (m, n) arrays M and B as float64
 .npy files, the true transmittances as true_T.csv and a run.json
-sidecar carrying the format, distribution, protocol and seed.  Runs in
-format v1, where run.csv lists every state as a (package, j, M, B)
-row, are still read.  Tables are CSV (RFC 4180, comma, header row),
-reports JSON.  Floats are written with repr, and arrays with np.save,
+sidecar carrying the format, distribution, protocol and seed.  Tables
+are CSV (RFC 4180, comma, header row), reports JSON.  Floats are written with repr, and arrays with np.save,
 so a rerun of the same seed produces byte-identical files.
 """
 
@@ -29,16 +27,14 @@ __all__ = [
     "write_run", "read_run", "read_sidecar", "write_estimates", "read_estimates",
     "read_trace", "write_trace", "write_json", "read_json", "write_table",
     "protocol_descriptor", "protocol_from_descriptor",
-    "M_NPY", "B_NPY", "RUN_CSV", "RUN_JSON", "TRUE_T_CSV", "ESTIMATES_CSV",
+    "M_NPY", "B_NPY", "RUN_JSON", "TRUE_T_CSV", "ESTIMATES_CSV",
 ]
 
 M_NPY = "M.npy"
 B_NPY = "B.npy"
-RUN_CSV = "run.csv"  # format v1, read only
 RUN_JSON = "run.json"
 TRUE_T_CSV = "true_T.csv"
 ESTIMATES_CSV = "estimates.csv"
-RUN_FORMAT_V1 = "fading-cvqkd-run-v1"
 RUN_FORMAT_V2 = "fading-cvqkd-run-v2"
 
 _ESTIMATE_HEADER = ["package", *Estimates.columns, "k"]
@@ -180,29 +176,6 @@ def _check_finite(label: str, a: np.ndarray) -> None:
         raise ValidationError(f"{label}: non-finite value {a[i, j]} at package {i}, state {j}")
 
 
-def _read_states_v1(src: Path, n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """(M, B) from run.csv, validated row by row."""
-    M = np.zeros((m, n))
-    B = np.zeros((m, n))
-    seen = np.zeros((m, n), dtype=bool)
-    for row_no, row in _csv_rows(src / RUN_CSV, ["package", "j", "M", "B"], RUN_CSV):
-        i = _int_field(row_no, "package", row[0])
-        j = _int_field(row_no, "j", row[1])
-        if not (0 <= i < m and 0 <= j < n):
-            raise ValidationError(f"{RUN_CSV} row {row_no}: index ({i}, {j}) out of range")
-        if seen[i, j]:
-            raise ValidationError(f"{RUN_CSV} row {row_no}: duplicate index ({i}, {j})")
-        seen[i, j] = True
-        M[i, j] = _float_field(row_no, "M", row[2])
-        B[i, j] = _float_field(row_no, "B", row[3])
-    if not seen.all():
-        missing = int((~seen).sum())
-        raise ValidationError(f"{RUN_CSV}: {missing} state(s) missing")
-    _check_finite(f"{RUN_CSV} column M", M)
-    _check_finite(f"{RUN_CSV} column B", B)
-    return M, B
-
-
 def _load_array(path: Path, shape: tuple[int, int]) -> np.ndarray:
     """A float64 array of the given shape from a .npy file; pickled
     object arrays are refused."""
@@ -220,13 +193,6 @@ def _load_array(path: Path, shape: tuple[int, int]) -> np.ndarray:
     return a
 
 
-def _read_states_v2(src: Path, n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
-    return _load_array(src / M_NPY, (m, n)), _load_array(src / B_NPY, (m, n))
-
-
-_STATE_READERS = {RUN_FORMAT_V1: _read_states_v1, RUN_FORMAT_V2: _read_states_v2}
-
-
 def read_sidecar(in_dir) -> dict:
     """The run.json sidecar of a run directory, with its keys checked."""
     sidecar = read_json(Path(in_dir) / RUN_JSON)
@@ -237,15 +203,16 @@ def read_sidecar(in_dir) -> dict:
 
 
 def read_run(in_dir) -> Run:
-    """Rebuild a Run from a directory written by write_run (format v2)
-    or by its CSV predecessor (format v1), validating the structure and
-    refusing non-finite states."""
+    """Rebuild a Run from a directory written by write_run (format v2),
+    validating the structure and refusing non-finite states.  A run of
+    an older format is refused with the command that regenerates it: the
+    simulation is determined by its run.json, so a rerun is lossless."""
     src = Path(in_dir)
     sidecar = read_sidecar(src)
-    read_states = _STATE_READERS.get(sidecar["format"])
-    if read_states is None:
+    if sidecar["format"] != RUN_FORMAT_V2:
         raise ValidationError(f"{RUN_JSON}: unknown run format {sidecar['format']!r}; "
-                              f"expected one of {sorted(_STATE_READERS)}")
+                              f"expected {RUN_FORMAT_V2!r}.  Regenerate the run with "
+                              f"'fading-cvqkd simulate --config {src / RUN_JSON} --out NEW'")
     dist = from_descriptor(sidecar["dist"])
     protocol = protocol_from_descriptor(sidecar["protocol"])
     n, m = int(sidecar["n"]), int(sidecar["m"])
@@ -263,7 +230,7 @@ def read_run(in_dir) -> Run:
     if sorted(true_T) != list(range(m)):
         raise ValidationError(f"{TRUE_T_CSV}: package indices are not 0..{m - 1}")
 
-    M, B = read_states(src, n, m)
+    M, B = _load_array(src / M_NPY, (m, n)), _load_array(src / B_NPY, (m, n))
     return Run(M=M, B=B, true_T=[true_T[i] for i in range(m)], dist=dist,
                protocol=protocol, seed=int(sidecar["seed"]))
 

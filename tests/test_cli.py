@@ -91,7 +91,20 @@ def test_simulate_refuses_an_overflowing_modulation_variance(tmp_path, capsys):
     assert main(["simulate", "--config", str(cfg), "--out", str(out),
                  "--n", "100", "--m", "50"]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error:") and "overflows" in err
+    assert err.startswith("error:") and "V = 1e+200 must lie in (0, 1000]" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "keyrate"])
+def test_a_modulation_variance_past_its_precision_exits_2(tmp_path, capsys, command):
+    """At V = 1e16 the covariance matrix is finite, but the key rate came
+    out at +2.5 bits/state where it lies near -1."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"protocol": {"V": 1e16}}))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out),
+                 "--n", "100", "--m", "50"]) == 2
+    assert "V = 1e+16 must lie in (0, 1000]" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -283,7 +296,7 @@ def test_each_subcommand_declares_only_the_options_it_reads():
         "keyrate": model,
         "optimize": sorted(model + ["--clusters"]),
         "reproduce": sorted(model + ["--clusters"]),
-        "ingest": ["--bin-width", "--config", "--out"],
+        "ingest": ["--config", "--out"],
     }
 
 
@@ -373,7 +386,7 @@ def test_keyrate_refuses_an_overflowing_modulation_variance(tmp_path, capsys):
     cfg.write_text(json.dumps({"protocol": {"V": 1e200}}))
     assert main(["keyrate", "--config", str(cfg), "--out", str(tmp_path / "k")]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error:") and "overflows" in err
+    assert err.startswith("error:") and "V = 1e+200 must lie in (0, 1000]" in err
     assert not (tmp_path / "k").exists()
 
 
@@ -457,9 +470,9 @@ def test_fig9_builds_each_interval_table_once(tmp_path, monkeypatch):
     tables = []
     original = clustering._Evaluator.table
 
-    def counted(self, Q, min_mass=0.0):
+    def counted(self, Q):
         tables.append(Q)
-        return original(self, Q, min_mass)
+        return original(self, Q)
 
     monkeypatch.setattr(clustering._Evaluator, "table", counted)
     assert main(["reproduce", "fig9", "--out", str(tmp_path / "fig9"), "--n", "1000",
@@ -605,6 +618,20 @@ def test_ingest_constant_trace_has_zero_spread(tmp_path):
     mom = dist.moments()
     assert mom.var_sqrtT == 0.0
     assert mom.mean_T == pytest.approx(0.6, rel=1e-12)
+
+
+def test_ingest_bins_a_steady_trace_with_one_dropout(tmp_path):
+    """1e-9 jitter about T = 0.6 and one sample at 0 set a Freedman-Diaconis
+    width of about 2e-10; the histogram keeps one bin per sample at most."""
+    rng = np.random.default_rng(11)
+    values = 0.6 + rng.normal(0.0, 1e-9, 1600)
+    values[700] = 0.0
+    trace = tmp_path / "trace.csv"
+    write_trace(values, trace)
+    out = tmp_path / "ingested"
+    assert main(["ingest", str(trace), "--out", str(out)]) == 0
+    dist = from_descriptor(read_json(out / "dist.json"))
+    assert dist.moments().mean_T == pytest.approx(float(np.mean(values)), rel=1e-12)
 
 
 # a fresh interpreter runs argv (if any) through main, then prints the

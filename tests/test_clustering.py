@@ -364,7 +364,7 @@ def test_analytic_and_empirical_pipelines_agree_on_shared_run():
 # ---- optimizer ----------------------------------------------------------
 
 def test_optimize_desk_check_two_clusters_min_share():
-    res = optimize(UNI, 2, 1000, 1000, P, min_mass=0.1)
+    res = optimize(UNI, 2, 1000, 1000, P)
     plan, r, V = res
     assert res.total_rate > 0.0
     assert all(c.mass >= 0.1 for c in plan.per_cluster)
@@ -465,8 +465,6 @@ def test_shared_rule_is_read_only():
 def test_optimize_validates_parameters():
     with pytest.raises(ParameterError):
         optimize(UNI, -1, 400, 400, P)
-    with pytest.raises(ParameterError):
-        optimize(UNI, 1, 400, 400, P, min_mass=1.0)
     with pytest.raises(ParameterError):
         optimize(UNI, 64, 400, 400, P)
 
@@ -572,16 +570,15 @@ def test_interval_table_reads_the_quantile_solve(dist, r, V):
 
 
 @pytest.mark.parametrize("block", [None, 40], ids=["blocks", "one-row-blocks"])
-@pytest.mark.parametrize("m, min_mass", [(25, 0.0), (1000, 0.2)],
-                         ids=["few-packages", "min-mass"])
-def test_interval_table_matches_reports(m, min_mass, block, monkeypatch):
+@pytest.mark.parametrize("m", [25], ids=["few-packages"])
+def test_interval_table_matches_reports(m, block, monkeypatch):
     """Every interval of a Q = 16 table has report's mass and K_c, and
     is masked exactly where report finds it infeasible, however the
     table is cut into blocks."""
     if block is not None:
         monkeypatch.setattr(clustering, "_BLOCK", block)
     ev = _evaluator(UNI, m=m)
-    edges, cdf, rate = ev.table(16, min_mass)
+    edges, cdf, rate = ev.table(16)
     assert ev.evaluations == 16 * 17 // 2
     assert list(edges) == _edges(ev, 16)
     masked = 0
@@ -595,15 +592,16 @@ def test_interval_table_matches_reports(m, min_mass, block, monkeypatch):
             assert mass == pytest.approx(rep.mass, rel=1e-12)
             if rate[a, b] == -math.inf:
                 masked += 1
-                assert rep.cond_moments is None or rep.mass < min_mass
+                assert rep.cond_moments is None
             else:
-                assert rep.cond_moments is not None and rep.mass >= min_mass
+                assert rep.cond_moments is not None
                 assert rate[a, b] / mass == pytest.approx(rep.K_c, rel=1e-12)
     assert 0 < masked < 16 * 17 // 2
 
 
 def _brute_force(ev, edges, C, min_mass):
-    """Best rate over every level tuple, scored through report."""
+    """Best rate over every level tuple, scored through report, with the
+    intervals lighter than min_mass infeasible."""
     reports = {}
     best = -math.inf
     for levels in itertools.combinations(range(len(edges)), C + 1):
@@ -624,9 +622,13 @@ def _brute_force(ev, edges, C, min_mass):
 @pytest.mark.parametrize("C", [1, 2, 3])
 @pytest.mark.parametrize("min_mass", [0.0, 0.15])
 def test_dynamic_program_matches_brute_force(dist, C, min_mass):
+    """The dynamic program over a table whose intervals lighter than
+    min_mass are also masked finds the best of every chain."""
     ev = _evaluator(dist)
     edges = _edges(ev, 10)
-    best = clustering._chain(ev.table(10, min_mass), C)
+    levels, cdf, rate = ev.table(10)
+    rate = np.where(cdf - cdf[:, None] < min_mass, -math.inf, rate)
+    best = clustering._chain((levels, cdf, rate), C)
     assert set(best) <= set(edges) and len(best) == C + 1
     plan = ev.plan(best)
     assert all(rep.cond_moments is not None and rep.mass >= min_mass
@@ -637,9 +639,11 @@ def test_dynamic_program_matches_brute_force(dist, C, min_mass):
 
 
 def test_dynamic_program_reports_no_feasible_chain():
-    ev = _evaluator(UNI)
+    """With m = 5 an interval needs mass 0.4 for two expected packages,
+    so three of them do not fit."""
+    ev = _evaluator(UNI, m=5)
     with pytest.raises(ClusterTooSmallError):
-        clustering._chain(ev.table(10, min_mass=0.4), 3)
+        clustering._chain(ev.table(10), 3)
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf])
@@ -713,25 +717,25 @@ def test_optimize_names_the_clusters_that_carry_no_key(monkeypatch):
 
 
 def test_optimize_refuses_when_no_plan_is_feasible():
+    """Three clusters of two expected packages each need m >= 6."""
     with pytest.raises(ParameterError, match="no feasible"):
-        optimize(UNI, 3, 1000, 1000, P, min_mass=0.4)
+        optimize(UNI, 3, 1000, 5, P)
 
 
 # one joint search for several cluster counts against one search per count;
 # at n = 100 the 12 grid points at r = 0.01 are skipped, and the counts
 # refine around different points and skip different neighbours; at
 # n = 1000 the counts C >= 1 prune 49 grid points each, in best-first order
-@pytest.mark.parametrize("dist, n, min_mass", [
-    *[(law, 400, 0.0) for law in DESK_LAWS.values()],
-    (TRACE_LAW, 400, 0.0),
-    (UNI, 400, 0.1),
-    (UNI, 100, 0.0),
-    (TN, 1000, 0.0),
-], ids=[*DESK_LAWS, "empirical-1600", "uniform-min-mass", "uniform-n100", "tnorm-n1000"])
-def test_optimize_each_equals_one_optimize_per_count(dist, n, min_mass):
-    joint = optimize_each(dist, (0, 1, 2, 3), n, 400, P, min_mass=min_mass)
+@pytest.mark.parametrize("dist, n", [
+    *[(law, 400) for law in DESK_LAWS.values()],
+    (TRACE_LAW, 400),
+    (UNI, 100),
+    (TN, 1000),
+], ids=[*DESK_LAWS, "empirical-1600", "uniform-n100", "tnorm-n1000"])
+def test_optimize_each_equals_one_optimize_per_count(dist, n):
+    joint = optimize_each(dist, (0, 1, 2, 3), n, 400, P)
     for C, res in enumerate(joint):
-        alone = optimize(dist, C, n, 400, P, min_mass=min_mass)
+        alone = optimize(dist, C, n, 400, P)
         for f in fields(alone):
             assert getattr(res, f.name) == getattr(alone, f.name), (C, f.name)
 

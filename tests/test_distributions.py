@@ -181,6 +181,37 @@ def test_empirical_density_is_a_histogram():
     assert d.density(0.95) == 0.0
 
 
+def test_empirical_density_bins_a_steady_trace_with_one_dropout():
+    """A stable link with one beam block: the Freedman-Diaconis width of
+    1e-9 jitter would cut [0, 0.6] into about 3.3e9 bins; the bin count
+    stops at the sample count."""
+    rng = np.random.default_rng(11)
+    trace = 0.6 + rng.normal(0.0, 1e-9, 1600)
+    trace[700] = 0.0
+    d = Empirical(trace)
+    assert d._hist.size == 1600
+    t = np.linspace(0.0, 1.0, 1001)
+    width = d._edges[1] - d._edges[0]
+    assert float(np.sum(d._hist) * width) == pytest.approx(1.0, rel=1e-12)
+    assert d.density(0.0) > 0.0 and d.density(0.3) == 0.0 and d.density(0.7) == 0.0
+    assert np.all(d.density(t) >= 0.0)
+
+
+def test_empirical_bins_match_freedman_diaconis_until_the_cap():
+    rng = np.random.default_rng(5)
+    for trace in (rng.uniform(0.2, 0.8, 5000), rng.beta(2.0, 5.0, 300),
+                  np.array([0.1, 0.4, 0.4, 0.7]), np.full(20, 0.6)):
+        hist, edges = np.histogram(trace, bins="fd", density=True)
+        d = Empirical(trace)
+        assert np.array_equal(d._hist, hist) and np.array_equal(d._edges, edges)
+
+
+def test_from_descriptor_ignores_a_stale_bin_width():
+    d = from_descriptor({"variant": "empirical", "samples": [0.1, 0.4, 0.7],
+                         "bin_width": 0.05})
+    assert d.descriptor() == {"variant": "empirical", "samples": [0.1, 0.4, 0.7]}
+
+
 @pytest.mark.parametrize(
     "dist",
     [
@@ -188,9 +219,8 @@ def test_empirical_density_is_a_histogram():
         TruncatedNormal(0.45, 0.2),
         LogNegativeWeibull(1.25, 0.8),
         Empirical([0.1, 0.4, 0.4, 0.7]),
-        Empirical([0.1, 0.4, 0.4, 0.7], bin_width=0.05),
     ],
-    ids=["uniform", "truncnorm", "weibull", "empirical", "empirical_bw"],
+    ids=["uniform", "truncnorm", "weibull", "empirical"],
 )
 def test_descriptor_round_trip(dist):
     clone = from_descriptor(dist.descriptor())

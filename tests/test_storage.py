@@ -2,7 +2,6 @@
 
 import hashlib
 import math
-import shutil
 from pathlib import Path
 
 import numpy as np
@@ -16,10 +15,10 @@ from fading_cvqkd import (
     estimate_run,
     simulate_run,
 )
+from fading_cvqkd.cli import main
 from fading_cvqkd.storage import (
     B_NPY,
     M_NPY,
-    RUN_CSV,
     RUN_JSON,
     TRUE_T_CSV,
     jsonable,
@@ -38,7 +37,8 @@ from fading_cvqkd.storage import (
 
 P = ProtocolParams()
 DIST = Uniform(0.3, 0.9)
-# a format v1 (CSV) run of _small_run(n=5, m=3), kept to pin the v1 reader
+# a format v1 run of _small_run(n=5, m=3): run.csv holds one
+# (package, j, M, B) row per state
 V1_RUN = Path(__file__).parent / "data" / "run_v1"
 
 
@@ -80,59 +80,31 @@ def _corrupt(path, old, new, count=1):
     path.write_text(text.replace(old, new, count))
 
 
-def _v1_copy(dest):
-    shutil.copytree(V1_RUN, dest, dirs_exist_ok=True)
-
-
-def test_v1_run_reads_back_bit_for_bit():
-    assert read_json(V1_RUN / RUN_JSON)["format"] == "fading-cvqkd-run-v1"
-    run = _small_run(n=5, m=3)
-    back = read_run(V1_RUN)
-    assert back.n == 5 and back.m == 3 and back.seed == run.seed
-    assert back.dist.descriptor() == run.dist.descriptor()
-    assert back.protocol == run.protocol
-    assert np.array_equal(back.true_T, run.true_T)
-    assert np.array_equal(back.M, run.M) and np.array_equal(back.B, run.B)
+def test_read_run_refuses_a_v1_run_that_simulate_regenerates(tmp_path, capsys):
+    """A v1 run is refused with the command that regenerates it, and
+    that command reproduces the run's states bit for bit."""
+    with pytest.raises(ValidationError, match="unknown run format 'fading-cvqkd-run-v1'") \
+            as refused:
+        read_run(V1_RUN)
+    assert f"fading-cvqkd simulate --config {V1_RUN / RUN_JSON} --out NEW" \
+        in str(refused.value)
+    assert main(["simulate", "--config", str(V1_RUN / RUN_JSON), "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    run = read_run(tmp_path)
+    states = np.loadtxt(V1_RUN / "run.csv", delimiter=",", skiprows=1)
+    assert np.array_equal(states[:, :2], [(i, j) for i in range(3) for j in range(5)])
+    assert np.array_equal(run.M.ravel(), states[:, 2])
+    assert np.array_equal(run.B.ravel(), states[:, 3])
+    assert (tmp_path / TRUE_T_CSV).read_bytes() == (V1_RUN / TRUE_T_CSV).read_bytes()
 
 
 def test_read_run_reports_bad_rows(tmp_path):
-    _v1_copy(tmp_path)
-
-    _corrupt(tmp_path / RUN_CSV, "package,j,M,B", "package,k,M,B")
-    with pytest.raises(ValidationError, match="bad header"):
-        read_run(tmp_path)
-    _v1_copy(tmp_path)
-
-    # drop the last data row: one state missing
-    csv_path = tmp_path / RUN_CSV
-    lines = csv_path.read_text().splitlines()
-    csv_path.write_text("\n".join(lines[:-1]) + "\n")
-    with pytest.raises(ValidationError, match="missing"):
-        read_run(tmp_path)
-    _v1_copy(tmp_path)
-
-    # duplicate a data row
-    lines = csv_path.read_text().splitlines()
-    csv_path.write_text("\n".join(lines + [lines[1]]) + "\n")
-    with pytest.raises(ValidationError, match="duplicate"):
-        read_run(tmp_path)
-    _v1_copy(tmp_path)
-
-    # non-numeric field carries its row number
-    lines = csv_path.read_text().splitlines()
-    parts = lines[3].split(",")
-    parts[2] = "oops"
-    lines[3] = ",".join(parts)
-    csv_path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ValidationError, match="row 4"):
-        read_run(tmp_path)
-    _v1_copy(tmp_path)
-
+    write_run(_small_run(n=5, m=3), tmp_path)
     _corrupt(tmp_path / TRUE_T_CSV, "package,T_true", "pkg,T_true")
     with pytest.raises(ValidationError, match="bad header"):
         read_run(tmp_path)
-    _v1_copy(tmp_path)
 
+    write_run(_small_run(n=5, m=3), tmp_path)
     sidecar = read_json(tmp_path / RUN_JSON)
     del sidecar["seed"]
     write_json(sidecar, tmp_path / RUN_JSON)
@@ -169,15 +141,6 @@ def test_read_run_v2_validates(tmp_path, edit, pattern):
         read_run(tmp_path)
 
 
-def _poison_v1(run_dir, column, value):
-    path = run_dir / RUN_CSV
-    lines = path.read_text().splitlines()
-    parts = lines[8].split(",")  # package 1, state 2
-    parts[{"M": 2, "B": 3}[column]] = value
-    lines[8] = ",".join(parts)
-    path.write_text("\n".join(lines) + "\n")
-
-
 def _poison_v2(run_dir, column, value):
     a = np.load(run_dir / f"{column}.npy")
     a[1, 2] = float(value)
@@ -186,14 +149,10 @@ def _poison_v2(run_dir, column, value):
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 @pytest.mark.parametrize("column", ["M", "B"])
-@pytest.mark.parametrize("fmt", ["v1", "v2"])
+@pytest.mark.parametrize("fmt", ["v2"])  # the run format whose arrays are poisoned
 def test_read_run_rejects_non_finite_states(tmp_path, fmt, column, value):
-    if fmt == "v1":
-        _v1_copy(tmp_path)
-        _poison_v1(tmp_path, column, value)
-    else:
-        write_run(_small_run(n=5, m=3), tmp_path)
-        _poison_v2(tmp_path, column, value)
+    write_run(_small_run(n=5, m=3), tmp_path)
+    _poison_v2(tmp_path, column, value)
     with pytest.raises(ValidationError, match="non-finite value .* at package 1, state 2"):
         read_run(tmp_path)
 
