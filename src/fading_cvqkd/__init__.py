@@ -3,9 +3,8 @@
 from .channel import Package, ProtocolParams, Run, noise_variance, \
     simulate_package, simulate_run
 from .clustering import ClusterPlan, ClusterReport, ConditionalDensity, \
-    OptimizeResult, cluster_assign, cluster_stats, conditional_pdf, \
-    marginal_pdf, optimize, optimize_each, rate_ceiling, total_key_rate, \
-    total_key_rate_from_estimates
+    OptimizeResult, cluster_assign, conditional_pdf, optimize, optimize_each, \
+    rate_ceiling, total_key_rate, total_key_rate_from_estimates
 from .distributions import Empirical, LogNegativeWeibull, Moments, \
     TransmittanceDistribution, TruncatedNormal, Uniform, \
     beam_geometry_constants, calibrate_beam_wander, from_descriptor
@@ -13,11 +12,10 @@ from .errors import ClusterTooSmallError, EmptyClusterError, FadingCVQKDError, \
     InsufficientDataError, NumericalError, ParameterError, \
     UnphysicalStateError, ValidationError
 from .estimation import AggregateStats, Estimates, WorstCaseChannel, \
-    aggregate, estimate_flags, estimate_noise, estimate_run, estimate_sqrtT, \
-    estimate_T, worst_case, worst_case_rectangular
+    aggregate, estimate_flags, estimate_run, estimate_sqrtT, worst_case, \
+    worst_case_rectangular
 from .security import EffectiveChannel, KeyRateReport, delta_fs, \
-    effective_channel, gaussian_entropy, holevo_bound, key_rate, \
-    mutual_information
+    effective_channel, holevo_bound, key_rate, mutual_information
 
 __version__ = "0.1.0"
 
@@ -25,9 +23,8 @@ __all__ = [
     "Package", "ProtocolParams", "Run", "noise_variance",
     "simulate_package", "simulate_run",
     "ClusterPlan", "ClusterReport", "ConditionalDensity", "OptimizeResult",
-    "cluster_assign", "cluster_stats", "conditional_pdf", "marginal_pdf",
-    "optimize", "optimize_each", "rate_ceiling", "total_key_rate",
-    "total_key_rate_from_estimates",
+    "cluster_assign", "conditional_pdf", "optimize", "optimize_each",
+    "rate_ceiling", "total_key_rate", "total_key_rate_from_estimates",
     "Empirical", "LogNegativeWeibull", "Moments",
     "TransmittanceDistribution", "TruncatedNormal", "Uniform",
     "beam_geometry_constants", "calibrate_beam_wander", "from_descriptor",
@@ -35,9 +32,9 @@ __all__ = [
     "InsufficientDataError", "NumericalError", "ParameterError",
     "UnphysicalStateError", "ValidationError",
     "AggregateStats", "Estimates", "WorstCaseChannel", "aggregate",
-    "estimate_flags", "estimate_noise", "estimate_run",
-    "estimate_sqrtT", "estimate_T", "worst_case", "worst_case_rectangular",
+    "estimate_flags", "estimate_run", "estimate_sqrtT", "worst_case",
+    "worst_case_rectangular",
     "EffectiveChannel", "KeyRateReport", "delta_fs", "effective_channel",
-    "gaussian_entropy", "holevo_bound", "key_rate", "mutual_information",
+    "holevo_bound", "key_rate", "mutual_information",
     "__version__",
 ]

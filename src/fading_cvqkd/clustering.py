@@ -66,8 +66,6 @@ __all__ = [
     "SearchPass",
     "ConditionalDensity",
     "conditional_pdf",
-    "marginal_pdf",
-    "cluster_stats",
     "total_key_rate",
     "cluster_assign",
     "total_key_rate_from_estimates",
@@ -220,13 +218,6 @@ class _Nodes:
         self.sigma = np.sqrt(self.v_w)
 
 
-def _check_interval(interval: Sequence[float]) -> tuple[float, float]:
-    lo, hi = float(interval[0]), float(interval[1])
-    if not lo < hi:
-        raise ParameterError(f"interval must have lo < hi, got ({lo}, {hi})")
-    return lo, hi
-
-
 @dataclass(frozen=True, eq=False)
 class ConditionalDensity:
     """Density of the true transmittance given that the package estimate
@@ -271,7 +262,9 @@ def conditional_pdf(dist: TransmittanceDistribution, interval: Sequence[float],
     package setting the estimator noise.  As k grows the kernel sharpens
     and the density approaches f restricted to the interval."""
     nodes = _Nodes(_rule(dist, order), protocol, k)
-    lo, hi = _check_interval(interval)
+    lo, hi = float(interval[0]), float(interval[1])
+    if not lo < hi:
+        raise ParameterError(f"interval must have lo < hi, got ({lo}, {hi})")
     wgt = _membership(nodes.s, nodes.sigma, lo, hi) * nodes.fw
     mass = float(np.sum(wgt))
     if mass < _MASS_FLOOR:
@@ -279,18 +272,6 @@ def conditional_pdf(dist: TransmittanceDistribution, interval: Sequence[float],
     return ConditionalDensity(dist=dist, interval=(lo, hi), k=nodes.k,
                               protocol=protocol, mass=mass,
                               _nodes=nodes.s, _wgt=wgt)
-
-
-def marginal_pdf(t_hat, dist: TransmittanceDistribution, k: int,
-                 protocol: ProtocolParams):
-    """Density of the package estimate T_hat: the fading law convolved
-    with the predicted estimator noise at each true transmittance."""
-    nodes = _Nodes(_rule(dist), protocol, k)
-    t = np.atleast_1d(np.asarray(t_hat, dtype=float))
-    zsq = (t[:, None] - nodes.s[None, :]) / nodes.sigma[None, :]
-    dens = np.exp(-0.5 * zsq**2) / (math.sqrt(2.0 * math.pi) * nodes.sigma[None, :])
-    acc = dens @ nodes.fw
-    return float(acc[0]) if np.isscalar(t_hat) or np.ndim(t_hat) == 0 else acc
 
 
 def _hermite_root(g0: np.ndarray, g1: np.ndarray, m0: np.ndarray,
@@ -311,7 +292,7 @@ def _hermite_root(g0: np.ndarray, g1: np.ndarray, m0: np.ndarray,
 
 
 class _Evaluator(_Nodes):
-    """Node arrays for one (rule, protocol, k, m) configuration; the rule
+    """Node arrays for one (rule, protocol, k, m, n) configuration; the rule
     is shared read-only.  report scores one interval, table every
     interval between Q levels at once; evaluations counts the intervals
     either has scored.
@@ -324,13 +305,13 @@ class _Evaluator(_Nodes):
     """
 
     def __init__(self, rule: tuple[np.ndarray, np.ndarray], protocol: ProtocolParams,
-                 k: int, m: int, n: int | None = None):
+                 k: int, m: int, n: int):
         if int(m) < 2:
             raise InsufficientDataError(f"need at least 2 packages, got {m}")
         super().__init__(rule, protocol, k)
         self.protocol = protocol
         self.m = int(m)
-        self.n = None if n is None else int(n)
+        self.n = int(n)
         sq = np.sqrt(self.s)
         # the node columns whose cluster means the statistics need, in the
         # order _stats unpacks them
@@ -390,9 +371,6 @@ class _Evaluator(_Nodes):
         stats = self._stats(mass, [float(np.dot(wgt, col)) for col in self.columns])
         wc = worst_case(stats, self.protocol)
         moments = Moments(stats.mean_T_hat, stats.mean_sqrtT_hat, stats.X1_hat)
-        if self.n is None:
-            return ClusterReport(interval=interval, mass=mass,
-                                 cond_moments=moments, wc=wc, N_c=0, K_c=0.0)
         N_c = self._states(mass)
         return ClusterReport(interval=interval, mass=mass, cond_moments=moments,
                              wc=wc, N_c=N_c, K_c=key_rate(wc, N_c, self.protocol).K)
@@ -480,10 +458,6 @@ class _Evaluator(_Nodes):
         raise NumericalError(f"{live.size} of {q.size} quantile levels did not "
                              f"converge in {_NEWTON_STEPS} steps")
 
-    def quantiles(self, Q: int) -> np.ndarray:
-        """The Q - 1 equal-mass edges of _solve(Q), each within _XTOL of its root."""
-        return self._solve(Q)[0][1:-1]
-
     def table(self, Q: int):
         """Score every interval between the Q + 1 edges (-inf, the Q - 1
         quantiles, +inf).  Returns the edges, the marginal CDF at each
@@ -560,23 +534,6 @@ def _check_edges(boundaries: Sequence[float]) -> list[float]:
     if not all(a < b for a, b in zip(edges, edges[1:])):   # NaN fails too
         raise ParameterError(f"edges must be strictly increasing, got {edges}")
     return edges
-
-
-def cluster_stats(dist: TransmittanceDistribution, interval: Sequence[float],
-                  k: int, protocol: ProtocolParams, m: int) -> ClusterReport:
-    """Semi-analytic statistics (without key rate) of the packages whose
-    estimate falls into one interval, given k disclosed states per
-    package and m packages total.  Raises if the interval is (near)
-    empty or holds fewer than two expected packages."""
-    lo, hi = _check_interval(interval)
-    ev = _Evaluator(_rule(dist), protocol, k, m)
-    rep = ev.report(lo, hi)
-    if rep.mass < _MASS_FLOOR:
-        raise EmptyClusterError(f"interval {interval} carries mass {rep.mass:.3g}")
-    if rep.cond_moments is None:
-        raise ClusterTooSmallError(
-            f"interval {interval} holds {rep.mass * m:.2f} expected packages; need >= 2")
-    return rep
 
 
 def total_key_rate(dist: TransmittanceDistribution, boundaries: Sequence[float],

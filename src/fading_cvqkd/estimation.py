@@ -5,9 +5,11 @@ The square-root transmittance estimator is the normalized covariance
 
     sqrtT_hat = (1/(V*k)) sum_j M_j B_j,
 
-unbiased for sqrt(T) with variance (2T + V_N/V)/k.  The estimates of a
-run are columns: one Estimates holds an (m,) array per quantity, all
-from the same k, and est[rows] selects packages by mask or index.
+unbiased for sqrt(T) with variance (2T + V_N/V)/k.  estimate_run
+estimates every package of a run (estimate_sqrtT one package) and
+returns columns: one Estimates holds an (m,) array per quantity, all
+from the same k, and est[rows] selects packages by mask or index;
+estimate_flags counts its sign anomalies and noise-model mismatches.
 Aggregating over packages yields bias-corrected estimates of the
 fluctuation statistics X1 = <T> - <sqrt T>^2 and X2 = <T> + <sqrt T>^2
 whose joint confidence bounds determine the worst-case effective
@@ -17,7 +19,6 @@ channel.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -32,9 +33,7 @@ __all__ = [
     "AggregateStats",
     "WorstCaseChannel",
     "estimate_sqrtT",
-    "estimate_T",
     "estimate_flags",
-    "estimate_noise",
     "disclosed_count",
     "sqrtT_variance",
     "T_variance",
@@ -103,21 +102,23 @@ class AggregateStats:
     per-package estimates and the squared average inflate by estimator
     sampling variance, so the model-predicted variance is subtracted
     before combining.  Standard errors come from the per-package
-    influence columns of each statistic.
+    influence columns of each statistic.  m_used is the package count
+    from aggregate, the expected count mass*m from the cluster evaluator,
+    whose interval table fills every field with an array.
     """
 
-    mean_sqrtT_hat: float
-    mean_T_hat: float
-    X1_hat: float
-    X2_hat: float
-    se_X1: float
-    se_X2: float
-    m_used: int
-    se_mean_sqrtT: float = 0.0
-    se_mean_T: float = 0.0
-    eps_hat: float = 0.0
-    vN_pooled: float = 1.0
-    k_total: float = 0.0
+    mean_sqrtT_hat: float | np.ndarray
+    mean_T_hat: float | np.ndarray
+    X1_hat: float | np.ndarray
+    X2_hat: float | np.ndarray
+    se_X1: float | np.ndarray
+    se_X2: float | np.ndarray
+    m_used: int | float | np.ndarray
+    se_mean_sqrtT: float | np.ndarray = 0.0
+    se_mean_T: float | np.ndarray = 0.0
+    eps_hat: float | np.ndarray = 0.0
+    vN_pooled: float | np.ndarray = 1.0
+    k_total: float | np.ndarray = 0.0
 
 
 @dataclass(frozen=True)
@@ -125,15 +126,15 @@ class WorstCaseChannel:
     """Confidence-bounded effective channel pessimistic for the key rate.
 
     unusable is set when the bounds crossed (X2_low <= X1_up) and the
-    transmittance bound was clamped to 0.
+    transmittance bound was clamped to 0.  Array statistics give arrays.
     """
 
-    T_eff_low: float
-    eps_eff_up: float
-    X1_up: float
-    X2_low: float
-    eps_up: float
-    unusable: bool = False
+    T_eff_low: float | np.ndarray
+    eps_eff_up: float | np.ndarray
+    X1_up: float | np.ndarray
+    X2_low: float | np.ndarray
+    eps_up: float | np.ndarray
+    unusable: bool | np.ndarray = False
 
 
 def _check_pairs(M, B) -> tuple[np.ndarray, np.ndarray, int]:
@@ -173,51 +174,17 @@ def _estimates(M: np.ndarray, B: np.ndarray, V: float, k: int) -> Estimates:
                      sigma_T=np.sqrt(T_variance(T_hat, v_u)), vN_hat=vN, k=k)
 
 
-def _core(M, B, V: float) -> Estimates:
-    """Shared plumbing of the 1-d estimators: all k pairs disclosed, one row."""
-    M, B, k = _check_pairs(M, B)
-    if not (V > 0.0):
-        raise ParameterError(f"modulation variance must be positive, got {V}")
-    return _estimates(M[None], B[None], V, k)
-
-
 def estimate_sqrtT(M, B, V: float) -> tuple[float, float]:
     """Estimate sqrt(T) from disclosed pairs via the scaled M-B covariance.
 
     Returns (sqrtT_hat, sigma_sqrtT) where the predicted standard
     deviation sqrt((2T + V_N/V)/k) is evaluated at plug-in estimates.
     """
-    est = _core(M, B, V)
+    M, B, k = _check_pairs(M, B)
+    if not (V > 0.0):
+        raise ParameterError(f"modulation variance must be positive, got {V}")
+    est = _estimates(M[None], B[None], V, k)
     return float(est.sqrtT_hat[0]), float(est.sigma_sqrtT[0])
-
-
-def estimate_T(M, B, V: float) -> tuple[float, float]:
-    """Estimate T as the square of the sqrt-T estimator.
-
-    Returns (T_hat, sigma_T).  The leading-order predicted variance
-    4*T*Var(sqrtT_hat) is kept strictly positive by the exact Gaussian
-    second-order term 2*Var(sqrtT_hat)^2, which matters only near T=0.
-    """
-    est = _core(M, B, V)
-    return float(est.T_hat[0]), float(est.sigma_T[0])
-
-
-def estimate_noise(M, B, V: float, V_S: float) -> tuple[float, float]:
-    """Residual noise variance and the excess noise it implies.
-
-    vN_hat = (1/(k-1)) sum (B - sqrtT_hat*M)^2 and
-    eps_hat = vN_hat - 1 + T_hat*(1 - V_S).  A strongly negative
-    eps_hat (beyond 4 residual-variance standard errors) signals model
-    mismatch and triggers a warning; callers clamp at 0 for key-rate
-    use.
-    """
-    est = _core(M, B, V)
-    eps_hat, tol = (float(x[0]) for x in _excess_noise(est, V_S))
-    if eps_hat < -tol:
-        warnings.warn(f"excess noise estimate {eps_hat:.4g} is negative beyond "
-                      f"sampling tolerance {tol:.4g}; model mismatch?",
-                      RuntimeWarning, stacklevel=2)
-    return float(est.vN_hat[0]), eps_hat
 
 
 def _excess_noise(est: Estimates, V_S: float) -> tuple[np.ndarray, np.ndarray]:

@@ -31,6 +31,7 @@ from fading_cvqkd import (
     worst_case,
     worst_case_rectangular,
 )
+from fading_cvqkd import elementwise as ew
 from fading_cvqkd.security import _symplectic_pair
 
 P = ProtocolParams()
@@ -233,7 +234,7 @@ def test_criterion_8_security_bound_sanity():
         for e in eps:
             V_B = t * (V_A - 1.0) + 1.0 + e
             c = math.sqrt(t * (V_A**2 - 1.0))
-            nu_p, nu_m = _symplectic_pair(V_A, V_B, c)
+            nu_p, nu_m = _symplectic_pair(V_A, V_B, c, ew.SCALAR)
             nu_c = math.sqrt(V_A * (V_A - c * c / V_B))
             min_nu = min(min_nu, nu_p, nu_m, nu_c)
     elapsed = time.monotonic() - t0

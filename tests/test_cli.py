@@ -16,7 +16,6 @@ from fading_cvqkd import (
     Run,
     Uniform,
     aggregate,
-    estimate_noise,
     estimate_run,
     from_descriptor,
     key_rate,
@@ -181,8 +180,6 @@ def test_estimate_reports_its_flags(tmp_path):
     stats = aggregate(estimates, p)
     assert report == jsonable({"aggregate": stats, "worst_case": worst_case(stats, p),
                                "worst_case_rectangular": worst_case_rectangular(stats, p)})
-    with pytest.warns(RuntimeWarning, match="negative beyond"):
-        estimate_noise(M[1, :estimates.k], B[1, :estimates.k], p.V, p.V_S)
 
 
 # ---- keyrate ------------------------------------------------------------

@@ -28,11 +28,9 @@ from fading_cvqkd import (
     WorstCaseChannel,
     aggregate,
     cluster_assign,
-    cluster_stats,
     conditional_pdf,
     estimate_run,
     key_rate,
-    marginal_pdf,
     optimize,
     optimize_each,
     simulate_run,
@@ -153,24 +151,31 @@ def test_conditional_pdf_rejects_bad_intervals():
 # ---- estimate marginal -----------------------------------------------
 
 def test_marginal_density_matches_simulated_estimates():
+    """The kernel sums the quantile solve runs on: the CDF column of
+    _cdf_pdf integrates its density, and both match simulated T_hat."""
     k, m, n = 500, 3000, 5000
+    ev = clustering._Evaluator(clustering._rule(UNI), P, k, m, n)
     grid = np.linspace(-0.3, 1.3, 2001)
-    dens = marginal_pdf(grid, UNI, k, P)
+    G, dens = ev._cdf_pdf(grid)
     assert np.trapezoid(dens, grid) == pytest.approx(1.0, abs=2e-3)
+    np.testing.assert_allclose(G[:, 0], integrate.cumulative_trapezoid(dens, grid, initial=0.0),
+                               rtol=0.0, atol=2e-3)
 
     run = simulate_run(UNI, n, m, P, seed=4242)
     t_hat = estimate_run(run).T_hat
-    for x in (0.3, 0.5, 0.7):
-        cdf_model = np.trapezoid(dens[grid <= x], grid[grid <= x])
-        cdf_mc = float(np.mean(t_hat <= x))
+    x = np.array([0.3, 0.5, 0.7])
+    for cdf_model, xi in zip(ev._cdf_pdf(x)[0][:, 0], x):
+        cdf_mc = float(np.mean(t_hat <= xi))
         se = math.sqrt(cdf_mc * (1.0 - cdf_mc) / m)
         assert abs(cdf_model - cdf_mc) < 4.0 * se
 
 
-# ---- cluster_stats ----------------------------------------------------
+# ---- one cluster of a plan ----------------------------------------------
 
-def test_cluster_stats_agrees_with_conditional_density():
-    rep = cluster_stats(TN, (0.6, 0.7), 1000, P, m=1000)
+def test_cluster_report_agrees_with_conditional_density():
+    """k = r n = 1000 disclosed states: the plan's cluster has the
+    conditional moments of conditional_pdf and a worst case below them."""
+    rep = total_key_rate(TN, (0.6, 0.7), 10_000, 1000, P).per_cluster[0]
     cd = conditional_pdf(TN, (0.6, 0.7), 1000, P)
     assert rep.cond_moments.mean_T == pytest.approx(cd.mean(), rel=1e-9)
     # worst-case transmittance sits below the conditional mean
@@ -178,12 +183,15 @@ def test_cluster_stats_agrees_with_conditional_density():
     assert rep.wc.eps_eff_up > P.epsilon
 
 
-def test_cluster_stats_raises_on_degenerate_intervals():
-    with pytest.raises(EmptyClusterError):
-        cluster_stats(UNI, (2.0, 3.0), 1000, P, m=1000)
-    with pytest.raises(ClusterTooSmallError):
-        # ~1% mass over 10 packages: 0.1 expected members
-        cluster_stats(UNI, (0.5, 0.51), 1000, P, m=10)
+def test_degenerate_intervals_carry_no_key():
+    """An interval with no mass, or ~1% mass over 10 packages (0.1
+    expected members), scores no moments, no channel and K_c = 0;
+    conditional_pdf refuses the empty one (see
+    test_conditional_pdf_rejects_bad_intervals)."""
+    for edges, m in (((2.0, 3.0), 1000), ((0.5, 0.51), 10)):
+        rep = total_key_rate(UNI, edges, 10_000, m, P).per_cluster[0]
+        assert rep.cond_moments is None and rep.wc is None
+        assert rep.N_c == 0 and rep.K_c == 0.0
 
 
 # ---- plan evaluation ---------------------------------------------------
@@ -456,7 +464,7 @@ def test_optimize_builds_the_rule_once(monkeypatch):
 
 
 def test_shared_rule_is_read_only():
-    ev = clustering._Evaluator(clustering._rule(TN), P, 10, 100)
+    ev = clustering._Evaluator(clustering._rule(TN), P, 10, 100, 100)
     for arr in (ev.s, ev.fw):
         with pytest.raises(ValueError):
             arr[0] = 0.5
@@ -485,7 +493,7 @@ def _evaluator(dist, r=0.26, V=5.0, n=1000, m=1000):
 
 
 def _edges(ev, Q):
-    return [-math.inf, *ev.quantiles(Q), math.inf]
+    return list(ev._solve(Q)[0])
 
 
 @pytest.mark.parametrize("dist", [*FOUR_LAWS, TRACE_LAW],
@@ -497,7 +505,7 @@ def test_vector_quantiles_match_brentq(dist, r, V):
     marginal CDF."""
     ev = _evaluator(dist, r, V)
     Q = 64
-    t = ev.quantiles(Q)
+    t = ev._solve(Q)[0][1:-1]
     lo = float(np.min(ev.s - 9.0 * ev.sigma))
     hi = float(np.max(ev.s + 9.0 * ev.sigma))
     cdf = lambda x: float(np.dot(ev.fw, ndtr((x - ev.s) / ev.sigma)))
@@ -525,7 +533,7 @@ def test_broken_quantile_bracket_raises():
     ev = clustering._Evaluator((s, 0.5 * fw), replace(P, r=0.26, V=5.0), 260, 1000,
                                n=1000)
     with pytest.raises(NumericalError, match="quantile bracket failed"):
-        ev.quantiles(64)
+        ev._solve(64)
 
 
 def test_quantile_solve_kernel_work(monkeypatch):
@@ -551,7 +559,7 @@ def test_quantile_solve_kernel_work(monkeypatch):
                          ids=["uniform", "tnorm", "lnw", "empirical", "empirical-1600"])
 @pytest.mark.parametrize("r, V", GRID_CORNERS)
 def test_interval_table_reads_the_quantile_solve(dist, r, V):
-    """The table's edges are quantiles(Q), and its kernel sums are the
+    """The table's edges are those of _solve(Q), and its kernel sums are the
     marginal's at those edges, recomputed there: the CDF and the weighted
     node columns at each finite edge, 0 at -inf and the column sums of
     the weights at +inf."""

@@ -2,12 +2,14 @@
 worst-case channel bounds."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from fading_cvqkd import (
     AggregateStats,
+    Empirical,
     Estimates,
     InsufficientDataError,
     NumericalError,
@@ -17,10 +19,9 @@ from fading_cvqkd import (
     TruncatedNormal,
     Uniform,
     aggregate,
-    estimate_noise,
+    estimate_flags,
     estimate_run,
     estimate_sqrtT,
-    estimate_T,
     noise_variance,
     simulate_package,
     simulate_run,
@@ -85,49 +86,40 @@ def test_variance_law_grid(T, k):
         _predicted_var(T, V_DEFAULT, vN, k), rel=0.10)
 
 
-def test_estimate_T_square_and_sigma():
+def _constant_run(T, k, m, p, seed):
+    """m packages at transmittance T, each with k disclosed states of
+    2k (p.r = 0.5)."""
+    return simulate_run(Empirical([T]), 2 * k, m, replace(p, r=0.5), seed=seed)
+
+
+def test_T_hat_is_the_square_with_its_sigma():
     p = ProtocolParams(V=6.0)
-    pkg = simulate_package(0.7, 500, p, seed=9)
-    u, su = estimate_sqrtT(pkg.M, pkg.B, p.V)
-    t, st = estimate_T(pkg.M, pkg.B, p.V)
-    assert t == u * u
-    assert st == pytest.approx(math.sqrt(4.0 * t * su**2 + 2.0 * su**4))
-    assert st > 0.0
+    est = estimate_run(_constant_run(0.7, 500, 4, p, seed=9))
+    u, su = est.sqrtT_hat, est.sigma_sqrtT
+    assert np.array_equal(est.T_hat, u * u)
+    np.testing.assert_allclose(est.sigma_T, np.sqrt(4.0 * est.T_hat * su**2 + 2.0 * su**4),
+                               rtol=1e-15)
+    assert (est.sigma_T > 0.0).all()
 
 
 def test_T_variance_prediction():
     """Var(T_hat) ~ 4 T Var(sqrtT_hat) at moderate T, within 10%."""
-    T, k, V = 0.8, 1000, V_DEFAULT
-    p = ProtocolParams(V=V)
-    rng = np.random.default_rng(77)
-    t_hats, preds = [], []
-    for _ in range(2000):
-        pkg = simulate_package(T, k, p, rng)
-        t, st = estimate_T(pkg.M, pkg.B, V)
-        t_hats.append(t)
-        preds.append(st**2)
-    assert np.var(t_hats, ddof=1) == pytest.approx(float(np.mean(preds)), rel=0.10)
+    est = estimate_run(_constant_run(0.8, 1000, 2000, ProtocolParams(V=V_DEFAULT), seed=77))
+    assert np.var(est.T_hat, ddof=1) == pytest.approx(float(np.mean(est.sigma_T**2)),
+                                                      rel=0.10)
 
 
 def test_sigma_T_positive_at_zero_transmittance():
-    p = ProtocolParams()
-    pkg = simulate_package(0.0, 2000, p, seed=3)
-    t, st = estimate_T(pkg.M, pkg.B, p.V)
-    assert st > 0.0  # second-order term keeps the dark-channel sigma alive
+    est = estimate_run(_constant_run(0.0, 2000, 2, ProtocolParams(), seed=3))
+    assert (est.sigma_T > 0.0).all()  # second-order term keeps the dark-channel sigma alive
 
 
-@pytest.mark.filterwarnings("ignore:excess noise estimate")
 def test_noise_estimator_bias_law():
     """E[vN_hat] = V_N + 2 T V/(k-1): the fixed-denominator slope soaks
     up part of the noise; the pooled aggregate subtracts it back."""
     T, k, V = 0.5, 100, V_DEFAULT
     p = ProtocolParams(V=V, epsilon=0.01)
-    rng = np.random.default_rng(15)
-    vns = []
-    for _ in range(4000):
-        pkg = simulate_package(T, k, p, rng)
-        vn, _ = estimate_noise(pkg.M, pkg.B, V, p.V_S)
-        vns.append(vn)
+    vns = estimate_run(_constant_run(T, k, 4000, p, seed=15)).vN_hat
     vn_mean = float(np.mean(vns))
     se = float(np.std(vns, ddof=1)) / math.sqrt(len(vns))
     expected = noise_variance(T, p) + 2.0 * T * V / (k - 1)
@@ -136,17 +128,20 @@ def test_noise_estimator_bias_law():
     assert vn_mean - noise_variance(T, p) > 10.0 * se
 
 
-def test_noise_estimate_identity_and_warning():
+def test_noise_mismatch_flag():
+    """estimate_flags counts a package whose eps_hat = vN_hat - 1 +
+    T_hat (1 - V_S) lies more than 4 residual-variance standard errors
+    below 0: noiseless data (eps_hat near -1) is flagged, data simulated
+    by the model is not."""
     p = ProtocolParams(V=4.0, V_S=0.6)
-    pkg = simulate_package(0.4, 300, p, seed=21)
-    vn, eps = estimate_noise(pkg.M, pkg.B, p.V, p.V_S)
-    t, _ = estimate_T(pkg.M, pkg.B, p.V)
-    assert eps == pytest.approx(vn - 1.0 + t * (1.0 - p.V_S), abs=1e-12)
-    # noiseless synthetic data implies eps ~ -1: far beyond tolerance
-    rng = np.random.default_rng(1)
-    M = rng.normal(0.0, 2.0, 500)
-    with pytest.warns(RuntimeWarning, match="negative beyond"):
-        estimate_noise(M, 0.5 * M, 4.0, 1.0)
+    run = _constant_run(0.4, 300, 5, p, seed=21)
+    assert estimate_flags(estimate_run(run), run.protocol) == \
+        {"sign_anomalies": 0, "noise_mismatch": 0}
+    B = run.B.copy()
+    B[2] = 0.5 * run.M[2]
+    noiseless = estimate_run(replace(run, B=B))
+    assert estimate_flags(noiseless, run.protocol) == \
+        {"sign_anomalies": 0, "noise_mismatch": 1}
 
 
 def test_estimate_run_uses_disclosed_prefix():

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fading_cvqkd import (
+    AggregateStats,
     EffectiveChannel,
+    FadingCVQKDError,
     Moments,
     ParameterError,
     ProtocolParams,
@@ -16,14 +18,15 @@ from fading_cvqkd import (
     WorstCaseChannel,
     delta_fs,
     effective_channel,
-    gaussian_entropy,
     holevo_bound,
     key_rate,
     mutual_information,
     simulate_package,
+    worst_case,
 )
 from fading_cvqkd.channel import V_MAX
-from fading_cvqkd.security import _symplectic_pair
+from fading_cvqkd import elementwise as ew
+from fading_cvqkd.security import _entropy, _symplectic_pair
 
 
 def _two_mode_cov(V_A, V_B, c):
@@ -74,7 +77,7 @@ def test_symplectic_pair_against_matrix_oracle(T, eps, V):
     V_A = p.V_prime + 1.0
     V_B = T * (V_A - 1.0) + 1.0 + eps
     c = math.sqrt(T * (V_A**2 - 1.0))
-    nu_p, nu_m = _symplectic_pair(V_A, V_B, c)
+    nu_p, nu_m = _symplectic_pair(V_A, V_B, c, ew.SCALAR)
     ora_p, ora_m = _symplectic_oracle(V_A, V_B, c)
     assert nu_p == pytest.approx(ora_p, rel=1e-10)
     assert nu_m == pytest.approx(ora_m, rel=1e-10, abs=1e-10)
@@ -84,19 +87,26 @@ def test_symplectic_pair_against_matrix_oracle(T, eps, V):
     assert nu_cond == pytest.approx(_conditional_oracle(V_A, V_B, c), rel=1e-9)
 
 
+def _G(v):
+    return _entropy(v, ew.of(v))
+
+
 def test_gaussian_entropy_anchors():
-    assert gaussian_entropy(1.0) == 0.0
-    assert gaussian_entropy(1.0 - 5e-10) == 0.0  # tolerated dust below vacuum
-    assert gaussian_entropy(3.0) == pytest.approx(2.0, abs=1e-12)
+    assert _G(1.0) == 0.0
+    assert _G(1.0 - 5e-10) == 0.0  # tolerated dust below vacuum
+    assert _G(3.0) == pytest.approx(2.0, abs=1e-12)
     with pytest.raises(UnphysicalStateError):
-        gaussian_entropy(0.9)
+        _G(0.9)
+    assert np.array_equal(_G(np.array([1.0, 3.0])), [_G(1.0), _G(3.0)])
+    with pytest.raises(UnphysicalStateError):
+        _G(np.array([3.0, 0.9]))
 
 
 @settings(max_examples=50, deadline=None)
 @given(v=st.floats(1.0, 1e4), dv=st.floats(0.01, 10.0))
 def test_gaussian_entropy_monotone(v, dv):
     # slack covers the rounding noise of a log2 a - b log2 b at large v
-    assert gaussian_entropy(v + dv) > gaussian_entropy(v) - 1e-9
+    assert _G(v + dv) > _G(v) - 1e-9
 
 
 def test_mutual_information_anchor():
@@ -290,3 +300,47 @@ def test_holevo_bound_keeps_its_precision_up_to_v_max():
                                    ProtocolParams(V=V_MAX, V_S=V_S))
                 want = [float(_holevo_reference(t, eps, V_MAX, V_S, mpmath)) for t in T]
                 np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-9)
+
+
+def _path_outcomes(T, eps, p, N, asymptotic, X1, se, wrap):
+    """K_raw of key_rate on the channel (T, eps) and on the worst case of
+    a cluster whose statistics put its mean transmittance at T, its spread
+    at X1 and its excess noise at eps, each bound se out, from r N
+    disclosed states; or the type of the error each raised.  wrap turns
+    every input into the path's type."""
+    stats = AggregateStats(mean_sqrtT_hat=wrap(math.sqrt(abs(T))), mean_T_hat=wrap(T),
+                           X1_hat=wrap(X1), X2_hat=wrap(2.0 * T - X1),
+                           se_X1=wrap(se), se_X2=wrap(se), m_used=wrap(float(N)),
+                           eps_hat=wrap(eps), vN_pooled=wrap(1.0 + eps),
+                           k_total=wrap(p.r * N))
+    N_total = None if asymptotic else wrap(N)
+    out = []
+    for channel in (lambda: EffectiveChannel(T=wrap(T), eps=wrap(eps)),
+                    lambda: worst_case(stats, p)):
+        try:
+            out.append(key_rate(channel(), N_total, p).K_raw)
+        except FadingCVQKDError as exc:
+            out.append(type(exc))
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(T=st.floats(-0.25, 1.25), eps=st.floats(-0.1, 2.0),
+       V=st.floats(0.0, V_MAX, exclude_min=True), V_S=st.floats(0.0, 1.0, exclude_min=True),
+       r=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+       N=st.integers(0, 10**15), asymptotic=st.booleans(),
+       X1=st.floats(-0.5, 0.5), se=st.floats(0.0, 1.0))
+def test_float_and_array_paths_agree(T, eps, V, V_S, r, N, asymptotic, X1, se):
+    """worst_case and key_rate on floats and on one-element arrays either
+    raise the same FadingCVQKDError subclass or both give a finite K_raw,
+    within 1e-12 bits/state of each other; no other error escapes."""
+    p = ProtocolParams(V=V, V_S=V_S, r=r)
+    scalar = _path_outcomes(T, eps, p, N, asymptotic, X1, se, lambda x: x)
+    array = _path_outcomes(T, eps, p, N, asymptotic, X1, se, lambda x: np.array([x]))
+    for on_floats, on_arrays in zip(scalar, array):
+        if isinstance(on_floats, type) or isinstance(on_arrays, type):
+            assert on_floats is on_arrays
+        else:
+            assert isinstance(on_floats, float) and on_arrays.shape == (1,)
+            assert math.isfinite(on_floats) and math.isfinite(on_arrays[0])
+            assert abs(on_floats - on_arrays[0]) <= 1e-12
