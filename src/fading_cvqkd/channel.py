@@ -19,7 +19,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .distributions import TransmittanceDistribution
+from .distributions import TransmittanceDistribution, _as_rng
 from .errors import ParameterError
 
 __all__ = ["ProtocolParams", "Package", "Run", "V_MAX", "noise_variance",
@@ -189,8 +189,7 @@ def simulate_package(T: float, n: int, protocol: ProtocolParams, seed) -> Packag
         raise ParameterError(f"transmittance must lie in [0, 1], got {T}")
     if int(n) < 2:
         raise ParameterError(f"package size must be >= 2, got {n}")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    M, B = _draw(rng, float(T), int(n), protocol)
+    M, B = _draw(_as_rng(seed), float(T), int(n), protocol)
     return Package(true_T=float(T), M=_read_only(M), B=_read_only(B))
 
 

@@ -27,14 +27,12 @@ from .distributions import Empirical, from_descriptor
 from .errors import FadingCVQKDError, ValidationError
 from .storage import B_NPY, ESTIMATES_CSV, M_NPY, RUN_JSON, TRUE_T_CSV
 
-_ENV_KEYS = {
-    "FADING_CVQKD_SEED": ("seed", int),
-    "FADING_CVQKD_N": ("n", int),
-    "FADING_CVQKD_M": ("m", int),
-    "FADING_CVQKD_CLUSTERS": ("clusters", int),
-    "FADING_CVQKD_Z_CONF": ("z_conf", float),
-    "FADING_CVQKD_OUT": ("out", str),
-}
+# the type of each setting that a config file or the environment gives;
+# an environment value is converted by it, a file value must have it
+_TYPES = {"dist": dict, "dist_file": str, "n": int, "m": int, "seed": int,
+          "clusters": int, "z_conf": float, "out": str}
+_ENV_KEYS = {f"FADING_CVQKD_{name.upper()}": name
+             for name in ("seed", "n", "m", "clusters", "z_conf", "out")}
 
 
 @dataclass(frozen=True)
@@ -81,19 +79,21 @@ def _merge_config(args, defaults: dict | None = None, unread: tuple[str, ...] = 
         cfg[name] = val
 
     if args.config:
-        file_cfg = storage.read_json(args.config)
+        file_cfg = storage.json_typed(storage.read_json(args.config), dict, args.config)
         for key in ("dist", "dist_file", "n", "m", "seed", "clusters", "out"):
             if key in file_cfg:
-                take(key, file_cfg[key], f"{key!r} in {args.config}")
-        cfg["protocol"].update(file_cfg.get("protocol", {}))
-    for env_key, (name, conv) in _ENV_KEYS.items():
+                where = f"{key!r} in {args.config}"
+                take(key, storage.json_typed(file_cfg[key], _TYPES[key], where), where)
+        cfg["protocol"].update(storage.json_typed(file_cfg.get("protocol", {}), dict,
+                                                  f"'protocol' in {args.config}"))
+    for env_key, name in _ENV_KEYS.items():
         raw = os.environ.get(env_key)
         if raw is None:
             continue
         try:
-            val = conv(raw)
+            val = _TYPES[name](raw)
         except ValueError:
-            raise ValidationError(f"{env_key} is not a valid {conv.__name__}: {raw!r}")
+            raise ValidationError(f"{env_key} is not a valid {_TYPES[name].__name__}: {raw!r}")
         take(name, val, env_key)
     if getattr(args, "paper_scale", None):
         cfg["paper_scale"] = True
@@ -184,8 +184,8 @@ def _cmd_estimate(args) -> int:
 def _check_estimates_match_run(estimates, sidecar: dict, protocol, path) -> None:
     """Refuse an estimates table left over from another run: it must
     hold one row per package, each from k = round(r*n) disclosed states."""
-    m = int(sidecar["m"])
-    k = estimation.disclosed_count(int(sidecar["n"]), protocol.r)
+    m = sidecar["m"]
+    k = estimation.disclosed_count(sidecar["n"], protocol.r)
     if len(estimates) != m:
         raise ValidationError(f"{path} has {len(estimates)} rows but the run has "
                               f"{m} packages; rerun estimate")
@@ -209,7 +209,7 @@ def _cmd_keyrate(args) -> int:
             estimates = estimation.estimate_run(storage.read_run(run_dir))
         stats = estimation.aggregate(estimates, protocol)
         wc = estimation.worst_case(stats, protocol)
-        N = int(sidecar["n"]) * int(sidecar["m"])
+        N = sidecar["n"] * sidecar["m"]
         report = security.key_rate(wc, N, protocol)
         dest = run_dir / "keyrate.json"
     else:
@@ -274,11 +274,9 @@ def _m_ladder(m_max: int) -> list[int]:
     return out
 
 
-def _pooled_sweep(cfg: ScenarioConfig, n: int):
+def _pooled_sweep(cfg: ScenarioConfig, dist, protocol, n: int):
     """Optimize the pooled (C=0) protocol at each block count; the key
     rate and the optimal (r, V) it is attained at, per total size N."""
-    dist = cfg.make_dist()
-    protocol = cfg.make_protocol()
     rows = []
     for m in _m_ladder(10_000 if cfg.paper_scale else 1000):
         result = clustering.optimize(dist, 0, n, m, protocol)
@@ -295,32 +293,30 @@ def _pooled_sweep(cfg: ScenarioConfig, n: int):
     return rows
 
 
-def _fig6(cfg: ScenarioConfig, out: Path) -> Path:
+def _fig6(cfg: ScenarioConfig, dist, protocol, out: Path) -> Path:
     """Pooled key rate vs total states N at per-N optimal (r, V), one
     series per package size; K_inf is the asymptote of each point."""
     n_series = (10_000, 100_000) if cfg.paper_scale else (500, 1000)
     rows = []
     for n in n_series:
-        rows.extend(_pooled_sweep(cfg, n))
+        rows.extend(_pooled_sweep(cfg, dist, protocol, n))
     path = out / "fig6.csv"
     storage.write_table(path, ["n", "m", "N", "K", "K_inf", "r_opt", "V_opt"],
                         rows)
     return path
 
 
-def _fig7(cfg: ScenarioConfig, out: Path) -> Path:
+def _fig7(cfg: ScenarioConfig, dist, protocol, out: Path) -> Path:
     """Optimal disclosure fraction r vs total states N at fixed n."""
     rows = [(n, m, N, r, V, K)
-            for (n, m, N, K, _, r, V) in _pooled_sweep(cfg, cfg.n)]
+            for (n, m, N, K, _, r, V) in _pooled_sweep(cfg, dist, protocol, cfg.n)]
     path = out / "fig7.csv"
     storage.write_table(path, ["n", "m", "N", "r_opt", "V_opt", "K"], rows)
     return path
 
 
-def _fig8(cfg: ScenarioConfig, out: Path) -> Path:
+def _fig8(cfg: ScenarioConfig, dist, protocol, out: Path) -> Path:
     """Optimal cluster layout with conditional moments per cluster."""
-    dist = cfg.make_dist()
-    protocol = cfg.make_protocol()
     result = clustering.optimize(dist, cfg.clusters, cfg.n, cfg.m, protocol)
     rows = []
     for idx, rep in enumerate(result.plan.per_cluster):
@@ -346,12 +342,10 @@ def _fig8(cfg: ScenarioConfig, out: Path) -> Path:
     return path
 
 
-def _fig9(cfg: ScenarioConfig, out: Path) -> Path:
+def _fig9(cfg: ScenarioConfig, dist, protocol, out: Path) -> Path:
     """Best total key rate vs cluster count C = 0..C_max, next to the
     known-transmittance rate K_known at the same (r, V) and the share of
     it that C clusters reach."""
-    dist = cfg.make_dist()
-    protocol = cfg.make_protocol()
     results = clustering.optimize_each(dist, range(cfg.clusters + 1), cfg.n, cfg.m,
                                        protocol)
     rule = dist.expectation_rule()
@@ -390,8 +384,9 @@ def _cmd_reproduce(args) -> int:
         if not args.config:
             cfg = dataclasses.replace(cfg, dist={"variant": "uniform",
                                                  "lo": 0.0, "hi": 1.0})
+    dist, protocol = cfg.make_dist(), cfg.make_protocol()   # validated before out is made
     out = _require_out(cfg, "reproduce")
-    path = FIGURES[figure](cfg, out)
+    path = FIGURES[figure](cfg, dist, protocol, out)
     storage.write_json(cfg, out / f"{figure}.scenario.json")
     print(f"wrote {path} and {out / (figure + '.scenario.json')}")
     return 0

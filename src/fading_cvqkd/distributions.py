@@ -6,6 +6,11 @@ empirical traces measured on a real channel.  Every family exposes a
 density, a deterministic sampler, exact moments (mean transmittance,
 mean square-root transmittance and its variance), and a fixed
 quadrature rule used by the semi-analytic cluster machinery.
+
+The base class checks the arguments once: density(t) refuses t outside
+[0, 1] and returns a float for a scalar t; sample(seed, count) refuses
+count < 1 and takes an int seed or a Generator.  A law states only its
+own _pdf (on an array), _draw, moments, rule and descriptor.
 """
 
 from __future__ import annotations
@@ -75,15 +80,24 @@ def _as_rng(seed) -> np.random.Generator:
 class TransmittanceDistribution:
     """Common interface of all transmittance laws (support inside [0, 1])."""
 
-    def support(self) -> tuple[float, float]:
-        raise NotImplementedError
-
     def density(self, t):
         """Probability density at t; t must lie in [0, 1]."""
-        raise NotImplementedError
+        arr = np.asarray(t, dtype=float)
+        if np.any(arr < 0.0) or np.any(arr > 1.0):
+            raise ParameterError("transmittance argument outside [0, 1]")
+        out = self._pdf(arr)
+        return float(out) if np.isscalar(t) else out
 
     def sample(self, seed, count: int) -> np.ndarray:
         """Draw ``count`` i.i.d. transmittance values, reproducible per seed."""
+        if int(count) < 1:
+            raise ParameterError("sample count must be >= 1")
+        return self._draw(_as_rng(seed), int(count))
+
+    def _pdf(self, t: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
+    def _draw(self, rng: np.random.Generator, count: int) -> np.ndarray:
         raise NotImplementedError
 
     def moments(self) -> Moments:
@@ -96,21 +110,6 @@ class TransmittanceDistribution:
     def descriptor(self) -> dict:
         """JSON-serializable description sufficient to rebuild the object."""
         raise NotImplementedError
-
-    # shared helpers -------------------------------------------------
-
-    @staticmethod
-    def _check_t(t) -> np.ndarray:
-        arr = np.asarray(t, dtype=float)
-        if np.any(arr < 0.0) or np.any(arr > 1.0):
-            raise ParameterError("transmittance argument outside [0, 1]")
-        return arr
-
-    @staticmethod
-    def _check_count(count: int) -> int:
-        if int(count) < 1:
-            raise ParameterError("sample count must be >= 1")
-        return int(count)
 
     def _moments_from_quads(self, mean_T: float, mean_sqrtT: float) -> Moments:
         return Moments(mean_T, mean_sqrtT, mean_T - mean_sqrtT**2)
@@ -133,18 +132,12 @@ class Uniform(TransmittanceDistribution):
         if not (0.0 <= self.lo < self.hi <= 1.0):
             raise ParameterError(f"uniform bounds must satisfy 0 <= lo < hi <= 1, got ({self.lo}, {self.hi})")
 
-    def support(self) -> tuple[float, float]:
-        return (self.lo, self.hi)
+    def _pdf(self, t):
+        inside = (t >= self.lo) & (t <= self.hi)
+        return np.where(inside, 1.0 / (self.hi - self.lo), 0.0)
 
-    def density(self, t):
-        arr = self._check_t(t)
-        inside = (arr >= self.lo) & (arr <= self.hi)
-        out = np.where(inside, 1.0 / (self.hi - self.lo), 0.0)
-        return float(out) if np.isscalar(t) else out
-
-    def sample(self, seed, count: int) -> np.ndarray:
-        rng = _as_rng(seed)
-        return rng.uniform(self.lo, self.hi, self._check_count(count))
+    def _draw(self, rng, count):
+        return rng.uniform(self.lo, self.hi, count)
 
     def moments(self) -> Moments:
         mean_T = 0.5 * (self.lo + self.hi)
@@ -189,34 +182,31 @@ class TruncatedNormal(TransmittanceDistribution):
             return float(special.ndtr(-b)), float(special.ndtr(-a))
         return float(special.ndtr(a)), float(special.ndtr(b))
 
-    def support(self) -> tuple[float, float]:
+    def _support(self) -> tuple[float, float]:
         lo = max(0.0, self.mean - 12.0 * self.std)
         hi = min(1.0, self.mean + 12.0 * self.std)
         return (lo, hi)
 
-    def density(self, t):
-        arr = self._check_t(t)
-        z = (arr - self.mean) / self.std
-        out = self._norm * np.exp(-0.5 * z**2) / (self.std * math.sqrt(2.0 * math.pi))
-        return float(out) if np.isscalar(t) else out
+    def _pdf(self, t):
+        z = (t - self.mean) / self.std
+        return self._norm * np.exp(-0.5 * z**2) / (self.std * math.sqrt(2.0 * math.pi))
 
-    def sample(self, seed, count: int) -> np.ndarray:
+    def _draw(self, rng, count):
         from scipy import special
-        rng = _as_rng(seed)
-        u = rng.uniform(*self._cdf_bounds(), self._check_count(count))
+        u = rng.uniform(*self._cdf_bounds(), count)
         sign = -1.0 if self.mean < 0.0 else 1.0
         vals = self.mean + sign * self.std * special.ndtri(u)
         return np.clip(vals, 0.0, 1.0)
 
     def moments(self) -> Moments:
-        lo, hi = self.support()
+        lo, hi = self._support()
         mean_T = _quad(lambda t: t * self.density(t), lo, hi)
         mean_sqrtT = _quad(lambda u: 2.0 * u**2 * self.density(u * u),
                            math.sqrt(lo), math.sqrt(hi))
         return self._moments_from_quads(mean_T, mean_sqrtT)
 
     def expectation_rule(self, order: int = 160) -> tuple[np.ndarray, np.ndarray]:
-        x, w = _gauss_legendre(*self.support(), order)
+        x, w = _gauss_legendre(*self._support(), order)
         return x, w * self.density(x)
 
     def descriptor(self) -> dict:
@@ -331,24 +321,19 @@ class LogNegativeWeibull(TransmittanceDistribution):
         object.__setattr__(self, "R", R)
         object.__setattr__(self, "lam", lam)
 
-    def support(self) -> tuple[float, float]:
-        return (0.0, self.T0)
-
-    def density(self, t):
-        arr = self._check_t(t)
-        out = np.zeros_like(arr, dtype=float)
-        inside = (arr > 0.0) & (arr < self.T0)
-        ti = arr[inside]
+    def _pdf(self, t):
+        out = np.zeros_like(t, dtype=float)
+        inside = (t > 0.0) & (t < self.T0)
+        ti = t[inside]
         w = np.log(self.T0 / ti)
         shape = 2.0 / self.lam
         out[inside] = (self.R**2 / (self.lam * self.sigma_b**2 * ti)) \
             * w ** (shape - 1.0) \
             * np.exp(-0.5 * (self.R / self.sigma_b) ** 2 * w**shape)
-        return float(out) if np.isscalar(t) else out
+        return out
 
-    def sample(self, seed, count: int) -> np.ndarray:
-        rng = _as_rng(seed)
-        r = rng.rayleigh(self.sigma_b, self._check_count(count))
+    def _draw(self, rng, count):
+        r = rng.rayleigh(self.sigma_b, count)
         return self.T0 * np.exp(-((r / self.R) ** self.lam))
 
     def moments(self) -> Moments:
@@ -402,20 +387,14 @@ class Empirical(TransmittanceDistribution):
         object.__setattr__(self, "_hist", hist)
         object.__setattr__(self, "_edges", edges)
 
-    def support(self) -> tuple[float, float]:
-        return (float(self.samples.min()), float(self.samples.max()))
-
-    def density(self, t):
-        arr = self._check_t(t)
-        idx = np.searchsorted(self._edges, arr, side="right") - 1
+    def _pdf(self, t):
+        idx = np.searchsorted(self._edges, t, side="right") - 1
         idx = np.clip(idx, 0, len(self._hist) - 1)
-        inside = (arr >= self._edges[0]) & (arr <= self._edges[-1])
-        out = np.where(inside, self._hist[idx], 0.0)
-        return float(out) if np.isscalar(t) else out
+        inside = (t >= self._edges[0]) & (t <= self._edges[-1])
+        return np.where(inside, self._hist[idx], 0.0)
 
-    def sample(self, seed, count: int) -> np.ndarray:
-        rng = _as_rng(seed)
-        idx = rng.integers(0, self.samples.size, self._check_count(count))
+    def _draw(self, rng, count):
+        idx = rng.integers(0, self.samples.size, count)
         return self.samples[idx]
 
     def moments(self) -> Moments:
@@ -438,18 +417,36 @@ class Empirical(TransmittanceDistribution):
         return {"variant": "empirical", "samples": [float(s) for s in self.samples]}
 
 
+def _float_list(value) -> list[float]:
+    if not isinstance(value, list):
+        raise TypeError(f"expected a list of numbers, got {type(value).__name__}")
+    return [float(v) for v in value]
+
+
 def from_descriptor(d: dict) -> TransmittanceDistribution:
-    """Rebuild a distribution from its descriptor() dictionary."""
+    """Rebuild a distribution from its descriptor() dictionary; a missing
+    or malformed parameter is a ParameterError naming variant and key."""
     try:
         variant = d["variant"]
     except (TypeError, KeyError):
         raise ParameterError("distribution descriptor lacks a 'variant' key")
+
+    def field(key: str, default=None, conv=float):
+        if key not in d and default is not None:
+            return default
+        try:
+            return conv(d[key])
+        except KeyError:
+            raise ParameterError(f"{variant} descriptor lacks the key {key!r}") from None
+        except (TypeError, ValueError) as exc:
+            raise ParameterError(f"{variant} descriptor: {key!r} is malformed ({exc})") from None
+
     if variant == "uniform":
-        return Uniform(float(d.get("lo", 0.0)), float(d.get("hi", 1.0)))
+        return Uniform(field("lo", 0.0), field("hi", 1.0))
     if variant == "truncated_normal":
-        return TruncatedNormal(float(d["mean"]), float(d["std"]))
+        return TruncatedNormal(field("mean"), field("std"))
     if variant == "log_negative_weibull":
-        return LogNegativeWeibull(float(d["w_over_a"]), float(d["sigma_b"]))
+        return LogNegativeWeibull(field("w_over_a"), field("sigma_b"))
     if variant == "empirical":
-        return Empirical(d["samples"])
+        return Empirical(field("samples", conv=_float_list))
     raise ParameterError(f"unknown distribution variant: {variant!r}")

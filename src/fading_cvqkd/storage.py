@@ -25,7 +25,7 @@ from .estimation import Estimates
 
 __all__ = [
     "write_run", "read_run", "read_sidecar", "write_estimates", "read_estimates",
-    "read_trace", "write_trace", "write_json", "read_json", "write_table",
+    "read_trace", "write_json", "read_json", "json_typed", "write_table",
     "protocol_descriptor", "protocol_from_descriptor",
     "M_NPY", "B_NPY", "RUN_JSON", "TRUE_T_CSV", "ESTIMATES_CSV",
 ]
@@ -38,10 +38,6 @@ ESTIMATES_CSV = "estimates.csv"
 RUN_FORMAT_V2 = "fading-cvqkd-run-v2"
 
 _ESTIMATE_HEADER = ["package", *Estimates.columns, "k"]
-
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
 
 
 def jsonable(obj):
@@ -74,7 +70,7 @@ def write_table(path, header: Sequence[str], rows) -> None:
         w = csv.writer(fh)
         w.writerow(list(header))
         for row in rows:
-            w.writerow([_fmt(v) if isinstance(v, (float, np.floating)) else v
+            w.writerow([repr(float(v)) if isinstance(v, (float, np.floating)) else v
                         for v in row])
 
 
@@ -105,7 +101,7 @@ def _csv_rows(path, header: list[str], label):
         for row_no, row in enumerate(rd, start=2):
             if len(row) != len(header):
                 raise ValidationError(f"{label} row {row_no}: expected "
-                                      f"{len(header)} fields")
+                                      f"{len(header)} fields, got {len(row)}")
             yield row_no, row
 
 
@@ -115,6 +111,15 @@ def read_json(path) -> dict:
             return json.load(fh)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}: not valid JSON: {exc}")
+
+
+def json_typed(val, kind: type, where: str):
+    """val, if it is of the JSON type kind (int, str or dict; a bool is
+    not an integer); else a ValidationError saying where it was found."""
+    if isinstance(val, bool) or not isinstance(val, kind):
+        name = {int: "integer", str: "string", dict: "object"}[kind]
+        raise ValidationError(f"{where} must be a JSON {name}, got {val!r}")
+    return val
 
 
 def protocol_descriptor(p: ProtocolParams) -> dict:
@@ -148,25 +153,16 @@ def write_run(run: Run, out_dir) -> None:
     write_json(sidecar, out / RUN_JSON)
 
 
-def _float_field(row_no: int, name: str, raw: str) -> float:
+def _field(row_no: int, name: str, raw: str, conv=float):
+    """A field of a CSV row: a finite float, or an int when conv is int."""
     try:
-        return float(raw)
+        x = conv(raw)
     except ValueError:
-        raise ValidationError(f"row {row_no}: field {name} is not a number: {raw!r}")
-
-
-def _finite_field(row_no: int, name: str, raw: str) -> float:
-    x = _float_field(row_no, name, raw)
+        kind = "an integer" if conv is int else "a number"
+        raise ValidationError(f"row {row_no}: field {name} is not {kind}: {raw!r}") from None
     if not math.isfinite(x):
         raise ValidationError(f"row {row_no}: field {name} is not finite: {raw!r}")
     return x
-
-
-def _int_field(row_no: int, name: str, raw: str) -> int:
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValidationError(f"row {row_no}: field {name} is not an integer: {raw!r}")
 
 
 def _check_finite(label: str, a: np.ndarray) -> None:
@@ -194,11 +190,14 @@ def _load_array(path: Path, shape: tuple[int, int]) -> np.ndarray:
 
 
 def read_sidecar(in_dir) -> dict:
-    """The run.json sidecar of a run directory, with its keys checked."""
-    sidecar = read_json(Path(in_dir) / RUN_JSON)
+    """The run.json sidecar of a run directory, with its keys checked
+    and n, m and seed integers."""
+    sidecar = json_typed(read_json(Path(in_dir) / RUN_JSON), dict, RUN_JSON)
     for key in ("format", "dist", "protocol", "n", "m", "seed"):
         if key not in sidecar:
             raise ValidationError(f"{RUN_JSON}: missing key {key!r}")
+    for key in ("n", "m", "seed"):
+        json_typed(sidecar[key], int, f"{RUN_JSON}: {key!r}")
     return sidecar
 
 
@@ -215,15 +214,15 @@ def read_run(in_dir) -> Run:
                               f"'fading-cvqkd simulate --config {src / RUN_JSON} --out NEW'")
     dist = from_descriptor(sidecar["dist"])
     protocol = protocol_from_descriptor(sidecar["protocol"])
-    n, m = int(sidecar["n"]), int(sidecar["m"])
+    n, m = sidecar["n"], sidecar["m"]
     if m < 1 or n < 2:
         raise ValidationError(f"{RUN_JSON}: need m >= 1 packages of n >= 2 states, "
                               f"got m = {m}, n = {n}")
 
     true_T = {}
     for row_no, row in _csv_rows(src / TRUE_T_CSV, ["package", "T_true"], TRUE_T_CSV):
-        i = _int_field(row_no, "package", row[0])
-        t = _float_field(row_no, "T_true", row[1])
+        i = _field(row_no, "package", row[0], int)
+        t = _field(row_no, "T_true", row[1])
         if not (0.0 <= t <= 1.0):
             raise ValidationError(f"{TRUE_T_CSV} row {row_no}: T_true outside [0, 1]")
         true_T[i] = t
@@ -232,16 +231,13 @@ def read_run(in_dir) -> Run:
 
     M, B = _load_array(src / M_NPY, (m, n)), _load_array(src / B_NPY, (m, n))
     return Run(M=M, B=B, true_T=[true_T[i] for i in range(m)], dist=dist,
-               protocol=protocol, seed=int(sidecar["seed"]))
+               protocol=protocol, seed=sidecar["seed"])
 
 
 def write_estimates(est: Estimates, path) -> None:
     """One row per package: its index, the float columns, then k."""
-    columns = zip(*(map(repr, getattr(est, name).tolist()) for name in Estimates.columns))
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(_ESTIMATE_HEADER)
-        w.writerows((i, *row, est.k) for i, row in enumerate(columns))
+    columns = zip(*(getattr(est, name).tolist() for name in Estimates.columns))
+    write_table(path, _ESTIMATE_HEADER, ((i, *row, est.k) for i, row in enumerate(columns)))
 
 
 def read_estimates(path) -> Estimates:
@@ -250,28 +246,20 @@ def read_estimates(path) -> Estimates:
     rows = list(_csv_rows(path, _ESTIMATE_HEADER, path))
     if not rows:
         raise ValidationError(f"{path}: no estimate rows")
-    k = _int_field(rows[0][0], "k", rows[0][1][-1])
+    k = _field(rows[0][0], "k", rows[0][1][-1], int)
     if k < 2:
         raise ValidationError(f"{path} row 2: k must be >= 2")
     for i, (row_no, row) in enumerate(rows):
-        index = _int_field(row_no, "package", row[0])
+        index = _field(row_no, "package", row[0], int)
         if index != i:
             raise ValidationError(f"{path} row {row_no}: package index {index}, "
                                   f"expected {i}")
-        k_row = _int_field(row_no, "k", row[-1])
+        k_row = _field(row_no, "k", row[-1], int)
         if k_row != k:
             raise ValidationError(f"{path} row {row_no}: k = {k_row}, but row 2 "
                                   f"has k = {k}")
-    return Estimates(**{name: [_finite_field(row_no, name, row[j]) for row_no, row in rows]
+    return Estimates(**{name: [_field(row_no, name, row[j]) for row_no, row in rows]
                         for j, name in enumerate(Estimates.columns, start=1)}, k=k)
-
-
-def write_trace(values, path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["T"])
-        for v in values:
-            w.writerow([_fmt(v)])
 
 
 def read_trace(path) -> np.ndarray:
@@ -281,28 +269,19 @@ def read_trace(path) -> np.ndarray:
     holding a T or T_true column (the true-T sidecar of a simulated
     run), in which case that column is extracted.
     """
-    vals = []
     with _open(path) as fh:
-        rd = csv.reader(fh)
-        header = next(rd, None)
-        col = None
-        if header is not None:
-            for name in ("T", "T_true"):
-                if name in header:
-                    col = header.index(name)
-                    break
-        if col is None:
-            raise ValidationError(
-                f"{path}: bad header {header}, expected a T or T_true column")
-        width = len(header)
-        for row_no, row in enumerate(rd, start=2):
-            if len(row) != width:
-                raise ValidationError(
-                    f"{path} row {row_no}: expected {width} fields, got {len(row)}")
-            t = _float_field(row_no, header[col], row[col])
-            if not (0.0 <= t <= 1.0):
-                raise ValidationError(f"{path} row {row_no}: T outside [0, 1]")
-            vals.append(t)
+        header = next(csv.reader(fh), None)
+    name = next((n for n in ("T", "T_true") if n in (header or ())), None)
+    if name is None:
+        raise ValidationError(
+            f"{path}: bad header {header}, expected a T or T_true column")
+    col = header.index(name)
+    vals = []
+    for row_no, row in _csv_rows(path, header, path):
+        t = _field(row_no, name, row[col])
+        if not (0.0 <= t <= 1.0):
+            raise ValidationError(f"{path} row {row_no}: T outside [0, 1]")
+        vals.append(t)
     if not vals:
         raise ValidationError(f"{path}: empty trace")
     return np.array(vals)

@@ -37,7 +37,7 @@ from fading_cvqkd.storage import (
     read_run,
     write_json,
     write_run,
-    write_trace,
+    write_table,
 )
 
 SIM = ["--n", "60", "--m", "12", "--seed", "42"]
@@ -433,6 +433,92 @@ def test_environment_values_are_validated(capsys):
         del os.environ["FADING_CVQKD_N"]
 
 
+@pytest.mark.parametrize("command", ["simulate", "keyrate", "optimize"])
+@pytest.mark.parametrize("config, message", [
+    ({"n": "3000", "m": 70, "protocol": {"r": 0.3, "V": 5.0}},
+     "'n' in {cfg} must be a JSON integer, got '3000'"),
+    ({"n": 1000, "m": 1000.5}, "'m' in {cfg} must be a JSON integer, got 1000.5"),
+    ({"n": True}, "'n' in {cfg} must be a JSON integer, got True"),
+    ({"seed": "7"}, "'seed' in {cfg} must be a JSON integer"),
+    ({"clusters": 2.5}, "'clusters' in {cfg} must be a JSON integer"),
+    ({"out": 5}, "'out' in {cfg} must be a JSON string"),
+    ({"dist_file": ["d.json"]}, "'dist_file' in {cfg} must be a JSON string"),
+    ({"dist": "uniform"}, "'dist' in {cfg} must be a JSON object"),
+    ({"protocol": [1]}, "'protocol' in {cfg} must be a JSON object"),
+    ([1, 2], "{cfg} must be a JSON object, got [1, 2]"),
+], ids=["n-string", "m-float", "n-bool", "seed", "clusters", "out", "dist_file", "dist",
+        "protocol", "not-an-object"])
+def test_a_mistyped_config_file_is_refused(tmp_path, capsys, command, config, message):
+    """A string n once repeated itself in N = n*m (keyrate claimed K > 0
+    at a 280-digit N), a float m scored 1000 packages while it reported
+    N = 1,000,500, and the other types ended in tracebacks."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert _status([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert message.format(cfg=cfg) in err
+    assert _files(tmp_path) == [cfg]
+
+
+def _edit_run_json(run_dir, **changes):
+    sidecar = read_json(run_dir / RUN_JSON)
+    sidecar.update(changes)
+    write_json(sidecar, run_dir / RUN_JSON)
+
+
+BAD_LAWS = {
+    "tn-mean": ({"variant": "truncated_normal"}, "lacks the key 'mean'"),
+    "weibull-sigma_b": ({"variant": "log_negative_weibull", "w_over_a": 1.47},
+                        "lacks the key 'sigma_b'"),
+    "uniform-lo": ({"variant": "uniform", "lo": "a"}, "uniform descriptor: 'lo' is malformed"),
+    "empirical-samples": ({"variant": "empirical", "samples": "0.5"},
+                          "empirical descriptor: 'samples' is malformed"),
+}
+
+
+@pytest.mark.parametrize("route", ["dist", "dist_file", "run.json"])
+@pytest.mark.parametrize("law", BAD_LAWS)
+def test_a_malformed_law_exits_2_by_every_route(tmp_path, capsys, route, law):
+    descriptor, message = BAD_LAWS[law]
+    cfg, run = tmp_path / "cfg.json", tmp_path / "run"
+    if route == "run.json":
+        assert main(["simulate", "--out", str(run)] + SIM) == 0
+        _edit_run_json(run, dist=descriptor)
+        commands = [["estimate", str(run)], ["keyrate", str(run)]]
+    else:
+        if route == "dist":
+            write_json({"dist": descriptor}, cfg)
+        else:
+            write_json(descriptor, tmp_path / "d.json")
+            write_json({"dist_file": str(tmp_path / "d.json")}, cfg)
+        commands = [[*c, "--config", str(cfg), "--out", str(tmp_path / "out")]
+                    for c in (["simulate"], ["keyrate"], ["optimize"], ["reproduce", "fig8"])]
+    before = _files(tmp_path)
+    for argv in commands:
+        capsys.readouterr()
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1 and message in err
+    assert _files(tmp_path) == before and not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key, value", [("n", "abc"), ("m", 12.0), ("seed", True)])
+def test_run_json_sizes_and_seed_must_be_integers(tmp_path, capsys, key, value):
+    """With "n": "abc" estimate once died with ValueError."""
+    run = tmp_path / "run"
+    assert main(["simulate", "--out", str(run)] + SIM) == 0
+    _edit_run_json(run, **{key: value})
+    before = _files(tmp_path)
+    for command in ("estimate", "keyrate"):
+        capsys.readouterr()
+        assert main([command, str(run)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert f"run.json: {key!r} must be a JSON integer, got {value!r}" in err
+    assert _files(tmp_path) == before
+
+
 # ---- reproduce ------------------------------------------------------------
 
 def test_reproduce_rejects_unknown_figure(tmp_path, capsys):
@@ -608,7 +694,7 @@ def test_ingest_builds_usable_distribution_file(tmp_path):
 
 def test_ingest_constant_trace_has_zero_spread(tmp_path):
     trace = tmp_path / "trace.csv"
-    write_trace([0.6] * 50, trace)
+    write_table(trace, ["T"], [[0.6]] * 50)
     out = tmp_path / "const"
     assert main(["ingest", str(trace), "--out", str(out)]) == 0
     dist = from_descriptor(read_json(out / "dist.json"))
@@ -624,7 +710,7 @@ def test_ingest_bins_a_steady_trace_with_one_dropout(tmp_path):
     values = 0.6 + rng.normal(0.0, 1e-9, 1600)
     values[700] = 0.0
     trace = tmp_path / "trace.csv"
-    write_trace(values, trace)
+    write_table(trace, ["T"], [[v] for v in values])
     out = tmp_path / "ingested"
     assert main(["ingest", str(trace), "--out", str(out)]) == 0
     dist = from_descriptor(read_json(out / "dist.json"))

@@ -104,15 +104,6 @@ def test_truncated_normal_far_below_zero(mean, std):
     assert abs(float(np.mean(t)) - dist.moments().mean_T) < 5.0 * se
 
 
-def test_sampling_is_reproducible():
-    d = TruncatedNormal(0.5, 0.1)
-    a = d.sample(99, 50)
-    b = d.sample(99, 50)
-    assert np.array_equal(a, b)
-    c = d.sample(100, 50)
-    assert not np.array_equal(a, c)
-
-
 def test_beam_geometry_limits():
     # a beam much narrower than the aperture passes nearly untouched
     T0, R, lam = beam_geometry_constants(0.2)
@@ -212,16 +203,56 @@ def test_from_descriptor_ignores_a_stale_bin_width():
     assert d.descriptor() == {"variant": "empirical", "samples": [0.1, 0.4, 0.7]}
 
 
-@pytest.mark.parametrize(
-    "dist",
-    [
-        Uniform(0.1, 0.9),
-        TruncatedNormal(0.45, 0.2),
-        LogNegativeWeibull(1.25, 0.8),
-        Empirical([0.1, 0.4, 0.4, 0.7]),
-    ],
-    ids=["uniform", "truncnorm", "weibull", "empirical"],
-)
+LAWS = [Uniform(0.1, 0.9), TruncatedNormal(0.45, 0.2), LogNegativeWeibull(1.25, 0.8),
+        Empirical([0.1, 0.4, 0.4, 0.7])]
+LAW_IDS = ["uniform", "truncnorm", "weibull", "empirical"]
+
+
+@pytest.mark.parametrize("dist", LAWS, ids=LAW_IDS)
+def test_law_contract(dist):
+    """What every law inherits: a float density at a scalar t and an
+    array at an array, t outside [0, 1] and a count below 1 refused, and
+    draws fixed by the seed, whether an int or a Generator."""
+    dens = dist.density(np.array([0.0, 0.3, 0.6, 1.0]))
+    assert isinstance(dens, np.ndarray) and dens.shape == (4,)
+    assert type(dist.density(0.3)) is float and dist.density(0.3) == dens[1]
+    for t in (-0.25, 1.5, [0.5, 1.01]):
+        with pytest.raises(ParameterError, match=r"outside \[0, 1\]"):
+            dist.density(t)
+    with pytest.raises(ParameterError, match="sample count must be >= 1"):
+        dist.sample(1, 0)
+    draws = dist.sample(99, 50)
+    assert np.array_equal(draws, dist.sample(np.random.default_rng(99), 50))
+    assert np.array_equal(draws, dist.sample(99, 50))
+    assert not np.array_equal(draws, dist.sample(100, 50))
+
+
+@pytest.mark.parametrize("d, message", [
+    ({"variant": "truncated_normal"}, "truncated_normal descriptor lacks the key 'mean'"),
+    ({"variant": "log_negative_weibull", "w_over_a": 1.47},
+     "log_negative_weibull descriptor lacks the key 'sigma_b'"),
+    ({"variant": "uniform", "lo": "a"}, "uniform descriptor: 'lo' is malformed"),
+    ({"variant": "uniform", "hi": None}, "uniform descriptor: 'hi' is malformed"),
+    ({"variant": "empirical"}, "empirical descriptor lacks the key 'samples'"),
+    ({"variant": "empirical", "samples": "0.5"}, "empirical descriptor: 'samples' is malformed"),
+    ({"variant": "empirical", "samples": [0.5, "x"]},
+     "empirical descriptor: 'samples' is malformed"),
+], ids=["tn-mean", "weibull-sigma_b", "uniform-lo", "uniform-hi-null", "empirical-missing",
+        "empirical-string", "empirical-entry"])
+def test_from_descriptor_names_a_malformed_key(d, message):
+    """These once ended in KeyError or ValueError, and reached the CLI
+    through a config's dist, a dist_file or run.json."""
+    with pytest.raises(ParameterError, match=message):
+        from_descriptor(d)
+
+
+def test_from_descriptor_keeps_the_float_conversion():
+    assert from_descriptor({"variant": "uniform", "lo": "0.25"}) == Uniform(0.25, 1.0)
+    assert from_descriptor({"variant": "empirical", "samples": [0, "0.5"]}).descriptor() \
+        == {"variant": "empirical", "samples": [0.0, 0.5]}
+
+
+@pytest.mark.parametrize("dist", LAWS, ids=LAW_IDS)
 def test_descriptor_round_trip(dist):
     clone = from_descriptor(dist.descriptor())
     assert type(clone) is type(dist)
@@ -244,8 +275,6 @@ def test_invalid_parameters_raise():
         Empirical([])
     with pytest.raises(ParameterError):
         Empirical([0.5, 1.2])
-    with pytest.raises(ParameterError):
-        Uniform(0.0, 1.0).density(-0.25)
     with pytest.raises(ParameterError):
         from_descriptor({"variant": "cauchy"})
     with pytest.raises(ParameterError):

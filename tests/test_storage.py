@@ -32,7 +32,6 @@ from fading_cvqkd.storage import (
     write_json,
     write_run,
     write_table,
-    write_trace,
 )
 
 P = ProtocolParams()
@@ -246,7 +245,7 @@ def test_read_estimates_rejects_non_finite_fields(tmp_path, field, value):
 def test_trace_round_trip(tmp_path):
     values = np.array([0.1, 0.5, 0.987654321012345, 1.0, 0.0])
     path = tmp_path / "trace.csv"
-    write_trace(values, path)
+    write_table(path, ["T"], [[v] for v in values])
     assert np.array_equal(read_trace(path), values)
 
 
