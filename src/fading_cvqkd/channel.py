@@ -59,6 +59,8 @@ class ProtocolParams:
         for f in fields(self):
             val = getattr(self, f.name)
             try:
+                if isinstance(val, (bool, np.bool_)):   # a JSON true would pass as 1
+                    raise TypeError
                 finite = math.isfinite(val)
             except TypeError:
                 raise ParameterError(f"{f.name} must be a number, got {val!r}")

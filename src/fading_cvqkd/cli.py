@@ -51,6 +51,11 @@ class ScenarioConfig:
     dist_file: str | None = None
     paper_scale: bool = False
 
+    def __post_init__(self) -> None:
+        # numpy's SeedSequence refuses a negative seed only once a run starts
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
+
     def make_dist(self):
         if self.dist_file:
             return from_descriptor(storage.read_json(self.dist_file))

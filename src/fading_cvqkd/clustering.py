@@ -13,6 +13,41 @@ noise.  Mixing over the fading law with a fixed quadrature rule gives
 exact first and second moments of the aggregation statistics, which
 feed the same worst-case construction used on simulated data.
 
+An empirical law's expectation rule puts every sample of a trace into
+every kernel pass.  The search merges the sorted samples into runs
+instead (Empirical.search_rule): a run starts at its least sample a and
+spans at most delta(a) = c sigma_lo(a), c = _MERGE = 1/8, where sigma_lo
+is the kernel width at n disclosed states and V = V_MAX, no wider than
+any kernel of k <= n states at V <= V_MAX.  A node carries its run's
+weight W, the run mean s' of T and the exact run means of sqrt T,
+T^(3/2) and T^2; the noise columns are taken at s'.  Merging to s' alone
+would drop the within-run spread of sqrt T, which X1 = <T> - <sqrt T>^2
+reads, and bias every rate upward.
+
+The marginal CDF's error: for an edge t write g(s) = ndtr((t - s) /
+sigma(s)) for one node's kernel.  Merging replaces sum_i w_i g(s_i) over
+a run by W g(s'); s' being the run mean, the first-order term cancels
+and the remainder is at most W Var_run sup|g''| / 2, with Var_run <=
+delta(a)^2 / 4.  So with kappa = sup sigma_lo^2 |g''| the CDF moves by at
+most kappa c^2 / 8.  With z = (t - s) / sigma, sigma^2 g'' = ndtr'(z)
+[2 sigma' (1 + z sigma') - z sigma sigma'' - z (1 + z sigma')^2]; where
+sigma varies slowly that is -z ndtr'(z), at most 0.24, and it peaks near
+T = 0, where sigma' reaches sqrt 2 (1 + 2 / k).  As sigma >= sigma_lo,
+kappa <= sup sigma^2 |g''|, and a scan of k <= n, V in [0.5, V_MAX] and
+V_S >= 0.5 puts kappa below 2 once n >= 10 (1.57 at n = 1000).  So
+c = 1/8 keeps the CDF shift below c^2 / 4 = 1/256, the level spacing of
+the finest search pass.
+
+A plan's rate R is a smooth function of its clusters' sums S (mass and
+column sums), so to first order merging moves it by sum_i w_i Psi(s_i)
+over each run.  Psi(s), what a sample at s changes when it takes its
+run's kernel, sums over the clusters dR/dS times (g(s) - g(s')) col(s)
+for the mass and power columns and (g(s) col(s) - g(s') col(s')) for
+the noise columns.  Psi(s') = 0, so the first-order term cancels again
+and a run moves R by at most W Var_run sup|Psi''| / 2, of order c^2 like
+the CDF.  R is far from linear in S (X1 cancels), so the bound on R is
+twice that: the sum over runs of W Var_run sup|Psi''|.
+
 Cluster boundaries live on the estimated-transmittance axis.  A plan
 with C clusters has C+1 edges; infinite outer edges keep everything,
 finite outer edges trim (discard) the tails.
@@ -46,12 +81,12 @@ import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from operator import itemgetter
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from . import elementwise as ew
-from .channel import ProtocolParams, noise_variance
+from .channel import V_MAX, ProtocolParams, noise_variance
 from .distributions import Moments, TransmittanceDistribution
 from .errors import (ClusterTooSmallError, EmptyClusterError,
                      InsufficientDataError, NumericalError, ParameterError)
@@ -76,6 +111,9 @@ __all__ = [
 
 _MASS_FLOOR = 1e-12
 _ORDER = 160  # nodes of the fading law's quadrature rule
+# the span of a run of an empirical law's search rule, in narrowest kernel
+# widths (see the module docstring)
+_MERGE = 0.125
 # the optimizer's geometric (r, V) grid and its quantile-level resolution
 _R_GRID = tuple(np.geomspace(0.01, 0.9, 12).tolist())
 _V_GRID = tuple(np.geomspace(0.5, 50.0, 12).tolist())
@@ -196,24 +234,41 @@ def _membership(s: np.ndarray, sigma: np.ndarray, lo: float, hi: float):
     return upper - lower
 
 
-def _rule(dist: TransmittanceDistribution, order: int = _ORDER):
-    """The fading law's quadrature rule (nodes s, weights fw) as
-    read-only copies, so that every evaluator of one call can share it."""
-    s, fw = (np.array(a, dtype=float) for a in dist.expectation_rule(order))
-    s.flags.writeable = fw.flags.writeable = False
-    return s, fw
+class _Rule(NamedTuple):
+    """A fading law's search rule: nodes s, weights fw and each node's
+    means (sqrt T, T, T^(3/2), T^2) of the transmittance it stands for."""
+
+    s: np.ndarray
+    fw: np.ndarray
+    powers: tuple[np.ndarray, ...]
+
+
+def _rule(dist: TransmittanceDistribution, count: int, protocol: ProtocolParams,
+          order: int = _ORDER) -> _Rule:
+    """The fading law's search rule for kernels of at most count disclosed
+    states, as read-only copies, so that every evaluator of one call can
+    share it.  An empirical law merges runs of samples that span at most
+    _MERGE sigma_lo(a) from their least sample a, where sigma_lo is the
+    kernel width of count states at V = V_MAX: with epsilon and V_S the
+    rule depends on no field the search varies."""
+    sharpest = replace(protocol, V=V_MAX)
+    span = lambda s: _MERGE * np.sqrt(_sigma_arrays(s, count, sharpest)[2])
+    s, fw, powers = dist.search_rule(span, order)
+    s, fw, *powers = [np.array(a, dtype=float) for a in (s, fw, *powers)]
+    for a in (s, fw, *powers):
+        a.flags.writeable = False
+    return _Rule(s, fw, tuple(powers))
 
 
 class _Nodes:
-    """A shared read-only quadrature rule (nodes s, weights fw) with the
-    estimator moments of k disclosed states at every node."""
+    """A shared read-only search rule with the estimator moments of k
+    disclosed states at every node."""
 
-    def __init__(self, rule: tuple[np.ndarray, np.ndarray],
-                 protocol: ProtocolParams, k: int):
+    def __init__(self, rule: _Rule, protocol: ProtocolParams, k: int):
         if int(k) < 2:
             raise InsufficientDataError(f"disclosed count must be >= 2, got {k}")
         self.k = int(k)
-        self.s, self.fw = rule
+        self.s, self.fw, self.powers = rule
         self.vN, self.v_u, self.v_w, self.c_uw = _sigma_arrays(self.s, self.k, protocol)
         self.sigma = np.sqrt(self.v_w)
 
@@ -225,7 +280,7 @@ class ConditionalDensity:
     mass P(T_hat in interval | s), normalized over [0, 1].
 
     Callable; mass is the prior probability of the interval and
-    moments() gives the conditional Moments of the rule nodes.
+    moments() gives the conditional Moments of the rule's node means.
     """
 
     dist: TransmittanceDistribution
@@ -233,7 +288,7 @@ class ConditionalDensity:
     k: int
     protocol: ProtocolParams
     mass: float
-    _nodes: np.ndarray = field(repr=False)
+    _powers: tuple[np.ndarray, ...] = field(repr=False)
     _wgt: np.ndarray = field(repr=False)
 
     def __call__(self, s):
@@ -245,8 +300,7 @@ class ConditionalDensity:
 
     def moments(self) -> Moments:
         w = self._wgt
-        mu_1 = float(np.dot(w, self._nodes)) / self.mass
-        mu_h = float(np.dot(w, np.sqrt(self._nodes))) / self.mass
+        mu_h, mu_1 = (float(np.dot(w, col)) / self.mass for col in self._powers[:2])
         return Moments(mean_T=mu_1, mean_sqrtT=mu_h,
                        var_sqrtT=max(0.0, mu_1 - mu_h**2))
 
@@ -260,8 +314,10 @@ def conditional_pdf(dist: TransmittanceDistribution, interval: Sequence[float],
     """Conditional density of the true transmittance for packages whose
     estimate T_hat landed in the interval, with k disclosed states per
     package setting the estimator noise.  As k grows the kernel sharpens
-    and the density approaches f restricted to the interval."""
-    nodes = _Nodes(_rule(dist, order), protocol, k)
+    and the density approaches f restricted to the interval.  The
+    moments sum over the search rule for k states, so an empirical law's
+    are those of its merged runs."""
+    nodes = _Nodes(_rule(dist, k, protocol, order), protocol, k)
     lo, hi = float(interval[0]), float(interval[1])
     if not lo < hi:
         raise ParameterError(f"interval must have lo < hi, got ({lo}, {hi})")
@@ -271,7 +327,7 @@ def conditional_pdf(dist: TransmittanceDistribution, interval: Sequence[float],
         raise EmptyClusterError(f"interval {interval} carries mass {mass:.3g}")
     return ConditionalDensity(dist=dist, interval=(lo, hi), k=nodes.k,
                               protocol=protocol, mass=mass,
-                              _nodes=nodes.s, _wgt=wgt)
+                              _powers=nodes.powers, _wgt=wgt)
 
 
 def _hermite_root(g0: np.ndarray, g1: np.ndarray, m0: np.ndarray,
@@ -304,19 +360,16 @@ class _Evaluator(_Nodes):
     the bounds line up with the estimation pipeline on real data.
     """
 
-    def __init__(self, rule: tuple[np.ndarray, np.ndarray], protocol: ProtocolParams,
-                 k: int, m: int, n: int):
+    def __init__(self, rule: _Rule, protocol: ProtocolParams, k: int, m: int, n: int):
         if int(m) < 2:
             raise InsufficientDataError(f"need at least 2 packages, got {m}")
         super().__init__(rule, protocol, k)
         self.protocol = protocol
         self.m = int(m)
         self.n = int(n)
-        sq = np.sqrt(self.s)
         # the node columns whose cluster means the statistics need, in the
         # order _stats unpacks them
-        self.columns = (sq, self.s, self.s * sq, self.s**2,
-                        self.v_u, self.v_w, self.c_uw, self.vN)
+        self.columns = (*self.powers, self.v_u, self.v_w, self.c_uw, self.vN)
         self.evaluations = 0
 
     @cached_property
@@ -545,7 +598,7 @@ def total_key_rate(dist: TransmittanceDistribution, boundaries: Sequence[float],
     Clusters expected to hold fewer than two packages contribute zero.
     """
     k = disclosed_count(int(n), protocol.r)
-    ev = _Evaluator(_rule(dist), protocol, k, m, n=int(n))
+    ev = _Evaluator(_rule(dist, int(n), protocol), protocol, k, m, n=int(n))
     return ev.plan(_check_edges(boundaries))
 
 
@@ -598,11 +651,12 @@ def _around(x: float, factor: float, grid: Sequence[float]) -> list[float]:
     return sorted({min(grid[-1], max(grid[0], v)) for v in (x / factor, x, x * factor)})
 
 
-def rate_ceiling(rule: tuple[np.ndarray, np.ndarray], protocol: ProtocolParams,
+def rate_ceiling(rule: Sequence[np.ndarray], protocol: ProtocolParams,
                  n: int | None = None, m: int | None = None) -> float:
     """The most that any plan can reach at the protocol's (r, V) on a
-    fading law with quadrature rule (nodes s_j, weights fw_j), such as
-    dist.expectation_rule(), with m packages of n states:
+    fading law whose rule starts with nodes s_j and weights fw_j, such as
+    dist.expectation_rule() or a search's rule, with m packages of n
+    states:
 
         (1 - r) sum_j fw_j max(0, K_inf(s_j, eps*) - delta_min)
 
@@ -626,8 +680,13 @@ def rate_ceiling(rule: tuple[np.ndarray, np.ndarray], protocol: ProtocolParams,
       sum_j fw_j P(T_hat in c | s_j) g(s_j), and over disjoint clusters
       those probabilities sum to at most 1 (a trimmed tail drops out), so
       the clusters' masses at each node sum to at most f.
+    On an empirical law's merged rule the nodes are run means s'_j, and
+    a node's sqrt-T column holds the run mean of sqrt T, which is at most
+    sqrt(s'_j) (sqrt is concave).  So <sqrt T>_c <= <sqrt s'>_c and
+    T_eff_low <= <sqrt s'>_c^2 <= <s'>_c, and Jensen runs over the nodes
+    s'_j with weights fw_j as above.
     """
-    s, fw = rule
+    s, fw = rule[:2]
     eps, delta = protocol.epsilon, 0.0
     if n is not None:
         n, m = int(n), int(m)
@@ -693,7 +752,7 @@ def optimize_each(dist: TransmittanceDistribution, clusters: Sequence[int], n: i
         raise ParameterError(f"level resolution {_LEVELS} too coarse for "
                              f"{max(counts)} clusters")
     n, m = int(n), int(m)
-    rule = _rule(dist)
+    rule = _rule(dist, n, protocol)
     passes: dict[int, list[SearchPass]] = {C: [] for C in counts}
     best: dict[int, tuple | None] = dict.fromkeys(counts)
 

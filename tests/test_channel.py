@@ -52,6 +52,13 @@ def test_protocol_rejects_non_numeric_fields():
         ProtocolParams(V="5")
 
 
+@pytest.mark.parametrize("bad", [True, np.True_], ids=["bool", "numpy-bool"])
+def test_protocol_rejects_a_boolean(bad):
+    """math.isfinite(True) holds, so a JSON true once scored V = 1."""
+    with pytest.raises(ParameterError, match="V must be a number"):
+        ProtocolParams(V=bad)
+
+
 def test_run_validates_its_arrays():
     M = np.zeros((3, 4))
     dist, p = Uniform(0.2, 0.9), ProtocolParams()

@@ -423,6 +423,30 @@ def test_config_file_env_and_flags_stack(tmp_path, monkeypatch):
     assert read_json(d3 / RUN_JSON)["n"] == 160
 
 
+def test_keyrate_refuses_a_boolean_protocol_field(tmp_path, capsys):
+    """{"V": true} once passed as V = 1 and exited 0 with a rate."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"protocol": {"V": True, "r": 0.3}, "n": 100, "m": 20}))
+    assert main(["keyrate", "--config", str(cfg)]) == 2
+    assert "V must be a number, got True" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("route", ["flag", "config", "environment"])
+def test_simulate_refuses_a_negative_seed_before_out_is_made(tmp_path, capsys,
+                                                             monkeypatch, route):
+    """A negative seed once died in numpy's SeedSequence with a traceback,
+    after the output directory was made."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": -1} if route == "config" else {}))
+    if route == "environment":
+        monkeypatch.setenv("FADING_CVQKD_SEED", "-2")
+    out = tmp_path / "run"
+    argv = ["simulate", "--config", str(cfg), "--out", str(out), "--n", "10", "--m", "3"]
+    assert main(argv + (["--seed", "-3"] if route == "flag" else [])) == 2
+    assert "seed must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_environment_values_are_validated(capsys):
     import os
     os.environ["FADING_CVQKD_N"] = "plenty"

@@ -23,6 +23,7 @@ from fading_cvqkd import (
     NumericalError,
     ParameterError,
     ProtocolParams,
+    TransmittanceDistribution,
     TruncatedNormal,
     Uniform,
     WorstCaseChannel,
@@ -154,7 +155,7 @@ def test_marginal_density_matches_simulated_estimates():
     """The kernel sums the quantile solve runs on: the CDF column of
     _cdf_pdf integrates its density, and both match simulated T_hat."""
     k, m, n = 500, 3000, 5000
-    ev = clustering._Evaluator(clustering._rule(UNI), P, k, m, n)
+    ev = clustering._Evaluator(clustering._rule(UNI, n, P), P, k, m, n)
     grid = np.linspace(-0.3, 1.3, 2001)
     G, dens = ev._cdf_pdf(grid)
     assert np.trapezoid(dens, grid) == pytest.approx(1.0, abs=2e-3)
@@ -464,8 +465,8 @@ def test_optimize_builds_the_rule_once(monkeypatch):
 
 
 def test_shared_rule_is_read_only():
-    ev = clustering._Evaluator(clustering._rule(TN), P, 10, 100, 100)
-    for arr in (ev.s, ev.fw):
+    ev = clustering._Evaluator(clustering._rule(TN, 100, P), P, 10, 100, 100)
+    for arr in (ev.s, ev.fw, *ev.powers):
         with pytest.raises(ValueError):
             arr[0] = 0.5
 
@@ -488,7 +489,7 @@ GRID_CORNERS = [(0.01, 0.5), (0.01, 50.0), (0.9, 0.5), (0.9, 50.0)]
 
 
 def _evaluator(dist, r=0.26, V=5.0, n=1000, m=1000):
-    return clustering._Evaluator(clustering._rule(dist), replace(P, r=r, V=V),
+    return clustering._Evaluator(clustering._rule(dist, n, P), replace(P, r=r, V=V),
                                  round(r * n), m, n=n)
 
 
@@ -529,30 +530,35 @@ def test_quantile_span_brackets_every_level(dist, r, V, Q):
 def test_broken_quantile_bracket_raises():
     """A marginal that never reaches the upper levels (here half of the
     weights dropped) fails closed instead of returning an edge."""
-    s, fw = clustering._rule(UNI)
-    ev = clustering._Evaluator((s, 0.5 * fw), replace(P, r=0.26, V=5.0), 260, 1000,
-                               n=1000)
+    rule = clustering._rule(UNI, 1000, P)
+    ev = clustering._Evaluator(rule._replace(fw=0.5 * rule.fw), replace(P, r=0.26, V=5.0),
+                               260, 1000, n=1000)
     with pytest.raises(NumericalError, match="quantile bracket failed"):
         ev._solve(64)
 
 
 def test_quantile_solve_kernel_work(monkeypatch):
-    """Kernel work of one interval table at Q = 64 on the 1,600-node law
-    at (r, V) = (0.26, 5), its quantile solve included, counted as ndtr
-    elements rather than timed.  A start grid of Q/2 + 1 points, the
+    """Kernel work of one interval table at Q = 64 on the 1,600-sample
+    trace at (r, V) = (0.26, 5), its quantile solve included, counted as
+    ndtr elements rather than timed.  The search rule merges the trace
+    into N = 82 nodes at n = 1000.  A start grid of Q/2 + 1 points, the
     Hermite start and fused Newton steps whose last pass gives the table
-    its rows take 296,000 elements (2.9 Q N).  The solve alone took
-    332,800 (3.25 Q N) when it started from Q + 1 points and the table
-    evaluated the kernel again at the converged edges, 436,800 in all;
-    the bound is the former solve alone."""
+    its rows take 17,876 elements (3.41 Q N): two levels end in a tail of
+    bisections, where a Newton step from below overshoots a bracket end
+    just above the root.  On all 1,600 samples the same table took
+    296,000 (2.9 Q N); the solve alone once took 3.25 Q N, when it started
+    from Q + 1 points and the table evaluated the kernel again at the
+    converged edges."""
     count = []
 
     def counted(x):
         count.append(np.size(x))
         return ndtr(x)
     monkeypatch.setattr(clustering, "ndtr", counted)
-    _evaluator(TRACE_LAW).table(64)
-    assert sum(count) <= 332_800
+    ev = _evaluator(TRACE_LAW)
+    assert ev.s.size == 82
+    ev.table(64)
+    assert sum(count) <= 3.5 * 64 * ev.s.size
 
 
 @pytest.mark.parametrize("dist", [*FOUR_LAWS, TRACE_LAW],
@@ -784,7 +790,7 @@ def test_no_plan_beats_the_ceiling(name, size):
     stays below rate_ceiling, which stays below K_known; each cluster's
     rate stays below (1 - r) K_inf+ at its mean transmittance and the
     true excess noise."""
-    rule = clustering._rule(CEILING_LAWS[name])
+    rule = clustering._rule(CEILING_LAWS[name], size, P)
     for r, V in itertools.product(clustering._R_GRID, clustering._V_GRID):
         ev = _evaluator(CEILING_LAWS[name], r, V, n=size, m=size)
         ceiling = clustering.rate_ceiling(rule, ev.protocol, size, size)
@@ -833,3 +839,121 @@ def test_known_transmittance_ceiling_of_a_point_law():
     finite = key_rate(EffectiveChannel(T=0.6, eps=eps_star), 1000 * 1000, proto)
     assert clustering.rate_ceiling(rule, proto, 1000, 1000) == \
         pytest.approx(finite.K, rel=1e-12)
+
+
+# ---- the merged search rule of an empirical law ----------------------
+
+# kappa c^2 / 8 with kappa < 2 (see the clustering module docstring)
+MERGE_BOUND = clustering._MERGE ** 2 / 4
+DROPOUT_LAW = Empirical(np.where(np.arange(400) == 123, 0.0,
+                                 TruncatedNormal(0.6, 0.01).sample(13, 400)))
+CONSTANT_LAW = Empirical(np.full(50, 0.4))
+
+
+def _exact_evaluator(dist, r=0.26, V=5.0, n=1000, m=1000):
+    """An evaluator on every sample of an empirical law, each a node."""
+    x, w, powers = TransmittanceDistribution.search_rule(dist, None)
+    rule = clustering._Rule(np.array(x), w, tuple(powers))
+    return clustering._Evaluator(rule, replace(P, r=r, V=V), round(r * n), m, n=n)
+
+
+def _rate_shift_bound(ev, exact, dist, edges):
+    """The module docstring's bound on how far merging moves the rate R
+    of a plan: the sum over runs of W Var_run sup |Psi''| on the run.
+    The runs are the sorted samples cut by ev's node weights.  dR/dS, for
+    each cluster's sums S (mass, then the node columns), comes from
+    central differences on exact at a fixed state count, with the slope
+    of R in the state count added to the mass's; Psi'' comes from second
+    differences at five points across each run."""
+    k, proto = exact.k, exact.protocol
+
+    def rate(S, N):
+        if S[0] < clustering._MASS_FLOOR or S[0] * exact.m < 2.0:
+            return 0.0
+        wc = worst_case(exact._stats(S[0], S[1:]), proto)
+        return S[0] * key_rate(wc, N, proto).K
+
+    grads = []
+    for lo, hi in zip(edges, edges[1:]):
+        wgt = clustering._membership(exact.s, exact.sigma, lo, hi) * exact.fw
+        S = [float(np.sum(wgt)), *(float(np.dot(wgt, col)) for col in exact.columns)]
+        N = exact._states(S[0])
+        grad = []
+        for i, value in enumerate(S):
+            step = 1e-6 * abs(value) or 1e-12
+            up, down = list(S), list(S)
+            up[i] += step
+            down[i] -= step
+            grad.append((rate(up, N) - rate(down, N)) / (2.0 * step))
+        grad[0] += (rate(S, N + 1000) - rate(S, N - 1000)) / 2000.0 * exact.m * exact.n
+        grads.append(grad)
+
+    def parts(s):
+        """Per cluster: the kernel g(s), the rate's weight of the mass
+        and power columns at s, and of the noise columns at s."""
+        vN, v_u, v_w, c_uw = clustering._sigma_arrays(s, k, proto)
+        g = [clustering._membership(s, np.sqrt(v_w), lo, hi)
+             for lo, hi in zip(edges, edges[1:])]
+        powers = [np.sqrt(s), s, s * np.sqrt(s), s**2]
+        psi = [d[0] + sum(dp * col for dp, col in zip(d[1:5], powers)) for d in grads]
+        nu = [sum(dq * col for dq, col in zip(d[5:], (v_u, v_w, c_uw, vN))) for d in grads]
+        return g, psi, nu
+
+    srt = np.sort(dist.samples)
+    bound = 0.0
+    for run in np.split(srt, np.cumsum(np.rint(ev.fw * srt.size).astype(int))[:-1]):
+        if np.ptp(run) == 0.0:
+            continue
+        g_bar, _, nu_bar = parts(np.array([np.mean(run)]))
+
+        def Psi(s):
+            g, psi, nu = parts(s)
+            return sum((g[c] - g_bar[c]) * psi[c] + g[c] * nu[c] - g_bar[c] * nu_bar[c]
+                       for c in range(len(g)))
+
+        x = np.linspace(run[0], run[-1], 5)
+        h = 1e-3 * np.sqrt(clustering._sigma_arrays(x, k, proto)[2])
+        curv = (Psi(x + h) - 2.0 * Psi(x) + Psi(x - h)) / h**2
+        bound += run.size / srt.size * float(np.var(run)) * float(np.max(np.abs(curv)))
+    return bound
+
+
+@pytest.mark.parametrize("dist", [TRACE_LAW, SMALL_EMPIRICAL, DROPOUT_LAW, CONSTANT_LAW],
+                         ids=["trace", "small", "dropout", "constant"])
+@pytest.mark.parametrize("r, V", [*GRID_CORNERS, (0.26, 5.0)])
+def test_merged_rule_stays_within_its_bound(dist, r, V):
+    """Against the rule on every sample, the merged rule's marginal CDF at
+    its own solved edges moves by at most kappa c^2 / 8, and the rate of
+    a fixed plan by at most the module docstring's run bound (plus the
+    rounding of summing every sample, for the one-node constant law)."""
+    ev, exact = _evaluator(dist, r, V), _exact_evaluator(dist, r, V)
+    assert ev.s.size < exact.s.size
+    edges, G = ev._solve(64)
+    t = edges[1:-1]
+    assert np.max(np.abs(exact._cdf_pdf(t)[0][:, 0] - G[1:-1, 0])) <= MERGE_BOUND
+    proto = replace(P, r=r, V=V)
+    for plan in ((-math.inf, t[31], math.inf), (t[15], t[47]),
+                 (-math.inf, t[20], t[40], math.inf)):
+        merged = total_key_rate(dist, plan, 1000, 1000, proto).total_rate
+        shift = abs(merged - exact.plan(plan).total_rate)
+        assert shift <= _rate_shift_bound(ev, exact, dist, plan) + 1e-12, plan
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_one_more_sample_moves_the_search_rule_by_one_node(seed):
+    """No cliff in the trace length: a trace and the same draw less its
+    last sample (4,097 and 4,096 samples, where a histogram rule once took
+    over) merge into node counts at most 1 apart, and on each a fixed
+    plan's positive rate stays within the merge's bound of the rule on
+    every sample."""
+    vals = LogNegativeWeibull(1.47, 0.6).sample(seed, 4097)
+    laws = [Empirical(vals[:-1]), Empirical(vals)]
+    evs = [_evaluator(law) for law in laws]
+    assert abs(evs[0].s.size - evs[1].s.size) <= 1 and max(ev.s.size for ev in evs) < 200
+    plan = (-math.inf, 0.45, math.inf)
+    for law, ev in zip(laws, evs):
+        exact = _exact_evaluator(law)
+        merged = total_key_rate(law, plan, 1000, 1000, replace(P, r=0.26, V=5.0)).total_rate
+        assert merged > 0.0
+        assert abs(merged - exact.plan(plan).total_rate) <= \
+            _rate_shift_bound(ev, exact, law, plan)
