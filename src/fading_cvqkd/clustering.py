@@ -15,10 +15,10 @@ feed the same worst-case construction used on simulated data.
 
 An empirical law's expectation rule puts every sample of a trace into
 every kernel pass.  The search merges the sorted samples into runs
-instead (Empirical.search_rule): a run starts at its least sample a and
-spans at most delta(a) = c sigma_lo(a), c = _MERGE = 1/8, where sigma_lo
-is the kernel width at n disclosed states and V = V_MAX, no wider than
-any kernel of k <= n states at V <= V_MAX.  A node carries its run's
+instead (_merge): a run starts at its least sample a and spans at most
+delta(a) = c sigma_lo(a), c = _MERGE = 1/8, where sigma_lo is the
+kernel width at n disclosed states and V = V_MAX, no wider than any
+kernel of k <= n states at V <= V_MAX.  A node carries its run's
 weight W, the run mean s' of T and the exact run means of sqrt T,
 T^(3/2) and T^2; the noise columns are taken at s'.  Merging to s' alone
 would drop the within-run spread of sqrt T, which X1 = <T> - <sqrt T>^2
@@ -87,7 +87,7 @@ import numpy as np
 
 from . import elementwise as ew
 from .channel import V_MAX, ProtocolParams, noise_variance
-from .distributions import Moments, TransmittanceDistribution
+from .distributions import Empirical, Moments, TransmittanceDistribution
 from .errors import (ClusterTooSmallError, EmptyClusterError,
                      InsufficientDataError, NumericalError, ParameterError)
 from .estimation import AggregateStats, Estimates, T_variance, \
@@ -120,8 +120,9 @@ _V_GRID = tuple(np.geomspace(0.5, 50.0, 12).tolist())
 _LEVELS = 64
 # the quantile solve: each edge is a point it evaluated, within _XTOL of the
 # root, the xtol of the brentq reference in test_vector_quantiles_match_brentq
-# (a level stops at a correction of _XTOL / 2); the step cap tops
-# the 38 halvings bisection needs from a grid bracket (<= 0.21 on the grid)
+# (a level stops at a correction of _XTOL / 2); the step cap is ten times
+# the 6 passes the slowest level took on the four laws, a 1,600-sample trace
+# and a trace with a dropout to 0, over a 4 x 4 subgrid of (r, V)
 _XTOL = 1e-12
 _NEWTON_STEPS = 60
 # elements per temporary (rows x nodes) array of the mixture sums
@@ -243,21 +244,44 @@ class _Rule(NamedTuple):
     powers: tuple[np.ndarray, ...]
 
 
+def _powers(x: np.ndarray) -> tuple[np.ndarray, ...]:
+    """sqrt x, x, x^(3/2) and x^2: the columns whose node means a search reads."""
+    sq = np.sqrt(x)
+    return sq, x, x * sq, x**2
+
+
+def _merge(samples: np.ndarray, count: int, protocol: ProtocolParams):
+    """An empirical law's samples merged into runs: sorted, each run starts
+    at its least sample a and holds every next sample up to a + _MERGE
+    sigma_lo(a), sigma_lo the kernel width of count states at V = V_MAX.
+    As that span rises with T, this greedy cut has the fewest runs of any
+    cut that obeys it, so one sample more or less moves the node count by
+    at most 1.  Returns the run means s', the run weights and the run
+    means of the powers."""
+    x = np.sort(samples)
+    sharpest = replace(protocol, V=V_MAX)
+    reach = x + _MERGE * np.sqrt(_sigma_arrays(x, count, sharpest)[2])
+    starts = [0]
+    while (nxt := int(np.searchsorted(x, reach[starts[-1]], side="right"))) < x.size:
+        starts.append(nxt)
+    counts = np.diff([*starts, x.size])
+    means = tuple(np.add.reduceat(col, starts) / counts for col in _powers(x))
+    return means[1], counts / x.size, means
+
+
 def _rule(dist: TransmittanceDistribution, count: int, protocol: ProtocolParams,
           order: int = _ORDER) -> _Rule:
     """The fading law's search rule for kernels of at most count disclosed
-    states, as read-only copies, so that every evaluator of one call can
-    share it.  An empirical law merges runs of samples that span at most
-    _MERGE sigma_lo(a) from their least sample a, where sigma_lo is the
-    kernel width of count states at V = V_MAX: with epsilon and V_S the
-    rule depends on no field the search varies."""
-    sharpest = replace(protocol, V=V_MAX)
-    span = lambda s: _MERGE * np.sqrt(_sigma_arrays(s, count, sharpest)[2])
-    s, fw, powers = dist.search_rule(span, order)
-    s, fw, *powers = [np.array(a, dtype=float) for a in (s, fw, *powers)]
+    states, as read-only arrays, so that every evaluator of one call can
+    share it: a law with a density keeps its expectation rule and the
+    powers of its nodes; an empirical law's samples are merged (_merge).
+    With epsilon and V_S the rule depends on no field the search varies."""
+    s, fw = (np.array(a, dtype=float) for a in dist.expectation_rule(order))
+    s, fw, powers = _merge(s, count, protocol) if isinstance(dist, Empirical) \
+        else (s, fw, _powers(s))
     for a in (s, fw, *powers):
         a.flags.writeable = False
-    return _Rule(s, fw, tuple(powers))
+    return _Rule(s, fw, powers)
 
 
 class _Nodes:
@@ -470,11 +494,15 @@ class _Evaluator(_Nodes):
         with half a level to spare at each end, gives each level a bracket
         and the cubic Hermite interpolant of the marginal CDF a start (Q + 1
         points cost more kernel work than the steps they save).  Bracketed
-        Newton steps on the whole level vector (a step that leaves its
-        bracket bisects it), one kernel pass each, run until a level's
-        correction is at most _XTOL / 2; the level keeps the point that
-        pass evaluated and its row of G, so every edge is within _XTOL of
-        its root.  A level the grid does not bracket raises NumericalError.
+        Newton steps on the whole level vector, one kernel pass each, run
+        until a level's correction is at most _XTOL / 2.  A step that
+        leaves its bracket [a, b] takes the secant root of the CDF gaps
+        at a and b instead, clipped to [a, b]: where the root lies within
+        rounding of a, Newton lands on or past a, and bisecting would
+        halve the level's gap once per pass; the secant gives a, and
+        Newton from a ends the level in one more pass.  A level keeps the point its last pass
+        evaluated and its row of G, so every edge is within _XTOL of its
+        root.  A level the grid does not bracket raises NumericalError.
         """
         q = np.arange(1, Q) / Q
         grid = np.linspace(*self.span(Q), Q // 2 + 1)
@@ -486,21 +514,25 @@ class _Evaluator(_Nodes):
                                  f"spans [{cdf[0]}, {cdf[-1]}] on "
                                  f"[{grid[0]}, {grid[-1]}]")
         lo, hi = grid[j - 1], grid[j]
+        f_lo, f_hi = cdf[j - 1] - q, cdf[j] - q
         width = hi - lo
-        t = lo + width * _hermite_root(cdf[j - 1] - q, cdf[j] - q,
-                                       width * pdf[j - 1], width * pdf[j])
+        t = lo + width * _hermite_root(f_lo, f_hi, width * pdf[j - 1], width * pdf[j])
         edge_G = np.empty((q.size, G.shape[1]))
         live = np.arange(q.size)
         for _ in range(_NEWTON_STEPS):
             tl = t[live]
             G, slope = self._cdf_pdf(tl)
             gap = G[:, 0] - q[live]
-            lo[live] = np.where(gap < 0.0, tl, lo[live])
-            hi[live] = np.where(gap > 0.0, tl, hi[live])
-            a, b = lo[live], hi[live]
+            below, above = gap < 0.0, gap > 0.0
+            lo[live] = np.where(below, tl, lo[live])
+            f_lo[live] = np.where(below, gap, f_lo[live])
+            hi[live] = np.where(above, tl, hi[live])
+            f_hi[live] = np.where(above, gap, f_hi[live])
+            a, b, fa, fb = lo[live], hi[live], f_lo[live], f_hi[live]
             with np.errstate(divide="ignore", invalid="ignore"):
                 step = tl - gap / slope
-            step = np.where((step > a) & (step < b), step, 0.5 * (a + b))
+            secant = np.clip(a - fa * (b - a) / (fb - fa), a, b)
+            step = np.where((step > a) & (step < b), step, secant)
             done = (gap == 0.0) | (np.abs(step - tl) <= _XTOL / 2)
             edge_G[live[done]] = G[done]
             t[live] = np.where(done, tl, step)

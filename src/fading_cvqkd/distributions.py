@@ -107,26 +107,12 @@ class TransmittanceDistribution:
         """Nodes x and weights w with sum(w * h(x)) ~ E[h(T)] for smooth h."""
         raise NotImplementedError
 
-    def search_rule(self, span, order: int = 160):
-        """The expectation rule (x, w) that a search evaluates, and each
-        node's means (sqrt T, T, T^(3/2), T^2) of the transmittance it
-        stands for.  A law with a density keeps its rule, and the means
-        are the powers of its nodes; span (see Empirical) is unused."""
-        x, w = self.expectation_rule(order)
-        return x, w, _powers(x)
-
     def descriptor(self) -> dict:
         """JSON-serializable description sufficient to rebuild the object."""
         raise NotImplementedError
 
     def _moments_from_quads(self, mean_T: float, mean_sqrtT: float) -> Moments:
         return Moments(mean_T, mean_sqrtT, mean_T - mean_sqrtT**2)
-
-
-def _powers(x: np.ndarray) -> tuple[np.ndarray, ...]:
-    """sqrt x, x, x^(3/2) and x^2: the columns whose means a search reads."""
-    sq = np.sqrt(x)
-    return sq, x, x * sq, x**2
 
 
 def _gauss_legendre(lo: float, hi: float, order: int) -> tuple[np.ndarray, np.ndarray]:
@@ -374,16 +360,9 @@ class Empirical(TransmittanceDistribution):
     The density is a histogram of Freedman-Diaconis bin width
     2 IQR n^(-1/3), with at most one bin per sample, and one bin when
     the IQR is 0; expectations use the raw sample measure, every sample
-    a node of weight 1/n.
-
-    A search evaluates the merged rule of search_rule instead: the
-    sorted samples cut into runs, each run a node that carries its
-    weight and the exact run means of sqrt T, T, T^(3/2) and T^2.  A
-    run starts at its least sample a and holds every next sample up to
-    a + span(a); for a span that rises with T this greedy cut has the
-    fewest runs of any cut into runs that obey it, so one sample more
-    or less changes the node count by at most 1.  clustering states the
-    span and the error bound it buys.
+    a node of weight 1/n.  The cluster search merges runs of nearby
+    samples into one node each; the clustering module states the rule
+    and its error bound.
     """
 
     samples: np.ndarray
@@ -429,16 +408,6 @@ class Empirical(TransmittanceDistribution):
     def expectation_rule(self, order: int = 160) -> tuple[np.ndarray, np.ndarray]:
         n = self.samples.size
         return self.samples, np.full(n, 1.0 / n)
-
-    def search_rule(self, span, order: int = 160):
-        x = np.sort(self.expectation_rule(order)[0])
-        reach = x + span(x)
-        starts = [0]
-        while (nxt := int(np.searchsorted(x, reach[starts[-1]], side="right"))) < x.size:
-            starts.append(nxt)
-        counts = np.diff([*starts, x.size])
-        means = tuple(np.add.reduceat(col, starts) / counts for col in _powers(x))
-        return means[1], counts / x.size, means
 
     def descriptor(self) -> dict:
         return {"variant": "empirical", "samples": [float(s) for s in self.samples]}

@@ -13,6 +13,7 @@ from scipy.special import ndtr
 from scipy.stats import norm
 
 from fading_cvqkd import clustering
+from fading_cvqkd.channel import V_MAX
 from fading_cvqkd import (
     ClusterTooSmallError,
     EffectiveChannel,
@@ -23,7 +24,6 @@ from fading_cvqkd import (
     NumericalError,
     ParameterError,
     ProtocolParams,
-    TransmittanceDistribution,
     TruncatedNormal,
     Uniform,
     WorstCaseChannel,
@@ -540,15 +540,13 @@ def test_broken_quantile_bracket_raises():
 def test_quantile_solve_kernel_work(monkeypatch):
     """Kernel work of one interval table at Q = 64 on the 1,600-sample
     trace at (r, V) = (0.26, 5), its quantile solve included, counted as
-    ndtr elements rather than timed.  The search rule merges the trace
-    into N = 82 nodes at n = 1000.  A start grid of Q/2 + 1 points, the
-    Hermite start and fused Newton steps whose last pass gives the table
-    its rows take 17,876 elements (3.41 Q N): two levels end in a tail of
-    bisections, where a Newton step from below overshoots a bracket end
-    just above the root.  On all 1,600 samples the same table took
-    296,000 (2.9 Q N); the solve alone once took 3.25 Q N, when it started
-    from Q + 1 points and the table evaluated the kernel again at the
-    converged edges."""
+    ndtr elements rather than timed: at most 3.25 Q N for the N = 82
+    nodes of the trace's search rule at n = 1000.  A start grid of
+    Q/2 + 1 points, the Hermite start and three fused Newton passes,
+    the last of which gives the table its rows, take 14,596 elements
+    (2.78 Q N).  With a bisection fallback, two levels whose roots lay
+    within rounding of a bracket end took 20 more passes, 17,876
+    elements (3.41 Q N); on all 1,600 samples the table took 296,000."""
     count = []
 
     def counted(x):
@@ -558,7 +556,24 @@ def test_quantile_solve_kernel_work(monkeypatch):
     ev = _evaluator(TRACE_LAW)
     assert ev.s.size == 82
     ev.table(64)
-    assert sum(count) <= 3.5 * 64 * ev.s.size
+    assert sum(count) <= 3.25 * 64 * ev.s.size
+
+
+@pytest.mark.parametrize("dist, r, V", [
+    (TruncatedNormal(0.5, 0.1), 0.26, 5.0), (UNI, 0.01, 0.5), (TRACE_LAW, 0.26, 5.0)],
+    ids=["tnorm", "uniform", "empirical-1600"])
+@pytest.mark.parametrize("Q", [64, 128, 256])
+def test_quantile_solve_ends_in_three_newton_passes(dist, r, V, Q):
+    """No level converges linearly: where a Newton step leaves its bracket
+    the solve takes the bracket's secant, so every level is done after
+    the start grid and three Newton passes.  Bisecting instead took 27,
+    42 and 24 kernel passes on these laws at Q = 64, against 4 here."""
+    ev = _evaluator(dist, r, V)
+    passes = []
+    solve = ev._cdf_pdf
+    ev._cdf_pdf = lambda t: (passes.append(t.size), solve(t))[1]
+    ev._solve(Q)
+    assert passes[0] == Q // 2 + 1 and len(passes) <= 4
 
 
 @pytest.mark.parametrize("dist", [*FOUR_LAWS, TRACE_LAW],
@@ -850,10 +865,35 @@ DROPOUT_LAW = Empirical(np.where(np.arange(400) == 123, 0.0,
 CONSTANT_LAW = Empirical(np.full(50, 0.4))
 
 
+def test_merged_rule_keeps_every_power_mean():
+    """The merged rule's runs hold adjacent sorted samples, each within
+    _MERGE sigma_lo(a) of its run's least sample a, and its weights and
+    node means give E[sqrt T], E[T], E[T^(3/2)] and E[T^2] of the samples;
+    a constant trace is one node."""
+    vals = LogNegativeWeibull(1.47, 0.6).sample(4, 500)
+    rule = clustering._rule(Empirical(vals), 1000, P)
+    x, w, powers = rule
+    assert 20 < x.size < 500 and np.all(np.diff(x) > 0.0)
+    assert math.fsum(w) == pytest.approx(1.0, abs=1e-15)
+    for p, col in enumerate(powers, start=1):
+        assert float(np.dot(w, col)) == pytest.approx(float(np.mean(vals ** (p / 2))),
+                                                      rel=1e-14)
+    assert np.array_equal(powers[1], x)
+    srt = np.sort(vals)
+    reach = srt + clustering._MERGE * np.sqrt(
+        clustering._sigma_arrays(srt, 1000, replace(P, V=V_MAX))[2])
+    bounds = np.concatenate(([0], np.cumsum(np.rint(w * vals.size).astype(int))))
+    for a, b in zip(bounds, bounds[1:]):
+        assert srt[b - 1] <= reach[a]
+        assert b == vals.size or srt[b] > reach[a]
+    x, w, _ = clustering._rule(CONSTANT_LAW, 1000, P)
+    assert x.size == 1 and x[0] == pytest.approx(0.4, rel=1e-15) and w.tolist() == [1.0]
+
+
 def _exact_evaluator(dist, r=0.26, V=5.0, n=1000, m=1000):
     """An evaluator on every sample of an empirical law, each a node."""
-    x, w, powers = TransmittanceDistribution.search_rule(dist, None)
-    rule = clustering._Rule(np.array(x), w, tuple(powers))
+    x, w = dist.expectation_rule()
+    rule = clustering._Rule(x, w, clustering._powers(x))
     return clustering._Evaluator(rule, replace(P, r=r, V=V), round(r * n), m, n=n)
 
 

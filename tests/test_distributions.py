@@ -145,29 +145,6 @@ def test_empirical_moments_are_sample_moments():
     assert float(np.sum(w * x)) == pytest.approx(mo.mean_T, abs=1e-12)
 
 
-def test_search_rule_keeps_every_power_mean():
-    """The merged rule's runs hold adjacent sorted samples, each within
-    span(a) of its run's least sample a, and its weights and node means
-    give E[sqrt T], E[T], E[T^(3/2)] and E[T^2] of the samples; a constant
-    trace is one node."""
-    vals = LogNegativeWeibull(1.47, 0.6).sample(4, 500)
-    span = lambda x: 0.002 + 0.01 * x
-    x, w, powers = Empirical(vals).search_rule(span)
-    assert 50 < x.size < 500 and np.all(np.diff(x) > 0.0)
-    assert math.fsum(w) == pytest.approx(1.0, abs=1e-15)
-    for p, col in enumerate(powers, start=1):
-        assert float(np.dot(w, col)) == pytest.approx(float(np.mean(vals ** (p / 2))),
-                                                      rel=1e-14)
-    assert np.array_equal(powers[1], x)
-    srt = np.sort(vals)
-    bounds = np.concatenate(([0], np.cumsum(np.rint(w * vals.size).astype(int))))
-    for a, b in zip(bounds, bounds[1:]):
-        assert srt[b - 1] <= srt[a] + span(srt[a])
-        assert b == vals.size or srt[b] > srt[a] + span(srt[a])
-    x, w, _ = Empirical(np.full(30, 0.4)).search_rule(span)
-    assert x.size == 1 and x[0] == pytest.approx(0.4, rel=1e-15) and w.tolist() == [1.0]
-
-
 def test_empirical_density_is_a_histogram():
     rng = np.random.default_rng(3)
     vals = rng.uniform(0.2, 0.8, 5000)
