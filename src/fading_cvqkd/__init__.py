@@ -2,13 +2,13 @@
 
 from .channel import Package, ProtocolParams, Run, noise_variance, \
     simulate_package, simulate_run
-from .clustering import ClusterPlan, ClusterReport, ConditionalDensity, \
-    OptimizeResult, cluster_assign, conditional_pdf, optimize, optimize_each, \
-    rate_ceiling, total_key_rate, total_key_rate_from_estimates
+from .clustering import ClusterPlan, ClusterReport, OptimizeResult, \
+    cluster_assign, optimize, optimize_each, rate_ceiling, total_key_rate, \
+    total_key_rate_from_estimates
 from .distributions import Empirical, LogNegativeWeibull, Moments, \
     TransmittanceDistribution, TruncatedNormal, Uniform, \
     beam_geometry_constants, calibrate_beam_wander, from_descriptor
-from .errors import ClusterTooSmallError, EmptyClusterError, FadingCVQKDError, \
+from .errors import ClusterTooSmallError, FadingCVQKDError, \
     InsufficientDataError, NumericalError, ParameterError, \
     UnphysicalStateError, ValidationError
 from .estimation import AggregateStats, Estimates, WorstCaseChannel, \
@@ -22,13 +22,13 @@ __version__ = "0.1.0"
 __all__ = [
     "Package", "ProtocolParams", "Run", "noise_variance",
     "simulate_package", "simulate_run",
-    "ClusterPlan", "ClusterReport", "ConditionalDensity", "OptimizeResult",
-    "cluster_assign", "conditional_pdf", "optimize", "optimize_each",
+    "ClusterPlan", "ClusterReport", "OptimizeResult",
+    "cluster_assign", "optimize", "optimize_each",
     "rate_ceiling", "total_key_rate", "total_key_rate_from_estimates",
     "Empirical", "LogNegativeWeibull", "Moments",
     "TransmittanceDistribution", "TruncatedNormal", "Uniform",
     "beam_geometry_constants", "calibrate_beam_wander", "from_descriptor",
-    "ClusterTooSmallError", "EmptyClusterError", "FadingCVQKDError",
+    "ClusterTooSmallError", "FadingCVQKDError",
     "InsufficientDataError", "NumericalError", "ParameterError",
     "UnphysicalStateError", "ValidationError",
     "AggregateStats", "Estimates", "WorstCaseChannel", "aggregate",

@@ -19,7 +19,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .distributions import TransmittanceDistribution, _as_rng
+from .distributions import TransmittanceDistribution, _as_rng, _seed
 from .errors import ParameterError
 
 __all__ = ["ProtocolParams", "Package", "Run", "V_MAX", "noise_variance",
@@ -206,7 +206,7 @@ def simulate_run(dist: TransmittanceDistribution, n: int, m: int,
         raise ParameterError(f"package count must be >= 1, got {m}")
     if int(n) < 2:
         raise ParameterError(f"package size must be >= 2, got {n}")
-    n, m = int(n), int(m)
+    n, m, seed = int(n), int(m), _seed(seed)
     root = np.random.SeedSequence(seed)
     t_stream, noise_stream = root.spawn(2)
     T_values = dist.sample(np.random.default_rng(t_stream), m)
@@ -214,4 +214,4 @@ def simulate_run(dist: TransmittanceDistribution, n: int, m: int,
     B = np.empty((m, n))
     for i, (T, child) in enumerate(zip(T_values, noise_stream.spawn(m))):
         M[i], B[i] = _draw(np.random.default_rng(child), float(T), n, protocol)
-    return Run(M=M, B=B, true_T=T_values, dist=dist, protocol=protocol, seed=int(seed))
+    return Run(M=M, B=B, true_T=T_values, dist=dist, protocol=protocol, seed=seed)

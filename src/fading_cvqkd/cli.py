@@ -52,7 +52,7 @@ class ScenarioConfig:
     paper_scale: bool = False
 
     def __post_init__(self) -> None:
-        # numpy's SeedSequence refuses a negative seed only once a run starts
+        # simulate_run refuses a negative seed only after --out is made
         if self.seed < 0:
             raise ValidationError(f"seed must be >= 0, got {self.seed}")
 

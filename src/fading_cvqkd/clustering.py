@@ -78,7 +78,7 @@ found stays the same, since a pruned point could only have lost.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 from operator import itemgetter
 from typing import NamedTuple, Sequence
@@ -88,8 +88,8 @@ import numpy as np
 from . import elementwise as ew
 from .channel import V_MAX, ProtocolParams, noise_variance
 from .distributions import Empirical, Moments, TransmittanceDistribution
-from .errors import (ClusterTooSmallError, EmptyClusterError,
-                     InsufficientDataError, NumericalError, ParameterError)
+from .errors import (ClusterTooSmallError, InsufficientDataError,
+                     NumericalError, ParameterError)
 from .estimation import AggregateStats, Estimates, T_variance, \
     WorstCaseChannel, aggregate, disclosed_count, sqrtT_variance, worst_case
 from .security import EffectiveChannel, delta_fs, key_rate
@@ -99,8 +99,6 @@ __all__ = [
     "ClusterPlan",
     "OptimizeResult",
     "SearchPass",
-    "ConditionalDensity",
-    "conditional_pdf",
     "total_key_rate",
     "cluster_assign",
     "total_key_rate_from_estimates",
@@ -132,7 +130,9 @@ _BLOCK = 1 << 13
 @dataclass(frozen=True)
 class ClusterReport:
     """One cluster: its interval, probability mass, conditional moments
-    of the true transmittance, worst-case channel and key rate."""
+    of the true transmittance given that its estimate fell in the
+    interval (None on data and below two packages), worst-case channel
+    and key rate."""
 
     interval: tuple[float, float]
     mass: float
@@ -269,89 +269,18 @@ def _merge(samples: np.ndarray, count: int, protocol: ProtocolParams):
     return means[1], counts / x.size, means
 
 
-def _rule(dist: TransmittanceDistribution, count: int, protocol: ProtocolParams,
-          order: int = _ORDER) -> _Rule:
+def _rule(dist: TransmittanceDistribution, count: int, protocol: ProtocolParams) -> _Rule:
     """The fading law's search rule for kernels of at most count disclosed
     states, as read-only arrays, so that every evaluator of one call can
     share it: a law with a density keeps its expectation rule and the
     powers of its nodes; an empirical law's samples are merged (_merge).
     With epsilon and V_S the rule depends on no field the search varies."""
-    s, fw = (np.array(a, dtype=float) for a in dist.expectation_rule(order))
+    s, fw = (np.array(a, dtype=float) for a in dist.expectation_rule(_ORDER))
     s, fw, powers = _merge(s, count, protocol) if isinstance(dist, Empirical) \
         else (s, fw, _powers(s))
     for a in (s, fw, *powers):
         a.flags.writeable = False
     return _Rule(s, fw, powers)
-
-
-class _Nodes:
-    """A shared read-only search rule with the estimator moments of k
-    disclosed states at every node."""
-
-    def __init__(self, rule: _Rule, protocol: ProtocolParams, k: int):
-        if int(k) < 2:
-            raise InsufficientDataError(f"disclosed count must be >= 2, got {k}")
-        self.k = int(k)
-        self.s, self.fw, self.powers = rule
-        self.vN, self.v_u, self.v_w, self.c_uw = _sigma_arrays(self.s, self.k, protocol)
-        self.sigma = np.sqrt(self.v_w)
-
-
-@dataclass(frozen=True, eq=False)
-class ConditionalDensity:
-    """Density of the true transmittance given that the package estimate
-    fell inside an interval: p(s) proportional to f(s) times the kernel
-    mass P(T_hat in interval | s), normalized over [0, 1].
-
-    Callable; mass is the prior probability of the interval and
-    moments() gives the conditional Moments of the rule's node means.
-    """
-
-    dist: TransmittanceDistribution
-    interval: tuple[float, float]
-    k: int
-    protocol: ProtocolParams
-    mass: float
-    _powers: tuple[np.ndarray, ...] = field(repr=False)
-    _wgt: np.ndarray = field(repr=False)
-
-    def __call__(self, s):
-        arr = np.atleast_1d(np.asarray(s, dtype=float))
-        dens = self.dist.density(arr)
-        _, _, v_w, _ = _sigma_arrays(arr, self.k, self.protocol)
-        out = dens * _membership(arr, np.sqrt(v_w), *self.interval) / self.mass
-        return float(out[0]) if np.isscalar(s) or np.ndim(s) == 0 else out
-
-    def moments(self) -> Moments:
-        w = self._wgt
-        mu_h, mu_1 = (float(np.dot(w, col)) / self.mass for col in self._powers[:2])
-        return Moments(mean_T=mu_1, mean_sqrtT=mu_h,
-                       var_sqrtT=max(0.0, mu_1 - mu_h**2))
-
-    def mean(self) -> float:
-        return self.moments().mean_T
-
-
-def conditional_pdf(dist: TransmittanceDistribution, interval: Sequence[float],
-                    k: int, protocol: ProtocolParams,
-                    order: int = _ORDER) -> ConditionalDensity:
-    """Conditional density of the true transmittance for packages whose
-    estimate T_hat landed in the interval, with k disclosed states per
-    package setting the estimator noise.  As k grows the kernel sharpens
-    and the density approaches f restricted to the interval.  The
-    moments sum over the search rule for k states, so an empirical law's
-    are those of its merged runs."""
-    nodes = _Nodes(_rule(dist, k, protocol, order), protocol, k)
-    lo, hi = float(interval[0]), float(interval[1])
-    if not lo < hi:
-        raise ParameterError(f"interval must have lo < hi, got ({lo}, {hi})")
-    wgt = _membership(nodes.s, nodes.sigma, lo, hi) * nodes.fw
-    mass = float(np.sum(wgt))
-    if mass < _MASS_FLOOR:
-        raise EmptyClusterError(f"interval {interval} carries mass {mass:.3g}")
-    return ConditionalDensity(dist=dist, interval=(lo, hi), k=nodes.k,
-                              protocol=protocol, mass=mass,
-                              _powers=nodes.powers, _wgt=wgt)
 
 
 def _hermite_root(g0: np.ndarray, g1: np.ndarray, m0: np.ndarray,
@@ -371,7 +300,7 @@ def _hermite_root(g0: np.ndarray, g1: np.ndarray, m0: np.ndarray,
     return u
 
 
-class _Evaluator(_Nodes):
+class _Evaluator:
     """Node arrays for one (rule, protocol, k, m, n) configuration; the rule
     is shared read-only.  report scores one interval, table every
     interval between Q levels at once; evaluations counts the intervals
@@ -387,13 +316,18 @@ class _Evaluator(_Nodes):
     def __init__(self, rule: _Rule, protocol: ProtocolParams, k: int, m: int, n: int):
         if int(m) < 2:
             raise InsufficientDataError(f"need at least 2 packages, got {m}")
-        super().__init__(rule, protocol, k)
+        if int(k) < 2:
+            raise InsufficientDataError(f"disclosed count must be >= 2, got {k}")
+        self.s, self.fw, self.powers = rule
         self.protocol = protocol
+        self.k = int(k)
         self.m = int(m)
         self.n = int(n)
+        vN, v_u, v_w, c_uw = _sigma_arrays(self.s, self.k, protocol)
+        self.sigma = np.sqrt(v_w)
         # the node columns whose cluster means the statistics need, in the
         # order _stats unpacks them
-        self.columns = (*self.powers, self.v_u, self.v_w, self.c_uw, self.vN)
+        self.columns = (*self.powers, v_u, v_w, c_uw, vN)
         self.evaluations = 0
 
     @cached_property
@@ -447,7 +381,7 @@ class _Evaluator(_Nodes):
                                  cond_moments=None, wc=None, N_c=0, K_c=0.0)
         stats = self._stats(mass, [float(np.dot(wgt, col)) for col in self.columns])
         wc = worst_case(stats, self.protocol)
-        moments = Moments(stats.mean_T_hat, stats.mean_sqrtT_hat, stats.X1_hat)
+        moments = Moments(stats.mean_T_hat, stats.mean_sqrtT_hat)
         N_c = self._states(mass)
         return ClusterReport(interval=interval, mass=mass, cond_moments=moments,
                              wc=wc, N_c=N_c, K_c=key_rate(wc, N_c, self.protocol).K)

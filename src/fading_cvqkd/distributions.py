@@ -16,7 +16,8 @@ own _pdf (on an array), _draw, moments, rule and descriptor.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, field
 from typing import Iterable
 
 import numpy as np
@@ -40,22 +41,24 @@ _QUAD_ABS_TOL = 1e-10  # tighter than the 1e-8 contract to leave headroom
 
 @dataclass(frozen=True)
 class Moments:
-    """First moments of T and sqrt(T): ``var_sqrtT = mean_T - mean_sqrtT**2``."""
+    """First moments of T and sqrt(T), and the derived ``var_sqrtT = mean_T - mean_sqrtT**2``."""
 
     mean_T: float
     mean_sqrtT: float
-    var_sqrtT: float
+    var_sqrtT: float = field(init=False)
 
     def __post_init__(self) -> None:
-        for name in ("mean_T", "mean_sqrtT", "var_sqrtT"):
+        for name in ("mean_T", "mean_sqrtT"):
             if not math.isfinite(getattr(self, name)):
                 raise ParameterError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.var_sqrtT < -1e-9:
-            raise ParameterError(f"negative var_sqrtT: {self.var_sqrtT}")
-        if self.mean_sqrtT**2 > self.mean_T + 1e-9:
-            raise ParameterError("Jensen inequality violated: mean_sqrtT^2 > mean_T")
+        try:
+            var = self.mean_T - self.mean_sqrtT**2
+        except OverflowError:   # a square past any finite mean_T
+            var = -math.inf
+        if var < -1e-9:
+            raise ParameterError(f"Jensen inequality violated: mean_T - mean_sqrtT^2 = {var:.3g}")
         # tolerate and erase floating-point dust
-        object.__setattr__(self, "var_sqrtT", max(0.0, self.var_sqrtT))
+        object.__setattr__(self, "var_sqrtT", max(0.0, var))
 
 
 def _quad(fn, lo: float, hi: float, **kwargs) -> float:
@@ -71,10 +74,17 @@ def _quad(fn, lo: float, hi: float, **kwargs) -> float:
     return float(out[0])
 
 
+def _seed(seed) -> int:
+    """The seed as numpy's SeedSequence takes it: a non-negative int, not a bool."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ParameterError(f"seed must be a non-negative integer, got {seed!r}")
+    return int(seed)
+
+
 def _as_rng(seed) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
-    return np.random.default_rng(seed)
+    return np.random.default_rng(_seed(seed))
 
 
 class TransmittanceDistribution:
@@ -111,9 +121,6 @@ class TransmittanceDistribution:
         """JSON-serializable description sufficient to rebuild the object."""
         raise NotImplementedError
 
-    def _moments_from_quads(self, mean_T: float, mean_sqrtT: float) -> Moments:
-        return Moments(mean_T, mean_sqrtT, mean_T - mean_sqrtT**2)
-
 
 def _gauss_legendre(lo: float, hi: float, order: int) -> tuple[np.ndarray, np.ndarray]:
     x, w = np.polynomial.legendre.leggauss(order)
@@ -142,7 +149,7 @@ class Uniform(TransmittanceDistribution):
     def moments(self) -> Moments:
         mean_T = 0.5 * (self.lo + self.hi)
         mean_sqrtT = 2.0 * (self.hi**1.5 - self.lo**1.5) / (3.0 * (self.hi - self.lo))
-        return self._moments_from_quads(mean_T, mean_sqrtT)
+        return Moments(mean_T, mean_sqrtT)
 
     def expectation_rule(self, order: int = 160) -> tuple[np.ndarray, np.ndarray]:
         x, w = _gauss_legendre(self.lo, self.hi, order)
@@ -203,7 +210,7 @@ class TruncatedNormal(TransmittanceDistribution):
         mean_T = _quad(lambda t: t * self.density(t), lo, hi)
         mean_sqrtT = _quad(lambda u: 2.0 * u**2 * self.density(u * u),
                            math.sqrt(lo), math.sqrt(hi))
-        return self._moments_from_quads(mean_T, mean_sqrtT)
+        return Moments(mean_T, mean_sqrtT)
 
     def expectation_rule(self, order: int = 160) -> tuple[np.ndarray, np.ndarray]:
         x, w = _gauss_legendre(*self._support(), order)
@@ -342,7 +349,7 @@ class LogNegativeWeibull(TransmittanceDistribution):
                 * (r / self.sigma_b**2) * math.exp(-0.5 * (r / self.sigma_b) ** 2)
             return _quad(f, 0.0, 14.0 * self.sigma_b)
 
-        return self._moments_from_quads(raw_moment(1.0), raw_moment(0.5))
+        return Moments(raw_moment(1.0), raw_moment(0.5))
 
     def expectation_rule(self, order: int = 160) -> tuple[np.ndarray, np.ndarray]:
         r, w = _rayleigh_rule(self.sigma_b, order)
@@ -403,7 +410,7 @@ class Empirical(TransmittanceDistribution):
     def moments(self) -> Moments:
         mean_T = float(np.mean(self.samples))
         mean_sqrtT = float(np.mean(np.sqrt(self.samples)))
-        return self._moments_from_quads(mean_T, mean_sqrtT)
+        return Moments(mean_T, mean_sqrtT)
 
     def expectation_rule(self, order: int = 160) -> tuple[np.ndarray, np.ndarray]:
         n = self.samples.size
@@ -413,10 +420,18 @@ class Empirical(TransmittanceDistribution):
         return {"variant": "empirical", "samples": [float(s) for s in self.samples]}
 
 
+def _number(value) -> float:
+    """A descriptor's number as a float; a bool or a string is not one,
+    though float() would take it."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 def _float_list(value) -> list[float]:
     if not isinstance(value, list):
         raise TypeError(f"expected a list of numbers, got {type(value).__name__}")
-    return [float(v) for v in value]
+    return [_number(v) for v in value]
 
 
 def from_descriptor(d: dict) -> TransmittanceDistribution:
@@ -427,22 +442,22 @@ def from_descriptor(d: dict) -> TransmittanceDistribution:
     except (TypeError, KeyError):
         raise ParameterError("distribution descriptor lacks a 'variant' key")
 
-    def field(key: str, default=None, conv=float):
+    def param(key: str, default=None, conv=_number):
         if key not in d and default is not None:
             return default
         try:
             return conv(d[key])
         except KeyError:
             raise ParameterError(f"{variant} descriptor lacks the key {key!r}") from None
-        except (TypeError, ValueError) as exc:
+        except TypeError as exc:
             raise ParameterError(f"{variant} descriptor: {key!r} is malformed ({exc})") from None
 
     if variant == "uniform":
-        return Uniform(field("lo", 0.0), field("hi", 1.0))
+        return Uniform(param("lo", 0.0), param("hi", 1.0))
     if variant == "truncated_normal":
-        return TruncatedNormal(field("mean"), field("std"))
+        return TruncatedNormal(param("mean"), param("std"))
     if variant == "log_negative_weibull":
-        return LogNegativeWeibull(field("w_over_a"), field("sigma_b"))
+        return LogNegativeWeibull(param("w_over_a"), param("sigma_b"))
     if variant == "empirical":
-        return Empirical(field("samples", conv=_float_list))
+        return Empirical(param("samples", conv=_float_list))
     raise ParameterError(f"unknown distribution variant: {variant!r}")

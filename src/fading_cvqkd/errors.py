@@ -21,10 +21,6 @@ class UnphysicalStateError(FadingCVQKDError, ValueError):
     """A covariance matrix violates the uncertainty principle."""
 
 
-class EmptyClusterError(FadingCVQKDError, ValueError):
-    """A cluster interval carries no probability mass."""
-
-
 class ClusterTooSmallError(FadingCVQKDError, ValueError):
     """A cluster holds fewer packages than the analysis requires."""
 

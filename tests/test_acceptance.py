@@ -19,7 +19,6 @@ from fading_cvqkd import (
     TruncatedNormal,
     Uniform,
     aggregate,
-    conditional_pdf,
     delta_fs,
     estimate_run,
     estimate_sqrtT,
@@ -28,6 +27,7 @@ from fading_cvqkd import (
     optimize,
     simulate_package,
     simulate_run,
+    total_key_rate,
     worst_case,
     worst_case_rectangular,
 )
@@ -260,9 +260,10 @@ def test_criterion_9_cluster_selection_bias():
     emp = Empirical(trace)
     k = 5000
     interval = (0.78, 0.82)
-    quad = conditional_pdf(emp, interval, k, P).mean()
-
     m = 2500
+    # the plan's cluster at n = k / r = 50,000 states per package
+    quad = total_key_rate(emp, interval, 50_000, m, P).per_cluster[0].cond_moments.mean_T
+
     true_T = emp.sample(911, m)
     pkg_rng = np.random.default_rng(910)
     T_hat = np.empty(m)

@@ -157,3 +157,23 @@ def test_simulation_validation():
         simulate_run(Uniform(0.0, 1.0), 10, 0, p, seed=0)
     with pytest.raises(ParameterError):
         simulate_run(Uniform(0.0, 1.0), 1, 5, p, seed=0)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, True, "7"])
+def test_every_entry_point_refuses_a_seed_that_is_no_non_negative_int(seed):
+    """numpy once refused seed -1 with an untyped ValueError and 1.5 with
+    a TypeError, and took True as 1."""
+    p, dist = ProtocolParams(), Uniform(0.0, 1.0)
+    for draw in (lambda: simulate_run(dist, 10, 3, p, seed),
+                 lambda: simulate_package(0.5, 10, p, seed),
+                 lambda: dist.sample(seed, 3)):
+        with pytest.raises(ParameterError, match="seed must be a non-negative integer"):
+            draw()
+
+
+def test_a_numpy_integer_seed_is_the_same_seed():
+    p, dist = ProtocolParams(), Uniform(0.0, 1.0)
+    run = simulate_run(dist, 10, 3, p, np.int64(5))
+    assert type(run.seed) is int and run.seed == 5
+    assert np.array_equal(run.B, simulate_run(dist, 10, 3, p, 5).B)
+    assert np.array_equal(dist.sample(np.uint8(5), 3), dist.sample(5, 3))

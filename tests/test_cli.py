@@ -498,6 +498,9 @@ BAD_LAWS = {
     "uniform-lo": ({"variant": "uniform", "lo": "a"}, "uniform descriptor: 'lo' is malformed"),
     "empirical-samples": ({"variant": "empirical", "samples": "0.5"},
                           "empirical descriptor: 'samples' is malformed"),
+    # once ran at std = 1.0 and exited 0
+    "tn-std-bool": ({"variant": "truncated_normal", "mean": 0.5, "std": True},
+                    "truncated_normal descriptor: 'std' is malformed"),
 }
 
 

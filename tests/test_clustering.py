@@ -1,4 +1,4 @@
-"""Estimate-axis clustering: conditional densities, plan evaluation,
+"""Estimate-axis clustering: conditional moments, plan evaluation,
 empirical/analytic agreement, and the boundary optimizer."""
 
 import itertools
@@ -18,7 +18,6 @@ from fading_cvqkd import (
     ClusterTooSmallError,
     EffectiveChannel,
     Empirical,
-    EmptyClusterError,
     Estimates,
     LogNegativeWeibull,
     NumericalError,
@@ -29,7 +28,6 @@ from fading_cvqkd import (
     WorstCaseChannel,
     aggregate,
     cluster_assign,
-    conditional_pdf,
     estimate_run,
     key_rate,
     optimize,
@@ -71,13 +69,15 @@ def _restricted_mean(dist, lo, hi):
     return M / Z
 
 
-# ---- conditional density ---------------------------------------------
+def _cond_moments(dist, interval, k):
+    """The plan's conditional moments of the true transmittance for
+    packages whose estimate landed in the interval, k = r n disclosed
+    states per package setting the estimator noise."""
+    plan = total_key_rate(dist, interval, round(k / P.r), 1000, P)
+    return plan.per_cluster[0].cond_moments
 
-def test_conditional_density_normalizes():
-    cd = conditional_pdf(UNI, (0.4, 0.6), 1000, P)
-    total, _ = integrate.quad(cd, 0.0, 1.0, limit=200)
-    assert total == pytest.approx(1.0, abs=1e-9)
 
+# ---- conditional moments -----------------------------------------------
 
 @pytest.mark.parametrize(
     "dist, interval, k",
@@ -90,38 +90,40 @@ def test_conditional_density_normalizes():
     ids=["uniform-k1e3", "uniform-k1e4", "tnorm-high", "tnorm-low"],
 )
 def test_conditional_mean_matches_quadrature_oracle(dist, interval, k):
-    cd = conditional_pdf(dist, interval, k, P)
     ref = _oracle_conditional_mean(dist, *interval, k, P)
-    assert cd.mean() == pytest.approx(ref, abs=1e-7)
+    assert _cond_moments(dist, interval, k).mean_T == pytest.approx(ref, abs=1e-7)
 
 
 def test_conditional_mean_uniform_anchor():
     # kernel width ~0.065 at k = 10^3 leaks mass in from both sides of
     # [0.4, 0.6]; sigma(s) grows with s, so the pull is upward
-    cd = conditional_pdf(UNI, (0.4, 0.6), 1000, P)
-    assert cd.mean() == pytest.approx(MEAN_UNIFORM_MID_K1000, abs=1e-6)
+    mean = _cond_moments(UNI, (0.4, 0.6), 1000).mean_T
+    assert mean == pytest.approx(MEAN_UNIFORM_MID_K1000, abs=1e-6)
     # ten times the disclosed states brings the mean within 0.005
-    cd_sharp = conditional_pdf(UNI, (0.4, 0.6), 10_000, P)
-    assert abs(cd_sharp.mean() - 0.5) < 0.005
-    assert abs(cd_sharp.mean() - 0.5) < abs(cd.mean() - 0.5)
+    sharp = _cond_moments(UNI, (0.4, 0.6), 10_000).mean_T
+    assert abs(sharp - 0.5) < 0.005
+    assert abs(sharp - 0.5) < abs(mean - 0.5)
 
 
 def test_sharp_kernel_limit_restores_restricted_density():
     # k -> inf collapses the kernel; the conditional law tends to f
-    # restricted to the interval (quadrature order must resolve the
-    # kernel width, hence order=1600 here)
-    cd = conditional_pdf(TN, (0.6, 0.7), 10**6, P, order=1600)
-    assert cd.mean() == pytest.approx(_restricted_mean(TN, 0.6, 0.7), abs=5e-4)
-    cd_uni = conditional_pdf(UNI, (0.4, 0.6), 10**8, P, order=1600)
-    assert cd_uni.mean() == pytest.approx(0.5, abs=1e-4)
+    # restricted to the interval (the rule must resolve the kernel
+    # width, hence 1600 nodes here where the search takes 160)
+    def mean(dist, interval, k):
+        s, fw = dist.expectation_rule(1600)
+        rule = clustering._Rule(s, fw, clustering._powers(s))
+        ev = clustering._Evaluator(rule, P, k, 1000, round(k / P.r))
+        return ev.report(*interval).cond_moments.mean_T
+
+    assert mean(TN, (0.6, 0.7), 10**6) == pytest.approx(_restricted_mean(TN, 0.6, 0.7), abs=5e-4)
+    assert mean(UNI, (0.4, 0.6), 10**8) == pytest.approx(0.5, abs=1e-4)
 
 
 def test_selection_bias_points_at_distribution_bulk():
     # bulk of TN(0.5, 0.1) sits below the interval [0.6, 0.7]: the
     # conditional mean lands between the bulk and the midpoint, below
     # the restricted-density mean
-    cd = conditional_pdf(TN, (0.6, 0.7), 1000, P)
-    mean = cd.mean()
+    mean = _cond_moments(TN, (0.6, 0.7), 1000).mean_T
     assert 0.5 < mean < 0.65
     assert mean < _restricted_mean(TN, 0.6, 0.7)
 
@@ -130,23 +132,18 @@ def test_symmetric_interval_bias_nearly_vanishes():
     # f symmetric about the midpoint cancels the leak-in to first
     # order; the residual comes only from sigma(s) growing across the
     # interval, so it is small and upward
-    cd = conditional_pdf(UNI, (0.45, 0.55), 10_000, P)
-    assert 0.0 < cd.mean() - 0.5 < 1.5e-3
+    assert 0.0 < _cond_moments(UNI, (0.45, 0.55), 10_000).mean_T - 0.5 < 1.5e-3
 
 
 def test_conditional_moments_are_consistent():
-    cd = conditional_pdf(TN, (0.6, 0.7), 1000, P)
-    mom = cd.moments()
-    assert mom.mean_T == pytest.approx(cd.mean(), rel=1e-12)
-    assert mom.var_sqrtT >= 0.0
+    """k = r n = 1000 disclosed states: the cluster's moments obey
+    Jensen, and its worst case lies below them."""
+    rep = total_key_rate(TN, (0.6, 0.7), 10_000, 1000, P).per_cluster[0]
+    mom = rep.cond_moments
+    assert mom.var_sqrtT == mom.mean_T - mom.mean_sqrtT**2 > 0.0
     assert mom.mean_sqrtT**2 <= mom.mean_T + 1e-15
-
-
-def test_conditional_pdf_rejects_bad_intervals():
-    with pytest.raises(EmptyClusterError):
-        conditional_pdf(UNI, (2.0, 3.0), 1000, P)
-    with pytest.raises(ParameterError):
-        conditional_pdf(UNI, (0.6, 0.4), 1000, P)
+    assert rep.wc.T_eff_low < mom.mean_T
+    assert rep.wc.eps_eff_up > P.epsilon
 
 
 # ---- estimate marginal -----------------------------------------------
@@ -173,22 +170,9 @@ def test_marginal_density_matches_simulated_estimates():
 
 # ---- one cluster of a plan ----------------------------------------------
 
-def test_cluster_report_agrees_with_conditional_density():
-    """k = r n = 1000 disclosed states: the plan's cluster has the
-    conditional moments of conditional_pdf and a worst case below them."""
-    rep = total_key_rate(TN, (0.6, 0.7), 10_000, 1000, P).per_cluster[0]
-    cd = conditional_pdf(TN, (0.6, 0.7), 1000, P)
-    assert rep.cond_moments.mean_T == pytest.approx(cd.mean(), rel=1e-9)
-    # worst-case transmittance sits below the conditional mean
-    assert rep.wc.T_eff_low < rep.cond_moments.mean_T
-    assert rep.wc.eps_eff_up > P.epsilon
-
-
 def test_degenerate_intervals_carry_no_key():
     """An interval with no mass, or ~1% mass over 10 packages (0.1
-    expected members), scores no moments, no channel and K_c = 0;
-    conditional_pdf refuses the empty one (see
-    test_conditional_pdf_rejects_bad_intervals)."""
+    expected members), scores no moments, no channel and K_c = 0."""
     for edges, m in (((2.0, 3.0), 1000), ((0.5, 0.51), 10)):
         rep = total_key_rate(UNI, edges, 10_000, m, P).per_cluster[0]
         assert rep.cond_moments is None and rep.wc is None
@@ -217,7 +201,7 @@ def test_trimmed_tails_reduce_kept_mass_and_keep_cluster_rates():
 
 
 def test_plan_edge_validation():
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match="strictly increasing"):
         total_key_rate(UNI, (0.6, 0.4), 500, 500, P)
     with pytest.raises(ParameterError):
         total_key_rate(UNI, (0.5,), 500, 500, P)

@@ -17,6 +17,7 @@ from fading_cvqkd import (
     calibrate_beam_wander,
     from_descriptor,
 )
+from fading_cvqkd.storage import jsonable
 
 MC_DRAWS = 200_000
 
@@ -222,19 +223,28 @@ def test_law_contract(dist):
     ({"variant": "empirical", "samples": "0.5"}, "empirical descriptor: 'samples' is malformed"),
     ({"variant": "empirical", "samples": [0.5, "x"]},
      "empirical descriptor: 'samples' is malformed"),
+    ({"variant": "uniform", "lo": "0.2"}, "uniform descriptor: 'lo' is malformed"),
+    ({"variant": "truncated_normal", "mean": 0.5, "std": True},
+     "truncated_normal descriptor: 'std' is malformed"),
+    ({"variant": "empirical", "samples": [0.5, True, "0.5"]},
+     "empirical descriptor: 'samples' is malformed"),
 ], ids=["tn-mean", "weibull-sigma_b", "uniform-lo", "uniform-hi-null", "empirical-missing",
-        "empirical-string", "empirical-entry"])
+        "empirical-string", "empirical-entry", "uniform-lo-numeric-string", "tn-std-bool",
+        "empirical-bool-entry"])
 def test_from_descriptor_names_a_malformed_key(d, message):
     """These once ended in KeyError or ValueError, and reached the CLI
-    through a config's dist, a dist_file or run.json."""
+    through a config's dist, a dist_file or run.json; a numeric string
+    or a bool once passed through float(), std = true as 1.0."""
     with pytest.raises(ParameterError, match=message):
         from_descriptor(d)
 
 
 def test_from_descriptor_keeps_the_float_conversion():
-    assert from_descriptor({"variant": "uniform", "lo": "0.25"}) == Uniform(0.25, 1.0)
-    assert from_descriptor({"variant": "empirical", "samples": [0, "0.5"]}).descriptor() \
-        == {"variant": "empirical", "samples": [0.0, 0.5]}
+    """An int is a number; a string or a bool is not (see the malformed
+    keys above), though float() takes both."""
+    assert from_descriptor({"variant": "uniform", "lo": 0, "hi": 1}) == Uniform(0.0, 1.0)
+    assert from_descriptor({"variant": "empirical", "samples": [0, 1]}).descriptor() \
+        == {"variant": "empirical", "samples": [0.0, 1.0]}
 
 
 @pytest.mark.parametrize("dist", LAWS, ids=LAW_IDS)
@@ -262,17 +272,33 @@ def test_invalid_parameters_raise():
         Empirical([0.5, 1.2])
     with pytest.raises(ParameterError):
         from_descriptor({"variant": "cauchy"})
-    with pytest.raises(ParameterError):
-        Moments(mean_T=0.2, mean_sqrtT=0.9, var_sqrtT=-0.61)
+    with pytest.raises(ParameterError, match="Jensen inequality violated"):
+        Moments(mean_T=0.2, mean_sqrtT=0.9)
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-@pytest.mark.parametrize("field", ["mean_T", "mean_sqrtT", "var_sqrtT"])
+@pytest.mark.parametrize("field", ["mean_T", "mean_sqrtT"])
 def test_moments_reject_non_finite_fields(field, value):
-    fields = {"mean_T": 0.5, "mean_sqrtT": 0.69, "var_sqrtT": 0.5 - 0.69**2,
-              field: value}
+    fields = {"mean_T": 0.5, "mean_sqrtT": 0.69, field: value}
     with pytest.raises(ParameterError, match=f"{field} must be finite"):
         Moments(**fields)
+
+
+@settings(max_examples=200, deadline=None)
+@given(mean_T=st.floats(allow_nan=False, allow_infinity=False),
+       mean_sqrtT=st.floats(allow_nan=False, allow_infinity=False))
+@example(mean_T=0.5, mean_sqrtT=0.69)
+@example(mean_T=0.25, mean_sqrtT=0.5 + 1e-12)    # rounding dust, erased to 0
+@example(mean_T=1e308, mean_sqrtT=1e155)         # the square overflows
+def test_moments_derive_var_sqrtT(mean_T, mean_sqrtT):
+    """var_sqrtT is no input: it is mean_T - mean_sqrtT^2, dust erased,
+    and it is still a field, so a report writes all three."""
+    try:
+        mo = Moments(mean_T, mean_sqrtT)
+    except ParameterError:
+        return
+    assert mo.var_sqrtT == max(0.0, mean_T - mean_sqrtT**2)
+    assert set(jsonable(mo)) == {"mean_T", "mean_sqrtT", "var_sqrtT"}
 
 
 @settings(max_examples=40, deadline=None)

@@ -203,7 +203,7 @@ def test_squeezed_surrogate_flag():
 
 def test_effective_channel_formulas():
     p = ProtocolParams(V=5.0, V_S=0.8, epsilon=0.02)
-    mo = Moments(mean_T=0.5, mean_sqrtT=0.69, var_sqrtT=0.5 - 0.69**2)
+    mo = Moments(mean_T=0.5, mean_sqrtT=0.69)
     ch = effective_channel(mo, p)
     assert ch.T == pytest.approx(0.69**2, abs=1e-15)
     assert ch.eps == pytest.approx(0.02 + mo.var_sqrtT * p.V_prime, abs=1e-15)
