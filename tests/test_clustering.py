@@ -179,6 +179,17 @@ def test_degenerate_intervals_carry_no_key():
         assert rep.N_c == 0 and rep.K_c == 0.0
 
 
+def test_conditional_pdf_rejects_bad_intervals():
+    """A cluster interval with lo >= hi is refused; one outside the
+    support holds only a sliver of estimate mass, so its conditional law
+    is never formed."""
+    for edges in ((0.6, 0.4), (0.5, 0.5)):
+        with pytest.raises(ParameterError, match="strictly increasing"):
+            total_key_rate(UNI, edges, 1000, 1000, P)
+    rep = total_key_rate(UNI, (2.0, 3.0), 1000, 1000, P).per_cluster[0]
+    assert rep.mass < 1e-4 and rep.cond_moments is None and rep.N_c == 0
+
+
 # ---- plan evaluation ---------------------------------------------------
 
 def test_plan_mass_is_conserved_with_open_edges():
