@@ -15,15 +15,15 @@ V_S is the variance of the signal state quadrature before modulation
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .distributions import TransmittanceDistribution, _as_rng, _seed
+from .distributions import TransmittanceDistribution, _count, _seed
 from .errors import ParameterError
 
-__all__ = ["ProtocolParams", "Package", "Run", "V_MAX", "noise_variance",
-           "simulate_package", "simulate_run"]
+__all__ = ["ProtocolParams", "Run", "V_MAX", "noise_variance", "simulate_run"]
 
 V_MAX = 1e3  # the largest modulation variance (see ProtocolParams)
 
@@ -96,29 +96,9 @@ def noise_variance(T: float, protocol: ProtocolParams) -> float:
     return 1.0 + protocol.epsilon - T * (1.0 - protocol.V_S)
 
 
-@dataclass(frozen=True)
-class Package(object):
-    """One package: n states sent through a constant-transmittance slice.
-
-    Run.packages hands out packages whose M and B are read-only row
-    views of the run's arrays.
-    """
-
-    true_T: float
-    M: np.ndarray  # modulated quadrature values, shape (n,)
-    B: np.ndarray  # Bob's measured quadrature values, shape (n,)
-
-    def __post_init__(self) -> None:
-        if self.M.shape != self.B.shape or self.M.ndim != 1:
-            raise ParameterError("package arrays M and B must be 1-d and equally long")
-        if self.M.size < 2:
-            raise ParameterError("a package needs at least 2 states")
-        if not (0.0 <= self.true_T <= 1.0):
-            raise ParameterError(f"package transmittance outside [0, 1]: {self.true_T}")
-
-    @property
-    def n(self) -> int:
-        return self.M.size
+# row i of a checked Run as Run.packages hands it out: true_T[i] and the
+# read-only rows M[i] and B[i]
+_Package = namedtuple("_Package", "true_T M B")
 
 
 def _read_only(a) -> np.ndarray:
@@ -170,10 +150,9 @@ class Run(object):
         return self.M.size
 
     @property
-    def packages(self) -> tuple[Package, ...]:
+    def packages(self) -> tuple[_Package, ...]:
         """The packages as row views of M and B."""
-        return tuple(Package(true_T=T, M=M, B=B)
-                     for T, M, B in zip(self.true_T.tolist(), self.M, self.B))
+        return tuple(map(_Package, self.true_T.tolist(), self.M, self.B))
 
 
 def _draw(rng: np.random.Generator, T: float, n: int,
@@ -185,14 +164,9 @@ def _draw(rng: np.random.Generator, T: float, n: int,
     return M, B
 
 
-def simulate_package(T: float, n: int, protocol: ProtocolParams, seed) -> Package:
-    """Simulate one package of n states at fixed transmittance T."""
-    if not (0.0 <= T <= 1.0):
-        raise ParameterError(f"transmittance must lie in [0, 1], got {T}")
-    if int(n) < 2:
-        raise ParameterError(f"package size must be >= 2, got {n}")
-    M, B = _draw(_as_rng(seed), float(T), int(n), protocol)
-    return Package(true_T=float(T), M=_read_only(M), B=_read_only(B))
+def _run_size(n, m) -> tuple[int, int]:
+    """(n, m) of a run as ints (see _count): m >= 1 packages of n >= 2 states."""
+    return _count(n, "package size", 2), _count(m, "package count", 1)
 
 
 def simulate_run(dist: TransmittanceDistribution, n: int, m: int,
@@ -202,11 +176,7 @@ def simulate_run(dist: TransmittanceDistribution, n: int, m: int,
     Each package consumes an independent child stream of the master
     seed, so a run is reproducible as a whole and package-by-package.
     """
-    if int(m) < 1:
-        raise ParameterError(f"package count must be >= 1, got {m}")
-    if int(n) < 2:
-        raise ParameterError(f"package size must be >= 2, got {n}")
-    n, m, seed = int(n), int(m), _seed(seed)
+    (n, m), seed = _run_size(n, m), _seed(seed)
     root = np.random.SeedSequence(seed)
     t_stream, noise_stream = root.spawn(2)
     T_values = dist.sample(np.random.default_rng(t_stream), m)

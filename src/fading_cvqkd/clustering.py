@@ -86,8 +86,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import elementwise as ew
-from .channel import V_MAX, ProtocolParams, noise_variance
-from .distributions import Empirical, Moments, TransmittanceDistribution
+from .channel import V_MAX, ProtocolParams, _run_size, noise_variance
+from .distributions import Empirical, Moments, TransmittanceDistribution, _count
 from .errors import (ClusterTooSmallError, InsufficientDataError,
                      NumericalError, ParameterError)
 from .estimation import AggregateStats, Estimates, T_variance, \
@@ -314,15 +314,13 @@ class _Evaluator:
     """
 
     def __init__(self, rule: _Rule, protocol: ProtocolParams, k: int, m: int, n: int):
-        if int(m) < 2:
+        if m < 2:
             raise InsufficientDataError(f"need at least 2 packages, got {m}")
-        if int(k) < 2:
+        if k < 2:
             raise InsufficientDataError(f"disclosed count must be >= 2, got {k}")
         self.s, self.fw, self.powers = rule
         self.protocol = protocol
-        self.k = int(k)
-        self.m = int(m)
-        self.n = int(n)
+        self.k, self.m, self.n = k, m, n
         vN, v_u, v_w, c_uw = _sigma_arrays(self.s, self.k, protocol)
         self.sigma = np.sqrt(v_w)
         # the node columns whose cluster means the statistics need, in the
@@ -563,8 +561,9 @@ def total_key_rate(dist: TransmittanceDistribution, boundaries: Sequence[float],
     -inf/+inf outer edges keep every package, finite ones trim tails.
     Clusters expected to hold fewer than two packages contribute zero.
     """
-    k = disclosed_count(int(n), protocol.r)
-    ev = _Evaluator(_rule(dist, int(n), protocol), protocol, k, m, n=int(n))
+    n, m = _run_size(n, m)
+    k = disclosed_count(n, protocol.r)
+    ev = _Evaluator(_rule(dist, n, protocol), protocol, k, m, n=n)
     return ev.plan(_check_edges(boundaries))
 
 
@@ -583,6 +582,7 @@ def total_key_rate_from_estimates(est: Estimates, boundaries: Sequence[float],
                                   n: int, protocol: ProtocolParams) -> ClusterPlan:
     """Empirical version of total_key_rate, operating on per-package
     estimates from data rather than on the fading law."""
+    n = _count(n, "package size", 2)
     m_total = len(est)
     if m_total < 2:
         raise InsufficientDataError("need at least 2 packages")
@@ -599,7 +599,7 @@ def total_key_rate_from_estimates(est: Estimates, boundaries: Sequence[float],
                                          N_c=0, K_c=0.0))
             continue
         wc = worst_case(aggregate(members, protocol), protocol)
-        N_c = len(members) * int(n)
+        N_c = len(members) * n
         K_c = key_rate(wc, N_c, protocol).K
         reports.append(ClusterReport(interval=interval, mass=mass,
                                      cond_moments=None, wc=wc, N_c=N_c, K_c=K_c))
@@ -655,7 +655,7 @@ def rate_ceiling(rule: Sequence[np.ndarray], protocol: ProtocolParams,
     s, fw = rule[:2]
     eps, delta = protocol.epsilon, 0.0
     if n is not None:
-        n, m = int(n), int(m)
+        n, m = _run_size(n, m)
         vN_min = float(np.min(noise_variance(s, protocol)))
         eps += protocol.z_conf * math.sqrt(2.0 / (m * disclosed_count(n, protocol.r))) * vN_min
         delta = delta_fs(math.floor((1.0 - protocol.r) * (m * n)), protocol)
@@ -710,14 +710,14 @@ def optimize_each(dist: TransmittanceDistribution, clusters: Sequence[int], n: i
     strictly below it, so neither the order nor the pruning changes the
     plan, r or V that a count finds.
     """
-    counts = tuple(clusters)
-    if not counts or len(set(counts)) < len(counts) or min(counts) < 0:
+    counts = tuple(_count(C, "cluster count", 0) for C in clusters)
+    if not counts or len(set(counts)) < len(counts):
         raise ParameterError(f"need one or more distinct cluster counts >= 0, "
                              f"got {counts}")
     if _LEVELS < max(counts) + 1:
         raise ParameterError(f"level resolution {_LEVELS} too coarse for "
                              f"{max(counts)} clusters")
-    n, m = int(n), int(m)
+    n, m = _run_size(n, m)
     rule = _rule(dist, n, protocol)
     passes: dict[int, list[SearchPass]] = {C: [] for C in counts}
     best: dict[int, tuple | None] = dict.fromkeys(counts)

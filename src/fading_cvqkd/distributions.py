@@ -8,9 +8,10 @@ mean square-root transmittance and its variance), and a fixed
 quadrature rule used by the semi-analytic cluster machinery.
 
 The base class checks the arguments once: density(t) refuses t outside
-[0, 1] and returns a float for a scalar t; sample(seed, count) refuses
-count < 1 and takes an int seed or a Generator.  A law states only its
-own _pdf (on an array), _draw, moments, rule and descriptor.
+[0, 1] and returns a float for a scalar t; sample(seed, count) takes an
+int count >= 1 (see _count) and an int seed or a Generator.  A law
+states only its own _pdf (on an array), _draw, moments, rule and
+descriptor.
 """
 
 from __future__ import annotations
@@ -81,6 +82,17 @@ def _seed(seed) -> int:
     return int(seed)
 
 
+def _count(value, name: str, least: int) -> int:
+    """A size (n, m, a sample or cluster count) as an int: an int or numpy
+    integer >= least; a bool, a float (even 1000.0) or a string is
+    refused, not truncated."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ParameterError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ParameterError(f"{name} must be >= {least}, got {value}")
+    return int(value)
+
+
 def _as_rng(seed) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
@@ -100,9 +112,7 @@ class TransmittanceDistribution:
 
     def sample(self, seed, count: int) -> np.ndarray:
         """Draw ``count`` i.i.d. transmittance values, reproducible per seed."""
-        if int(count) < 1:
-            raise ParameterError("sample count must be >= 1")
-        return self._draw(_as_rng(seed), int(count))
+        return self._draw(_as_rng(seed), _count(count, "sample count", 1))
 
     def _pdf(self, t: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -375,8 +385,11 @@ class Empirical(TransmittanceDistribution):
     samples: np.ndarray
 
     def __init__(self, samples: Iterable[float]):
-        arr = np.asarray(list(samples) if not isinstance(samples, np.ndarray) else samples,
-                         dtype=float)
+        values = samples if isinstance(samples, np.ndarray) else list(samples)
+        if (values.dtype == np.bool_ if isinstance(values, np.ndarray)
+                else any(isinstance(v, (bool, np.bool_)) for v in values)):
+            raise ParameterError("empirical samples must be numbers, not booleans")
+        arr = np.asarray(values, dtype=float)
         if arr.size == 0:
             raise ParameterError("empirical distribution needs at least one sample")
         if not np.all(np.isfinite(arr)):

@@ -6,9 +6,9 @@ The square-root transmittance estimator is the normalized covariance
     sqrtT_hat = (1/(V*k)) sum_j M_j B_j,
 
 unbiased for sqrt(T) with variance (2T + V_N/V)/k.  estimate_run
-estimates every package of a run (estimate_sqrtT one package) and
-returns columns: one Estimates holds an (m,) array per quantity, all
-from the same k, and est[rows] selects packages by mask or index;
+estimates every package of a run in one pass and returns columns: one
+Estimates holds an (m,) array per quantity, all from the same k, and
+est[rows] selects packages by mask or index;
 estimate_flags counts its sign anomalies and noise-model mismatches.
 Aggregating over packages yields bias-corrected estimates of the
 fluctuation statistics X1 = <T> - <sqrt T>^2 and X2 = <T> + <sqrt T>^2
@@ -32,7 +32,6 @@ __all__ = [
     "Estimates",
     "AggregateStats",
     "WorstCaseChannel",
-    "estimate_sqrtT",
     "estimate_flags",
     "disclosed_count",
     "sqrtT_variance",
@@ -137,16 +136,6 @@ class WorstCaseChannel:
     unusable: bool | np.ndarray = False
 
 
-def _check_pairs(M, B) -> tuple[np.ndarray, np.ndarray, int]:
-    M = np.asarray(M, dtype=float)
-    B = np.asarray(B, dtype=float)
-    if M.shape != B.shape or M.ndim != 1:
-        raise ParameterError("M and B must be 1-d arrays of equal length")
-    if M.size < 2:
-        raise InsufficientDataError("need at least 2 disclosed pairs")
-    return M, B, M.size
-
-
 def sqrtT_variance(T, vN, V: float, k):
     """Variance (2T + V_N/V)/k of the sqrt-T estimator from k disclosed
     pairs at transmittance T and noise variance V_N; T and V_N may be
@@ -172,19 +161,6 @@ def _estimates(M: np.ndarray, B: np.ndarray, V: float, k: int) -> Estimates:
     v_u = np.maximum(sqrtT_variance(T_hat, np.maximum(vN, 0.0), V, k), _VAR_FLOOR)
     return Estimates(sqrtT_hat=sqrtT, T_hat=T_hat, sigma_sqrtT=np.sqrt(v_u),
                      sigma_T=np.sqrt(T_variance(T_hat, v_u)), vN_hat=vN, k=k)
-
-
-def estimate_sqrtT(M, B, V: float) -> tuple[float, float]:
-    """Estimate sqrt(T) from disclosed pairs via the scaled M-B covariance.
-
-    Returns (sqrtT_hat, sigma_sqrtT) where the predicted standard
-    deviation sqrt((2T + V_N/V)/k) is evaluated at plug-in estimates.
-    """
-    M, B, k = _check_pairs(M, B)
-    if not (V > 0.0):
-        raise ParameterError(f"modulation variance must be positive, got {V}")
-    est = _estimates(M[None], B[None], V, k)
-    return float(est.sqrtT_hat[0]), float(est.sigma_sqrtT[0])
 
 
 def _excess_noise(est: Estimates, V_S: float) -> tuple[np.ndarray, np.ndarray]:

@@ -94,6 +94,8 @@ def _require_feasible(protocol: ProtocolParams) -> None:
         raise ParameterError(
             f"V + V_S - 1 = {protocol.V_prime:.4g} <= 0: no modulated signal "
             "survives; increase V or V_S")
+    if protocol.V_S - 1.0 == -1.0:   # then V_B|M rounds to 0 at T = 1, eps = 0
+        raise ParameterError(f"V_S = {protocol.V_S:.3g} is lost against 1 in double arithmetic")
 
 
 def _as_channel(ch) -> EffectiveChannel:

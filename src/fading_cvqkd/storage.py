@@ -203,7 +203,8 @@ def read_sidecar(in_dir) -> dict:
 
 def read_run(in_dir) -> Run:
     """Rebuild a Run from a directory written by write_run (format v2),
-    validating the structure and refusing non-finite states.  A run of
+    validating the structure and refusing non-finite states; row i of
+    true_T.csv must carry package i, and there must be m rows.  A run of
     an older format is refused with the command that regenerates it: the
     simulation is determined by its run.json, so a rerun is lossless."""
     src = Path(in_dir)
@@ -219,19 +220,21 @@ def read_run(in_dir) -> Run:
         raise ValidationError(f"{RUN_JSON}: need m >= 1 packages of n >= 2 states, "
                               f"got m = {m}, n = {n}")
 
-    true_T = {}
+    true_T = []
     for row_no, row in _csv_rows(src / TRUE_T_CSV, ["package", "T_true"], TRUE_T_CSV):
         i = _field(row_no, "package", row[0], int)
+        if i != len(true_T):
+            raise ValidationError(f"{TRUE_T_CSV} row {row_no}: package index {i}, "
+                                  f"expected {len(true_T)}")
         t = _field(row_no, "T_true", row[1])
         if not (0.0 <= t <= 1.0):
             raise ValidationError(f"{TRUE_T_CSV} row {row_no}: T_true outside [0, 1]")
-        true_T[i] = t
-    if sorted(true_T) != list(range(m)):
-        raise ValidationError(f"{TRUE_T_CSV}: package indices are not 0..{m - 1}")
+        true_T.append(t)
+    if len(true_T) != m:
+        raise ValidationError(f"{TRUE_T_CSV}: {len(true_T)} rows, but {RUN_JSON} gives m = {m}")
 
     M, B = _load_array(src / M_NPY, (m, n)), _load_array(src / B_NPY, (m, n))
-    return Run(M=M, B=B, true_T=[true_T[i] for i in range(m)], dist=dist,
-               protocol=protocol, seed=sidecar["seed"])
+    return Run(M=M, B=B, true_T=true_T, dist=dist, protocol=protocol, seed=sidecar["seed"])
 
 
 def write_estimates(est: Estimates, path) -> None:

@@ -21,17 +21,17 @@ from fading_cvqkd import (
     aggregate,
     delta_fs,
     estimate_run,
-    estimate_sqrtT,
     holevo_bound,
     key_rate,
     optimize,
-    simulate_package,
     simulate_run,
     total_key_rate,
     worst_case,
     worst_case_rectangular,
 )
 from fading_cvqkd import elementwise as ew
+from fading_cvqkd.channel import _draw
+from fading_cvqkd.estimation import _estimates
 from fading_cvqkd.security import _symplectic_pair
 
 P = ProtocolParams()
@@ -61,8 +61,8 @@ def _sqrtT_spread(T: float, k: int, m: int, protocol: ProtocolParams,
     rng = np.random.default_rng(seed)
     hats = np.empty(m)
     for i in range(m):
-        pkg = simulate_package(T, k, protocol, rng)
-        hats[i] = estimate_sqrtT(pkg.M, pkg.B, protocol.V)[0]
+        M, B = _draw(rng, T, k, protocol)
+        hats[i] = _estimates(M[None], B[None], protocol.V, k).sqrtT_hat[0]
     return float(np.std(hats, ddof=1)), _pred_std_sqrtT(T, k, protocol)
 
 
@@ -121,8 +121,8 @@ def test_criterion_3_pooled_covariance_matches_effective_channel():
         # The T_i draws fluctuate package to package, so the standard
         # error of each pooled moment is the between-package spread of
         # the per-package moments, not the iid per-state formula.
-        per = np.array([[np.mean(p.M**2), np.mean(p.M * p.B), np.mean(p.B**2)]
-                        for p in run.packages])
+        per = np.array([[np.mean(M**2), np.mean(M * B), np.mean(B**2)]
+                        for M, B in zip(run.M, run.B)])
         est = per.mean(axis=0)
         se = per.std(axis=0, ddof=1) / math.sqrt(per.shape[0])
         worst_pull = max(worst_pull, float(np.max(np.abs((est - preds) / se))))
@@ -268,8 +268,8 @@ def test_criterion_9_cluster_selection_bias():
     pkg_rng = np.random.default_rng(910)
     T_hat = np.empty(m)
     for i in range(m):
-        pkg = simulate_package(float(true_T[i]), k, P, pkg_rng)
-        T_hat[i] = estimate_sqrtT(pkg.M, pkg.B, P.V)[0] ** 2
+        M, B = _draw(pkg_rng, float(true_T[i]), k, P)
+        T_hat[i] = float(_estimates(M[None], B[None], P.V, k).sqrtT_hat[0]) ** 2
     sel = (T_hat >= interval[0]) & (T_hat < interval[1])
     n_sel = int(np.count_nonzero(sel))
     mc = float(np.mean(true_T[sel]))

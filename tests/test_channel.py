@@ -1,7 +1,9 @@
-"""Fading-channel simulation: linear model, seeding, prefix stability."""
+"""Fading-channel simulation: linear model, seeding, prefix stability,
+and the size contract of every entry point that takes n, m or a count."""
 
 import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -12,10 +14,16 @@ from fading_cvqkd import (
     Run,
     TruncatedNormal,
     Uniform,
+    estimate_run,
     noise_variance,
-    simulate_package,
+    optimize,
+    optimize_each,
+    rate_ceiling,
     simulate_run,
+    total_key_rate,
+    total_key_rate_from_estimates,
 )
+from fading_cvqkd.channel import _draw
 
 
 def test_protocol_defaults_and_derived():
@@ -85,11 +93,11 @@ def test_package_statistics_match_model():
     linear channel model at fixed transmittance."""
     p = ProtocolParams(V=6.0, epsilon=0.05)
     T = 0.62
-    pkg = simulate_package(T, 400_000, p, seed=11)
-    n = pkg.n
-    var_M = float(np.var(pkg.M))
-    cov = float(np.mean(pkg.M * pkg.B))
-    var_B = float(np.var(pkg.B))
+    M, B = _draw(np.random.default_rng(11), T, 400_000, p)
+    n = M.size
+    var_M = float(np.var(M))
+    cov = float(np.mean(M * B))
+    var_B = float(np.var(B))
     vN = noise_variance(T, p)
     # 6 sigma bands from the fourth-moment variances of the estimators
     assert abs(var_M - p.V) < 6.0 * p.V * math.sqrt(2.0 / n)
@@ -115,10 +123,9 @@ def test_run_shapes_and_truth():
     assert ts.shape == (40,)
     assert np.all((ts >= 0.2) & (ts <= 0.9))
     assert run.M.shape == run.B.shape == (40, 50)
-    assert all(pkg.M.shape == (50,) for pkg in run.packages)
     # arrays are frozen against accidental mutation
     with pytest.raises(ValueError):
-        run.packages[0].M[0] = 0.0
+        run.M[0, 0] = 0.0
     with pytest.raises(ValueError):
         run.B[0, 0] = 0.0
 
@@ -128,11 +135,10 @@ def test_run_reproducibility():
     a = simulate_run(dist, 20, 15, ProtocolParams(), seed=321)
     b = simulate_run(dist, 20, 15, ProtocolParams(), seed=321)
     assert a.true_T.tolist() == b.true_T.tolist()
-    for pa, pb in zip(a.packages, b.packages):
-        assert np.array_equal(pa.M, pb.M)
-        assert np.array_equal(pa.B, pb.B)
+    assert np.array_equal(a.M, b.M)
+    assert np.array_equal(a.B, b.B)
     c = simulate_run(dist, 20, 15, ProtocolParams(), seed=322)
-    assert not np.array_equal(a.packages[0].B, c.packages[0].B)
+    assert not np.array_equal(a.B[0], c.B[0])
 
 
 def test_run_prefix_stability():
@@ -142,17 +148,12 @@ def test_run_prefix_stability():
     small = simulate_run(dist, 16, 8, ProtocolParams(), seed=77)
     big = simulate_run(dist, 16, 20, ProtocolParams(), seed=77)
     assert np.array_equal(small.true_T, big.true_T[:8])
-    for ps, pb in zip(small.packages, big.packages):
-        assert np.array_equal(ps.M, pb.M)
-        assert np.array_equal(ps.B, pb.B)
+    assert np.array_equal(small.M, big.M[:8])
+    assert np.array_equal(small.B, big.B[:8])
 
 
 def test_simulation_validation():
     p = ProtocolParams()
-    with pytest.raises(ParameterError):
-        simulate_package(1.2, 10, p, seed=0)
-    with pytest.raises(ParameterError):
-        simulate_package(0.5, 1, p, seed=0)
     with pytest.raises(ParameterError):
         simulate_run(Uniform(0.0, 1.0), 10, 0, p, seed=0)
     with pytest.raises(ParameterError):
@@ -165,7 +166,6 @@ def test_every_entry_point_refuses_a_seed_that_is_no_non_negative_int(seed):
     a TypeError, and took True as 1."""
     p, dist = ProtocolParams(), Uniform(0.0, 1.0)
     for draw in (lambda: simulate_run(dist, 10, 3, p, seed),
-                 lambda: simulate_package(0.5, 10, p, seed),
                  lambda: dist.sample(seed, 3)):
         with pytest.raises(ParameterError, match="seed must be a non-negative integer"):
             draw()
@@ -177,3 +177,43 @@ def test_a_numpy_integer_seed_is_the_same_seed():
     assert type(run.seed) is int and run.seed == 5
     assert np.array_equal(run.B, simulate_run(dist, 10, 3, p, 5).B)
     assert np.array_equal(dist.sample(np.uint8(5), 3), dist.sample(5, 3))
+
+
+_P, _UNI = ProtocolParams(), Uniform(0.0, 1.0)
+_POOLED = (-math.inf, math.inf)
+_EST = estimate_run(simulate_run(_UNI, 100, 20, _P, 1))
+
+# each entry point that takes a size: (the least size it takes, a valid
+# size, the call at size x)
+_SIZED = {
+    "sample-count": (1, 5, lambda x: _UNI.sample(3, x)),
+    "simulate_run-n": (2, 10, lambda x: simulate_run(_UNI, x, 3, _P, 1)),
+    "simulate_run-m": (1, 3, lambda x: simulate_run(_UNI, 10, x, _P, 1)),
+    "total_key_rate-n": (2, 1000, lambda x: total_key_rate(_UNI, _POOLED, x, 100, _P)),
+    "total_key_rate-m": (1, 100, lambda x: total_key_rate(_UNI, _POOLED, 1000, x, _P)),
+    "rate_ceiling-n": (2, 1000, lambda x: rate_ceiling(_UNI.expectation_rule(), _P, x, 100)),
+    "rate_ceiling-m": (1, 100, lambda x: rate_ceiling(_UNI.expectation_rule(), _P, 1000, x)),
+    "optimize-C": (0, 1, lambda x: optimize(_UNI, x, 100, 100, _P)),
+    "optimize_each-C": (0, 0, lambda x: optimize_each(_UNI, (x,), 200, 200, _P)),
+    "optimize_each-n": (2, 200, lambda x: optimize_each(_UNI, (0,), x, 200, _P)),
+    "optimize_each-m": (1, 200, lambda x: optimize_each(_UNI, (0,), 200, x, _P)),
+    "total_key_rate_from_estimates-n": (
+        2, 100, lambda x: total_key_rate_from_estimates(_EST, _POOLED, x, _P)),
+}
+
+
+@pytest.mark.parametrize("bad", [2.7, True, "1000", 1000.0, "below"])
+@pytest.mark.parametrize("entry", list(_SIZED))
+def test_every_entry_point_refuses_a_size_that_is_no_integer(entry, bad):
+    """int() once truncated these: sample(1, 2.7) drew 2 values,
+    simulate_run at (10.9, 2.5) gave a (2, 10) run, optimize took True
+    as C = 1 and n = "1000" as 1000, and C = 1.5 raised a TypeError."""
+    least, _, call = _SIZED[entry]
+    with pytest.raises(ParameterError, match=f">= {least}" if bad == "below" else "integer"):
+        call(least - 1 if bad == "below" else bad)
+
+
+@pytest.mark.parametrize("entry", list(_SIZED))
+def test_a_numpy_integer_size_is_the_same_size(entry):
+    _, valid, call = _SIZED[entry]
+    assert pickle.dumps(call(np.int64(valid))) == pickle.dumps(call(valid))

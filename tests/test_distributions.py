@@ -272,6 +272,9 @@ def test_invalid_parameters_raise():
         Empirical([0.5, 1.2])
     with pytest.raises(ParameterError):
         from_descriptor({"variant": "cauchy"})
+    for flags in ([True, 0.5], np.array([True, False])):
+        with pytest.raises(ParameterError, match="not booleans"):
+            Empirical(flags)
     with pytest.raises(ParameterError, match="Jensen inequality violated"):
         Moments(mean_T=0.2, mean_sqrtT=0.9)
 

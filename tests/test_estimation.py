@@ -21,13 +21,13 @@ from fading_cvqkd import (
     aggregate,
     estimate_flags,
     estimate_run,
-    estimate_sqrtT,
     noise_variance,
-    simulate_package,
     simulate_run,
     worst_case,
     worst_case_rectangular,
 )
+from fading_cvqkd.channel import _draw
+from fading_cvqkd.estimation import _estimates
 
 V_DEFAULT = 10.0
 
@@ -42,8 +42,8 @@ def _simulate_estimates(T, k, V, n_pkg, seed, epsilon=0.01):
     rng = np.random.default_rng(seed)
     out = np.empty(n_pkg)
     for i in range(n_pkg):
-        pkg = simulate_package(T, k, p, rng)
-        out[i], _ = estimate_sqrtT(pkg.M, pkg.B, V)
+        M, B = _draw(rng, T, k, p)
+        out[i] = _estimates(M[None], B[None], V, k).sqrtT_hat[0]
     return out
 
 
@@ -149,8 +149,9 @@ def test_estimate_run_uses_disclosed_prefix():
     run = simulate_run(Uniform(0.3, 0.8), 1000, 3, p, seed=8)
     est = estimate_run(run)
     assert est.k == 200
-    for i, pkg in enumerate(run.packages):
-        u, su = estimate_sqrtT(pkg.M[:200], pkg.B[:200], p.V)
+    for i, (M, B) in enumerate(zip(run.M, run.B)):
+        alone = _estimates(M[None, :200], B[None, :200], p.V, 200)
+        u, su = float(alone.sqrtT_hat[0]), float(alone.sigma_sqrtT[0])
         assert est.sqrtT_hat[i] == u and est.sigma_sqrtT[i] == su
         assert est.T_hat[i] == u * u
     assert not est.sign_anomaly.any()
@@ -160,8 +161,7 @@ def test_sign_anomaly_flag():
     rng = np.random.default_rng(5)
     M = rng.normal(0.0, math.sqrt(10.0), 300)
     B = -0.3 * M + rng.normal(0.0, 1.0, 300)
-    u, _ = estimate_sqrtT(M, B, 10.0)
-    assert u < 0.0
+    assert _estimates(M[None], B[None], 10.0, 300).sqrtT_hat[0] < 0.0
     est = estimate_run(simulate_run(Uniform(0.0, 1e-9), 300, 20,
                                     ProtocolParams(r=0.999), seed=2))
     assert np.array_equal(est.sign_anomaly, est.sqrtT_hat < 0.0)
@@ -174,8 +174,7 @@ def test_estimate_run_maps_packages():
     run = simulate_run(Uniform(0.3, 0.8), 100, 12, ProtocolParams(), seed=6)
     ests = estimate_run(run)
     assert len(ests) == 12
-    pkg = run.packages[3]
-    alone = estimate_run(Run(M=pkg.M[None], B=pkg.B[None], true_T=[pkg.true_T],
+    alone = estimate_run(Run(M=run.M[3:4], B=run.B[3:4], true_T=run.true_T[3:4],
                              dist=run.dist, protocol=run.protocol, seed=0))
     picked = ests[np.array([3])]
     masked = ests[np.arange(12) == 3]
@@ -319,8 +318,7 @@ def test_estimate_run_is_bit_equal_to_the_per_package_formula():
     ests = estimate_run(run)
     k = 20
     assert ests.k == k
-    for i, pkg in enumerate(run.packages):
-        M, B = pkg.M[:k], pkg.B[:k]
+    for i, (M, B) in enumerate(zip(run.M[:, :k], run.B[:, :k])):
         u = float(np.sum(M * B) / (p.V * k))
         vN = float(np.sum((B - u * M)**2) / (k - 1))
         v_u = max((2.0 * (u * u) + max(vN, 0.0) / p.V) / k, 1e-30)
@@ -366,16 +364,10 @@ def test_worst_case_refuses_nan_fluctuation_bounds():
 
 def test_estimation_validation_errors():
     with pytest.raises(InsufficientDataError):
-        estimate_sqrtT([1.0], [1.0], 10.0)
-    with pytest.raises(ParameterError):
-        estimate_sqrtT([1.0, 2.0], [1.0, 2.0], 0.0)
-    with pytest.raises(ParameterError):
-        estimate_sqrtT([1.0, 2.0], [1.0], 10.0)
-    with pytest.raises(InsufficientDataError):
         aggregate(Estimates([0.5], [0.25], [0.01], [0.01], [1.0], 100),
                   ProtocolParams())
-    pkg = simulate_package(0.5, 100, ProtocolParams(), seed=1)
-    run = Run(M=pkg.M[None], B=pkg.B[None], true_T=[0.5], dist=Uniform(0.4, 0.6),
+    M, B = _draw(np.random.default_rng(1), 0.5, 100, ProtocolParams())
+    run = Run(M=M[None], B=B[None], true_T=[0.5], dist=Uniform(0.4, 0.6),
               protocol=ProtocolParams(r=0.001), seed=1)
     with pytest.raises(InsufficientDataError):
         estimate_run(run)

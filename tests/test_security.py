@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fading_cvqkd import (
     AggregateStats,
@@ -21,10 +21,9 @@ from fading_cvqkd import (
     holevo_bound,
     key_rate,
     mutual_information,
-    simulate_package,
     worst_case,
 )
-from fading_cvqkd.channel import V_MAX
+from fading_cvqkd.channel import V_MAX, _draw
 from fading_cvqkd import elementwise as ew
 from fading_cvqkd.security import _entropy, _symplectic_pair
 
@@ -120,8 +119,8 @@ def test_mutual_information_matches_empirical():
     """Closed form within 2% of the Gaussian MI of simulated data."""
     T, V, eps = 0.6, 10.0, 0.01
     p = ProtocolParams(V=V, epsilon=eps)
-    pkg = simulate_package(T, 1_000_000, p, seed=1905)
-    rho = float(np.corrcoef(pkg.M, pkg.B)[0, 1])
+    M, B = _draw(np.random.default_rng(1905), T, 1_000_000, p)
+    rho = float(np.corrcoef(M, B)[0, 1])
     I_emp = -0.5 * math.log2(1.0 - rho * rho)
     I_th = mutual_information(EffectiveChannel(T=T, eps=eps), p)
     assert I_th == pytest.approx(I_emp, rel=0.02)
@@ -325,6 +324,9 @@ def _path_outcomes(T, eps, p, N, asymptotic, X1, se, wrap):
 
 
 @settings(max_examples=300, deadline=None)
+# V_S - 1 rounds to -1, so V_B|M = T (V_S - 1) + 1 + eps rounds to 0: the
+# float path once raised ZeroDivisionError
+@example(T=1.0, eps=0.0, V=2.0, V_S=5e-324, r=0.5, N=0, asymptotic=False, X1=0.0, se=0.0)
 @given(T=st.floats(-0.25, 1.25), eps=st.floats(-0.1, 2.0),
        V=st.floats(0.0, V_MAX, exclude_min=True), V_S=st.floats(0.0, 1.0, exclude_min=True),
        r=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),

@@ -58,11 +58,9 @@ def test_run_round_trip_is_exact(tmp_path):
     assert back.n == run.n and back.m == run.m and back.seed == run.seed
     assert back.dist.descriptor() == run.dist.descriptor()
     assert back.protocol == run.protocol
-    for a, b in zip(run.packages, back.packages):
-        assert b.true_T == a.true_T
-        assert np.array_equal(a.M, b.M)
-        assert np.array_equal(a.B, b.B)
-        assert not b.M.flags.writeable and not b.B.flags.writeable
+    assert np.array_equal(back.true_T, run.true_T)
+    assert np.array_equal(back.M, run.M) and np.array_equal(back.B, run.B)
+    assert not back.M.flags.writeable and not back.B.flags.writeable
 
 
 def test_run_files_are_byte_identical_across_reruns(tmp_path):
@@ -109,6 +107,43 @@ def test_read_run_reports_bad_rows(tmp_path):
     write_json(sidecar, tmp_path / RUN_JSON)
     with pytest.raises(ValidationError, match="missing key 'seed'"):
         read_run(tmp_path)
+
+
+# true_T.csv of _small_run(n=5, m=3) with a row duplicated, dropped,
+# swapped or added; a duplicated or swapped row used to pass, since only
+# the set of indices was checked
+TRUE_T_EDITS = {
+    "duplicated": (lambda rows: rows + ["0,0.99"], r"row 5: package index 0, expected 3"),
+    "missing": (lambda rows: rows[:1] + rows[2:], r"row 3: package index 2, expected 1"),
+    "short": (lambda rows: rows[:2], "2 rows, but run.json gives m = 3"),
+    "swapped": (lambda rows: [rows[1], rows[0], rows[2]], r"row 2: package index 1, expected 0"),
+    "extra": (lambda rows: rows + ["3,0.5"], "4 rows, but run.json gives m = 3"),
+}
+
+
+def _edit_true_T(run_dir, edit) -> None:
+    rows = (run_dir / TRUE_T_CSV).read_text().splitlines()
+    (run_dir / TRUE_T_CSV).write_text("\n".join(rows[:1] + edit(rows[1:])) + "\n")
+
+
+@pytest.mark.parametrize("case", list(TRUE_T_EDITS))
+def test_read_run_wants_row_i_to_carry_package_i(tmp_path, case):
+    edit, message = TRUE_T_EDITS[case]
+    write_run(_small_run(n=5, m=3), tmp_path)
+    _edit_true_T(tmp_path, edit)
+    with pytest.raises(ValidationError, match=message):
+        read_run(tmp_path)
+
+
+@pytest.mark.parametrize("case", list(TRUE_T_EDITS))
+def test_estimate_refuses_a_true_T_row_out_of_place(tmp_path, capsys, case):
+    edit, message = TRUE_T_EDITS[case]
+    write_run(_small_run(n=5, m=3), tmp_path)
+    _edit_true_T(tmp_path, edit)
+    before = sorted(p.name for p in tmp_path.iterdir())
+    assert main(["estimate", str(tmp_path)]) == 2
+    assert TRUE_T_CSV in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
 
 
 def _save_over(name, array):
@@ -253,7 +288,7 @@ def test_trace_reads_true_t_sidecar(tmp_path):
     run = _small_run(m=5)
     write_run(run, tmp_path)
     trace = read_trace(tmp_path / TRUE_T_CSV)
-    assert np.array_equal(trace, [pkg.true_T for pkg in run.packages])
+    assert np.array_equal(trace, run.true_T)
 
 
 def test_read_trace_validates(tmp_path):
