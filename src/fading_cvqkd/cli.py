@@ -51,11 +51,6 @@ class ScenarioConfig:
     dist_file: str | None = None
     paper_scale: bool = False
 
-    def __post_init__(self) -> None:
-        # simulate_run refuses a negative seed only after --out is made
-        if self.seed < 0:
-            raise ValidationError(f"seed must be >= 0, got {self.seed}")
-
     def make_dist(self):
         if self.dist_file:
             return from_descriptor(storage.read_json(self.dist_file))
@@ -120,10 +115,12 @@ def _refuse_unread(args, names, reason: str) -> None:
 
 
 def _require_out(cfg: ScenarioConfig, command: str) -> Path:
+    """--out, checked; the writers make it, so a refused command leaves none."""
     if not cfg.out:
         raise ValidationError(f"{command} needs --out (or 'out' in the config)")
     out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
+    if any(path.exists() and not path.is_dir() for path in (out, *out.parents)):
+        raise ValidationError(f"--out {out} is not a directory: it is or lies under a file")
     return out
 
 
@@ -135,7 +132,7 @@ _STALE_AFTER_SIMULATE = (ESTIMATES_CSV, "estimate.json", "residuals.csv",
 
 def _cmd_simulate(args) -> int:
     cfg = _merge_config(args)
-    dist, protocol = cfg.make_dist(), cfg.make_protocol()   # validated before out is made
+    dist, protocol = cfg.make_dist(), cfg.make_protocol()
     out = _require_out(cfg, "simulate")
     run = simulate_run(dist, cfg.n, cfg.m, protocol, cfg.seed)
     for name in _STALE_AFTER_SIMULATE:
@@ -149,16 +146,14 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _ml_sqrt_slope(M: np.ndarray, B: np.ndarray) -> float:
-    """Least-squares slope of B on M, the scale-free diagnostic that
-    nulls exactly on noiseless data (unlike the protocol estimator,
-    which divides by the known modulation variance)."""
-    return float(np.dot(M, B) / np.dot(M, M))
-
-
 def _write_residuals(run, est, path) -> None:
     root = np.sqrt(run.true_T)
-    slope = np.array([_ml_sqrt_slope(M[:est.k], B[:est.k]) for M, B in zip(run.M, run.B)])
+    # each package's least-squares slope of B on M over its disclosed
+    # states: the scale-free diagnostic that nulls exactly on noiseless
+    # data (unlike the protocol estimator, which divides by the known
+    # modulation variance); a row-wise matmul is bit-equal to np.dot per row
+    M = run.M[:, None, :est.k]
+    slope = (M @ run.B[:, :est.k, None] / (M @ run.M[:, :est.k, None]))[:, 0, 0]
     storage.write_table(path, ["package", "T_true", "sqrtT_hat", "resid", "resid_ml"],
                         zip(range(run.m), run.true_T.tolist(), est.sqrtT_hat.tolist(),
                             (est.sqrtT_hat - root).tolist(), (slope - root).tolist()))
@@ -219,13 +214,13 @@ def _cmd_keyrate(args) -> int:
         dest = run_dir / "keyrate.json"
     else:
         cfg = _merge_config(args)
+        dest = _require_out(cfg, "keyrate") / "keyrate.json" if cfg.out else None
         protocol = cfg.make_protocol()
         plan = clustering.total_key_rate(cfg.make_dist(), (-math.inf, math.inf),
                                          cfg.n, cfg.m, protocol)
         wc = plan.per_cluster[0].wc
         N = cfg.n * cfg.m
         report = security.key_rate(wc, N, protocol)
-        dest = _require_out(cfg, "keyrate") / "keyrate.json" if cfg.out else None
     print(f"I_AB {report.I_AB:.5f}  S_BE {report.S_BE:.5f}  "
           f"K_inf {report.K_inf:.5f} bits/state")
     print(f"finite size (N = {N}, key states {report.N_used}): "
@@ -240,25 +235,25 @@ def _cmd_keyrate(args) -> int:
 
 def _cmd_optimize(args) -> int:
     cfg = _merge_config(args)
+    out = _require_out(cfg, "optimize") if cfg.out else None
     dist = cfg.make_dist()
     protocol = cfg.make_protocol()
     result = clustering.optimize(dist, cfg.clusters, cfg.n, cfg.m, protocol)
-    plan = result.plan
-    print(f"optimized {cfg.clusters} cluster(s): r {result.r:.4f}, "
-          f"V {result.V:.3f}, total rate {result.total_rate:.5f} bits/state")
+    plan, chosen = result.plan, result.protocol
+    print(f"optimized {cfg.clusters} cluster(s): r {chosen.r:.4f}, "
+          f"V {chosen.V:.3f}, total rate {plan.total_rate:.5f} bits/state")
     for rep in plan.per_cluster:
         lo, hi = rep.interval
         print(f"  [{lo:.4f}, {hi:.4f}): mass {rep.mass:.4f}, K {rep.K_c:.5f}")
     if result.diagnostic:
         print(f"note: {result.diagnostic}")
-    if cfg.out:
-        out = _require_out(cfg, "optimize")
+    if out is not None:
         storage.write_json({
             "clusters": cfg.clusters,
-            "protocol": storage.protocol_descriptor(result.protocol),
+            "protocol": storage.protocol_descriptor(chosen),
             "plan": plan,
-            "r": result.r,
-            "V": result.V,
+            "r": chosen.r,
+            "V": chosen.V,
             "evaluations": result.evaluations,
             "diagnostic": result.diagnostic,
             "search": result.search,
@@ -287,13 +282,13 @@ def _pooled_sweep(cfg: ScenarioConfig, dist, protocol, n: int):
         result = clustering.optimize(dist, 0, n, m, protocol)
         wc = result.plan.per_cluster[0].wc
         K_inf = security.key_rate(wc, None, result.protocol).K_inf if wc else 0.0
-        if result.total_rate > 0.0:
-            r_opt, V_opt = result.r, result.V
+        if result.plan.total_rate > 0.0:
+            r_opt, V_opt = result.protocol.r, result.protocol.V
         else:
             # no setting yields a key at this block count, so there is
             # no meaningful optimum to report
             r_opt = V_opt = math.nan
-        rows.append((n, m, n * m, result.total_rate, max(0.0, K_inf),
+        rows.append((n, m, n * m, result.plan.total_rate, max(0.0, K_inf),
                      r_opt, V_opt))
     return rows
 
@@ -338,8 +333,8 @@ def _fig8(cfg: ScenarioConfig, dist, protocol, out: Path) -> Path:
     storage.write_table(path, ["cluster", "t_lo", "t_hi", "mass", "mean_T",
                                "mean_sqrtT", "var_sqrtT", "T_eff_low",
                                "eps_eff_up", "K_c"], rows)
-    storage.write_json({"r": result.r, "V": result.V,
-                        "total_rate": result.total_rate,
+    storage.write_json({"r": result.protocol.r, "V": result.protocol.V,
+                        "total_rate": result.plan.total_rate,
                         "plan": result.plan,
                         "diagnostic": result.diagnostic}, out / "fig8.json")
     if result.diagnostic:
@@ -356,9 +351,9 @@ def _fig9(cfg: ScenarioConfig, dist, protocol, out: Path) -> Path:
     rule = dist.expectation_rule()
     rows = []
     for C, res in enumerate(results):
-        K_known = clustering.rate_ceiling(rule, res.protocol)
-        rows.append((C, res.total_rate, res.r, res.V, res.plan.kept_mass, K_known,
-                     res.total_rate / K_known if K_known > 0.0 else 0.0))
+        K, K_known = res.plan.total_rate, clustering.rate_ceiling(rule, res.protocol)
+        rows.append((C, K, res.protocol.r, res.protocol.V, res.plan.kept_mass, K_known,
+                     K / K_known if K_known > 0.0 else 0.0))
     path = out / "fig9.csv"
     storage.write_table(path, ["C", "K", "r_opt", "V_opt", "kept_mass", "K_known",
                                "K_over_K_known"], rows)
@@ -389,7 +384,7 @@ def _cmd_reproduce(args) -> int:
         if not args.config:
             cfg = dataclasses.replace(cfg, dist={"variant": "uniform",
                                                  "lo": 0.0, "hi": 1.0})
-    dist, protocol = cfg.make_dist(), cfg.make_protocol()   # validated before out is made
+    dist, protocol = cfg.make_dist(), cfg.make_protocol()
     out = _require_out(cfg, "reproduce")
     path = FIGURES[figure](cfg, dist, protocol, out)
     storage.write_json(cfg, out / f"{figure}.scenario.json")

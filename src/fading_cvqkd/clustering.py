@@ -80,6 +80,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
+from itertools import product
 from operator import itemgetter
 from typing import NamedTuple, Sequence
 
@@ -179,11 +180,8 @@ class SearchPass:
 
 @dataclass(frozen=True)
 class OptimizeResult:
-    """Best plan found, with the protocol parameters it was scored at.
-
-    Iterates as (plan, r, V) for tuple unpacking.  evaluations counts
-    the intervals scored: the entries of every interval table plus the
-    single-interval reports (the rescored plans and the final plan).
+    """Best plan found, with the protocol it was scored at: protocol.r
+    and protocol.V are the chosen (r, V), plan.total_rate the rate.
     search records the grid pass and the two refinement passes.
     diagnostic notes a search that ended degenerate (no positive rate
     anywhere), the clusters of a positive-rate plan that carry no key
@@ -191,16 +189,15 @@ class OptimizeResult:
     """
 
     plan: ClusterPlan
-    r: float
-    V: float
     protocol: ProtocolParams
-    total_rate: float
-    evaluations: int
-    diagnostic: str | None = None
-    search: tuple[SearchPass, ...] = ()
+    diagnostic: str | None
+    search: tuple[SearchPass, ...]
 
-    def __iter__(self):
-        return iter((self.plan, self.r, self.V))
+    @property
+    def evaluations(self) -> int:
+        """The intervals scored: those of every pass (table entries and
+        rescored plans) and the final plan's one report per cluster."""
+        return sum(p.intervals for p in self.search) + len(self.plan.per_cluster)
 
 
 def _sigma_arrays(s: np.ndarray, k: int, protocol: ProtocolParams):
@@ -681,10 +678,10 @@ def optimize(dist: TransmittanceDistribution, C: int, n: int, m: int,
     evaluates the pooled (single all-inclusive cluster) protocol with
     one report per point and no table.  The bounds hold at the
     confidence multiplier protocol.z_conf.  A plan is feasible when each
-    of its clusters holds two or more expected packages.  The result
-    unpacks as (plan, r, V); its search field records each pass.  The
-    law's quadrature rule is built once per call and shared read-only by
-    the evaluators of every (r, V) point.  This is optimize_each of (C,).
+    of its clusters holds two or more expected packages.  The result's
+    search field records each pass.  The law's quadrature rule is built
+    once per call and shared read-only by the evaluators of every (r, V)
+    point.  This is optimize_each of (C,).
     """
     return optimize_each(dist, (C,), n, m, protocol)[0]
 
@@ -720,30 +717,32 @@ def optimize_each(dist: TransmittanceDistribution, clusters: Sequence[int], n: i
     n, m = _run_size(n, m)
     rule = _rule(dist, n, protocol)
     passes: dict[int, list[SearchPass]] = {C: [] for C in counts}
+    # each count's smallest key (-rate, -mass, r, V, edges), comparable from
+    # pass to pass because it holds the rescored rate of its own edges
     best: dict[int, tuple | None] = dict.fromkeys(counts)
-
-    def ceiling_at(r: float, V: float) -> float:
-        """rate_ceiling at (r, V), or +inf (nothing pruned) where it
-        fails; the point's own scoring then records why."""
-        try:
-            return rate_ceiling(rule, replace(protocol, r=r, V=V), n, m)
-        except _SKIPPED:
-            return math.inf
-
-    def search(wanted: dict[int, list[tuple[float, float]]], Q: int) -> None:
-        """Fold the best plan of each point of wanted[C] at resolution Q
-        into best[C], the smallest key (-rate, -mass, r, V, edges); the
-        points where C has no feasible plan are skipped, those whose
-        ceiling lies below C's incumbent rate pruned, and both recorded."""
-        want: dict[tuple[float, float], list[int]] = {}
-        for C, points in wanted.items():
-            for point in points:
-                want.setdefault(point, []).append(C)
-        ceiling = {point: ceiling_at(*point) if max(here) > 0 else math.inf
-                   for point, here in want.items()}
-        skipped = {C: [] for C in wanted}
-        pruned = {C: [] for C in wanted}
-        intervals = dict.fromkeys(wanted, 0)
+    r_step = (_R_GRID[-1] / _R_GRID[0]) ** (1.0 / (len(_R_GRID) - 1))
+    V_step = (_V_GRID[-1] / _V_GRID[0]) ** (1.0 / (len(_V_GRID) - 1))
+    for pass_idx in range(3):
+        # pass 0 is the (r, V) grid; passes 1 and 2 halve the geometric step
+        # around each count's best point and double the level resolution
+        Q = _LEVELS * 2 ** pass_idx
+        wanted = {C: set(product(_R_GRID, _V_GRID)) if pass_idx == 0 else set(product(
+                      _around(best[C][2], r_step ** (0.5 ** pass_idx), _R_GRID),
+                      _around(best[C][3], V_step ** (0.5 ** pass_idx), _V_GRID)))
+                  for C in counts}
+        want = {point: [C for C in counts if point in wanted[C]]
+                for point in set().union(*wanted.values())}
+        # +inf (nothing pruned) where no count C >= 1 wants the point and where
+        # rate_ceiling fails; the point's own scoring then records why
+        ceiling = dict.fromkeys(want, math.inf)
+        for r, V in (point for point, here in want.items() if max(here) > 0):
+            try:
+                ceiling[r, V] = rate_ceiling(rule, replace(protocol, r=r, V=V), n, m)
+            except _SKIPPED:
+                pass
+        skipped = {C: [] for C in counts}
+        pruned = {C: [] for C in counts}
+        intervals = dict.fromkeys(counts, 0)
         for r, V in sorted(want, key=lambda point: (-ceiling[point], point)):
             here = []
             for C in want[r, V]:
@@ -790,36 +789,20 @@ def optimize_each(dist: TransmittanceDistribution, clusters: Sequence[int], n: i
                 if best[C] is None or key < best[C]:
                     best[C] = key
         in_order = itemgetter("r", "V")
-        for C, points in wanted.items():
-            passes[C].append(SearchPass(Q=Q, points=len(points), intervals=intervals[C],
+        for C in counts:
+            passes[C].append(SearchPass(Q=Q, points=len(wanted[C]), intervals=intervals[C],
                                         skipped=tuple(sorted(skipped[C], key=in_order)),
                                         pruned=tuple(sorted(pruned[C], key=in_order))))
-
-    search({C: [(r, V) for r in _R_GRID for V in _V_GRID] for C in counts}, _LEVELS)
-    for C in counts:
-        if best[C] is None:
-            last = passes[C][-1].skipped[-1]
-            raise ParameterError(f"no feasible (r, V) grid point for {C} cluster(s); the "
-                                 f"last one failed with {last['error']}: {last['message']}")
-
-    # local refinement: halve the geometric step around each count's best
-    # point and double the level resolution, twice; an incumbent's key
-    # stays comparable because it holds the rescored rate of its own edges
-    r_step = (_R_GRID[-1] / _R_GRID[0]) ** (1.0 / (len(_R_GRID) - 1))
-    V_step = (_V_GRID[-1] / _V_GRID[0]) ** (1.0 / (len(_V_GRID) - 1))
-    for pass_idx in (1, 2):
-        search({C: [(r_c, V_c)
-                    for r_c in _around(best[C][2], r_step ** (0.5 ** pass_idx), _R_GRID)
-                    for V_c in _around(best[C][3], V_step ** (0.5 ** pass_idx), _V_GRID)]
-                for C in counts}, _LEVELS * 2 ** pass_idx)
+            if best[C] is None:  # only after pass 0: a later pass keeps the incumbent
+                last = passes[C][-1].skipped[-1]
+                raise ParameterError(f"no feasible (r, V) grid point for {C} cluster(s); the "
+                                     f"last one failed with {last['error']}: {last['message']}")
 
     results = []
     for C in counts:
         _, _, best_r, best_V, best_edges = best[C]
         proto = replace(protocol, r=best_r, V=best_V)
-        ev = _Evaluator(rule, proto, disclosed_count(n, best_r), m, n=n)
-        plan = ev.plan(best_edges)
-        evaluations = sum(p.intervals for p in passes[C]) + ev.evaluations
+        plan = _Evaluator(rule, proto, disclosed_count(n, best_r), m, n=n).plan(best_edges)
         notes = []
         if plan.total_rate <= 0.0:
             notes.append("no positive key rate anywhere on the search grid; "
@@ -833,8 +816,7 @@ def optimize_each(dist: TransmittanceDistribution, clusters: Sequence[int], n: i
         if light:
             notes.append(f"{len(light)} cluster(s) below 1% mass: "
                          f"{['%.4f' % v for v in light]}")
-        results.append(OptimizeResult(
-            plan=plan, r=best_r, V=best_V, protocol=proto, total_rate=plan.total_rate,
-            evaluations=evaluations, diagnostic="; ".join(notes) or None,
-            search=tuple(passes[C])))
+        results.append(OptimizeResult(plan=plan, protocol=proto,
+                                      diagnostic="; ".join(notes) or None,
+                                      search=tuple(passes[C])))
     return tuple(results)

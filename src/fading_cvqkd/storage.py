@@ -65,7 +65,8 @@ def jsonable(obj):
 
 
 def write_table(path, header: Sequence[str], rows) -> None:
-    """Write a CSV table; floats go through repr, everything else as-is."""
+    """Write a CSV table (and its directory); floats go through repr."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(list(header))
@@ -75,6 +76,8 @@ def write_table(path, header: Sequence[str], rows) -> None:
 
 
 def write_json(obj, path) -> None:
+    """Write obj as JSON, making its directory."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     Path(path).write_text(
         json.dumps(jsonable(obj), indent=2, sort_keys=True, allow_nan=False) + "\n")
 

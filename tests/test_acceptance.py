@@ -153,9 +153,9 @@ def test_criterion_4_joint_bound_beats_rectangular():
 
 def test_criterion_5_clusterization_gain_and_ordering():
     t0 = time.monotonic()
-    ladder = [optimize(Uniform(0.0, 1.0), C, 1000, 1000, P).total_rate
+    ladder = [optimize(Uniform(0.0, 1.0), C, 1000, 1000, P).plan.total_rate
               for C in range(4)]
-    c0 = {name: optimize(dist, 0, 1000, 1000, P).total_rate
+    c0 = {name: optimize(dist, 0, 1000, 1000, P).plan.total_rate
           for name, dist in FOUR_DISTS}
     c0["uniform"] = ladder[0]
     # Stronger fading (larger Var(sqrtT)) must not give a larger pooled rate.
@@ -204,7 +204,7 @@ def test_criterion_7_optimal_disclosure_shrinks_with_block_size():
     t0 = time.monotonic()
     dist = TruncatedNormal(0.5, 0.1)
     ms = (400, 630, 1000, 1585, 2512)
-    rs = [optimize(dist, 0, 1000, m, P).r for m in ms]
+    rs = [optimize(dist, 0, 1000, m, P).protocol.r for m in ms]
     # One refined grid step is a factor ~1.11 in r, so count as a
     # violation only an increase beyond that, and allow one.
     violations = sum(b > a * 1.12 for a, b in zip(rs, rs[1:]))

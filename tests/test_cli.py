@@ -158,6 +158,19 @@ def test_noiseless_data_nulls_the_slope_residual_only(tmp_path):
     assert min(resid) > 1e-6
 
 
+def test_the_slope_residual_is_a_per_package_dot(tmp_path):
+    """resid_ml is, bit for bit, np.dot(M, B) / np.dot(M, M) over each
+    package's disclosed states, less sqrt(T)."""
+    out = tmp_path / "run"
+    assert main(["simulate", "--out", str(out), "--n", "400", "--m", "20"]) == 0
+    assert main(["estimate", str(out)]) == 0
+    run, k = read_run(out), read_estimates(out / ESTIMATES_CSV).k
+    expected = [float(np.dot(M[:k], B[:k]) / np.dot(M[:k], M[:k]) - root)
+                for M, B, root in zip(run.M, run.B, np.sqrt(run.true_T))]
+    _, rows = _read_csv(out / "residuals.csv")
+    assert [float(r["resid_ml"]) for r in rows] == expected
+
+
 def test_estimate_reports_its_flags(tmp_path):
     """Package 0 has anti-correlated data (a negative sqrt-T estimate)
     and package 1 no noise (eps_hat near -1); estimate.json counts them
@@ -353,6 +366,44 @@ def test_input_paths_of_the_wrong_kind_fail_closed(tmp_path, capsys, argv, messa
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--n", "1", "--m", "5"],
+    ["reproduce", "fig7", "--n", "1"],
+    ["reproduce", "fig9", "--n", "1"],
+    ["reproduce", "fig8", "--clusters", "-1"],
+    ["reproduce", "fig9", "--clusters", "64"],
+], ids=["simulate-n", "fig7-n", "fig9-n", "fig8-clusters", "fig9-clusters"])
+def test_a_refused_command_makes_no_out(tmp_path, capsys, argv):
+    """Each of these once exited 2 and left an empty --out directory."""
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under-a-file"])
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--n", "10", "--m", "3"],
+    ["keyrate", "--n", "100", "--m", "20"],
+    ["optimize", "--clusters", "0", "--n", "100", "--m", "20"],
+    ["reproduce", "fig8", "--n", "100", "--m", "20"],
+    ["ingest", "{trace}"],
+], ids=["simulate", "keyrate", "optimize", "reproduce", "ingest"])
+def test_an_out_that_is_a_file_is_refused(tmp_path, capsys, argv, under):
+    """--out naming a file once ended in a FileExistsError traceback;
+    now it exits 2 with one error line that names it, and the file
+    stays as it was."""
+    trace = tmp_path / "trace.csv"
+    trace.write_text("T\n0.3\n0.5\n0.7\n")
+    taken = tmp_path / "taken"
+    taken.write_text("keep\n")
+    out = taken / "sub" if under else taken
+    assert main([a.format(trace=trace) for a in argv] + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1 and str(out) in err
+    assert taken.read_text() == "keep\n"
+
+
 def test_missing_true_T_fails_closed(tmp_path, capsys):
     run = tmp_path / "run"
     assert main(["simulate", "--out", str(run)] + SIM) == 0
@@ -443,7 +494,7 @@ def test_simulate_refuses_a_negative_seed_before_out_is_made(tmp_path, capsys,
     out = tmp_path / "run"
     argv = ["simulate", "--config", str(cfg), "--out", str(out), "--n", "10", "--m", "3"]
     assert main(argv + (["--seed", "-3"] if route == "flag" else [])) == 2
-    assert "seed must be >= 0" in capsys.readouterr().err
+    assert "seed must be a non-negative integer" in capsys.readouterr().err
     assert not out.exists()
 
 

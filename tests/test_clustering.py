@@ -369,27 +369,26 @@ def test_analytic_and_empirical_pipelines_agree_on_shared_run():
 
 def test_optimize_desk_check_two_clusters_min_share():
     res = optimize(UNI, 2, 1000, 1000, P)
-    plan, r, V = res
-    assert res.total_rate > 0.0
-    assert all(c.mass >= 0.1 for c in plan.per_cluster)
-    assert 0.01 <= r <= 0.9
-    assert 0.5 <= V <= 50.0
+    assert res.plan.total_rate > 0.0
+    assert all(c.mass >= 0.1 for c in res.plan.per_cluster)
+    assert 0.01 <= res.protocol.r <= 0.9
+    assert 0.5 <= res.protocol.V <= 50.0
     # splitting beats pooling on a flat fading law at this scale
     pooled = optimize(UNI, 0, 1000, 1000, P)
-    assert res.total_rate > pooled.total_rate
+    assert res.plan.total_rate > pooled.plan.total_rate
 
 
 def test_optimize_zero_fluctuation_degenerates_to_pooled():
     point = Uniform(0.62 - 1e-9, 0.62 + 1e-9)
     res0 = optimize(point, 0, 1000, 1000, P)
     res2 = optimize(point, 2, 1000, 1000, P)
-    assert res0.total_rate > 0.0
-    assert res2.total_rate == pytest.approx(res0.total_rate, rel=0.02)
+    assert res0.plan.total_rate > 0.0
+    assert res2.plan.total_rate == pytest.approx(res0.plan.total_rate, rel=0.02)
 
 
 def test_optimize_reports_hopeless_channel():
     res = optimize(Uniform(0.001, 0.02), 1, 200, 200, P)
-    assert res.total_rate == 0.0
+    assert res.plan.total_rate == 0.0
     assert res.diagnostic is not None
     assert "no positive key rate" in res.diagnostic
 
@@ -406,9 +405,9 @@ def test_optimize_result_is_pinned():
     floats below the two where the computed marginal CDF meets the level
     exactly."""
     res = optimize(UNI, 1, 400, 400, P)
-    assert res.total_rate == 0.002338040097707082
-    assert res.r == 0.5397212245017438
-    assert res.V == 4.999999999999998
+    assert res.plan.total_rate == 0.002338040097707082
+    assert res.protocol.r == 0.5397212245017438
+    assert res.protocol.V == 4.999999999999998
     assert res.plan.boundaries == (0.6897817977059989, math.inf)
     assert res.evaluations == 645079
     assert [(p.Q, p.points, p.intervals) for p in res.search] == [
@@ -428,9 +427,9 @@ def test_optimize_result_is_pinned():
 ], ids=["tn-m200", "tn-m1000", "lnw-m200", "lnw-m1000"])
 def test_pooled_optimize_result_is_pinned(dist, m, rate, r, V, evaluations):
     res = optimize(dist, 0, 1000, m, P)
-    assert res.total_rate == rate
-    assert res.r == r
-    assert res.V == V
+    assert res.plan.total_rate == rate
+    assert res.protocol.r == r
+    assert res.protocol.V == V
     assert res.plan.boundaries == (-math.inf, math.inf)
     assert res.evaluations == evaluations
 
@@ -706,9 +705,9 @@ def test_exact_search_is_no_worse_than_descent(name, C):
     """The allowance covers edges that moved by about 2e-13 when the
     quantiles went from one brentq per level to the vector solve."""
     res = optimize(DESK_LAWS[name], C, 1000, 1000, P)
-    assert res.total_rate >= DESCENT_RATES[name][C] - 1e-12
-    assert res.total_rate == total_key_rate(DESK_LAWS[name], res.plan.boundaries,
-                                            1000, 1000, res.protocol).total_rate
+    assert res.plan.total_rate >= DESCENT_RATES[name][C] - 1e-12
+    assert res.plan.total_rate == total_key_rate(DESK_LAWS[name], res.plan.boundaries,
+                                                 1000, 1000, res.protocol).total_rate
 
 
 def test_optimize_records_its_search():
@@ -788,7 +787,7 @@ def test_pruning_changes_no_result(name, monkeypatch):
     full = optimize_each(CEILING_LAWS[name], (0, 1, 2, 3), 1000, 1000, P)
     for C, (res, ref) in enumerate(zip(pruned, full)):
         assert not any(p.pruned for p in ref.search)
-        for f in ("plan", "r", "V", "protocol", "total_rate"):
+        for f in ("plan", "protocol"):
             assert getattr(res, f) == getattr(ref, f), (C, f)
         assert res.evaluations <= ref.evaluations
 
