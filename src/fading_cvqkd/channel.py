@@ -17,15 +17,25 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from dataclasses import dataclass, fields
+from functools import partial
+from typing import Callable, Iterator
 
 import numpy as np
 
 from .distributions import TransmittanceDistribution, _count, _seed
 from .errors import ParameterError
 
-__all__ = ["ProtocolParams", "Run", "V_MAX", "noise_variance", "simulate_run"]
+__all__ = ["ProtocolParams", "Run", "RunStream", "V_MAX", "BLOCK_BYTES", "block_rows",
+           "noise_variance", "simulate", "simulate_run"]
 
 V_MAX = 1e3  # the largest modulation variance (see ProtocolParams)
+BLOCK_BYTES = 1 << 20  # the size of one row block of an (m, n) state array
+
+
+def block_rows(n: int) -> int:
+    """Packages of n float64 states in one row block: as many as fit in
+    BLOCK_BYTES, and at least one."""
+    return max(1, BLOCK_BYTES // (8 * n))
 
 
 @dataclass(frozen=True)
@@ -154,6 +164,44 @@ class Run(object):
         """The packages as row views of M and B."""
         return tuple(map(_Package, self.true_T.tolist(), self.M, self.B))
 
+    def blocks(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """(M, B) row views of consecutive packages, block_rows(n) at a time."""
+        step = block_rows(self.n)
+        for start in range(0, self.m, step):
+            yield self.M[start:start + step], self.B[start:start + step]
+
+
+@dataclass(frozen=True)
+class RunStream:
+    """A run that passes through memory one row block at a time.
+
+    It holds what a Run holds but M and B.  Each call of blocks() yields
+    the (M, B) arrays of consecutive packages anew, block_rows(n) rows
+    each but the last, so memory does not grow with m; collect() gathers
+    them into a Run.
+    """
+
+    true_T: np.ndarray  # shape (m,)
+    dist: TransmittanceDistribution
+    protocol: ProtocolParams
+    seed: int
+    n: int
+    blocks: Callable[[], Iterator[tuple[np.ndarray, np.ndarray]]]
+
+    @property
+    def m(self) -> int:
+        return len(self.true_T)
+
+    def collect(self) -> Run:
+        M, B = np.empty((self.m, self.n)), np.empty((self.m, self.n))
+        start = 0
+        for M_rows, B_rows in self.blocks():
+            stop = start + len(M_rows)
+            M[start:stop], B[start:stop] = M_rows, B_rows
+            start = stop
+        return Run(M=M, B=B, true_T=self.true_T, dist=self.dist, protocol=self.protocol,
+                   seed=self.seed)
+
 
 def _draw(rng: np.random.Generator, T: float, n: int,
           protocol: ProtocolParams) -> tuple[np.ndarray, np.ndarray]:
@@ -169,19 +217,35 @@ def _run_size(n, m) -> tuple[int, int]:
     return _count(n, "package size", 2), _count(m, "package count", 1)
 
 
-def simulate_run(dist: TransmittanceDistribution, n: int, m: int,
-                 protocol: ProtocolParams, seed: int) -> Run:
+def _draw_blocks(true_T: np.ndarray, n: int, protocol: ProtocolParams, seed: int):
+    """(M, B) row blocks of the packages at true_T, package i drawn from
+    child i of the master seed's noise stream."""
+    noise_stream = np.random.SeedSequence(seed).spawn(2)[1]
+    step = block_rows(n)
+    for start in range(0, len(true_T), step):
+        T_rows = true_T[start:start + step]
+        M, B = np.empty((len(T_rows), n)), np.empty((len(T_rows), n))
+        for i, (T, child) in enumerate(zip(T_rows, noise_stream.spawn(len(T_rows)))):
+            M[i], B[i] = _draw(np.random.default_rng(child), float(T), n, protocol)
+        yield M, B
+
+
+def simulate(dist: TransmittanceDistribution, n: int, m: int,
+             protocol: ProtocolParams, seed: int) -> RunStream:
     """Simulate m packages of n states with i.i.d. transmittance draws.
 
-    Each package consumes an independent child stream of the master
-    seed, so a run is reproducible as a whole and package-by-package.
+    The transmittances come from the first child stream of the master
+    seed.  Package i draws its states from child i of the second, so a
+    run is reproducible as a whole, package by package and block by block.
     """
     (n, m), seed = _run_size(n, m), _seed(seed)
-    root = np.random.SeedSequence(seed)
-    t_stream, noise_stream = root.spawn(2)
-    T_values = dist.sample(np.random.default_rng(t_stream), m)
-    M = np.empty((m, n))
-    B = np.empty((m, n))
-    for i, (T, child) in enumerate(zip(T_values, noise_stream.spawn(m))):
-        M[i], B[i] = _draw(np.random.default_rng(child), float(T), n, protocol)
-    return Run(M=M, B=B, true_T=T_values, dist=dist, protocol=protocol, seed=seed)
+    t_stream = np.random.SeedSequence(seed).spawn(2)[0]
+    true_T = dist.sample(np.random.default_rng(t_stream), m)
+    return RunStream(true_T=true_T, dist=dist, protocol=protocol, seed=seed, n=n,
+                     blocks=partial(_draw_blocks, true_T, n, protocol, seed))
+
+
+def simulate_run(dist: TransmittanceDistribution, n: int, m: int,
+                 protocol: ProtocolParams, seed: int) -> Run:
+    """The run of simulate, collected into whole (m, n) arrays."""
+    return simulate(dist, n, m, protocol, seed).collect()

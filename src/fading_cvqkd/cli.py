@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import clustering, estimation, security, storage
-from .channel import ProtocolParams, simulate_run
+from .channel import ProtocolParams, simulate
 from .distributions import Empirical, from_descriptor
 from .errors import FadingCVQKDError, ValidationError
 from .storage import B_NPY, ESTIMATES_CSV, M_NPY, RUN_JSON, TRUE_T_CSV
@@ -134,10 +134,10 @@ def _cmd_simulate(args) -> int:
     cfg = _merge_config(args)
     dist, protocol = cfg.make_dist(), cfg.make_protocol()
     out = _require_out(cfg, "simulate")
-    run = simulate_run(dist, cfg.n, cfg.m, protocol, cfg.seed)
+    run = simulate(dist, cfg.n, cfg.m, protocol, cfg.seed)
     for name in _STALE_AFTER_SIMULATE:
         (out / name).unlink(missing_ok=True)
-    storage.write_run(run, out)
+    storage.write_run(run, out)  # drawn block by block as it is written
     mean_T = float(np.mean(run.true_T))
     print(f"simulated {run.m} packages x {run.n} states (seed {run.seed}), "
           f"mean true T {mean_T:.4f}")
@@ -146,33 +146,39 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _write_residuals(run, est, path) -> None:
-    root = np.sqrt(run.true_T)
-    # each package's least-squares slope of B on M over its disclosed
-    # states: the scale-free diagnostic that nulls exactly on noiseless
-    # data (unlike the protocol estimator, which divides by the known
-    # modulation variance); a row-wise matmul is bit-equal to np.dot per row
-    M = run.M[:, None, :est.k]
-    slope = (M @ run.B[:, :est.k, None] / (M @ run.M[:, :est.k, None]))[:, 0, 0]
-    storage.write_table(path, ["package", "T_true", "sqrtT_hat", "resid", "resid_ml"],
-                        zip(range(run.m), run.true_T.tolist(), est.sqrtT_hat.tolist(),
-                            (est.sqrtT_hat - root).tolist(), (slope - root).tolist()))
+def _slope(M: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Each row's least-squares slope of B on M: the scale-free diagnostic
+    that nulls exactly on noiseless data (unlike the protocol estimator,
+    which divides by the known modulation variance); a row-wise matmul is
+    bit-equal to np.dot per row."""
+    return (M[:, None] @ B[:, :, None] / (M[:, None] @ M[:, :, None]))[:, 0, 0]
 
 
 def _cmd_estimate(args) -> int:
     run_dir = Path(args.data)
-    run = storage.read_run(run_dir)
-    estimates = estimation.estimate_run(run)
-    storage.write_estimates(estimates, run_dir / ESTIMATES_CSV)
+    run = storage.open_run(run_dir)
+    parts, slopes = [], []
+    for M, B, est in estimation.estimate_blocks(run):
+        parts.append(est)
+        if not args.blind:
+            slopes.append(_slope(M, B))
+    estimates = estimation.Estimates.join(parts)
     stats = estimation.aggregate(estimates, run.protocol)
     wc = estimation.worst_case(stats, run.protocol)
     rect = estimation.worst_case_rectangular(stats, run.protocol)
     report = {"aggregate": stats, "worst_case": wc, "worst_case_rectangular": rect,
               "flags": estimation.estimate_flags(estimates, run.protocol)}
+    storage.write_estimates(estimates, run_dir / ESTIMATES_CSV)
     storage.write_json(report, run_dir / "estimate.json")
     wrote = [str(run_dir / ESTIMATES_CSV), str(run_dir / "estimate.json")]
     if not args.blind:
-        _write_residuals(run, estimates, run_dir / "residuals.csv")
+        root = np.sqrt(run.true_T)
+        storage.write_table(run_dir / "residuals.csv",
+                            ["package", "T_true", "sqrtT_hat", "resid", "resid_ml"],
+                            zip(range(run.m), run.true_T.tolist(),
+                                estimates.sqrtT_hat.tolist(),
+                                (estimates.sqrtT_hat - root).tolist(),
+                                (np.concatenate(slopes) - root).tolist()))
         wrote.append(str(run_dir / "residuals.csv"))
     print(f"estimated {stats.m_used} packages: <sqrtT> {stats.mean_sqrtT_hat:.5f}, "
           f"X1 {stats.X1_hat:.3e}, X2 {stats.X2_hat:.5f}")
@@ -206,7 +212,7 @@ def _cmd_keyrate(args) -> int:
             estimates = storage.read_estimates(est_path)
             _check_estimates_match_run(estimates, sidecar, protocol, est_path)
         else:
-            estimates = estimation.estimate_run(storage.read_run(run_dir))
+            estimates = estimation.estimate_run(storage.open_run(run_dir))
         stats = estimation.aggregate(estimates, protocol)
         wc = estimation.worst_case(stats, protocol)
         N = sidecar["n"] * sidecar["m"]

@@ -5,10 +5,10 @@ The square-root transmittance estimator is the normalized covariance
 
     sqrtT_hat = (1/(V*k)) sum_j M_j B_j,
 
-unbiased for sqrt(T) with variance (2T + V_N/V)/k.  estimate_run
-estimates every package of a run in one pass and returns columns: one
-Estimates holds an (m,) array per quantity, all from the same k, and
-est[rows] selects packages by mask or index;
+unbiased for sqrt(T) with variance (2T + V_N/V)/k.  estimate_blocks
+estimates a run one row block at a time, and estimate_run joins the
+blocks into columns: one Estimates holds an (m,) array per quantity, all
+from the same k, and est[rows] selects packages by mask or index;
 estimate_flags counts its sign anomalies and noise-model mismatches.
 Aggregating over packages yields bias-corrected estimates of the
 fluctuation statistics X1 = <T> - <sqrt T>^2 and X2 = <T> + <sqrt T>^2
@@ -20,13 +20,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import ClassVar
+from typing import ClassVar, Iterator
 
 import numpy as np
 
 from . import elementwise as ew
-from .channel import ProtocolParams, Run
-from .errors import InsufficientDataError, NumericalError, ParameterError
+from .channel import ProtocolParams, Run, RunStream
+from .errors import InsufficientDataError, NumericalError, ParameterError, ValidationError
 
 __all__ = [
     "Estimates",
@@ -36,6 +36,7 @@ __all__ = [
     "disclosed_count",
     "sqrtT_variance",
     "T_variance",
+    "estimate_blocks",
     "estimate_run",
     "aggregate",
     "worst_case",
@@ -91,6 +92,12 @@ class Estimates:
     def __getitem__(self, rows) -> Estimates:
         return Estimates(**{name: getattr(self, name)[rows] for name in self.columns},
                          k=self.k)
+
+    @classmethod
+    def join(cls, parts: list[Estimates]) -> Estimates:
+        """The packages of parts, in order, as one Estimates."""
+        return cls(**{name: np.concatenate([getattr(p, name) for p in parts])
+                      for name in cls.columns}, k=parts[0].k)
 
 
 @dataclass(frozen=True)
@@ -190,11 +197,27 @@ def disclosed_count(n: int, r: float) -> int:
     return min(n, k)
 
 
-def estimate_run(run: Run) -> Estimates:
-    """Estimate every package of a run from its first k = r*n states,
-    in one pass over the disclosed prefix of the (m, n) arrays."""
+def estimate_blocks(run: Run | RunStream) -> Iterator[tuple[np.ndarray, np.ndarray, Estimates]]:
+    """(M, B, est) of each row block of a run: the first k = r*n states
+    of its packages, the disclosed ones, and their Estimates.  A package
+    whose disclosed M states are all zero is refused: they carry nothing
+    of its transmittance, and its least-squares slope would be 0/0."""
     k = disclosed_count(run.n, run.protocol.r)
-    return _estimates(run.M[:, :k], run.B[:, :k], run.protocol.V, k)
+    start = 0
+    for M, B in run.blocks():
+        M, B = M[:, :k], B[:, :k]
+        zero = np.flatnonzero(~M.any(axis=1))
+        if zero.size:
+            raise ValidationError(f"package {start + zero[0]}: its {k} disclosed M "
+                                  "states are all zero")
+        yield M, B, _estimates(M, B, run.protocol.V, k)
+        start += len(M)
+
+
+def estimate_run(run: Run | RunStream) -> Estimates:
+    """Estimate every package of a run from its first k = r*n states,
+    one row block at a time (see estimate_blocks)."""
+    return Estimates.join([est for _, _, est in estimate_blocks(run)])
 
 
 def aggregate(est: Estimates, protocol: ProtocolParams) -> AggregateStats:

@@ -2,9 +2,12 @@
 
 A run directory (format v2) holds the (m, n) arrays M and B as float64
 .npy files, the true transmittances as true_T.csv and a run.json
-sidecar carrying the format, distribution, protocol and seed.  Tables
-are CSV (RFC 4180, comma, header row), reports JSON.  Floats are written with repr, and arrays with np.save,
-so a rerun of the same seed produces byte-identical files.
+sidecar carrying the format, distribution, protocol and seed.  The
+arrays are written and read one row block at a time (channel.block_rows),
+so a run of any m passes through bounded memory.  Tables
+are CSV (RFC 4180, comma, header row), reports JSON.  Floats are
+written with repr, and arrays in the bytes np.save writes, so a rerun of
+the same seed produces byte-identical files.
 """
 
 from __future__ import annotations
@@ -13,18 +16,20 @@ import csv
 import dataclasses
 import json
 import math
+import os
+from functools import partial
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .channel import ProtocolParams, Run
+from .channel import ProtocolParams, Run, RunStream, block_rows
 from .distributions import TransmittanceDistribution, from_descriptor
 from .errors import ValidationError
 from .estimation import Estimates
 
 __all__ = [
-    "write_run", "read_run", "read_sidecar", "write_estimates", "read_estimates",
+    "write_run", "open_run", "read_run", "read_sidecar", "write_estimates", "read_estimates",
     "read_trace", "write_json", "read_json", "json_typed", "write_table",
     "protocol_descriptor", "protocol_from_descriptor",
     "M_NPY", "B_NPY", "RUN_JSON", "TRUE_T_CSV", "ESTIMATES_CSV",
@@ -137,13 +142,24 @@ def protocol_from_descriptor(d: dict) -> ProtocolParams:
     return ProtocolParams(**d)
 
 
-def write_run(run: Run, out_dir) -> None:
-    """Write a run in format v2: M.npy and B.npy, true_T.csv and a
-    JSON sidecar carrying the distribution, protocol and seed."""
+def write_run(run: Run | RunStream, out_dir) -> None:
+    """Write a run in format v2, one row block at a time: M.npy and
+    B.npy (the bytes np.save writes), true_T.csv, then the JSON sidecar
+    carrying the distribution, protocol and seed.  The old run.json and
+    true_T.csv go first and run.json comes last, so a write cut short
+    leaves no directory that open_run takes for a run."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    np.save(out / M_NPY, run.M, allow_pickle=False)
-    np.save(out / B_NPY, run.B, allow_pickle=False)
+    for name in (RUN_JSON, TRUE_T_CSV):
+        (out / name).unlink(missing_ok=True)
+    header = {"descr": np.lib.format.dtype_to_descr(np.dtype(np.float64)),
+              "fortran_order": False, "shape": (run.m, run.n)}
+    with open(out / M_NPY, "wb") as fm, open(out / B_NPY, "wb") as fb:
+        for fh in (fm, fb):
+            np.lib.format.write_array_header_1_0(fh, header)
+        for M, B in run.blocks():
+            fm.write(np.ascontiguousarray(M))
+            fb.write(np.ascontiguousarray(B))
     write_table(out / TRUE_T_CSV, ["package", "T_true"], enumerate(run.true_T.tolist()))
     sidecar = {
         "format": RUN_FORMAT_V2,
@@ -168,28 +184,64 @@ def _field(row_no: int, name: str, raw: str, conv=float):
     return x
 
 
-def _check_finite(label: str, a: np.ndarray) -> None:
-    bad = np.flatnonzero(~np.isfinite(a))
-    if bad.size:
-        i, j = divmod(int(bad[0]), a.shape[1])
-        raise ValidationError(f"{label}: non-finite value {a[i, j]} at package {i}, state {j}")
+_NPY_HEADERS = {(1, 0): np.lib.format.read_array_header_1_0,
+                (2, 0): np.lib.format.read_array_header_2_0}
 
 
-def _load_array(path: Path, shape: tuple[int, int]) -> np.ndarray:
-    """A float64 array of the given shape from a .npy file; pickled
-    object arrays are refused."""
+def _npy_offset(path: Path, shape: tuple[int, int]) -> int:
+    """Where the states begin in a .npy file, once its header shows a
+    float64 C-order array of the given shape and its size is that of the
+    header and the states; pickled object arrays are refused."""
     with _open(path, "rb") as fh:
         try:
-            a = np.lib.format.read_array(fh, allow_pickle=False)
+            version = np.lib.format.read_magic(fh)
+            if version not in _NPY_HEADERS:
+                raise ValueError(f"format version {version}")
+            got, fortran_order, dtype = _NPY_HEADERS[version](fh)
         except (ValueError, EOFError) as exc:
             raise ValidationError(f"{path.name}: not a plain .npy array: {exc}")
-    if a.dtype != np.float64:
-        raise ValidationError(f"{path.name}: dtype {a.dtype}, expected float64")
-    if a.shape != shape:
-        raise ValidationError(f"{path.name}: shape {a.shape}, but {RUN_JSON} "
+        offset, size = fh.tell(), os.fstat(fh.fileno()).st_size
+    if dtype.hasobject:
+        raise ValidationError(f"{path.name}: not a plain .npy array: it holds objects")
+    if dtype != np.float64:
+        raise ValidationError(f"{path.name}: dtype {dtype}, expected float64")
+    if fortran_order:
+        raise ValidationError(f"{path.name}: Fortran order, expected C order")
+    if got != shape:
+        raise ValidationError(f"{path.name}: shape {got}, but {RUN_JSON} "
                               f"gives (m, n) = {shape}")
-    _check_finite(path.name, a)
+    expected = offset + 8 * shape[0] * shape[1]
+    if size != expected:
+        raise ValidationError(f"{path.name}: {size} bytes, expected {expected} "
+                              f"(a {offset}-byte header and {shape[0]} x {shape[1]} "
+                              "float64 states)")
+    return offset
+
+
+def _read_rows(fh, label: str, start: int, rows: int, n: int) -> np.ndarray:
+    """The next rows x n states of an open .npy file, those of packages
+    start, start + 1, ...; a non-finite one is refused by its place."""
+    a = np.empty((rows, n))
+    if fh.readinto(a) != a.nbytes:
+        raise ValidationError(f"{label}: ends inside the states of package {start}")
+    bad = np.flatnonzero(~np.isfinite(a))
+    if bad.size:
+        i, j = divmod(int(bad[0]), n)
+        raise ValidationError(f"{label}: non-finite value {a[i, j]} at package "
+                              f"{start + i}, state {j}")
     return a
+
+
+def _read_blocks(src: Path, offsets: tuple[int, int], m: int, n: int):
+    """The (M, B) row blocks of a run directory, each checked finite."""
+    with _open(src / M_NPY, "rb") as fm, _open(src / B_NPY, "rb") as fb:
+        fm.seek(offsets[0])
+        fb.seek(offsets[1])
+        step = block_rows(n)
+        for start in range(0, m, step):
+            rows = min(step, m - start)
+            yield (_read_rows(fm, M_NPY, start, rows, n),
+                   _read_rows(fb, B_NPY, start, rows, n))
 
 
 def read_sidecar(in_dir) -> dict:
@@ -204,12 +256,14 @@ def read_sidecar(in_dir) -> dict:
     return sidecar
 
 
-def read_run(in_dir) -> Run:
-    """Rebuild a Run from a directory written by write_run (format v2),
-    validating the structure and refusing non-finite states; row i of
-    true_T.csv must carry package i, and there must be m rows.  A run of
-    an older format is refused with the command that regenerates it: the
-    simulation is determined by its run.json, so a rerun is lossless."""
+def open_run(in_dir) -> RunStream:
+    """The run in a directory written by write_run (format v2), as a
+    RunStream.  The sidecar, true_T.csv and the header and size of each
+    array are checked here; blocks() checks each block's states for
+    finiteness as it reads them.  Row i of true_T.csv must carry package
+    i, and there must be m rows.  A run of an older format is refused with
+    the command that regenerates it: the simulation is determined by its
+    run.json, so a rerun is lossless."""
     src = Path(in_dir)
     sidecar = read_sidecar(src)
     if sidecar["format"] != RUN_FORMAT_V2:
@@ -236,8 +290,14 @@ def read_run(in_dir) -> Run:
     if len(true_T) != m:
         raise ValidationError(f"{TRUE_T_CSV}: {len(true_T)} rows, but {RUN_JSON} gives m = {m}")
 
-    M, B = _load_array(src / M_NPY, (m, n)), _load_array(src / B_NPY, (m, n))
-    return Run(M=M, B=B, true_T=true_T, dist=dist, protocol=protocol, seed=sidecar["seed"])
+    offsets = (_npy_offset(src / M_NPY, (m, n)), _npy_offset(src / B_NPY, (m, n)))
+    return RunStream(true_T=np.array(true_T), dist=dist, protocol=protocol,
+                     seed=sidecar["seed"], n=n, blocks=partial(_read_blocks, src, offsets, m, n))
+
+
+def read_run(in_dir) -> Run:
+    """The run of open_run, collected into whole (m, n) arrays."""
+    return open_run(in_dir).collect()
 
 
 def write_estimates(est: Estimates, path) -> None:

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +24,8 @@ from fading_cvqkd import (
     worst_case_rectangular,
 )
 import fading_cvqkd
-from fading_cvqkd import clustering
+from fading_cvqkd import channel, clustering
+from fading_cvqkd.channel import BLOCK_BYTES
 from fading_cvqkd.cli import build_parser, main
 from fading_cvqkd.storage import (
     B_NPY,
@@ -107,7 +109,88 @@ def test_a_modulation_variance_past_its_precision_exits_2(tmp_path, capsys, comm
     assert not out.exists()
 
 
+def test_a_simulate_cut_short_leaves_no_run(tmp_path, capsys, monkeypatch):
+    """A simulate that fails after its first blocks, over a directory
+    holding an older estimated run, leaves nothing that estimate or
+    keyrate take for a run: run.json goes before the first block and
+    comes back only after the last."""
+    out = tmp_path / "run"
+    assert main(["simulate", "--out", str(out)] + SIM) == 0
+    assert main(["estimate", str(out)]) == 0
+    draw, calls = channel._draw, []
+
+    def failing_draw(*args):
+        calls.append(None)
+        if len(calls) > 300:  # past the first two blocks of 131 packages
+            raise RuntimeError("the disk is full")
+        return draw(*args)
+
+    monkeypatch.setattr(channel, "_draw", failing_draw)
+    with pytest.raises(RuntimeError, match="the disk is full"):
+        main(["simulate", "--out", str(out), "--n", "1000", "--m", "400"])
+    assert (out / M_NPY).stat().st_size > BLOCK_BYTES  # the first blocks went down
+    assert sorted(p.name for p in out.iterdir()) == [B_NPY, M_NPY]
+    capsys.readouterr()
+    for command in ("estimate", "keyrate"):
+        assert main([command, str(out)]) == 2
+        assert f"{RUN_JSON}: missing" in capsys.readouterr().err
+
+
 # ---- estimate -----------------------------------------------------------
+
+def test_estimate_of_one_package_writes_nothing(tmp_path, capsys):
+    """One package cannot be aggregated: estimate exits 2 and leaves no
+    estimates.csv, which it once wrote before it aggregated."""
+    out = tmp_path / "run"
+    assert main(["simulate", "--out", str(out), "--n", "60", "--m", "1"]) == 0
+    before = _files(out)
+    assert main(["estimate", str(out)]) == 2
+    assert "need at least 2 packages" in capsys.readouterr().err
+    assert _files(out) == before
+
+
+def _traced_peak(argv) -> int:
+    """Peak bytes that tracemalloc (which sees numpy's buffers) traces
+    while a command runs."""
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_simulate_and_estimate_hold_a_few_row_blocks(tmp_path, capsys):
+    """At n = 10^4, m = 200 the two arrays are 30.5 MiB; simulate and
+    estimate each peak below 8 blocks of BLOCK_BYTES (4.3 MiB when this
+    was written), whatever m is.  A small run goes first, so that the
+    modules the commands import on first use are not counted."""
+    out = tmp_path / "run"
+    assert main(["simulate", "--n", "100", "--m", "3", "--out", str(out)]) == 0
+    assert main(["estimate", str(out)]) == 0
+    assert _traced_peak(["simulate", "--n", "10000", "--m", "200", "--out", str(out)]) \
+        < 8 * BLOCK_BYTES
+    assert _traced_peak(["estimate", str(out)]) < 8 * BLOCK_BYTES
+    assert 2 * (out / M_NPY).stat().st_size > 30 * BLOCK_BYTES
+
+
+@pytest.mark.parametrize("blind", [False, True])
+def test_estimate_refuses_a_package_with_all_zero_disclosed_states(tmp_path, capsys, blind):
+    """Package 4's disclosed M states are all zero: its slope residual
+    was 0/0, a nan in residuals.csv with a RuntimeWarning; now estimate
+    and keyrate refuse the run by that package and write nothing."""
+    run = fading_cvqkd.simulate_run(Uniform(0.2, 0.9), 50, 20, ProtocolParams(), seed=4)
+    M = run.M.copy()
+    M[4, :5] = 0.0  # k = round(0.1 * 50) = 5
+    out = tmp_path / "zero"
+    write_run(Run(M=M, B=run.B, true_T=run.true_T, dist=run.dist, protocol=run.protocol,
+                  seed=run.seed), out)
+    before = _files(out)
+    for argv in (["estimate", str(out)] + (["--blind"] if blind else []), ["keyrate", str(out)]):
+        assert main(argv) == 2
+        assert "package 4: its 5 disclosed M states are all zero" in capsys.readouterr().err
+        assert _files(out) == before
+
 
 def test_estimate_matches_in_process_results(tmp_path):
     out = tmp_path / "run"

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import os
 from pathlib import Path
 
 import numpy as np
@@ -15,13 +16,17 @@ from fading_cvqkd import (
     estimate_run,
     simulate_run,
 )
+from fading_cvqkd.channel import _draw, block_rows, simulate
 from fading_cvqkd.cli import main
+from fading_cvqkd.estimation import _estimates, disclosed_count
 from fading_cvqkd.storage import (
     B_NPY,
+    ESTIMATES_CSV,
     M_NPY,
     RUN_JSON,
     TRUE_T_CSV,
     jsonable,
+    open_run,
     protocol_descriptor,
     protocol_from_descriptor,
     read_estimates,
@@ -188,6 +193,133 @@ def test_read_run_rejects_non_finite_states(tmp_path, fmt, column, value):
     write_run(_small_run(n=5, m=3), tmp_path)
     _poison_v2(tmp_path, column, value)
     with pytest.raises(ValidationError, match="non-finite value .* at package 1, state 2"):
+        read_run(tmp_path)
+
+
+# ---- row blocks ----------------------------------------------------------
+
+# (n, m) at the edges of the row blocks: one package, one block less one
+# row, one full block, one block and one row, and a package size at which
+# a block holds a single row
+_EDGE_N = 1 << 14
+_ROWS = block_rows(_EDGE_N)
+BLOCK_EDGES = [(_EDGE_N, 1), (_EDGE_N, _ROWS - 1), (_EDGE_N, _ROWS), (_EDGE_N, _ROWS + 1),
+               (1 << 17, 3)]
+
+
+def _whole_arrays(n, m, seed):
+    """(true T, M, B) of simulate drawn as whole arrays: the transmittances
+    from the seed's first child stream, package i from child i of the
+    second."""
+    t_stream, noise = np.random.SeedSequence(seed).spawn(2)
+    T = DIST.sample(np.random.default_rng(t_stream), m)
+    rows = [_draw(np.random.default_rng(child), float(t), n, P)
+            for t, child in zip(T, noise.spawn(m))]
+    return T, np.array([M for M, _ in rows]), np.array([B for _, B in rows])
+
+
+@pytest.mark.parametrize("n, m", BLOCK_EDGES)
+def test_streamed_run_equals_whole_arrays(tmp_path, n, m):
+    """The files written block by block are np.save's of the whole
+    arrays, and the estimates read back block by block are _estimates of
+    the whole disclosed arrays, bit for bit."""
+    T, M, B = _whole_arrays(n, m, seed=3)
+    assert block_rows(n) == (_ROWS if n == _EDGE_N else 1)
+    run_dir = tmp_path / "run"
+    write_run(simulate(DIST, n, m, P, seed=3), run_dir)
+    for name, whole in ((M_NPY, M), (B_NPY, B)):
+        np.save(tmp_path / name, whole)
+        assert (run_dir / name).read_bytes() == (tmp_path / name).read_bytes()
+    stream = open_run(run_dir)
+    assert len(list(stream.blocks())) == -(-m // block_rows(n))
+    assert np.array_equal(stream.true_T, T)
+    back = read_run(run_dir)
+    assert np.array_equal(back.M, M) and np.array_equal(back.B, B)
+
+    k = disclosed_count(n, P.r)
+    whole = _estimates(M[:, :k], B[:, :k], P.V, k)
+    streamed = estimate_run(stream)
+    for name in Estimates.columns:
+        assert np.array_equal(getattr(streamed, name), getattr(whole, name))
+    if m == 1:
+        return  # one package cannot be aggregated, so estimate refuses it
+    assert main(["estimate", str(run_dir)]) == 0
+    write_estimates(whole, tmp_path / ESTIMATES_CSV)
+    assert (run_dir / ESTIMATES_CSV).read_bytes() == (tmp_path / ESTIMATES_CSV).read_bytes()
+    slope = [np.dot(Mi[:k], Bi[:k]) / np.dot(Mi[:k], Mi[:k]) for Mi, Bi in zip(M, B)]
+    resid_ml = np.loadtxt(run_dir / "residuals.csv", delimiter=",", skiprows=1, ndmin=2)[:, 4]
+    assert resid_ml.tolist() == (np.array(slope) - np.sqrt(T)).tolist()
+
+
+@pytest.mark.parametrize("column", ["M", "B"])
+def test_a_non_finite_state_in_a_later_block_is_placed_in_the_run(tmp_path, capsys, column):
+    """A NaN in the second block is reported at its package in the run,
+    not in the block, by read_run and by estimate, which writes nothing."""
+    write_run(simulate(DIST, _EDGE_N, _ROWS + 3, P, seed=5), tmp_path)
+    a = np.load(tmp_path / f"{column}.npy")
+    a[_ROWS + 1, 5] = math.nan
+    np.save(tmp_path / f"{column}.npy", a)
+    message = f"{column}.npy: non-finite value nan at package {_ROWS + 1}, state 5"
+    with pytest.raises(ValidationError, match=message):
+        read_run(tmp_path)
+    before = sorted(p.name for p in tmp_path.iterdir())
+    assert main(["estimate", str(tmp_path)]) == 2
+    assert message in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+
+def _append(extra: bytes):
+    def edit(path):
+        with open(path, "ab") as fh:
+            fh.write(extra)
+    return edit
+
+
+def _cut(size):
+    def edit(path):
+        with open(path, "r+b") as fh:
+            fh.truncate(size(os.path.getsize(path)))
+    return edit
+
+
+# an array file with trailing bytes, one cut short by a state, and one
+# cut inside its header: (edit, file size after it, or None if the
+# header cannot be read)
+SIZE_EDITS = {
+    "trailing": (_append(b"\0" * 800), lambda size: size + 800),
+    "truncated": (_cut(lambda size: size - 8), lambda size: size - 8),
+    "header": (_cut(lambda size: 40), None),
+}
+
+
+@pytest.mark.parametrize("name", [M_NPY, B_NPY])
+@pytest.mark.parametrize("case", list(SIZE_EDITS))
+def test_an_array_of_the_wrong_size_is_refused_on_every_route(tmp_path, capsys, name, case):
+    """read_run, estimate and keyrate DATA (which estimates when
+    estimates.csv is missing) refuse an array file with bytes after its
+    states or with too few, naming the file and the byte counts, and the
+    commands write nothing."""
+    edit, size_after = SIZE_EDITS[case]
+    write_run(_small_run(n=5, m=3), tmp_path)
+    size = os.path.getsize(tmp_path / name)
+    edit(tmp_path / name)
+    if size_after is None:
+        message = f"{name}: not a plain .npy array"
+    else:
+        message = f"{name}: {size_after(size)} bytes, expected {size} "
+    with pytest.raises(ValidationError, match=message):
+        read_run(tmp_path)
+    before = sorted(p.name for p in tmp_path.iterdir())
+    for command in ("estimate", "keyrate"):
+        assert main([command, str(tmp_path)]) == 2
+        assert message in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+
+def test_a_fortran_order_array_is_refused(tmp_path):
+    write_run(_small_run(n=5, m=3), tmp_path)
+    np.save(tmp_path / M_NPY, np.asfortranarray(np.load(tmp_path / M_NPY)))
+    with pytest.raises(ValidationError, match="M.npy: Fortran order, expected C order"):
         read_run(tmp_path)
 
 
