@@ -65,7 +65,10 @@ on that grid.
 The table does not depend on C, only the dynamic program does, so
 optimize_each searches for several cluster counts at once and shares
 each point's table among them; each count still reports its own plan
-and search record, the same as optimize gives for it alone.
+and search record, the same as optimize gives for it alone.  The pooled
+plan (C = 0, one cluster with edges -inf and +inf) needs no table, and
+its mass and five of its eight column sums are the same at every (r, V)
+point, so each pass scores all its pooled points in one array evaluation.
 
 No plan at an (r, V) point can beat rate_ceiling there, the rate of a
 protocol that knew each package's transmittance, less the finite-size
@@ -77,6 +80,7 @@ found stays the same, since a pruned point could only have lost.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -200,15 +204,13 @@ class OptimizeResult:
         return sum(p.intervals for p in self.search) + len(self.plan.per_cluster)
 
 
-def _sigma_arrays(s: np.ndarray, k: int, protocol: ProtocolParams):
-    """(V_N, v_u, v_w, c_uw) at true transmittance s: the noise
-    variance, the variances of the estimator pair (sqrtT_hat, T_hat)
-    and their covariance 2 sqrt(s) v_u."""
-    vN = noise_variance(s, protocol)
-    v_u = sqrtT_variance(s, vN, protocol.V, k)
-    v_w = T_variance(s, v_u)
-    c_uw = 2.0 * np.sqrt(s) * v_u
-    return vN, v_u, v_w, c_uw
+def _sigma_arrays(s: np.ndarray, vN: np.ndarray, V, k):
+    """(v_u, v_w, c_uw) at true transmittance s and noise variance vN:
+    the variances of the estimator pair (sqrtT_hat, T_hat) from k
+    disclosed states at modulation variance V, and their covariance
+    2 sqrt(s) v_u.  V and k may be columns, one row per (r, V) point."""
+    v_u = sqrtT_variance(s, vN, V, k)
+    return v_u, T_variance(s, v_u), 2.0 * np.sqrt(s) * v_u
 
 
 def ndtr(x):
@@ -256,8 +258,7 @@ def _merge(samples: np.ndarray, count: int, protocol: ProtocolParams):
     at most 1.  Returns the run means s', the run weights and the run
     means of the powers."""
     x = np.sort(samples)
-    sharpest = replace(protocol, V=V_MAX)
-    reach = x + _MERGE * np.sqrt(_sigma_arrays(x, count, sharpest)[2])
+    reach = x + _MERGE * np.sqrt(_sigma_arrays(x, noise_variance(x, protocol), V_MAX, count)[1])
     starts = [0]
     while (nxt := int(np.searchsorted(x, reach[starts[-1]], side="right"))) < x.size:
         starts.append(nxt)
@@ -297,6 +298,45 @@ def _hermite_root(g0: np.ndarray, g1: np.ndarray, m0: np.ndarray,
     return u
 
 
+# ---- per-cluster statistics: floats for one interval, arrays for many
+
+def _stats(mass, sums, k, m: int, epsilon: float) -> AggregateStats:
+    """Aggregation statistics of a cluster of probability mass `mass` among
+    m packages of k disclosed states from the mass-weighted sums of the
+    node columns (_Evaluator.columns)."""
+    mu_h, mu_1, mu_3h, mu_2, e_vu, e_vw, e_cuw, vN_c = [x / mass for x in sums]
+    xp = ew.of(mass)
+    var_u = e_vu + xp.maximum(0.0, mu_1 - mu_h**2)
+    var_w = e_vw + xp.maximum(0.0, mu_2 - mu_1**2)
+    cov_uw = e_cuw + (mu_3h - mu_h * mu_1)
+    var_psi1 = xp.maximum(0.0, var_w + 4.0 * mu_h**2 * var_u - 4.0 * mu_h * cov_uw)
+    var_psi2 = var_w + 4.0 * mu_h**2 * var_u + 4.0 * mu_h * cov_uw
+    m_c = mass * m
+    return AggregateStats(
+        mean_sqrtT_hat=mu_h, mean_T_hat=mu_1,
+        X1_hat=mu_1 - mu_h**2, X2_hat=mu_1 + mu_h**2,
+        se_X1=xp.sqrt(var_psi1 / m_c), se_X2=xp.sqrt(var_psi2 / m_c),
+        m_used=m_c,
+        se_mean_sqrtT=xp.sqrt(var_u / m_c),
+        se_mean_T=xp.sqrt(var_w / m_c),
+        eps_hat=epsilon, vN_pooled=vN_c,
+        k_total=m_c * k)
+
+
+def _states(mass, m: int, n: int):
+    """States max(2, round(mass m n)) of a cluster of that mass."""
+    x = mass * m * n
+    if isinstance(x, np.ndarray):
+        return np.maximum(2, np.rint(x).astype(np.int64))
+    return max(2, int(round(x)))
+
+
+def _too_small(mass, m: int):
+    """Whether a cluster of that mass holds too little to score: mass below
+    _MASS_FLOOR or fewer than 2 expected packages."""
+    return (mass < _MASS_FLOOR) | (mass * m < 2.0)
+
+
 class _Evaluator:
     """Node arrays for one (rule, protocol, k, m, n) configuration; the rule
     is shared read-only.  report scores one interval, table every
@@ -318,7 +358,8 @@ class _Evaluator:
         self.s, self.fw, self.powers = rule
         self.protocol = protocol
         self.k, self.m, self.n = k, m, n
-        vN, v_u, v_w, c_uw = _sigma_arrays(self.s, self.k, protocol)
+        vN = noise_variance(self.s, protocol)
+        v_u, v_w, c_uw = _sigma_arrays(self.s, vN, protocol.V, k)
         self.sigma = np.sqrt(v_w)
         # the node columns whose cluster means the statistics need, in the
         # order _stats unpacks them
@@ -336,48 +377,19 @@ class _Evaluator:
         """Weights fw * [1, columns] of the kernel sums, built on first use."""
         return self.fw[:, None] * np.column_stack((np.ones_like(self.s), *self.columns))
 
-    # ---- per-cluster statistics: floats for one interval, arrays for many
-
-    def _stats(self, mass, sums) -> AggregateStats:
-        """Aggregation statistics of a cluster of probability mass `mass`
-        from the mass-weighted sums of the node columns."""
-        mu_h, mu_1, mu_3h, mu_2, e_vu, e_vw, e_cuw, vN_c = [x / mass for x in sums]
-        xp = ew.of(mass)
-        var_u = e_vu + xp.maximum(0.0, mu_1 - mu_h**2)
-        var_w = e_vw + xp.maximum(0.0, mu_2 - mu_1**2)
-        cov_uw = e_cuw + (mu_3h - mu_h * mu_1)
-        var_psi1 = xp.maximum(0.0, var_w + 4.0 * mu_h**2 * var_u - 4.0 * mu_h * cov_uw)
-        var_psi2 = var_w + 4.0 * mu_h**2 * var_u + 4.0 * mu_h * cov_uw
-        m_c = mass * self.m
-        return AggregateStats(
-            mean_sqrtT_hat=mu_h, mean_T_hat=mu_1,
-            X1_hat=mu_1 - mu_h**2, X2_hat=mu_1 + mu_h**2,
-            se_X1=xp.sqrt(var_psi1 / m_c), se_X2=xp.sqrt(var_psi2 / m_c),
-            m_used=m_c,
-            se_mean_sqrtT=xp.sqrt(var_u / m_c),
-            se_mean_T=xp.sqrt(var_w / m_c),
-            eps_hat=self.protocol.epsilon, vN_pooled=vN_c,
-            k_total=m_c * self.k)
-
-    def _states(self, mass):
-        """States max(2, round(mass m n)) of a cluster of that mass."""
-        x = mass * self.m * self.n
-        if isinstance(x, np.ndarray):
-            return np.maximum(2, np.rint(x).astype(np.int64))
-        return max(2, int(round(x)))
-
     def report(self, t_lo: float, t_hi: float) -> ClusterReport:
         self.evaluations += 1
         interval = (t_lo, t_hi)
         wgt = _membership(self.s, self.sigma, t_lo, t_hi) * self.fw
         mass = float(np.sum(wgt))
-        if mass < _MASS_FLOOR or mass * self.m < 2.0:
+        if _too_small(mass, self.m):
             return ClusterReport(interval=interval, mass=max(mass, 0.0),
                                  cond_moments=None, wc=None, N_c=0, K_c=0.0)
-        stats = self._stats(mass, [float(np.dot(wgt, col)) for col in self.columns])
+        stats = _stats(mass, [float(np.dot(wgt, col)) for col in self.columns],
+                       self.k, self.m, self.protocol.epsilon)
         wc = worst_case(stats, self.protocol)
         moments = Moments(stats.mean_T_hat, stats.mean_sqrtT_hat)
-        N_c = self._states(mass)
+        N_c = _states(mass, self.m, self.n)
         return ClusterReport(interval=interval, mass=mass, cond_moments=moments,
                              wc=wc, N_c=N_c, K_c=key_rate(wc, N_c, self.protocol).K)
 
@@ -493,13 +505,12 @@ class _Evaluator:
         rows = max(1, _BLOCK // 2 // (Q + 1))
         for a0 in range(0, Q, rows):
             mass = cdf - cdf[a0:a0 + rows, None]
-            keep = ~((mass < _MASS_FLOOR) | (mass * self.m < 2.0))
-            a, b = np.nonzero(np.triu(keep, a0 + 1))
+            a, b = np.nonzero(np.triu(~_too_small(mass, self.m), a0 + 1))
             a += a0
             sums = G[b] - G[a]
-            stats = self._stats(sums[:, 0], sums[:, 1:].T)
+            stats = _stats(sums[:, 0], sums[:, 1:].T, self.k, self.m, self.protocol.epsilon)
             wc = worst_case(stats, self.protocol)
-            K = key_rate(wc, self._states(sums[:, 0]), self.protocol).K
+            K = key_rate(wc, _states(sums[:, 0], self.m, self.n), self.protocol).K
             if not np.isfinite(K).all():
                 raise NumericalError(f"key rate is NaN or infinite on "
                                      f"{int(np.sum(~np.isfinite(K)))} interval(s)")
@@ -675,8 +686,9 @@ def optimize(dist: TransmittanceDistribution, C: int, n: int, m: int,
     numbers by the key (-rate, -kept mass, r, V, edges); a point whose
     rate_ceiling lies below the best rate found so far builds no table
     (see optimize_each), which changes no result.  C = 0
-    evaluates the pooled (single all-inclusive cluster) protocol with
-    one report per point and no table.  The bounds hold at the
+    scores the pooled (single all-inclusive cluster) plan at all the
+    points of a pass in one array evaluation (_pooled), with no table,
+    and rescores the chosen plan through report.  The bounds hold at the
     confidence multiplier protocol.z_conf.  A plan is feasible when each
     of its clusters holds two or more expected packages.  The result's
     search field records each pass.  The law's quadrature rule is built
@@ -689,20 +701,107 @@ def optimize(dist: TransmittanceDistribution, C: int, n: int, m: int,
 _SKIPPED = (ParameterError, InsufficientDataError, ClusterTooSmallError)
 
 
+def _refusal(r: float, V: float, exc: Exception) -> dict:
+    """The search record of a point (r, V) that exc ruled out."""
+    return {"r": r, "V": V, "error": type(exc).__name__, "message": str(exc)}
+
+
+def _rescore(ev: _Evaluator, edges: Sequence[float]) -> ClusterPlan:
+    """ev's plan of edges, refused if a cluster holds under 2 expected packages."""
+    plan = ev.plan(edges)
+    if any(rep.cond_moments is None for rep in plan.per_cluster):
+        raise ClusterTooSmallError("the rescored plan has a cluster below "
+                                   "2 expected packages")
+    return plan
+
+
+def _pooled_rates(rule: _Rule, protocol: ProtocolParams, r: np.ndarray, V: np.ndarray,
+                  k: np.ndarray, n: int, m: int) -> tuple[float, np.ndarray]:
+    """The mass and the rates of the pooled plan (one cluster, edges -inf
+    and +inf) at the points (r[i], V[i]) with k[i] disclosed states, from
+    report's _stats, worst_case and key_rate on arrays, at a protocol whose
+    r, V and V' are arrays; ProtocolParams takes numbers only, so its range
+    checks on r and V are made here.  The mass and the sums of the power
+    and V_N columns are the same at every point; the noise columns (points
+    x nodes) are summed in row blocks of _BLOCK elements.  Raises a
+    _SKIPPED error where report would refuse some point."""
+    s, fw, powers = rule
+    mass = float(np.sum(fw))
+    if m < 2 or _too_small(mass, m):
+        raise ClusterTooSmallError("the pooled cluster holds under 2 expected packages")
+    if not (np.all((0.0 < r) & (r < 1.0)) and np.all((0.0 < V) & (V <= V_MAX))):
+        raise ParameterError(f"(r, V) points outside (0, 1) x (0, {V_MAX:g}]")
+    at = copy.copy(protocol)
+    object.__setattr__(at, "r", r)
+    object.__setattr__(at, "V", V)
+    vN = noise_variance(s, protocol)
+    rows = max(1, _BLOCK // s.size)
+    noise = np.hstack([[col @ fw for col in _sigma_arrays(s, vN, V[i:i + rows, None],
+                                                          k[i:i + rows, None])]
+                       for i in range(0, r.size, rows)])
+    sums = [float(np.dot(fw, col)) for col in powers] + [*noise, float(np.dot(fw, vN))]
+    mass_at = np.full(r.size, mass)
+    wc = worst_case(_stats(mass_at, sums, k, m, protocol.epsilon), at)
+    return mass, mass * key_rate(wc, _states(mass_at, m, n), at).K
+
+
+def _pooled(rule: _Rule, protocol: ProtocolParams, points: set, n: int, m: int):
+    """The pooled plan at each (r, V) point of a pass: the keys (-rate,
+    -mass, r, V, edges) of the points scored, the records of the points
+    skipped and the intervals scored, one per point that reached report.
+    The points whose disclosed count holds are scored at once
+    (_pooled_rates); the others, and all of them where that raises a
+    _SKIPPED error, are scored alone through report, which raises what
+    the record states."""
+    edges = (-math.inf, math.inf)
+    disclosed, alone = {}, []
+    for r, V in points:
+        try:
+            disclosed[r, V] = disclosed_count(n, r)
+        except _SKIPPED:
+            alone.append((r, V))
+    keys = []
+    if disclosed:
+        r, V = (np.array(x) for x in zip(*disclosed))
+        try:
+            mass, rates = _pooled_rates(rule, protocol, r, V, np.array(list(disclosed.values())),
+                                        n, m)
+        except _SKIPPED:
+            alone += disclosed
+        else:
+            keys = [(-rate, -mass, *point, edges)
+                    for rate, point in zip(rates.tolist(), disclosed)]
+    skipped, intervals = [], len(keys)
+    for r, V in alone:
+        try:
+            ev = _Evaluator(rule, replace(protocol, r=r, V=V), disclosed_count(n, r), m, n=n)
+        except _SKIPPED as exc:
+            skipped.append(_refusal(r, V, exc))
+            continue
+        try:
+            plan = _rescore(ev, edges)
+        except _SKIPPED as exc:
+            skipped.append(_refusal(r, V, exc))
+            continue
+        finally:
+            intervals += ev.evaluations
+        keys.append((-plan.total_rate, -plan.kept_mass, r, V, plan.boundaries))
+    return keys, skipped, intervals
+
+
 def optimize_each(dist: TransmittanceDistribution, clusters: Sequence[int], n: int,
                   m: int, protocol: ProtocolParams) -> tuple[OptimizeResult, ...]:
     """The optimize result of each distinct cluster count in clusters,
-    from one search.  Each pass visits the union of the points that the
-    counts want best first: in descending rate_ceiling (computed where
-    some count C >= 1 wants the point, +inf elsewhere and where it
+    from one search.  Each pass scores the points that C = 0 wants at
+    once (_pooled), then visits the union of the points that the counts
+    C >= 1 want best first: in descending rate_ceiling (+inf where it
     fails), ties in (r, V) order, so each count sees its own points in
-    the same order as alone.  A count C >= 1 prunes a point whose
-    ceiling lies below its incumbent rate; a point that some count
-    still wants builds one evaluator and, if a count C >= 1 is among
-    them, one interval table, which those counts share.  Each count
-    folds into its own best key and refines around its own best point,
-    and its record states the intervals its own search scored, so each
-    result equals optimize's for that count alone, field for field.
+    the same order as alone.  A count prunes a point whose ceiling lies
+    below its incumbent rate; a point that some count still wants builds
+    one evaluator and one interval table, which those counts share.  Each
+    count folds into its own best key and refines around its own best
+    point, and its record states the intervals its own search scored, so
+    each result equals optimize's for that count alone, field for field.
     The key is a minimum over the points and a pruned point's rate lies
     strictly below it, so neither the order nor the pruning changes the
     plan, r or V that a count finds.
@@ -720,6 +819,11 @@ def optimize_each(dist: TransmittanceDistribution, clusters: Sequence[int], n: i
     # each count's smallest key (-rate, -mass, r, V, edges), comparable from
     # pass to pass because it holds the rescored rate of its own edges
     best: dict[int, tuple | None] = dict.fromkeys(counts)
+
+    def fold(C: int, key: tuple) -> None:
+        if best[C] is None or key < best[C]:
+            best[C] = key
+
     r_step = (_R_GRID[-1] / _R_GRID[0]) ** (1.0 / (len(_R_GRID) - 1))
     V_step = (_V_GRID[-1] / _V_GRID[0]) ** (1.0 / (len(_V_GRID) - 1))
     for pass_idx in range(3):
@@ -730,25 +834,29 @@ def optimize_each(dist: TransmittanceDistribution, clusters: Sequence[int], n: i
                       _around(best[C][2], r_step ** (0.5 ** pass_idx), _R_GRID),
                       _around(best[C][3], V_step ** (0.5 ** pass_idx), _V_GRID)))
                   for C in counts}
-        want = {point: [C for C in counts if point in wanted[C]]
-                for point in set().union(*wanted.values())}
-        # +inf (nothing pruned) where no count C >= 1 wants the point and where
-        # rate_ceiling fails; the point's own scoring then records why
+        skipped = {C: [] for C in counts}
+        pruned = {C: [] for C in counts}
+        intervals = dict.fromkeys(counts, 0)
+        if 0 in counts:
+            keys, skipped[0], intervals[0] = _pooled(rule, protocol, wanted[0], n, m)
+            if keys:
+                fold(0, min(keys))
+        clustered = [C for C in counts if C > 0]
+        want = {point: [C for C in clustered if point in wanted[C]]
+                for point in set().union(*[wanted[C] for C in clustered])}
+        # +inf (nothing pruned) where rate_ceiling fails; the point's own
+        # scoring then records why
         ceiling = dict.fromkeys(want, math.inf)
-        for r, V in (point for point, here in want.items() if max(here) > 0):
+        for r, V in want:
             try:
                 ceiling[r, V] = rate_ceiling(rule, replace(protocol, r=r, V=V), n, m)
             except _SKIPPED:
                 pass
-        skipped = {C: [] for C in counts}
-        pruned = {C: [] for C in counts}
-        intervals = dict.fromkeys(counts, 0)
         for r, V in sorted(want, key=lambda point: (-ceiling[point], point)):
             here = []
             for C in want[r, V]:
                 # the 1e-9 covers rounding between the ceiling and a plan's rate
-                if C > 0 and best[C] is not None \
-                        and ceiling[r, V] * (1.0 + 1e-9) < -best[C][0]:
+                if best[C] is not None and ceiling[r, V] * (1.0 + 1e-9) < -best[C][0]:
                     pruned[C].append({"r": r, "V": V, "ceiling": ceiling[r, V]})
                 else:
                     here.append(C)
@@ -760,34 +868,26 @@ def optimize_each(dist: TransmittanceDistribution, clusters: Sequence[int], n: i
                                 disclosed_count(n, r), m, n=n)
             except _SKIPPED as exc:
                 for C in here:
-                    skipped[C].append({"r": r, "V": V, "error": type(exc).__name__,
-                                       "message": str(exc)})
+                    skipped[C].append(_refusal(r, V, exc))
                 continue
-            if max(here) > 0:
-                try:
-                    table = ev.table(Q)
-                except _SKIPPED as exc:
-                    table = exc
+            try:
+                table = ev.table(Q)
+            except _SKIPPED as exc:
+                table = exc
             tabled = ev.evaluations
             for C in here:
-                # C's record: the table's entries if C reads it, and its reports
-                ev.evaluations = tabled if C > 0 else 0
+                # C's record: the table's entries and its rescored plan's reports
+                ev.evaluations = tabled
                 try:
-                    if C > 0 and isinstance(table, Exception):
+                    if isinstance(table, Exception):
                         raise table
-                    plan = ev.plan(_chain(table, C) if C > 0 else (-math.inf, math.inf))
-                    if any(rep.cond_moments is None for rep in plan.per_cluster):
-                        raise ClusterTooSmallError("the rescored plan has a cluster below "
-                                                   "2 expected packages")
+                    plan = _rescore(ev, _chain(table, C))
                 except _SKIPPED as exc:
-                    skipped[C].append({"r": r, "V": V, "error": type(exc).__name__,
-                                       "message": str(exc)})
+                    skipped[C].append(_refusal(r, V, exc))
                     continue
                 finally:
                     intervals[C] += ev.evaluations
-                key = (-plan.total_rate, -plan.kept_mass, r, V, plan.boundaries)
-                if best[C] is None or key < best[C]:
-                    best[C] = key
+                fold(C, (-plan.total_rate, -plan.kept_mass, r, V, plan.boundaries))
         in_order = itemgetter("r", "V")
         for C in counts:
             passes[C].append(SearchPass(Q=Q, points=len(wanted[C]), intervals=intervals[C],

@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Iterable
 
 import numpy as np
@@ -132,8 +133,18 @@ class TransmittanceDistribution:
         raise NotImplementedError
 
 
-def _gauss_legendre(lo: float, hi: float, order: int) -> tuple[np.ndarray, np.ndarray]:
+@cache
+def _legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], built once per order
+    and read-only, so that no caller can change another's rule."""
     x, w = np.polynomial.legendre.leggauss(order)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
+def _gauss_legendre(lo: float, hi: float, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """The order-point Gauss-Legendre rule on [lo, hi], as fresh arrays."""
+    x, w = _legendre(order)
     half = 0.5 * (hi - lo)
     return lo + half * (x + 1.0), half * w
 

@@ -9,10 +9,12 @@ worst-case effective pair).  The asymptotic rate is
 and the finite-size rate subtracts the security-parameter correction
 delta on the key-generation states and scales by the fraction kept.
 
-Every formula takes floats or numpy arrays (one entry per cluster) alike,
-through the elementwise functions; a check that fails anywhere in an
-array raises just as it does for a float.  Floats score one cluster
-several times faster than a one-element array; arrays score a table.
+Every formula takes floats or numpy arrays alike, through the
+elementwise functions; a check that fails anywhere in an array raises
+just as it does for a float.  Floats score one cluster several times
+faster than a one-element array.  Arrays score a table of clusters at
+one protocol, or one pooled cluster at many (r, V) points, whose
+protocol then holds r, V and V' as arrays.
 """
 
 from __future__ import annotations
@@ -90,10 +92,15 @@ def effective_channel(moments: Moments, protocol: ProtocolParams) -> EffectiveCh
 
 
 def _require_feasible(protocol: ProtocolParams) -> None:
-    if protocol.V_prime <= 0.0:
+    """Refuse a protocol whose V' = V + V_S - 1 is not positive; V' may be
+    an array (a protocol at many (r, V) points), and the message names
+    its first such entry."""
+    V_prime = protocol.V_prime
+    dead = V_prime <= 0.0
+    if ew.of(V_prime).any(dead):
         raise ParameterError(
-            f"V + V_S - 1 = {protocol.V_prime:.4g} <= 0: no modulated signal "
-            "survives; increase V or V_S")
+            f"V + V_S - 1 = {np.extract(dead, V_prime)[0]:.4g} <= 0: no modulated "
+            "signal survives; increase V or V_S")
     if protocol.V_S - 1.0 == -1.0:   # then V_B|M rounds to 0 at T = 1, eps = 0
         raise ParameterError(f"V_S = {protocol.V_S:.3g} is lost against 1 in double arithmetic")
 

@@ -13,7 +13,7 @@ from scipy.special import ndtr
 from scipy.stats import norm
 
 from fading_cvqkd import clustering
-from fading_cvqkd.channel import V_MAX
+from fading_cvqkd.channel import V_MAX, noise_variance
 from fading_cvqkd import (
     ClusterTooSmallError,
     EffectiveChannel,
@@ -723,6 +723,29 @@ def test_optimize_records_its_search():
     assert len(skipped) == 12 and {s["r"] for s in skipped} == {0.01}
     assert all(s["error"] == "InsufficientDataError" and "fewer than 2" in s["message"]
                for s in skipped)
+    # the pooled search skips the same 12 points, and they score no interval
+    res = optimize(UNI, 0, 100, 400, P)
+    assert res.search[0].skipped == skipped
+    assert [(p.points, p.intervals, len(p.skipped)) for p in res.search] == [
+        (144, 132, 12), (6, 4, 2), (6, 4, 2)]
+    assert res.evaluations == 132 + 4 + 4 + 1
+
+
+def test_pooled_optimize_records_its_refusals():
+    """At V_S = 0.5 the 12 grid points at V = 0.5 send no modulated
+    signal: each is skipped with the reason and still counts its one
+    interval, as the pooled search gave it when this was pinned."""
+    res = optimize(TN, 0, 1000, 1000, ProtocolParams(V_S=0.5))
+    assert res.plan.total_rate == 0.2165161022771396
+    assert res.protocol.r == 0.0948683298050514
+    assert res.protocol.V == 3.2896661232878404
+    assert [(p.points, p.intervals) for p in res.search] == [(144, 144), (9, 9), (9, 9)]
+    skipped = res.search[0].skipped
+    assert len(skipped) == 12 and [len(p.skipped) for p in res.search[1:]] == [0, 0]
+    assert [s["r"] for s in skipped] == list(clustering._R_GRID)
+    assert all(s["V"] == 0.5 and s["error"] == "ParameterError"
+               and s["message"] == "V + V_S - 1 = 0 <= 0: no modulated signal survives; "
+                                   "increase V or V_S" for s in skipped)
 
 
 def test_optimize_names_the_clusters_that_carry_no_key(monkeypatch):
@@ -737,6 +760,26 @@ def test_optimize_names_the_clusters_that_carry_no_key(monkeypatch):
     assert "no positive key rate" not in res.diagnostic
     hopeless = optimize(Uniform(0.001, 0.02), 1, 200, 200, P)
     assert "carry no key" not in hopeless.diagnostic
+
+
+@pytest.mark.parametrize("n, m", [(1000, 1000), (400, 200)])
+@pytest.mark.parametrize("dist", [*FOUR_LAWS, TRACE_LAW],
+                         ids=["uniform", "tnorm", "lnw", "empirical", "empirical-1600"])
+def test_pooled_pass_matches_one_report_per_point(dist, n, m):
+    """The pooled pass scores every grid point at once; each rate is the
+    one total_key_rate gives that point's pooled plan, within the 1e-12 of
+    test_float_and_array_paths_agree, and the pass picks the same (r, V)."""
+    points = list(itertools.product(clustering._R_GRID, clustering._V_GRID))
+    keys, skipped, intervals = clustering._pooled(clustering._rule(dist, n, P), P,
+                                                  set(points), n, m)
+    assert skipped == [] and intervals == len(keys) == len(points)
+    rates = dict(((r, V), -rate) for rate, _, r, V, _ in keys)
+    reference = {(r, V): total_key_rate(dist, (-math.inf, math.inf), n, m,
+                                        replace(P, r=r, V=V)).total_rate
+                 for r, V in points}
+    for point in points:
+        assert abs(rates[point] - reference[point]) <= 1e-12, point
+    assert min(keys)[2:4] == min((-rate, point) for point, rate in reference.items())[1]
 
 
 def test_optimize_refuses_when_no_plan_is_feasible():
@@ -875,7 +918,7 @@ def test_merged_rule_keeps_every_power_mean():
     assert np.array_equal(powers[1], x)
     srt = np.sort(vals)
     reach = srt + clustering._MERGE * np.sqrt(
-        clustering._sigma_arrays(srt, 1000, replace(P, V=V_MAX))[2])
+        clustering._sigma_arrays(srt, noise_variance(srt, P), V_MAX, 1000)[1])
     bounds = np.concatenate(([0], np.cumsum(np.rint(w * vals.size).astype(int))))
     for a, b in zip(bounds, bounds[1:]):
         assert srt[b - 1] <= reach[a]
@@ -904,14 +947,14 @@ def _rate_shift_bound(ev, exact, dist, edges):
     def rate(S, N):
         if S[0] < clustering._MASS_FLOOR or S[0] * exact.m < 2.0:
             return 0.0
-        wc = worst_case(exact._stats(S[0], S[1:]), proto)
+        wc = worst_case(clustering._stats(S[0], S[1:], k, exact.m, proto.epsilon), proto)
         return S[0] * key_rate(wc, N, proto).K
 
     grads = []
     for lo, hi in zip(edges, edges[1:]):
         wgt = clustering._membership(exact.s, exact.sigma, lo, hi) * exact.fw
         S = [float(np.sum(wgt)), *(float(np.dot(wgt, col)) for col in exact.columns)]
-        N = exact._states(S[0])
+        N = clustering._states(S[0], exact.m, exact.n)
         grad = []
         for i, value in enumerate(S):
             step = 1e-6 * abs(value) or 1e-12
@@ -925,7 +968,8 @@ def _rate_shift_bound(ev, exact, dist, edges):
     def parts(s):
         """Per cluster: the kernel g(s), the rate's weight of the mass
         and power columns at s, and of the noise columns at s."""
-        vN, v_u, v_w, c_uw = clustering._sigma_arrays(s, k, proto)
+        vN = noise_variance(s, proto)
+        v_u, v_w, c_uw = clustering._sigma_arrays(s, vN, proto.V, k)
         g = [clustering._membership(s, np.sqrt(v_w), lo, hi)
              for lo, hi in zip(edges, edges[1:])]
         powers = [np.sqrt(s), s, s * np.sqrt(s), s**2]
@@ -946,7 +990,7 @@ def _rate_shift_bound(ev, exact, dist, edges):
                        for c in range(len(g)))
 
         x = np.linspace(run[0], run[-1], 5)
-        h = 1e-3 * np.sqrt(clustering._sigma_arrays(x, k, proto)[2])
+        h = 1e-3 * np.sqrt(clustering._sigma_arrays(x, noise_variance(x, proto), proto.V, k)[1])
         curv = (Psi(x + h) - 2.0 * Psi(x) + Psi(x - h)) / h**2
         bound += run.size / srt.size * float(np.var(run)) * float(np.max(np.abs(curv)))
     return bound

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from fading_cvqkd import distributions
 from fading_cvqkd import (
     Empirical,
     LogNegativeWeibull,
@@ -91,6 +92,26 @@ def test_expectation_rule_integrates_moments(dist):
     mo = dist.moments()
     assert float(np.sum(w * x)) == pytest.approx(mo.mean_T, abs=1e-8)
     assert float(np.sum(w * np.sqrt(x))) == pytest.approx(mo.mean_sqrtT, abs=1e-7)
+
+
+@pytest.mark.parametrize("dist", [Uniform(0.1, 0.7), TruncatedNormal(0.5, 0.1),
+                                  LogNegativeWeibull(1.47, 0.6)],
+                         ids=["uniform", "truncnorm", "weibull"])
+def test_legendre_nodes_are_built_once_and_shared_read_only(dist):
+    """The Gauss-Legendre nodes of an order are cached read-only; each
+    expectation_rule returns fresh arrays, so writing into one leaves the
+    next call's bits alone."""
+    x, w = distributions._legendre(160)
+    assert distributions._legendre(160)[0] is x
+    for a in (x, w):
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+    first = [a.copy() for a in dist.expectation_rule()]
+    for a in dist.expectation_rule():
+        a[:] = -1.0
+    again = dist.expectation_rule()
+    for a, b in zip(first, again):
+        assert a.tobytes() == b.tobytes()
 
 
 @pytest.mark.parametrize("mean, std", [(-0.15, 0.02), (-0.1953125, 0.0234375)])

@@ -1,6 +1,7 @@
 """Key-rate machinery: entropies, symplectic spectra, finite-size law."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from fading_cvqkd import (
 )
 from fading_cvqkd.channel import V_MAX, _draw
 from fading_cvqkd import elementwise as ew
-from fading_cvqkd.security import _entropy, _symplectic_pair
+from fading_cvqkd.security import _entropy, _require_feasible, _symplectic_pair
 
 
 def _two_mode_cov(V_A, V_B, c):
@@ -243,6 +244,18 @@ def test_security_validation():
         key_rate(EffectiveChannel(T=0.5, eps=0.0), 1, ProtocolParams())
     with pytest.raises(ParameterError):
         mutual_information(0.5, ProtocolParams())
+
+
+@pytest.mark.parametrize("V_prime, named",
+                         [(0.0, "0"), (np.array([2.0, -0.25, 1.0, -3.0]), "-0.25")],
+                         ids=["float", "array"])
+def test_a_protocol_without_modulated_signal_fails_closed(V_prime, named):
+    """V' <= 0 raises ParameterError naming the first such V', for a float
+    and for an array of V' (one protocol at many (r, V) points) alike."""
+    protocol = SimpleNamespace(V_prime=V_prime, V_S=1.0)
+    with pytest.raises(ParameterError, match=rf"^V \+ V_S - 1 = {named} <= 0: no modulated"):
+        _require_feasible(protocol)
+    _require_feasible(SimpleNamespace(V_prime=np.abs(V_prime) + 1.0, V_S=1.0))
 
 
 @pytest.mark.parametrize("T, eps", [(0.5, 0.01), (np.array([0.5, 0.3]), np.array([0.01, 0.02]))],
