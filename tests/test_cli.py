@@ -895,12 +895,15 @@ print("scipy:", sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 
 @pytest.mark.parametrize("argv", [
     [], ["--help"], ["keyrate", "{run}"], ["ingest", "{run}/true_T.csv", "--out", "{d}/ingest"],
-], ids=["import", "help", "keyrate-data", "ingest"])
+    ["estimate", "{run}"],
+], ids=["import", "help", "keyrate-data", "ingest", "estimate"])
 def test_commands_without_numerics_load_no_scipy(tmp_path, argv):
     """Each CLI invocation is a fresh interpreter, and loading scipy costs
     it about 0.6 s, so scipy loads only in the functions that compute with
     it: importing the package, --help, keyrate on a run that has its
-    estimates and ingest load none of it."""
+    estimates, ingest, and estimate, whose open_run rebuilds the run's
+    truncated normal law (the default) from its descriptor, load none of
+    it."""
     run = tmp_path / "run"
     if any("{run}" in a for a in argv):
         assert main(["simulate", "--out", str(run)] + SIM) == 0

@@ -7,6 +7,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import integrate
 from scipy.optimize import brentq
 from scipy.special import ndtr
@@ -19,6 +20,7 @@ from fading_cvqkd import (
     EffectiveChannel,
     Empirical,
     Estimates,
+    InsufficientDataError,
     LogNegativeWeibull,
     NumericalError,
     ParameterError,
@@ -592,7 +594,7 @@ def test_interval_table_reads_the_quantile_solve(dist, r, V):
     np.testing.assert_allclose(G[-1], W.sum(axis=0), rtol=1e-14, atol=0.0)
 
 
-@pytest.mark.parametrize("block", [None, 40], ids=["blocks", "one-row-blocks"])
+@pytest.mark.parametrize("block", [None, 20], ids=["blocks", "one-row-blocks"])
 @pytest.mark.parametrize("m", [25], ids=["few-packages"])
 def test_interval_table_matches_reports(m, block, monkeypatch):
     """Every interval of a Q = 16 table has report's mass and K_c, and
@@ -667,6 +669,80 @@ def test_dynamic_program_reports_no_feasible_chain():
     ev = _evaluator(UNI, m=5)
     with pytest.raises(ClusterTooSmallError):
         clustering._chain(ev.table(10), 3)
+
+
+def _program_alone(table, C):
+    """The dynamic program for C intervals run on its own, C stages and one
+    read-off; None where no chain is feasible."""
+    edges, cdf, rate = table
+    levels = np.arange(rate.shape[0])
+    total = np.zeros(levels.size)
+    first = levels
+    back = []
+    for _ in range(C):
+        cand = total[:, None] + rate
+        total = cand.max(axis=0)
+        prev = np.argmin(np.where(cand == total, first[:, None], levels.size), axis=0)
+        first = first[prev]
+        back.append(prev)
+    if total.max() == -math.inf:
+        return None
+    chain = [int(np.argmax(np.where(total == total.max(), cdf - cdf[first], -math.inf)))]
+    for prev in reversed(back):
+        chain.append(int(prev[chain[-1]]))
+    return tuple(float(edges[lv]) for lv in reversed(chain))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_one_program_gives_each_count_its_own_chain(data):
+    """One dynamic program for several counts gives each count the chain
+    that its own program gives, on small tables of few rate and mass
+    values (so ties are common) with infeasible intervals; a count of L + 1
+    intervals on L + 1 levels has no chain and gets its own error, and the
+    other counts still get theirs."""
+    L = data.draw(st.integers(1, 8), label="L")
+    steps = data.draw(st.lists(st.sampled_from([0.0, 0.125, 0.25]), min_size=L, max_size=L))
+    cdf = np.concatenate(([0.0], np.cumsum(steps)))
+    values = data.draw(st.lists(st.sampled_from([-math.inf, 0.0, 0.25, 0.5, 1.0]),
+                                min_size=(L + 1) ** 2, max_size=(L + 1) ** 2))
+    above = np.triu(np.ones((L + 1, L + 1), dtype=bool), 1)
+    rate = np.where(above, np.reshape(values, (L + 1, L + 1)), -math.inf)
+    counts = data.draw(st.permutations(
+        data.draw(st.lists(st.integers(1, L), unique=True)) + [L + 1]), label="counts")
+    table = (np.linspace(-1.0, 1.0, L + 1), cdf, rate)
+    chains = clustering._chains(table, counts)
+    assert sorted(chains) == sorted(counts)
+    assert isinstance(chains[L + 1], ClusterTooSmallError)
+    for C in counts:
+        alone = _program_alone(table, C)
+        if alone is None:
+            assert isinstance(chains[C], ClusterTooSmallError), C
+        else:
+            assert chains[C] == alone, C
+            assert clustering._chain(table, C) == alone
+
+
+def test_an_interval_is_scored_once_per_evaluator():
+    """An evaluator asked again for an interval gives the report it scored
+    first and still counts the request: the plans of the C = 1..3 chains,
+    asked in turn and some twice, equal those of fresh evaluators, and
+    evaluations counts every request."""
+    ev = _evaluator(UNI, m=25)
+    table = ev.table(16)
+    chains = clustering._chains(table, (1, 2, 3))
+    asked = 0
+    for C in (1, 2, 3, 3, 1, 2):
+        plan = ev.plan(chains[C])
+        fresh = _evaluator(UNI, m=25)
+        assert plan == fresh.plan(chains[C])
+        assert fresh.evaluations == C
+        asked += C
+    assert ev.evaluations == 16 * 17 // 2 + asked
+    assert len(ev.reports) < asked / 2
+    # a level of mass 1/16 holds under 2 of the 25 packages
+    light = ev.report(-math.inf, float(table[0][1]))
+    assert light.cond_moments is None and ev.report(-math.inf, float(table[0][1])) is light
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf])
@@ -857,6 +933,36 @@ def test_no_plan_beats_the_ceiling(name, size):
                 known = key_rate(EffectiveChannel(T=rep.cond_moments.mean_T, eps=P.epsilon),
                                  None, ev.protocol).K
                 assert rep.K_c <= (1.0 - r) * known * (1.0 + 1e-12), (r, V, C)
+
+
+# the grid points refused at V_S = 1 and at V_S = 0.5: at n = 100 the 12
+# points at r = 0.01 disclose one state, and at V_S = 0.5 the 12 at V = 0.5
+# send no signal; at n = 4, m = 2 the 9 lowest r disclose under 2 states,
+# and at r = 0.9 the 8 states leave no key state, which fails the one call
+# and sends every point to its own
+@pytest.mark.parametrize("n, m, refusals", [(1000, 1000, (0, 12)), (100, 400, (12, 23)),
+                                            (4, 2, (120, 122))])
+@pytest.mark.parametrize("dist", [*FOUR_LAWS, TRACE_LAW],
+                         ids=["uniform", "tnorm", "lnw", "empirical", "empirical-1600"])
+def test_ceiling_array_equals_each_point_alone(dist, n, m, refusals):
+    """A pass's ceilings, one rate_ceiling call on the columns of the 144
+    grid points, are bit for bit what each point gives alone, and a point
+    that the protocol refuses keeps +inf."""
+    points = list(itertools.product(clustering._R_GRID, clustering._V_GRID))
+    for proto, refused_here in zip((P, replace(P, V_S=0.5)), refusals):
+        rule = clustering._rule(dist, n, proto)
+        ceilings = clustering._ceilings(rule, proto, set(points), n, m)
+        assert set(ceilings) == set(points)
+        refused = 0
+        for r, V in points:
+            try:
+                alone = clustering.rate_ceiling(rule, replace(proto, r=r, V=V), n, m)
+            except (ParameterError, InsufficientDataError):
+                alone = math.inf
+                refused += 1
+            assert type(ceilings[r, V]) is float
+            assert ceilings[r, V].hex() == alone.hex(), (r, V)
+        assert refused == refused_here
 
 
 def test_ceiling_assumptions_hold():

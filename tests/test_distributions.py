@@ -126,6 +126,29 @@ def test_truncated_normal_far_below_zero(mean, std):
     assert abs(float(np.mean(t)) - dist.moments().mean_T) < 5.0 * se
 
 
+def test_truncated_normal_refuses_what_scipy_ndtr_refuses():
+    """The refusal of a law with no mass inside [0, 1] takes math.erfc; on
+    a grid around the edge where the mass falls to 1e-300, on both sides
+    of [0, 1], it refuses the same laws as the mass from scipy's ndtr, and
+    an accepted law normalises by that mass."""
+    from scipy.special import ndtr
+    outcomes = []
+    for std in np.geomspace(0.01, 2.0, 17).tolist():
+        for z in np.linspace(36.9, 37.2, 31).tolist():   # ndtr(-z) crosses 1e-300
+            for mean in (-z * std, 1.0 + z * std):
+                a, b = -mean / std, (1.0 - mean) / std
+                lo, hi = (ndtr(-b), ndtr(-a)) if mean < 0.0 else (ndtr(a), ndtr(b))
+                try:
+                    dist = TruncatedNormal(mean, std)
+                except ParameterError:
+                    dist = None
+                assert (dist is None) == (hi - lo <= 1e-300), (mean, std)
+                if dist is not None:
+                    assert dist._norm == 1.0 / (float(hi) - float(lo))
+                outcomes.append(dist is None)
+    assert 0 < sum(outcomes) < len(outcomes)
+
+
 def test_beam_geometry_limits():
     # a beam much narrower than the aperture passes nearly untouched
     T0, R, lam = beam_geometry_constants(0.2)
