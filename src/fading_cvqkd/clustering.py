@@ -11,7 +11,10 @@ with mean s and the predicted estimator standard deviation sigma(s),
 so the T_hat marginal is the fading law convolved with that normal
 noise.  Mixing over the fading law with a fixed quadrature rule gives
 exact first and second moments of the aggregation statistics, which
-feed the same worst-case construction used on simulated data.
+feed the same worst-case construction used on simulated data.  One
+function, _rate, states that chain (statistics, worst case, key rate)
+for one interval, a table of intervals and the pooled cluster at many
+(r, V) points alike.
 
 An empirical law's expectation rule puts every sample of a trace into
 every kernel pass.  The search merges the sorted samples into runs
@@ -337,6 +340,25 @@ def _states(mass, m: int, n: int):
     return max(2, int(round(x)))
 
 
+def _rate(mass, sums, k, m: int, n: int, protocol: ProtocolParams):
+    """The one chain that scores a cluster of probability mass `mass`
+    among m packages of n states, k of them disclosed, from the
+    mass-weighted sums of the node columns: the worst-case channel of its
+    aggregation statistics (_stats), its states N (_states) and its key
+    rate K on them.  Floats score one interval; arrays score a block of a
+    table or the pooled cluster at many points, whose protocol then holds
+    r and V as arrays (_at).  The statistics are dropped once worst_case
+    has read them, so that fewer of a table block's arrays are alive while
+    key_rate runs.  A non-finite K raises, unmasked."""
+    wc = worst_case(_stats(mass, sums, k, m, protocol.epsilon), protocol)
+    N = _states(mass, m, n)
+    K = key_rate(wc, N, protocol).K
+    if not ew.of(K).isfinite(K):
+        raise NumericalError(f"key rate is NaN or infinite on "
+                             f"{int(np.sum(~np.isfinite(K)))} interval(s)")
+    return wc, N, K
+
+
 def _too_small(mass, m: int):
     """Whether a cluster of that mass holds too little to score: mass below
     _MASS_FLOOR or fewer than 2 expected packages."""
@@ -401,13 +423,12 @@ class _Evaluator:
         if _too_small(mass, self.m):
             return ClusterReport(interval=interval, mass=max(mass, 0.0),
                                  cond_moments=None, wc=None, N_c=0, K_c=0.0)
-        stats = _stats(mass, [float(np.dot(wgt, col)) for col in self.columns],
-                       self.k, self.m, self.protocol.epsilon)
-        wc = worst_case(stats, self.protocol)
-        moments = Moments(stats.mean_T_hat, stats.mean_sqrtT_hat)
-        N_c = _states(mass, self.m, self.n)
+        sums = [float(np.dot(wgt, col)) for col in self.columns]
+        wc, N_c, K_c = _rate(mass, sums, self.k, self.m, self.n, self.protocol)
+        # the cluster means of T and sqrt T, the means _stats takes
+        moments = Moments(sums[1] / mass, sums[0] / mass)
         return ClusterReport(interval=interval, mass=mass, cond_moments=moments,
-                             wc=wc, N_c=N_c, K_c=key_rate(wc, N_c, self.protocol).K)
+                             wc=wc, N_c=N_c, K_c=K_c)
 
     def plan(self, edges: Sequence[float]) -> ClusterPlan:
         reports = tuple([self.report(edges[i], edges[i + 1])
@@ -511,10 +532,8 @@ class _Evaluator:
         With G = F @ kernel_w, F the kernel CDF at each edge and node, the
         weighted sums of interval (a, b) are G[b] - G[a]; G comes from the
         quantile solve, so the table makes no kernel pass of its own.  The
-        feasible intervals go through worst_case and key_rate as arrays, a
-        block of rows of a at a time (about _BLOCK intervals); a block's
-        statistics are dropped once worst_case has read them, so fewer of its
-        temporaries are alive at once.  A non-finite rate raises, unmasked.
+        feasible intervals go through _rate as arrays, a block of rows of a
+        at a time (about _BLOCK intervals).
         """
         edges, G = self._solve(Q)
         cdf = G[:, 0]
@@ -526,13 +545,8 @@ class _Evaluator:
             a, b = np.nonzero(np.triu(~_too_small(mass, self.m), a0 + 1))
             a += a0
             sums = G[b] - G[a]
-            K = key_rate(worst_case(_stats(sums[:, 0], sums[:, 1:].T, self.k, self.m,
-                                           self.protocol.epsilon), self.protocol),
-                         _states(sums[:, 0], self.m, self.n), self.protocol).K
-            if not np.isfinite(K).all():
-                raise NumericalError(f"key rate is NaN or infinite on "
-                                     f"{int(np.sum(~np.isfinite(K)))} interval(s)")
-            rate[a, b] = sums[:, 0] * K
+            rate[a, b] = sums[:, 0] * _rate(sums[:, 0], sums[:, 1:].T, self.k, self.m,
+                                            self.n, self.protocol)[2]
         return edges, cdf, rate
 
 
@@ -583,11 +597,6 @@ def _raised(value):
     if isinstance(value, Exception):
         raise value
     return value
-
-
-def _chain(table: tuple[np.ndarray, np.ndarray, np.ndarray], C: int) -> tuple[float, ...]:
-    """The chain of _chains for the count C alone; raises its error."""
-    return _raised(_chains(table, (C,))[C])
 
 
 def _check_edges(boundaries: Sequence[float]) -> list[float]:
@@ -768,19 +777,27 @@ def _rescore(ev: _Evaluator, edges: Sequence[float]) -> ClusterPlan:
     return plan
 
 
-def _admitted(points, n: int, protocol: ProtocolParams) -> tuple[dict, list]:
+def _admitted(points, n: int, m: int, protocol: ProtocolParams) -> tuple[dict, list]:
     """The (r, V) points that a protocol takes, each with its disclosed
-    count k, and the others: a point is refused where r or V leaves
-    ProtocolParams' ranges, where disclosed_count fails or where V' = V +
-    V_S - 1 is not positive, so that one refused point leaves the others
-    on the array path (_pooled_rates, rate_ceiling on columns)."""
+    count k, and the others.  This is the only place where the array paths
+    (_pooled_rates, rate_ceiling on columns) decide which points they may
+    take: a refused point is scored alone through the evaluator, only to
+    get its search record, and the others stay on the array path.  A
+    point is refused where r or V leaves ProtocolParams' ranges, where
+    disclosed_count fails, where m < 2, where V' = V + V_S - 1 is not
+    positive or V_S is lost against 1 in V_S - 1, or where floor((1 - r)
+    m n) < 1, so that no key state remains even with every state.  The
+    pooled cluster's size is a condition of the whole pass (_pooled)."""
+    if m < 2 or protocol.V_S - 1.0 == -1.0:
+        return {}, list(points)
     taken, refused = {}, []
     for r, V in points:
         try:
             k = disclosed_count(n, r)
         except InsufficientDataError:
             k = 0
-        if k and 0.0 < r < 1.0 and 0.0 < V <= V_MAX and V + protocol.V_S - 1.0 > 0.0:
+        if (k and 0.0 < r < 1.0 and 0.0 < V <= V_MAX and V + protocol.V_S - 1.0 > 0.0
+                and (1.0 - r) * (m * n) >= 1.0):     # floor((1 - r) m n) >= 1
             taken[r, V] = k
         else:
             refused.append((r, V))
@@ -798,88 +815,65 @@ def _at(protocol: ProtocolParams, r: np.ndarray, V: np.ndarray) -> ProtocolParam
 
 
 def _pooled_rates(rule: _Rule, protocol: ProtocolParams, r: np.ndarray, V: np.ndarray,
-                  k: np.ndarray, n: int, m: int) -> tuple[float, np.ndarray]:
-    """The mass and the rates of the pooled plan (one cluster, edges -inf
+                  k: np.ndarray, mass: float, n: int, m: int) -> np.ndarray:
+    """The rates of the pooled plan (one cluster of mass `mass`, edges -inf
     and +inf) at the admitted points (r[i], V[i]) with k[i] disclosed
-    states, from report's _stats, worst_case and key_rate on arrays, at a
-    protocol whose r, V and V' are arrays (_at).  The mass and the sums of
-    the power and V_N columns are the same at every point; the noise
-    columns (points x nodes) are summed in row blocks of _BLOCK elements.
-    Raises a _SKIPPED error where report would refuse some point."""
+    states, from _rate on arrays at a protocol whose r, V and V' are
+    arrays (_at).  The sums of the power and V_N columns are the same at
+    every point; the noise columns (points x nodes) are summed in row
+    blocks of _BLOCK elements."""
     s, fw, powers = rule
-    mass = float(np.sum(fw))
-    if m < 2 or _too_small(mass, m):
-        raise ClusterTooSmallError("the pooled cluster holds under 2 expected packages")
-    at = _at(protocol, r, V)
     vN = noise_variance(s, protocol)
     rows = max(1, _BLOCK // s.size)
     noise = np.hstack([[col @ fw for col in _sigma_arrays(s, vN, V[i:i + rows, None],
                                                           k[i:i + rows, None])]
                        for i in range(0, r.size, rows)])
     sums = [float(np.dot(fw, col)) for col in powers] + [*noise, float(np.dot(fw, vN))]
-    mass_at = np.full(r.size, mass)
-    wc = worst_case(_stats(mass_at, sums, k, m, protocol.epsilon), at)
-    return mass, mass * key_rate(wc, _states(mass_at, m, n), at).K
+    return mass * _rate(np.full(r.size, mass), sums, k, m, n, _at(protocol, r, V))[2]
 
 
 def _pooled(rule: _Rule, protocol: ProtocolParams, points: set, n: int, m: int):
     """The pooled plan at each (r, V) point of a pass: the keys (-rate,
     -mass, r, V, edges) of the points scored, the records of the points
     skipped and the intervals scored, one per point that reached report.
-    The points that _admitted takes are scored at once (_pooled_rates);
-    the others, and all of them where that raises a _SKIPPED error, are
-    scored alone through report, which raises what the record states."""
+    The points that _admitted takes are scored at once (_pooled_rates),
+    unless the pooled cluster holds fewer than 2 expected packages, which
+    refuses every point of the pass; the refused points are scored alone
+    through report, which raises what the record states."""
     edges = (-math.inf, math.inf)
-    disclosed, alone = _admitted(points, n, protocol)
+    taken, alone = _admitted(points, n, m, protocol)
+    mass = float(np.sum(rule.fw))
     keys = []
-    if disclosed:
-        r, V = (np.array(x) for x in zip(*disclosed))
-        try:
-            mass, rates = _pooled_rates(rule, protocol, r, V, np.array(list(disclosed.values())),
-                                        n, m)
-        except _SKIPPED:
-            alone += disclosed
-        else:
-            keys = [(-rate, -mass, *point, edges)
-                    for rate, point in zip(rates.tolist(), disclosed)]
+    if _too_small(mass, m):
+        alone += taken
+    elif taken:
+        r, V = (np.array(x) for x in zip(*taken))
+        rates = _pooled_rates(rule, protocol, r, V, np.array(list(taken.values())), mass, n, m)
+        keys = [(-rate, -mass, *point, edges) for rate, point in zip(rates.tolist(), taken)]
     skipped, intervals = [], len(keys)
     for r, V in alone:
         try:
             ev = _Evaluator(rule, replace(protocol, r=r, V=V), disclosed_count(n, r), m, n=n)
-        except _SKIPPED as exc:
-            skipped.append(_refusal(r, V, exc))
-            continue
-        try:
+            intervals += 1      # the one report of the rescored plan, even if it raises
             plan = _rescore(ev, edges)
         except _SKIPPED as exc:
             skipped.append(_refusal(r, V, exc))
-            continue
-        finally:
-            intervals += ev.evaluations
-        keys.append((-plan.total_rate, -plan.kept_mass, r, V, plan.boundaries))
+        else:
+            keys.append((-plan.total_rate, -plan.kept_mass, r, V, plan.boundaries))
     return keys, skipped, intervals
 
 
 def _ceilings(rule: _Rule, protocol: ProtocolParams, points, n: int, m: int) -> dict:
     """rate_ceiling at each (r, V) point of a pass, +inf (nothing pruned)
-    where it fails; the point's own scoring then records why.  The points
-    that _admitted takes go into one call on columns, and a scalar result
-    (a stand-in for rate_ceiling) holds at each of them; where that call
-    raises a _SKIPPED error, each is tried alone."""
+    where _admitted refuses it; the point's own scoring then records why.
+    The points that _admitted takes go into one call on columns, and a
+    scalar result (a stand-in for rate_ceiling) holds at each of them."""
     ceiling = dict.fromkeys(points, math.inf)
-    taken = list(_admitted(points, n, protocol)[0])
-    if not taken:
-        return ceiling
-    columns = (np.array(x)[:, None] for x in zip(*taken))
-    try:
+    taken = list(_admitted(points, n, m, protocol)[0])
+    if taken:
+        columns = (np.array(x)[:, None] for x in zip(*taken))
         ceiling.update(zip(taken, np.broadcast_to(
             rate_ceiling(rule, _at(protocol, *columns), n, m), len(taken)).tolist()))
-    except _SKIPPED:
-        for r, V in taken:
-            try:
-                ceiling[r, V] = rate_ceiling(rule, replace(protocol, r=r, V=V), n, m)
-            except _SKIPPED:
-                pass
     return ceiling
 
 
@@ -889,13 +883,13 @@ def optimize_each(dist: TransmittanceDistribution, clusters: Sequence[int], n: i
     from one search.  Each pass scores the points that C = 0 wants at
     once (_pooled), then visits the union of the points that the counts
     C >= 1 want best first: in descending rate_ceiling, computed for the
-    pass's points in one call (_ceilings; +inf where it fails), ties in
-    (r, V) order, so each count sees its own points in the same order as
-    alone.  A count prunes a point whose ceiling lies below its incumbent
-    rate; a point that some count still wants builds one evaluator, one
-    interval table and one dynamic program (_chains), which those counts
-    share, and the evaluator scores each interval of their rescored plans
-    once.  Each count folds into its own best key and refines around its
+    pass's points in one call (_ceilings; +inf where _admitted refuses),
+    ties in (r, V) order, so each count sees its own points in the same
+    order as alone.  A count prunes a point whose ceiling lies below its
+    incumbent rate; a point that some count still wants builds one
+    evaluator, one interval table and one dynamic program (_chains), which
+    those counts share, and the evaluator scores each interval of their
+    rescored plans once.  Each count folds into its own best key and refines around its
     own best point, and its record states the intervals its own search
     scored (a shared report counts for each count that asked for it), so
     each result equals optimize's for that count alone, field for field.
@@ -972,10 +966,9 @@ def optimize_each(dist: TransmittanceDistribution, clusters: Sequence[int], n: i
                     plan = _rescore(ev, _raised(chains[C]))
                 except _SKIPPED as exc:
                     skipped[C].append(_refusal(r, V, exc))
-                    continue
-                finally:
-                    intervals[C] += ev.evaluations
-                fold(C, (-plan.total_rate, -plan.kept_mass, r, V, plan.boundaries))
+                else:
+                    fold(C, (-plan.total_rate, -plan.kept_mass, r, V, plan.boundaries))
+                intervals[C] += ev.evaluations
         in_order = itemgetter("r", "V")
         for C in counts:
             passes[C].append(SearchPass(Q=Q, points=len(wanted[C]), intervals=intervals[C],

@@ -4,10 +4,11 @@ empirical/analytic agreement, and the boundary optimizer."""
 import itertools
 import math
 from dataclasses import fields, replace
+from operator import itemgetter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import integrate
 from scipy.optimize import brentq
 from scipy.special import ndtr
@@ -653,7 +654,7 @@ def test_dynamic_program_matches_brute_force(dist, C, min_mass):
     edges = _edges(ev, 10)
     levels, cdf, rate = ev.table(10)
     rate = np.where(cdf - cdf[:, None] < min_mass, -math.inf, rate)
-    best = clustering._chain((levels, cdf, rate), C)
+    best = clustering._raised(clustering._chains((levels, cdf, rate), (C,))[C])
     assert set(best) <= set(edges) and len(best) == C + 1
     plan = ev.plan(best)
     assert all(rep.cond_moments is not None and rep.mass >= min_mass
@@ -668,7 +669,7 @@ def test_dynamic_program_reports_no_feasible_chain():
     so three of them do not fit."""
     ev = _evaluator(UNI, m=5)
     with pytest.raises(ClusterTooSmallError):
-        clustering._chain(ev.table(10), 3)
+        clustering._raised(clustering._chains(ev.table(10), (3,))[3])
 
 
 def _program_alone(table, C):
@@ -720,7 +721,7 @@ def test_one_program_gives_each_count_its_own_chain(data):
             assert isinstance(chains[C], ClusterTooSmallError), C
         else:
             assert chains[C] == alone, C
-            assert clustering._chain(table, C) == alone
+            assert clustering._raised(clustering._chains(table, (C,))[C]) == alone
 
 
 def test_an_interval_is_scored_once_per_evaluator():
@@ -858,6 +859,65 @@ def test_pooled_pass_matches_one_report_per_point(dist, n, m):
     assert min(keys)[2:4] == min((-rate, point) for point, rate in reference.items())[1]
 
 
+REFUSED = (ParameterError, InsufficientDataError, ClusterTooSmallError)
+
+
+def _pooled_one_point_at_a_time(rule, proto, points, n, m):
+    """The pooled pass scored one point at a time through the evaluator
+    and _rescore: the keys, the refusal records and the intervals scored."""
+    keys, skipped, intervals = [], [], 0
+
+    def record(r, V, exc):
+        skipped.append({"r": r, "V": V, "error": type(exc).__name__, "message": str(exc)})
+
+    for r, V in points:
+        try:
+            ev = clustering._Evaluator(rule, replace(proto, r=r, V=V),
+                                       clustering.disclosed_count(n, r), m, n=n)
+        except REFUSED as exc:
+            record(r, V, exc)
+            continue
+        try:
+            plan = clustering._rescore(ev, (-math.inf, math.inf))
+        except REFUSED as exc:
+            record(r, V, exc)
+        else:
+            keys.append((-plan.total_rate, -plan.kept_mass, r, V, plan.boundaries))
+        intervals += ev.evaluations
+    return keys, skipped, intervals
+
+
+# (2, 2): TN's pooled cluster holds under 2 expected packages and Uniform's
+# r = 0.9 leaves no key state; (4, 2): r = 0.9 leaves no key state beside
+# admitted points; (1000, 1): one package; (100, 400): r = 0.01 discloses
+# one state; and at V_S = 0.5 the points at V = 0.5 send no signal
+@pytest.mark.parametrize("V_S", [1.0, 0.5])
+@pytest.mark.parametrize("n, m", [(2, 2), (4, 2), (1000, 1), (100, 400)])
+@pytest.mark.parametrize("dist", [UNI, TN, TRACE_LAW],
+                         ids=["uniform", "tnorm", "empirical-1600"])
+def test_pooled_pass_equals_scoring_each_point_alone(dist, n, m, V_S):
+    """The pooled pass gives the refusal records and interval count of a
+    search one point at a time, and each scored point's key, its rate
+    within the 1e-12 of test_float_and_array_paths_agree; the pass picks
+    the same (r, V)."""
+    proto = replace(P, V_S=V_S)
+    rule = clustering._rule(dist, n, proto)
+    points = list(itertools.product(clustering._R_GRID, clustering._V_GRID))
+    keys, skipped, intervals = clustering._pooled(rule, proto, set(points), n, m)
+    ref_keys, ref_skipped, ref_intervals = _pooled_one_point_at_a_time(rule, proto, points,
+                                                                       n, m)
+    in_order = itemgetter("r", "V")
+    assert sorted(skipped, key=in_order) == ref_skipped
+    assert intervals == ref_intervals
+    assert len(keys) == len(ref_keys) == len(points) - len(ref_skipped)
+    rates = {key[2:4]: key for key in keys}
+    for ref in ref_keys:
+        key = rates[ref[2:4]]
+        assert key[1:] == ref[1:] and abs(key[0] - ref[0]) <= 1e-12, ref
+    if keys:
+        assert min(keys)[2:4] == min(ref_keys)[2:4]
+
+
 def test_optimize_refuses_when_no_plan_is_feasible():
     """Three clusters of two expected packages each need m >= 6."""
     with pytest.raises(ParameterError, match="no feasible"):
@@ -925,7 +985,7 @@ def test_no_plan_beats_the_ceiling(name, size):
         assert ceiling <= clustering.rate_ceiling(rule, ev.protocol)
         table = ev.table(clustering._LEVELS)
         for C in (1, 2, 3):
-            plan = ev.plan(clustering._chain(table, C))
+            plan = ev.plan(clustering._raised(clustering._chains(table, (C,))[C]))
             assert plan.total_rate <= ceiling * (1.0 + 1e-12), (r, V, C)
             for rep in plan.per_cluster:
                 if rep.cond_moments is None:
@@ -938,8 +998,8 @@ def test_no_plan_beats_the_ceiling(name, size):
 # the grid points refused at V_S = 1 and at V_S = 0.5: at n = 100 the 12
 # points at r = 0.01 disclose one state, and at V_S = 0.5 the 12 at V = 0.5
 # send no signal; at n = 4, m = 2 the 9 lowest r disclose under 2 states,
-# and at r = 0.9 the 8 states leave no key state, which fails the one call
-# and sends every point to its own
+# and at r = 0.9 the 8 states leave no key state, which _admitted refuses
+# before the one call
 @pytest.mark.parametrize("n, m, refusals", [(1000, 1000, (0, 12)), (100, 400, (12, 23)),
                                             (4, 2, (120, 122))])
 @pytest.mark.parametrize("dist", [*FOUR_LAWS, TRACE_LAW],
@@ -963,6 +1023,32 @@ def test_ceiling_array_equals_each_point_alone(dist, n, m, refusals):
             assert type(ceilings[r, V]) is float
             assert ceilings[r, V].hex() == alone.hex(), (r, V)
         assert refused == refused_here
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(2, 64), m=st.integers(1, 8), V_S=st.sampled_from([0.5, 1.0]))
+@example(n=4, m=2, V_S=1.0)
+@example(n=4, m=2, V_S=1e-17)
+def test_admitted_points_are_those_no_path_refuses(n, m, V_S):
+    """_admitted takes a grid point, with its disclosed count, exactly where
+    neither its rate_ceiling nor its evaluator raises a refusal; so the
+    array paths never see a point that they would refuse.  At n = 4, m = 2
+    the 8 states leave no key state at r = 0.9; at m = 1 the evaluator
+    refuses every point; V_S = 1e-17 is lost against 1 everywhere."""
+    proto = replace(P, V_S=V_S)
+    rule = clustering._rule(UNI, n, proto)
+    points = list(itertools.product(clustering._R_GRID, clustering._V_GRID))
+    taken, refused = clustering._admitted(points, n, m, proto)
+    assert sorted([*taken, *refused]) == sorted(points)
+    for r, V in points:
+        try:
+            at = replace(proto, r=r, V=V)
+            clustering.rate_ceiling(rule, at, n, m)
+            clustering._Evaluator(rule, at, clustering.disclosed_count(n, r), m, n=n)
+        except REFUSED:
+            assert (r, V) in refused, (r, V)
+        else:
+            assert taken.get((r, V)) == clustering.disclosed_count(n, r), (r, V)
 
 
 def test_ceiling_assumptions_hold():
