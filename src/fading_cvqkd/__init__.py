@@ -2,8 +2,8 @@
 
 from .channel import ProtocolParams, Run, noise_variance, simulate_run
 from .clustering import ClusterPlan, ClusterReport, OptimizeResult, \
-    cluster_assign, optimize, optimize_each, rate_ceiling, total_key_rate, \
-    total_key_rate_from_estimates
+    cluster_assign, optimize, optimize_each, optimize_pooled, rate_ceiling, \
+    total_key_rate, total_key_rate_from_estimates
 from .distributions import Empirical, LogNegativeWeibull, Moments, \
     TransmittanceDistribution, TruncatedNormal, Uniform, \
     beam_geometry_constants, calibrate_beam_wander, from_descriptor
@@ -20,7 +20,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ProtocolParams", "Run", "noise_variance", "simulate_run",
     "ClusterPlan", "ClusterReport", "OptimizeResult",
-    "cluster_assign", "optimize", "optimize_each",
+    "cluster_assign", "optimize", "optimize_each", "optimize_pooled",
     "rate_ceiling", "total_key_rate", "total_key_rate_from_estimates",
     "Empirical", "LogNegativeWeibull", "Moments",
     "TransmittanceDistribution", "TruncatedNormal", "Uniform",

@@ -271,8 +271,10 @@ def _cmd_optimize(args) -> int:
 
 # ---- figure reproduction ---------------------------------------------
 
-def _m_ladder(m_max: int) -> list[int]:
-    grid = np.geomspace(10, m_max, 6)
+def _m_ladder(cfg: ScenarioConfig) -> list[int]:
+    """The package counts m that a pooled figure sweeps: 6 geometric steps
+    from 10 to 1000, or to 10,000 at paper scale."""
+    grid = np.geomspace(10, 10_000 if cfg.paper_scale else 1000, 6)
     out: list[int] = []
     for v in grid:
         iv = int(round(v))
@@ -281,12 +283,18 @@ def _m_ladder(m_max: int) -> list[int]:
     return out
 
 
+def _fig6_sizes(cfg: ScenarioConfig) -> tuple[int, int]:
+    """The package sizes n of fig6's two series."""
+    return (10_000, 100_000) if cfg.paper_scale else (500, 1000)
+
+
 def _pooled_sweep(cfg: ScenarioConfig, dist, protocol, n: int):
-    """Optimize the pooled (C=0) protocol at each block count; the key
-    rate and the optimal (r, V) it is attained at, per total size N."""
+    """Optimize the pooled (C=0) protocol at each block count of the
+    ladder, in one search (optimize_pooled); the key rate and the optimal
+    (r, V) it is attained at, per total size N."""
+    ms = _m_ladder(cfg)
     rows = []
-    for m in _m_ladder(10_000 if cfg.paper_scale else 1000):
-        result = clustering.optimize(dist, 0, n, m, protocol)
+    for m, result in zip(ms, clustering.optimize_pooled(dist, n, ms, protocol)):
         wc = result.plan.per_cluster[0].wc
         K_inf = security.key_rate(wc, None, result.protocol).K_inf if wc else 0.0
         if result.plan.total_rate > 0.0:
@@ -303,9 +311,8 @@ def _pooled_sweep(cfg: ScenarioConfig, dist, protocol, n: int):
 def _fig6(cfg: ScenarioConfig, dist, protocol, out: Path) -> Path:
     """Pooled key rate vs total states N at per-N optimal (r, V), one
     series per package size; K_inf is the asymptote of each point."""
-    n_series = (10_000, 100_000) if cfg.paper_scale else (500, 1000)
     rows = []
-    for n in n_series:
+    for n in _fig6_sizes(cfg):
         rows.extend(_pooled_sweep(cfg, dist, protocol, n))
     path = out / "fig6.csv"
     storage.write_table(path, ["n", "m", "N", "K", "K_inf", "r_opt", "V_opt"],
@@ -372,6 +379,19 @@ FIGURES = {"fig6": _fig6, "fig7": _fig7, "fig8": _fig8, "fig9": _fig9}
 _POOLED_SWEEPS = {"fig6": ("n", "m"), "fig7": ("m",)}
 
 
+def _scenario(cfg: ScenarioConfig, figure: str) -> dict:
+    """The figure's scenario sidecar: the scenario, except that a pooled
+    figure records the sizes it ran (a swept size as the list of its
+    values) and leaves out the cluster count and the seed, which it does
+    not read."""
+    scenario = storage.jsonable(cfg)
+    if figure in _POOLED_SWEEPS:
+        del scenario["clusters"], scenario["seed"]
+        scenario.update(n=list(_fig6_sizes(cfg)) if figure == "fig6" else cfg.n,
+                        m=_m_ladder(cfg))
+    return scenario
+
+
 def _cmd_reproduce(args) -> int:
     figure = args.figure
     if figure not in FIGURES:
@@ -394,7 +414,7 @@ def _cmd_reproduce(args) -> int:
     dist, protocol = cfg.make_dist(), cfg.make_protocol()
     out = _require_out(cfg, "reproduce")
     path = FIGURES[figure](cfg, dist, protocol, out)
-    storage.write_json(cfg, out / f"{figure}.scenario.json")
+    storage.write_json(_scenario(cfg, figure), out / f"{figure}.scenario.json")
     print(f"wrote {path} and {out / (figure + '.scenario.json')}")
     return 0
 

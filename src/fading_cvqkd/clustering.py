@@ -74,8 +74,14 @@ and hands the same report to every count whose plan holds it.  Each
 count still reports its own plan and search record, the same as
 optimize gives for it alone.  The pooled plan (C = 0, one cluster with
 edges -inf and +inf) needs no table, and its mass and five of its eight
-column sums are the same at every (r, V) point, so each pass scores all
-its pooled points in one array evaluation.
+column sums are the same at every (r, V) point and every package count
+m; the other three, the noise sums, depend on (V, k) alone.  So
+optimize_pooled searches a ladder of package counts at once: each pass
+scores the points of every m in one array evaluation, m a column beside
+r and V, and takes the noise sums once per distinct list of admitted
+points, in the row blocks that list gets alone, so that every rate keeps
+the bits of a search for its m alone.  A C = 0 search for one m is that
+search on the ladder (m,).
 
 No plan at an (r, V) point can beat rate_ceiling there, the rate of a
 protocol that knew each package's transmittance, less the finite-size
@@ -118,6 +124,7 @@ __all__ = [
     "total_key_rate_from_estimates",
     "optimize",
     "optimize_each",
+    "optimize_pooled",
     "rate_ceiling",
 ]
 
@@ -340,16 +347,18 @@ def _states(mass, m: int, n: int):
     return max(2, int(round(x)))
 
 
-def _rate(mass, sums, k, m: int, n: int, protocol: ProtocolParams):
+def _rate(mass, sums, k, m, n: int, protocol: ProtocolParams):
     """The one chain that scores a cluster of probability mass `mass`
     among m packages of n states, k of them disclosed, from the
     mass-weighted sums of the node columns: the worst-case channel of its
     aggregation statistics (_stats), its states N (_states) and its key
     rate K on them.  Floats score one interval; arrays score a block of a
     table or the pooled cluster at many points, whose protocol then holds
-    r and V as arrays (_at).  The statistics are dropped once worst_case
-    has read them, so that fewer of a table block's arrays are alive while
-    key_rate runs.  A non-finite K raises, unmasked."""
+    r and V as arrays (_at), and m may then be an array too, one package
+    count per point (_stats and _states are elementwise in it).  The
+    statistics are dropped once worst_case has read them, so that fewer
+    of a table block's arrays are alive while key_rate runs.  A
+    non-finite K raises, unmasked."""
     wc = worst_case(_stats(mass, sums, k, m, protocol.epsilon), protocol)
     N = _states(mass, m, n)
     K = key_rate(wc, N, protocol).K
@@ -717,8 +726,9 @@ def rate_ceiling(rule: Sequence[np.ndarray], protocol: ProtocolParams,
     eps, delta = protocol.epsilon, 0.0
     if n is not None:
         n, m = _run_size(n, m)
-        k = np.reshape([disclosed_count(n, r) for r in np.ravel(protocol.r).tolist()],
-                       np.shape(protocol.r))
+        rs = np.ravel(protocol.r).tolist()
+        ks = _disclosed(n, rs)
+        k = np.reshape([_raised(ks[r]) for r in rs], np.shape(protocol.r))
         vN_min = float(np.min(noise_variance(s, protocol)))
         eps += protocol.z_conf * xp.sqrt(2.0 / (m * k)) * vN_min
         delta = delta_fs(xp.floor((1.0 - protocol.r) * (m * n)), protocol)
@@ -747,14 +757,14 @@ def optimize(dist: TransmittanceDistribution, C: int, n: int, m: int,
     numbers by the key (-rate, -kept mass, r, V, edges); a point whose
     rate_ceiling (one array call per pass) lies below the best rate
     found so far builds no table (see optimize_each), which changes no
-    result.  C = 0
-    scores the pooled (single all-inclusive cluster) plan at all the
-    points of a pass in one array evaluation (_pooled), with no table,
-    and rescores the chosen plan through report.  The bounds hold at the
-    confidence multiplier protocol.z_conf.  A plan is feasible when each
-    of its clusters holds two or more expected packages.  The result's
-    search field records each pass.  The law's quadrature rule is built
-    once per call and shared read-only by the evaluators of every (r, V)
+    result.  C = 0 scores the pooled (single all-inclusive cluster) plan
+    at all the points of a pass in one array evaluation (_pooled), with
+    no table, and rescores the chosen plan through report; it is
+    optimize_pooled of (m,).  The bounds hold at the confidence
+    multiplier protocol.z_conf.  A plan is feasible when each of its
+    clusters holds two or more expected packages.  The result's search
+    field records each pass.  The law's quadrature rule is built once
+    per call and shared read-only by the evaluators of every (r, V)
     point.  This is optimize_each of (C,).
     """
     return optimize_each(dist, (C,), n, m, protocol)[0]
@@ -777,6 +787,20 @@ def _rescore(ev: _Evaluator, edges: Sequence[float]) -> ClusterPlan:
     return plan
 
 
+def _disclosed(n: int, rs) -> dict:
+    """disclosed_count(n, r) of each distinct r in rs, in the order they
+    first appear, or the InsufficientDataError it raises for r: a pass
+    asks it once per r (at most 12), not once per (r, V) point."""
+    ks = {}
+    for r in rs:
+        if r not in ks:
+            try:
+                ks[r] = disclosed_count(n, r)
+            except InsufficientDataError as exc:
+                ks[r] = exc
+    return ks
+
+
 def _admitted(points, n: int, m: int, protocol: ProtocolParams) -> tuple[dict, list]:
     """The (r, V) points that a protocol takes, each with its disclosed
     count k, and the others.  This is the only place where the array paths
@@ -790,15 +814,14 @@ def _admitted(points, n: int, m: int, protocol: ProtocolParams) -> tuple[dict, l
     pooled cluster's size is a condition of the whole pass (_pooled)."""
     if m < 2 or protocol.V_S - 1.0 == -1.0:
         return {}, list(points)
+    points = list(points)
+    ks = _disclosed(n, [r for r, _ in points])
     taken, refused = {}, []
     for r, V in points:
-        try:
-            k = disclosed_count(n, r)
-        except InsufficientDataError:
-            k = 0
-        if (k and 0.0 < r < 1.0 and 0.0 < V <= V_MAX and V + protocol.V_S - 1.0 > 0.0
+        if (isinstance(ks[r], int) and 0.0 < r < 1.0 and 0.0 < V <= V_MAX
+                and V + protocol.V_S - 1.0 > 0.0
                 and (1.0 - r) * (m * n) >= 1.0):     # floor((1 - r) m n) >= 1
-            taken[r, V] = k
+            taken[r, V] = ks[r]
         else:
             refused.append((r, V))
     return taken, refused
@@ -814,53 +837,88 @@ def _at(protocol: ProtocolParams, r: np.ndarray, V: np.ndarray) -> ProtocolParam
     return at
 
 
-def _pooled_rates(rule: _Rule, protocol: ProtocolParams, r: np.ndarray, V: np.ndarray,
-                  k: np.ndarray, mass: float, n: int, m: int) -> np.ndarray:
+def _noise_sums(rule: _Rule, vN: np.ndarray, taken: dict) -> np.ndarray:
+    """The (3, points) sums over the nodes, weighted by fw, of the noise
+    columns v_u, v_w and c_uw at the admitted points of taken ((r, V) ->
+    k), in row blocks of _BLOCK elements."""
+    s, fw = rule.s, rule.fw
+    V = np.array([V for _, V in taken])
+    k = np.array(list(taken.values()))
+    rows = max(1, _BLOCK // s.size)
+    return np.hstack([[col @ fw for col in _sigma_arrays(s, vN, V[i:i + rows, None],
+                                                         k[i:i + rows, None])]
+                      for i in range(0, V.size, rows)])
+
+
+def _pooled_rates(rule: _Rule, protocol: ProtocolParams, taken: dict[int, dict],
+                  mass: float, n: int) -> dict[int, list[float]]:
     """The rates of the pooled plan (one cluster of mass `mass`, edges -inf
-    and +inf) at the admitted points (r[i], V[i]) with k[i] disclosed
-    states, from _rate on arrays at a protocol whose r, V and V' are
-    arrays (_at).  The sums of the power and V_N columns are the same at
-    every point; the noise columns (points x nodes) are summed in row
-    blocks of _BLOCK elements."""
+    and +inf) at the admitted points of each package count m (taken maps
+    m to {(r, V): k}), from one _rate call on arrays: its protocol holds
+    r and V as arrays (_at), and m is an array beside them, since _stats
+    and _states are elementwise in m.  The sums of the power and V_N
+    columns are the same at every point and every m.  The noise sums
+    depend on (V, k) alone, but a row's sum may differ in its last bits
+    with the row block it lies in; so they are taken once per distinct
+    list of admitted points, in that list's own row blocks (_noise_sums),
+    and each m's rates keep the bits they have alone.  In the grid pass
+    every m of a ladder admits the same points in the same order, and
+    one computation serves them all."""
+    taken = {m: points for m, points in taken.items() if points}
+    if not taken:
+        return {}
     s, fw, powers = rule
     vN = noise_variance(s, protocol)
-    rows = max(1, _BLOCK // s.size)
-    noise = np.hstack([[col @ fw for col in _sigma_arrays(s, vN, V[i:i + rows, None],
-                                                          k[i:i + rows, None])]
-                       for i in range(0, r.size, rows)])
-    sums = [float(np.dot(fw, col)) for col in powers] + [*noise, float(np.dot(fw, vN))]
-    return mass * _rate(np.full(r.size, mass), sums, k, m, n, _at(protocol, r, V))[2]
+    lists = {m: tuple(points.items()) for m, points in taken.items()}
+    noise = {}
+    for m, key in lists.items():
+        if key not in noise:
+            noise[key] = _noise_sums(rule, vN, taken[m])
+    sizes = [len(points) for points in taken.values()]
+    r, V = (np.array(x) for x in zip(*[point for points in taken.values() for point in points]))
+    k = np.array([k for points in taken.values() for k in points.values()])
+    sums = [float(np.dot(fw, col)) for col in powers] + [
+        *np.hstack([noise[key] for key in lists.values()]), float(np.dot(fw, vN))]
+    rates = mass * _rate(np.full(r.size, mass), sums, k, np.repeat(list(taken), sizes), n,
+                         _at(protocol, r, V))[2]
+    return {m: part.tolist() for m, part in zip(taken, np.split(rates, np.cumsum(sizes)[:-1]))}
 
 
-def _pooled(rule: _Rule, protocol: ProtocolParams, points: set, n: int, m: int):
-    """The pooled plan at each (r, V) point of a pass: the keys (-rate,
+def _pooled(rule: _Rule, protocol: ProtocolParams, wanted: dict[int, set],
+            n: int) -> dict[int, tuple[list, list, int]]:
+    """The pooled plan at each (r, V) point that each package count m
+    wants in a pass (wanted maps m to its points): per m, the keys (-rate,
     -mass, r, V, edges) of the points scored, the records of the points
     skipped and the intervals scored, one per point that reached report.
-    The points that _admitted takes are scored at once (_pooled_rates),
-    unless the pooled cluster holds fewer than 2 expected packages, which
-    refuses every point of the pass; the refused points are scored alone
-    through report, which raises what the record states."""
+    The points that _admitted takes for each m are scored at once, every
+    m in one array evaluation (_pooled_rates), unless the pooled cluster
+    holds fewer than 2 expected packages, which refuses every point of
+    that m's pass; the refused points are scored alone through report,
+    which raises what the record states."""
     edges = (-math.inf, math.inf)
-    taken, alone = _admitted(points, n, m, protocol)
     mass = float(np.sum(rule.fw))
-    keys = []
-    if _too_small(mass, m):
-        alone += taken
-    elif taken:
-        r, V = (np.array(x) for x in zip(*taken))
-        rates = _pooled_rates(rule, protocol, r, V, np.array(list(taken.values())), mass, n, m)
-        keys = [(-rate, -mass, *point, edges) for rate, point in zip(rates.tolist(), taken)]
-    skipped, intervals = [], len(keys)
-    for r, V in alone:
-        try:
-            ev = _Evaluator(rule, replace(protocol, r=r, V=V), disclosed_count(n, r), m, n=n)
-            intervals += 1      # the one report of the rescored plan, even if it raises
-            plan = _rescore(ev, edges)
-        except _SKIPPED as exc:
-            skipped.append(_refusal(r, V, exc))
-        else:
-            keys.append((-plan.total_rate, -plan.kept_mass, r, V, plan.boundaries))
-    return keys, skipped, intervals
+    taken, alone = {}, {}
+    for m, points in wanted.items():
+        taken[m], alone[m] = _admitted(points, n, m, protocol)
+        if _too_small(mass, m):
+            alone[m] += taken.pop(m)
+    rates = _pooled_rates(rule, protocol, taken, mass, n)
+    scored = {}
+    for m in wanted:
+        keys = [(-rate, -mass, *point, edges)
+                for rate, point in zip(rates.get(m, ()), taken.get(m, ()))]
+        skipped, intervals = [], len(keys)
+        for r, V in alone[m]:
+            try:
+                ev = _Evaluator(rule, replace(protocol, r=r, V=V), disclosed_count(n, r), m, n=n)
+                intervals += 1      # the one report of the rescored plan, even if it raises
+                plan = _rescore(ev, edges)
+            except _SKIPPED as exc:
+                skipped.append(_refusal(r, V, exc))
+            else:
+                keys.append((-plan.total_rate, -plan.kept_mass, r, V, plan.boundaries))
+        scored[m] = keys, skipped, intervals
+    return scored
 
 
 def _ceilings(rule: _Rule, protocol: ProtocolParams, points, n: int, m: int) -> dict:
@@ -877,64 +935,86 @@ def _ceilings(rule: _Rule, protocol: ProtocolParams, points, n: int, m: int) -> 
     return ceiling
 
 
-def optimize_each(dist: TransmittanceDistribution, clusters: Sequence[int], n: int,
-                  m: int, protocol: ProtocolParams) -> tuple[OptimizeResult, ...]:
-    """The optimize result of each distinct cluster count in clusters,
-    from one search.  Each pass scores the points that C = 0 wants at
-    once (_pooled), then visits the union of the points that the counts
-    C >= 1 want best first: in descending rate_ceiling, computed for the
-    pass's points in one call (_ceilings; +inf where _admitted refuses),
-    ties in (r, V) order, so each count sees its own points in the same
-    order as alone.  A count prunes a point whose ceiling lies below its
-    incumbent rate; a point that some count still wants builds one
-    evaluator, one interval table and one dynamic program (_chains), which
-    those counts share, and the evaluator scores each interval of their
-    rescored plans once.  Each count folds into its own best key and refines around its
-    own best point, and its record states the intervals its own search
-    scored (a shared report counts for each count that asked for it), so
-    each result equals optimize's for that count alone, field for field.
-    The key is a minimum over the points and a pruned point's rate lies
-    strictly below it, so neither the order nor the pruning changes the
-    plan, r or V that a count finds.
-    """
-    counts = tuple(_count(C, "cluster count", 0) for C in clusters)
-    if not counts or len(set(counts)) < len(counts):
-        raise ParameterError(f"need one or more distinct cluster counts >= 0, "
-                             f"got {counts}")
-    if _LEVELS < max(counts) + 1:
-        raise ParameterError(f"level resolution {_LEVELS} too coarse for "
-                             f"{max(counts)} clusters")
-    n, m = _run_size(n, m)
-    rule = _rule(dist, n, protocol)
-    passes: dict[int, list[SearchPass]] = {C: [] for C in counts}
-    # each count's smallest key (-rate, -mass, r, V, edges), comparable from
-    # pass to pass because it holds the rescored rate of its own edges
-    best: dict[int, tuple | None] = dict.fromkeys(counts)
+# the geometric steps of the (r, V) grid
+_R_STEP = (_R_GRID[-1] / _R_GRID[0]) ** (1.0 / (len(_R_GRID) - 1))
+_V_STEP = (_V_GRID[-1] / _V_GRID[0]) ** (1.0 / (len(_V_GRID) - 1))
 
-    def fold(C: int, key: tuple) -> None:
-        if best[C] is None or key < best[C]:
-            best[C] = key
 
-    r_step = (_R_GRID[-1] / _R_GRID[0]) ** (1.0 / (len(_R_GRID) - 1))
-    V_step = (_V_GRID[-1] / _V_GRID[0]) ** (1.0 / (len(_V_GRID) - 1))
+def _wanted(pass_idx: int, best: tuple | None) -> set:
+    """The (r, V) points of a pass: pass 0 is the grid; passes 1 and 2
+    halve the geometric step around the point of the best key so far."""
+    if pass_idx == 0:
+        return set(product(_R_GRID, _V_GRID))
+    return set(product(_around(best[2], _R_STEP ** (0.5 ** pass_idx), _R_GRID),
+                       _around(best[3], _V_STEP ** (0.5 ** pass_idx), _V_GRID)))
+
+
+def _record(pass_idx: int, points: set, intervals: int, skipped: list,
+            pruned: list) -> SearchPass:
+    """A pass's record, its skipped and pruned points in (r, V) order."""
+    in_order = itemgetter("r", "V")
+    return SearchPass(Q=_LEVELS * 2 ** pass_idx, points=len(points), intervals=intervals,
+                      skipped=tuple(sorted(skipped, key=in_order)),
+                      pruned=tuple(sorted(pruned, key=in_order)))
+
+
+def _fold(best: tuple | None, keys: list) -> tuple | None:
+    """The least of keys if it is below best, else best: keys (-rate,
+    -mass, r, V, edges) compare from pass to pass, as each holds the
+    rescored rate of its own edges."""
+    key = min(keys, default=None)
+    return key if key is not None and (best is None or key < best) else best
+
+
+def _pooled_search(rule: _Rule, n: int, ms: Sequence[int],
+                   protocol: ProtocolParams) -> dict[int, tuple[tuple | None, list]]:
+    """The pooled (C = 0) search for each package count m in ms at once:
+    per m, its best key (None if no grid point scored) and its passes.
+    Each pass gathers the points that every m wants and scores them in
+    one _pooled call; each m folds into its own best key and refines
+    around its own best point, so each m's record and plan are those of
+    its search alone.  The search stops after the grid pass if an m has
+    no key there."""
+    best: dict[int, tuple | None] = dict.fromkeys(ms)
+    passes: dict[int, list[SearchPass]] = {m: [] for m in ms}
     for pass_idx in range(3):
-        # pass 0 is the (r, V) grid; passes 1 and 2 halve the geometric step
-        # around each count's best point and double the level resolution
+        wanted = {m: _wanted(pass_idx, best[m]) for m in ms}
+        for m, (keys, skipped, intervals) in _pooled(rule, protocol, wanted, n).items():
+            best[m] = _fold(best[m], keys)
+            passes[m].append(_record(pass_idx, wanted[m], intervals, skipped, []))
+        if any(key is None for key in best.values()):
+            break
+    return {m: (best[m], passes[m]) for m in ms}
+
+
+def _clustered_search(rule: _Rule, counts: Sequence[int], n: int, m: int,
+                      protocol: ProtocolParams) -> dict[int, tuple[tuple | None, list]]:
+    """The search for the cluster counts C >= 1 at once: per count, its
+    best key (None if no grid point scored) and its passes.  Each pass
+    visits the union of the points that the counts want best first, in
+    descending rate_ceiling (_ceilings), ties in (r, V) order, so each
+    count sees its own points in the same order as alone.  A count prunes
+    a point whose ceiling lies below its incumbent rate; a point that
+    some count still wants builds one evaluator, one interval table and
+    one dynamic program (_chains), which those counts share, and the
+    evaluator scores each interval of their rescored plans once.  Each
+    count folds into its own best key, refines around its own best point
+    and records the intervals its own search scored (a shared report
+    counts for each count that asked for it).  The key is a minimum over
+    the points and a pruned point's rate lies strictly below it, so
+    neither the order nor the pruning changes the plan, r or V that a
+    count finds.  The search stops after the grid pass if a count has no
+    key there."""
+    best: dict[int, tuple | None] = dict.fromkeys(counts)
+    passes: dict[int, list[SearchPass]] = {C: [] for C in counts}
+    for pass_idx in range(3):
         Q = _LEVELS * 2 ** pass_idx
-        wanted = {C: set(product(_R_GRID, _V_GRID)) if pass_idx == 0 else set(product(
-                      _around(best[C][2], r_step ** (0.5 ** pass_idx), _R_GRID),
-                      _around(best[C][3], V_step ** (0.5 ** pass_idx), _V_GRID)))
-                  for C in counts}
+        wanted = {C: _wanted(pass_idx, best[C]) for C in counts}
         skipped = {C: [] for C in counts}
         pruned = {C: [] for C in counts}
         intervals = dict.fromkeys(counts, 0)
-        if 0 in counts:
-            keys, skipped[0], intervals[0] = _pooled(rule, protocol, wanted[0], n, m)
-            if keys:
-                fold(0, min(keys))
-        clustered = [C for C in counts if C > 0]
-        want = {point: [C for C in clustered if point in wanted[C]]
-                for point in set().union(*[wanted[C] for C in clustered])}
+        want = {point: [C for C in counts if point in wanted[C]]
+                for point in set().union(*wanted.values())}
         ceiling = _ceilings(rule, protocol, want, n, m)
         for r, V in sorted(want, key=lambda point: (-ceiling[point], point)):
             here = []
@@ -967,37 +1047,90 @@ def optimize_each(dist: TransmittanceDistribution, clusters: Sequence[int], n: i
                 except _SKIPPED as exc:
                     skipped[C].append(_refusal(r, V, exc))
                 else:
-                    fold(C, (-plan.total_rate, -plan.kept_mass, r, V, plan.boundaries))
+                    best[C] = _fold(best[C], [(-plan.total_rate, -plan.kept_mass, r, V,
+                                               plan.boundaries)])
                 intervals[C] += ev.evaluations
-        in_order = itemgetter("r", "V")
         for C in counts:
-            passes[C].append(SearchPass(Q=Q, points=len(wanted[C]), intervals=intervals[C],
-                                        skipped=tuple(sorted(skipped[C], key=in_order)),
-                                        pruned=tuple(sorted(pruned[C], key=in_order))))
-            if best[C] is None:  # only after pass 0: a later pass keeps the incumbent
-                last = passes[C][-1].skipped[-1]
-                raise ParameterError(f"no feasible (r, V) grid point for {C} cluster(s); the "
-                                     f"last one failed with {last['error']}: {last['message']}")
+            passes[C].append(_record(pass_idx, wanted[C], intervals[C], skipped[C], pruned[C]))
+        if any(key is None for key in best.values()):
+            break
+    return {C: (best[C], passes[C]) for C in counts}
 
-    results = []
+
+def _infeasible(C: int, passes: list[SearchPass]) -> ParameterError:
+    """The error of a search that scored no point of its grid pass."""
+    last = passes[0].skipped[-1]
+    return ParameterError(f"no feasible (r, V) grid point for {C} cluster(s); the "
+                          f"last one failed with {last['error']}: {last['message']}")
+
+
+def _result(rule: _Rule, n: int, m: int, protocol: ProtocolParams, best: tuple,
+            passes: list[SearchPass]) -> OptimizeResult:
+    """The result of a search: its best plan rescored on floats, with the
+    diagnostic and the passes."""
+    _, _, best_r, best_V, best_edges = best
+    proto = replace(protocol, r=best_r, V=best_V)
+    plan = _Evaluator(rule, proto, disclosed_count(n, best_r), m, n=n).plan(best_edges)
+    notes = []
+    if plan.total_rate <= 0.0:
+        notes.append("no positive key rate anywhere on the search grid; "
+                     "the channel statistics or block sizes do not support a key")
+    else:
+        idle = [f"{i} [{rep.interval[0]:.4f}, {rep.interval[1]:.4f})"
+                for i, rep in enumerate(plan.per_cluster) if rep.K_c <= 0.0]
+        if idle:
+            notes.append(f"{len(idle)} cluster(s) carry no key: {', '.join(idle)}")
+    light = [rep.mass for rep in plan.per_cluster if rep.mass < 0.01]
+    if light:
+        notes.append(f"{len(light)} cluster(s) below 1% mass: "
+                     f"{['%.4f' % v for v in light]}")
+    return OptimizeResult(plan=plan, protocol=proto, diagnostic="; ".join(notes) or None,
+                          search=tuple(passes))
+
+
+def optimize_each(dist: TransmittanceDistribution, clusters: Sequence[int], n: int,
+                  m: int, protocol: ProtocolParams) -> tuple[OptimizeResult, ...]:
+    """The optimize result of each distinct cluster count in clusters,
+    from one search on one quadrature rule: C = 0 is the pooled search of
+    optimize_pooled for (m,) (_pooled_search), and the counts C >= 1 share
+    one clustered search (_clustered_search), which prunes by
+    rate_ceiling and builds one interval table per point for them all.
+    Each result equals optimize's for that count alone, field for field.
+    """
+    counts = tuple(_count(C, "cluster count", 0) for C in clusters)
+    if not counts or len(set(counts)) < len(counts):
+        raise ParameterError(f"need one or more distinct cluster counts >= 0, "
+                             f"got {counts}")
+    if _LEVELS < max(counts) + 1:
+        raise ParameterError(f"level resolution {_LEVELS} too coarse for "
+                             f"{max(counts)} clusters")
+    n, m = _run_size(n, m)
+    rule = _rule(dist, n, protocol)
+    searched = _clustered_search(rule, [C for C in counts if C > 0], n, m, protocol)
+    if 0 in counts:
+        searched[0] = _pooled_search(rule, n, (m,), protocol)[m]
     for C in counts:
-        _, _, best_r, best_V, best_edges = best[C]
-        proto = replace(protocol, r=best_r, V=best_V)
-        plan = _Evaluator(rule, proto, disclosed_count(n, best_r), m, n=n).plan(best_edges)
-        notes = []
-        if plan.total_rate <= 0.0:
-            notes.append("no positive key rate anywhere on the search grid; "
-                         "the channel statistics or block sizes do not support a key")
-        else:
-            idle = [f"{i} [{rep.interval[0]:.4f}, {rep.interval[1]:.4f})"
-                    for i, rep in enumerate(plan.per_cluster) if rep.K_c <= 0.0]
-            if idle:
-                notes.append(f"{len(idle)} cluster(s) carry no key: {', '.join(idle)}")
-        light = [rep.mass for rep in plan.per_cluster if rep.mass < 0.01]
-        if light:
-            notes.append(f"{len(light)} cluster(s) below 1% mass: "
-                         f"{['%.4f' % v for v in light]}")
-        results.append(OptimizeResult(plan=plan, protocol=proto,
-                                      diagnostic="; ".join(notes) or None,
-                                      search=tuple(passes[C])))
-    return tuple(results)
+        if searched[C][0] is None:
+            raise _infeasible(C, searched[C][1])
+    return tuple(_result(rule, n, m, protocol, *searched[C]) for C in counts)
+
+
+def optimize_pooled(dist: TransmittanceDistribution, n: int, ms: Sequence[int],
+                    protocol: ProtocolParams) -> tuple[OptimizeResult, ...]:
+    """optimize(dist, 0, n, m, protocol) for each distinct package count m
+    in ms, in the order given, from one search on one quadrature rule:
+    each pass scores the pooled plan at the points of every m in one
+    array evaluation (_pooled), and each m refines around its own best
+    point, so each result equals optimize's for that m, field for field.
+    An m with no feasible grid point raises optimize's ParameterError."""
+    sizes = [_run_size(n, m) for m in ms]
+    ms = tuple(m for _, m in sizes)
+    if not ms or len(set(ms)) < len(ms):
+        raise ParameterError(f"need one or more distinct package counts >= 1, got {ms}")
+    n = sizes[0][0]
+    rule = _rule(dist, n, protocol)
+    searched = _pooled_search(rule, n, ms, protocol)
+    for m in ms:
+        if searched[m][0] is None:
+            raise _infeasible(0, searched[m][1])
+    return tuple(_result(rule, n, m, protocol, *searched[m]) for m in ms)

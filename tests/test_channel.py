@@ -18,6 +18,7 @@ from fading_cvqkd import (
     noise_variance,
     optimize,
     optimize_each,
+    optimize_pooled,
     rate_ceiling,
     simulate_run,
     total_key_rate,
@@ -197,6 +198,8 @@ _SIZED = {
     "optimize_each-C": (0, 0, lambda x: optimize_each(_UNI, (x,), 200, 200, _P)),
     "optimize_each-n": (2, 200, lambda x: optimize_each(_UNI, (0,), x, 200, _P)),
     "optimize_each-m": (1, 200, lambda x: optimize_each(_UNI, (0,), 200, x, _P)),
+    "optimize_pooled-n": (2, 200, lambda x: optimize_pooled(_UNI, x, (200,), _P)),
+    "optimize_pooled-m": (1, 200, lambda x: optimize_pooled(_UNI, 200, (10, x), _P)),
     "total_key_rate_from_estimates-n": (
         2, 100, lambda x: total_key_rate_from_estimates(_EST, _POOLED, x, _P)),
 }

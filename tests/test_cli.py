@@ -1,6 +1,7 @@
 """Command line front end: reproducibility, precedence, round trips."""
 
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -832,6 +833,45 @@ def test_reproduce_fig7_marks_zero_rate_rows_with_nan(tmp_path):
             assert math.isnan(float(r["V_opt"]))
     r_tail = [float(r["r_opt"]) for r in positive]
     assert all(b <= a + 1e-12 for a, b in zip(r_tail, r_tail[1:]))
+
+
+# sha256 of the default fig6.csv and fig7.csv with numpy 2.4 and scipy 1.17,
+# the versions CI installs, as one optimize per m wrote them
+POOLED_CSV_SHA256 = {
+    "fig6": "c89c4c990bc7294e2e07da0292a4dc24719ce8c435b77d3635829599a12b7d44",
+    "fig7": "2c44b8491ad36cfe684c149a3c4b618b1deccfead62abd9971303d1119aac3a2",
+}
+
+
+@pytest.mark.parametrize("figure", list(POOLED_CSV_SHA256))
+def test_pooled_figures_are_pinned(tmp_path, figure):
+    out = tmp_path / figure
+    assert main(["reproduce", figure, "--out", str(out)]) == 0
+    assert _digest(out / f"{figure}.csv") == POOLED_CSV_SHA256[figure]
+
+
+DESK_LADDER = [10, 25, 63, 158, 398, 1000]
+PAPER_LADDER = [10, 40, 158, 631, 2512, 10000]
+
+
+@pytest.mark.parametrize("figure, scale, n, m", [
+    ("fig6", [], [500, 1000], DESK_LADDER),
+    ("fig7", [], 1000, DESK_LADDER),
+    ("fig6", ["--paper-scale"], [10_000, 100_000], PAPER_LADDER),
+    ("fig7", ["--paper-scale"], 100_000, PAPER_LADDER),
+], ids=["fig6", "fig7", "fig6-paper", "fig7-paper"])
+def test_pooled_sidecar_records_the_sizes_it_ran(tmp_path, figure, scale, n, m):
+    """A pooled figure's sidecar states the package sizes and counts of
+    its rows, and no cluster count or seed, which it does not read;
+    fig6.scenario.json once claimed n = m = 1000 and 2 clusters."""
+    out = tmp_path / figure
+    assert main(["reproduce", figure, *scale, "--out", str(out)]) == 0
+    scenario = read_json(out / f"{figure}.scenario.json")
+    assert (scenario["n"], scenario["m"]) == (n, m)
+    assert "clusters" not in scenario and "seed" not in scenario
+    _, rows = _read_csv(out / f"{figure}.csv")
+    assert [(int(r["n"]), int(r["m"])) for r in rows] == list(
+        itertools.product(n if isinstance(n, list) else [n], m))
 
 
 # ---- ingest ----------------------------------------------------------------

@@ -457,6 +457,9 @@ def test_optimize_builds_the_rule_once(monkeypatch):
             optimize(dist, C, 400, 400, P)
             assert calls == [type(dist).__name__]
         calls.clear()
+        clustering.optimize_pooled(dist, 400, (10, 400), P)
+        assert calls == [type(dist).__name__]
+        calls.clear()
         total_key_rate(dist, (-math.inf, 0.5, math.inf), 400, 400, P)
         assert calls == [type(dist).__name__]
 
@@ -848,7 +851,7 @@ def test_pooled_pass_matches_one_report_per_point(dist, n, m):
     test_float_and_array_paths_agree, and the pass picks the same (r, V)."""
     points = list(itertools.product(clustering._R_GRID, clustering._V_GRID))
     keys, skipped, intervals = clustering._pooled(clustering._rule(dist, n, P), P,
-                                                  set(points), n, m)
+                                                  {m: set(points)}, n)[m]
     assert skipped == [] and intervals == len(keys) == len(points)
     rates = dict(((r, V), -rate) for rate, _, r, V, _ in keys)
     reference = {(r, V): total_key_rate(dist, (-math.inf, math.inf), n, m,
@@ -903,7 +906,7 @@ def test_pooled_pass_equals_scoring_each_point_alone(dist, n, m, V_S):
     proto = replace(P, V_S=V_S)
     rule = clustering._rule(dist, n, proto)
     points = list(itertools.product(clustering._R_GRID, clustering._V_GRID))
-    keys, skipped, intervals = clustering._pooled(rule, proto, set(points), n, m)
+    keys, skipped, intervals = clustering._pooled(rule, proto, {m: set(points)}, n)[m]
     ref_keys, ref_skipped, ref_intervals = _pooled_one_point_at_a_time(rule, proto, points,
                                                                        n, m)
     in_order = itemgetter("r", "V")
@@ -947,6 +950,111 @@ def test_optimize_each_equals_one_optimize_per_count(dist, n):
 def test_optimize_each_validates_the_counts(clusters):
     with pytest.raises(ParameterError):
         optimize_each(UNI, clusters, 400, 400, P)
+
+
+# the package-count ladder of fig6 and fig7 at desk scale
+LADDER = (10, 25, 63, 158, 398, 1000)
+
+
+# one pooled search over a ladder against one optimize per m: the fig6
+# ladders (TN at n = 500 and 1000) and fig7's (LNW at n = 1000); Uniform
+# and a 1,600-sample trace; at V_S = 0.5 the grid points at V = 0.5 are
+# refused; at n = 100 r = 0.01 discloses one state
+@pytest.mark.parametrize("dist, n, ms, proto", [
+    (TN, 500, LADDER, P),
+    (TN, 1000, LADDER, P),
+    (LogNegativeWeibull(1.47, 0.6), 1000, LADDER, P),
+    (UNI, 400, LADDER, P),
+    (TRACE_LAW, 1000, LADDER, P),
+    (TN, 1000, LADDER, ProtocolParams(V_S=0.5)),
+    (UNI, 100, (400, 10, 1000), P),
+], ids=["tnorm-n500", "tnorm-n1000", "lnw-n1000", "uniform-n400", "empirical-1600",
+        "tnorm-vs0.5", "uniform-n100"])
+def test_optimize_pooled_equals_one_optimize_per_m(dist, n, ms, proto):
+    results = clustering.optimize_pooled(dist, n, ms, proto)
+    assert len(results) == len(ms)
+    for m, res in zip(ms, results):
+        alone = optimize(dist, 0, n, m, proto)
+        for f in fields(alone):
+            assert getattr(res, f.name) == getattr(alone, f.name), (m, f.name)
+    if proto.V_S == 0.5:
+        assert all(len(res.search[0].skipped) == 12 for res in results)
+    if n == 100:
+        assert all({s["r"] for s in res.search[0].skipped} == {0.01} for res in results)
+
+
+# m = 1 holds one package; at (n, m) = (2, 2) TN's pooled cluster holds
+# under 2 expected packages, and so it does at m = 2 beside m = 3
+@pytest.mark.parametrize("dist, n, ms", [
+    (TN, 1000, (10, 1, 1000)),
+    (TN, 2, (2,)),
+    (TN, 1000, (3, 2, 1000)),
+], ids=["m1-in-ladder", "tnorm-n2-m2", "tnorm-m2-in-ladder"])
+def test_optimize_pooled_raises_optimizes_own_error(dist, n, ms):
+    """A ladder with an m that has no feasible grid point raises the
+    ParameterError that optimize raises at the first such m."""
+    with pytest.raises(ParameterError) as alone:
+        for m in ms:
+            optimize(dist, 0, n, m, P)
+    with pytest.raises(ParameterError) as pooled:
+        clustering.optimize_pooled(dist, n, ms, P)
+    assert str(pooled.value) == str(alone.value)
+    assert "no feasible (r, V) grid point for 0 cluster(s)" in str(pooled.value)
+
+
+@pytest.mark.parametrize("ms", [(), (10, 25, 10), (10, 0), (10, 2.5)],
+                         ids=["empty", "repeated", "zero", "float"])
+def test_optimize_pooled_validates_the_counts(ms):
+    with pytest.raises(ParameterError):
+        clustering.optimize_pooled(TN, 1000, ms, P)
+
+
+# the paper-scale ladder: at n = 1000 most of its points carry a positive
+# rate, so a noise sum that changed its last bit with its row block shows
+PAPER_LADDER = (10, 40, 158, 631, 2512, 10000)
+
+
+@pytest.mark.parametrize("dist", [TN, LogNegativeWeibull(1.47, 0.6), TRACE_LAW],
+                         ids=["tnorm", "lnw", "empirical-1600"])
+def test_ladder_pass_keeps_every_key_bit_for_bit(dist):
+    """A pass over a ladder gives each m the keys (their rates bit for
+    bit, as repr shows), records and interval count of its pass alone:
+    in the grid pass every m takes the same 144 points, and in a
+    refinement pass each m wants the 9 points around its own best."""
+    rule = clustering._rule(dist, 1000, P)
+    centres = itertools.product(clustering._R_GRID[2::4], clustering._V_GRID[::5])
+    for wanted in ({m: clustering._wanted(0, None) for m in PAPER_LADDER},
+                   {m: clustering._wanted(1, (0.0, 0.0, r, V))
+                    for m, (r, V) in zip(PAPER_LADDER, centres)}):
+        ladder = clustering._pooled(rule, P, wanted, 1000)
+        for m, points in wanted.items():
+            assert repr(ladder[m]) == repr(clustering._pooled(rule, P, {m: points}, 1000)[m])
+
+
+def test_pooled_ladder_takes_the_noise_sums_once(monkeypatch):
+    """The grid pass of a ladder computes the noise sums of its 144 points
+    once for every m, and the ladder's three passes make three array
+    evaluations in all; each refinement pass takes them once per distinct
+    list of points."""
+    sums, rates = [], []
+    noise_sums, rate = clustering._noise_sums, clustering._rate
+
+    def counted_sums(rule, vN, taken):
+        sums.append(len(taken))
+        return noise_sums(rule, vN, taken)
+
+    def counted_rate(mass, *args):
+        rates.append(np.size(mass))
+        return rate(mass, *args)
+
+    monkeypatch.setattr(clustering, "_noise_sums", counted_sums)
+    monkeypatch.setattr(clustering, "_rate", counted_rate)
+    results = clustering.optimize_pooled(TN, 1000, LADDER, P)
+    assert sums[0] == 144 and max(sums[1:]) <= 9 and len(sums) <= 1 + 2 * len(LADDER)
+    assert rates[:3] == [144 * len(LADDER)] + [sum(res.search[p].points for res in results)
+                                               for p in (1, 2)]
+    # then one float report per m for its final plan
+    assert len(rates) == 3 + len(LADDER)
 
 
 # ---- the known-transmittance ceiling and the pruning it allows ------
@@ -1049,6 +1157,27 @@ def test_admitted_points_are_those_no_path_refuses(n, m, V_S):
             assert (r, V) in refused, (r, V)
         else:
             assert taken.get((r, V)) == clustering.disclosed_count(n, r), (r, V)
+
+
+def test_admission_and_ceilings_ask_each_r_once(monkeypatch):
+    """_admitted and rate_ceiling on columns ask disclosed_count once per
+    distinct r of the 144 grid points, 12 times each, where they once
+    asked once per point; at n = 100 the refusal of r = 0.01 is the same."""
+    asked = []
+    original = clustering.disclosed_count
+
+    def counted(n, r):
+        asked.append(r)
+        return original(n, r)
+
+    monkeypatch.setattr(clustering, "disclosed_count", counted)
+    points = list(itertools.product(clustering._R_GRID, clustering._V_GRID))
+    taken, refused = clustering._admitted(points, 100, 400, P)
+    assert sorted(asked) == sorted(clustering._R_GRID)
+    assert {r for r, _ in refused} == {0.01} and len(taken) == 132
+    asked.clear()
+    clustering._ceilings(clustering._rule(TN, 1000, P), P, points, 1000, 1000)
+    assert sorted(asked) == sorted(2 * clustering._R_GRID)
 
 
 def test_ceiling_assumptions_hold():
