@@ -25,7 +25,7 @@ import numpy as np
 from . import clustering, estimation, security, storage
 from .channel import ProtocolParams, simulate
 from .distributions import Empirical, from_descriptor
-from .errors import FadingCVQKDError, ValidationError
+from .errors import ClusterTooSmallError, FadingCVQKDError, ValidationError
 from .storage import B_NPY, ESTIMATES_CSV, M_NPY, RUN_JSON, TRUE_T_CSV
 
 # the type of each setting that a config file or the environment gives;
@@ -226,6 +226,9 @@ def _cmd_keyrate(args) -> int:
         plan = clustering.total_key_rate(cfg.make_dist(), (-math.inf, math.inf),
                                          cfg.n, cfg.m, protocol)
         wc = plan.per_cluster[0].wc
+        if wc is None:
+            raise ClusterTooSmallError(f"the pooled cluster holds fewer than 2 expected "
+                                       f"packages at m = {cfg.m}")
         N = cfg.n * cfg.m
         report = security.key_rate(wc, N, protocol)
     print(f"I_AB {report.I_AB:.5f}  S_BE {report.S_BE:.5f}  "

@@ -65,23 +65,24 @@ a point the solve evaluated, within _XTOL of the root), then finds the
 best chain of C intervals by dynamic programming, so the plan is exact
 on that grid.
 
-The table does not depend on C, so optimize_each searches for several
-cluster counts at once and shares each point's table among them.  Nor
-does the dynamic program: its stage c is the whole program for c
+One search (_search) serves every job (C, m), C clusters among m
+packages: optimize_each runs the jobs (C, m) of its counts, and
+optimize_pooled the jobs (0, m) of its ladder.  Each job folds its own
+best key, refines around its own best point and records its own passes,
+the same as optimize gives for it alone.  The table does not depend on
+C, so in each pass the jobs C >= 1 of one m share each point's table.
+Nor does the dynamic program: its stage c is the whole program for c
 intervals, so one program runs to the largest count and reads each
 count's chain off at its stage.  An evaluator scores an interval once
-and hands the same report to every count whose plan holds it.  Each
-count still reports its own plan and search record, the same as
-optimize gives for it alone.  The pooled plan (C = 0, one cluster with
-edges -inf and +inf) needs no table, and its mass and five of its eight
-column sums are the same at every (r, V) point and every package count
-m; the other three, the noise sums, depend on (V, k) alone.  So
-optimize_pooled searches a ladder of package counts at once: each pass
-scores the points of every m in one array evaluation, m a column beside
-r and V, and takes the noise sums once per distinct list of admitted
-points, in the row blocks that list gets alone, so that every rate keeps
-the bits of a search for its m alone.  A C = 0 search for one m is that
-search on the ladder (m,).
+and hands the same report to every count whose plan holds it.  The
+pooled plan (C = 0, one cluster with edges -inf and +inf) needs no
+table, and its mass and five of its eight column sums are the same at
+every (r, V) point and every m; the other three, the noise sums, depend
+on (V, k) alone.  So each pass scores the points of every job (0, m) in
+one array evaluation (_pooled), m a column beside r and V, and takes the
+noise sums once per distinct list of admitted points, in the row blocks
+that list gets alone, so that every rate keeps the bits of a search for
+its m alone.
 
 No plan at an (r, V) point can beat rate_ceiling there, the rate of a
 protocol that knew each package's transmittance, less the finite-size
@@ -375,7 +376,8 @@ def _too_small(mass, m: int):
 
 
 class _Evaluator:
-    """Node arrays for one (rule, protocol, k, m, n) configuration; the rule
+    """Node arrays for one (rule, protocol, m, n) configuration, with k =
+    disclosed_count(n, protocol.r) disclosed states per package; the rule
     is shared read-only.  report scores one interval, table every
     interval between Q levels at once; evaluations counts the intervals
     either has been asked for, and reports keeps each interval's report,
@@ -388,11 +390,10 @@ class _Evaluator:
     the bounds line up with the estimation pipeline on real data.
     """
 
-    def __init__(self, rule: _Rule, protocol: ProtocolParams, k: int, m: int, n: int):
+    def __init__(self, rule: _Rule, protocol: ProtocolParams, m: int, n: int):
+        k = disclosed_count(n, protocol.r)
         if m < 2:
             raise InsufficientDataError(f"need at least 2 packages, got {m}")
-        if k < 2:
-            raise InsufficientDataError(f"disclosed count must be >= 2, got {k}")
         self.s, self.fw, self.powers = rule
         self.protocol = protocol
         self.k, self.m, self.n = k, m, n
@@ -626,8 +627,7 @@ def total_key_rate(dist: TransmittanceDistribution, boundaries: Sequence[float],
     Clusters expected to hold fewer than two packages contribute zero.
     """
     n, m = _run_size(n, m)
-    k = disclosed_count(n, protocol.r)
-    ev = _Evaluator(_rule(dist, n, protocol), protocol, k, m, n=n)
+    ev = _Evaluator(_rule(dist, n, protocol), protocol, m, n)
     return ev.plan(_check_edges(boundaries))
 
 
@@ -756,16 +756,16 @@ def optimize(dist: TransmittanceDistribution, C: int, n: int, m: int,
     point, however many counts ask for it), and points compare on those
     numbers by the key (-rate, -kept mass, r, V, edges); a point whose
     rate_ceiling (one array call per pass) lies below the best rate
-    found so far builds no table (see optimize_each), which changes no
+    found so far builds no table (see _clustered), which changes no
     result.  C = 0 scores the pooled (single all-inclusive cluster) plan
     at all the points of a pass in one array evaluation (_pooled), with
-    no table, and rescores the chosen plan through report; it is
-    optimize_pooled of (m,).  The bounds hold at the confidence
-    multiplier protocol.z_conf.  A plan is feasible when each of its
-    clusters holds two or more expected packages.  The result's search
-    field records each pass.  The law's quadrature rule is built once
-    per call and shared read-only by the evaluators of every (r, V)
-    point.  This is optimize_each of (C,).
+    no table, and rescores the chosen plan through report.  The bounds
+    hold at the confidence multiplier protocol.z_conf.  A plan is
+    feasible when each of its clusters holds two or more expected
+    packages.  The result's search field records each pass.  The law's
+    quadrature rule is built once per call and shared read-only by the
+    evaluators of every (r, V) point.  This is optimize_each of (C,),
+    the one search (_search) run on the single job (C, m).
     """
     return optimize_each(dist, (C,), n, m, protocol)[0]
 
@@ -910,7 +910,7 @@ def _pooled(rule: _Rule, protocol: ProtocolParams, wanted: dict[int, set],
         skipped, intervals = [], len(keys)
         for r, V in alone[m]:
             try:
-                ev = _Evaluator(rule, replace(protocol, r=r, V=V), disclosed_count(n, r), m, n=n)
+                ev = _Evaluator(rule, replace(protocol, r=r, V=V), m, n)
                 intervals += 1      # the one report of the rescored plan, even if it raises
                 plan = _rescore(ev, edges)
             except _SKIPPED as exc:
@@ -949,15 +949,6 @@ def _wanted(pass_idx: int, best: tuple | None) -> set:
                        _around(best[3], _V_STEP ** (0.5 ** pass_idx), _V_GRID)))
 
 
-def _record(pass_idx: int, points: set, intervals: int, skipped: list,
-            pruned: list) -> SearchPass:
-    """A pass's record, its skipped and pruned points in (r, V) order."""
-    in_order = itemgetter("r", "V")
-    return SearchPass(Q=_LEVELS * 2 ** pass_idx, points=len(points), intervals=intervals,
-                      skipped=tuple(sorted(skipped, key=in_order)),
-                      pruned=tuple(sorted(pruned, key=in_order)))
-
-
 def _fold(best: tuple | None, keys: list) -> tuple | None:
     """The least of keys if it is below best, else best: keys (-rate,
     -mass, r, V, edges) compare from pass to pass, as each holds the
@@ -966,111 +957,110 @@ def _fold(best: tuple | None, keys: list) -> tuple | None:
     return key if key is not None and (best is None or key < best) else best
 
 
-def _pooled_search(rule: _Rule, n: int, ms: Sequence[int],
-                   protocol: ProtocolParams) -> dict[int, tuple[tuple | None, list]]:
-    """The pooled (C = 0) search for each package count m in ms at once:
-    per m, its best key (None if no grid point scored) and its passes.
-    Each pass gathers the points that every m wants and scores them in
-    one _pooled call; each m folds into its own best key and refines
-    around its own best point, so each m's record and plan are those of
-    its search alone.  The search stops after the grid pass if an m has
-    no key there."""
-    best: dict[int, tuple | None] = dict.fromkeys(ms)
-    passes: dict[int, list[SearchPass]] = {m: [] for m in ms}
-    for pass_idx in range(3):
-        wanted = {m: _wanted(pass_idx, best[m]) for m in ms}
-        for m, (keys, skipped, intervals) in _pooled(rule, protocol, wanted, n).items():
-            best[m] = _fold(best[m], keys)
-            passes[m].append(_record(pass_idx, wanted[m], intervals, skipped, []))
-        if any(key is None for key in best.values()):
-            break
-    return {m: (best[m], passes[m]) for m in ms}
+def _clustered(rule: _Rule, protocol: ProtocolParams, wanted: dict[int, set],
+               best: dict[int, tuple | None], n: int, m: int,
+               Q: int) -> dict[int, tuple[list, list, int, list]]:
+    """The plans of each cluster count C >= 1 among m packages at the
+    (r, V) points it wants in a pass at Q levels (wanted maps C to its
+    points, best to its best key before the pass): per C, _pooled's keys,
+    skipped records and intervals, and the records of the points pruned.
+    The union of the points is visited best first, in descending
+    rate_ceiling (_ceilings), ties in (r, V) order, so each count sees
+    its own points in the same order as alone.  A count prunes a point
+    whose ceiling lies below its incumbent rate; a point that some count
+    still wants builds one evaluator, one interval table and one dynamic
+    program (_chains), which those counts share, and the evaluator scores
+    each interval of their rescored plans once.  Each count records the
+    intervals its own search scored (a shared report counts for each
+    count that asked for it).  The key is a minimum over the points and a
+    pruned point's rate lies strictly below it, so neither the order nor
+    the pruning changes the plan, r or V that a count finds."""
+    incumbent = dict(best)
+    keys, skipped, pruned = ({C: [] for C in wanted} for _ in range(3))
+    intervals = dict.fromkeys(wanted, 0)
+    want = {point: [C for C in wanted if point in wanted[C]]
+            for point in set().union(*wanted.values())}
+    ceiling = _ceilings(rule, protocol, want, n, m)
+    for r, V in sorted(want, key=lambda point: (-ceiling[point], point)):
+        here = []
+        for C in want[r, V]:
+            # the 1e-9 covers rounding between the ceiling and a plan's rate
+            if incumbent[C] is not None and ceiling[r, V] * (1.0 + 1e-9) < -incumbent[C][0]:
+                pruned[C].append({"r": r, "V": V, "ceiling": ceiling[r, V]})
+            else:
+                here.append(C)
+        if not here:
+            continue
+        try:
+            ev = _Evaluator(rule, replace(protocol, r=r, V=V), m, n)
+        except _SKIPPED as exc:
+            for C in here:
+                skipped[C].append(_refusal(r, V, exc))
+            continue
+        try:
+            chains = _chains(ev.table(Q), here)
+        except _SKIPPED as exc:
+            chains = dict.fromkeys(here, exc)
+        tabled = ev.evaluations
+        for C in here:
+            # C's record: the table's entries and its rescored plan's
+            # reports, each counted even where ev scored it for another count
+            ev.evaluations = tabled
+            try:
+                plan = _rescore(ev, _raised(chains[C]))
+            except _SKIPPED as exc:
+                skipped[C].append(_refusal(r, V, exc))
+            else:
+                keys[C].append((-plan.total_rate, -plan.kept_mass, r, V, plan.boundaries))
+                incumbent[C] = _fold(incumbent[C], keys[C][-1:])
+            intervals[C] += ev.evaluations
+    return {C: (keys[C], skipped[C], intervals[C], pruned[C]) for C in wanted}
 
 
-def _clustered_search(rule: _Rule, counts: Sequence[int], n: int, m: int,
-                      protocol: ProtocolParams) -> dict[int, tuple[tuple | None, list]]:
-    """The search for the cluster counts C >= 1 at once: per count, its
-    best key (None if no grid point scored) and its passes.  Each pass
-    visits the union of the points that the counts want best first, in
-    descending rate_ceiling (_ceilings), ties in (r, V) order, so each
-    count sees its own points in the same order as alone.  A count prunes
-    a point whose ceiling lies below its incumbent rate; a point that
-    some count still wants builds one evaluator, one interval table and
-    one dynamic program (_chains), which those counts share, and the
-    evaluator scores each interval of their rescored plans once.  Each
-    count folds into its own best key, refines around its own best point
-    and records the intervals its own search scored (a shared report
-    counts for each count that asked for it).  The key is a minimum over
-    the points and a pruned point's rate lies strictly below it, so
-    neither the order nor the pruning changes the plan, r or V that a
-    count finds.  The search stops after the grid pass if a count has no
-    key there."""
-    best: dict[int, tuple | None] = dict.fromkeys(counts)
-    passes: dict[int, list[SearchPass]] = {C: [] for C in counts}
+def _search(rule: _Rule, jobs: Sequence[tuple[int, int]], n: int,
+            protocol: ProtocolParams) -> tuple[OptimizeResult, ...]:
+    """The optimize result of each job (C, m), C clusters among m packages,
+    in the order given, from one search on one rule.  Each of its three
+    passes works out the points every job wants (_wanted), scores the
+    pooled jobs (C = 0) of every m in one _pooled call and the clustered
+    jobs of each m in one _clustered call, and folds each job's keys into
+    its own best key, around which the job refines, so each job's record
+    and plan are those of its search alone.  After the grid pass the first
+    job with no key raises; no later pass can give it one."""
+    best = dict.fromkeys(jobs)
+    passes = {job: [] for job in jobs}
+    in_order = itemgetter("r", "V")
     for pass_idx in range(3):
         Q = _LEVELS * 2 ** pass_idx
-        wanted = {C: _wanted(pass_idx, best[C]) for C in counts}
-        skipped = {C: [] for C in counts}
-        pruned = {C: [] for C in counts}
-        intervals = dict.fromkeys(counts, 0)
-        want = {point: [C for C in counts if point in wanted[C]]
-                for point in set().union(*wanted.values())}
-        ceiling = _ceilings(rule, protocol, want, n, m)
-        for r, V in sorted(want, key=lambda point: (-ceiling[point], point)):
-            here = []
-            for C in want[r, V]:
-                # the 1e-9 covers rounding between the ceiling and a plan's rate
-                if best[C] is not None and ceiling[r, V] * (1.0 + 1e-9) < -best[C][0]:
-                    pruned[C].append({"r": r, "V": V, "ceiling": ceiling[r, V]})
-                else:
-                    here.append(C)
-            if not here:
-                continue
-            try:
-                ev = _Evaluator(rule, replace(protocol, r=r, V=V),
-                                disclosed_count(n, r), m, n=n)
-            except _SKIPPED as exc:
-                for C in here:
-                    skipped[C].append(_refusal(r, V, exc))
-                continue
-            try:
-                chains = _chains(ev.table(Q), here)
-            except _SKIPPED as exc:
-                chains = dict.fromkeys(here, exc)
-            tabled = ev.evaluations
-            for C in here:
-                # C's record: the table's entries and its rescored plan's
-                # reports, each counted even where ev scored it for another count
-                ev.evaluations = tabled
-                try:
-                    plan = _rescore(ev, _raised(chains[C]))
-                except _SKIPPED as exc:
-                    skipped[C].append(_refusal(r, V, exc))
-                else:
-                    best[C] = _fold(best[C], [(-plan.total_rate, -plan.kept_mass, r, V,
-                                               plan.boundaries)])
-                intervals[C] += ev.evaluations
-        for C in counts:
-            passes[C].append(_record(pass_idx, wanted[C], intervals[C], skipped[C], pruned[C]))
-        if any(key is None for key in best.values()):
-            break
-    return {C: (best[C], passes[C]) for C in counts}
-
-
-def _infeasible(C: int, passes: list[SearchPass]) -> ParameterError:
-    """The error of a search that scored no point of its grid pass."""
-    last = passes[0].skipped[-1]
-    return ParameterError(f"no feasible (r, V) grid point for {C} cluster(s); the "
-                          f"last one failed with {last['error']}: {last['message']}")
+        wanted = {job: _wanted(pass_idx, best[job]) for job in jobs}
+        scored = {(0, m): (*out, []) for m, out in _pooled(
+            rule, protocol, {m: wanted[C, m] for C, m in jobs if C == 0}, n).items()}
+        for m in dict.fromkeys(m for C, m in jobs if C > 0):
+            counts = [C for C, job_m in jobs if C > 0 and job_m == m]
+            scored.update(((C, m), out) for C, out in _clustered(
+                rule, protocol, {C: wanted[C, m] for C in counts},
+                {C: best[C, m] for C in counts}, n, m, Q).items())
+        for job in jobs:
+            keys, skipped, intervals, pruned = scored[job]
+            best[job] = _fold(best[job], keys)
+            passes[job].append(SearchPass(Q=Q, points=len(wanted[job]), intervals=intervals,
+                                          skipped=tuple(sorted(skipped, key=in_order)),
+                                          pruned=tuple(sorted(pruned, key=in_order))))
+            if best[job] is None:
+                last = passes[job][0].skipped[-1]
+                raise ParameterError(f"no feasible (r, V) grid point for {job[0]} cluster(s); "
+                                     f"the last one failed with {last['error']}: "
+                                     f"{last['message']}")
+    return tuple(_result(rule, n, m, protocol, best[C, m], passes[C, m]) for C, m in jobs)
 
 
 def _result(rule: _Rule, n: int, m: int, protocol: ProtocolParams, best: tuple,
             passes: list[SearchPass]) -> OptimizeResult:
-    """The result of a search: its best plan rescored on floats, with the
-    diagnostic and the passes."""
+    """The result of a job's search: its best plan rescored on floats, with
+    the diagnostic and the passes."""
     _, _, best_r, best_V, best_edges = best
     proto = replace(protocol, r=best_r, V=best_V)
-    plan = _Evaluator(rule, proto, disclosed_count(n, best_r), m, n=n).plan(best_edges)
+    plan = _Evaluator(rule, proto, m, n).plan(best_edges)
     notes = []
     if plan.total_rate <= 0.0:
         notes.append("no positive key rate anywhere on the search grid; "
@@ -1090,12 +1080,14 @@ def _result(rule: _Rule, n: int, m: int, protocol: ProtocolParams, best: tuple,
 
 def optimize_each(dist: TransmittanceDistribution, clusters: Sequence[int], n: int,
                   m: int, protocol: ProtocolParams) -> tuple[OptimizeResult, ...]:
-    """The optimize result of each distinct cluster count in clusters,
-    from one search on one quadrature rule: C = 0 is the pooled search of
-    optimize_pooled for (m,) (_pooled_search), and the counts C >= 1 share
-    one clustered search (_clustered_search), which prunes by
-    rate_ceiling and builds one interval table per point for them all.
-    Each result equals optimize's for that count alone, field for field.
+    """The optimize result of each distinct cluster count in clusters, in
+    the order given, from one search over the jobs (C, m) on one
+    quadrature rule (_search): C = 0 is scored as in optimize_pooled, and
+    the counts C >= 1 share one best-first pass per pass of the search,
+    which prunes by rate_ceiling and builds one interval table per point
+    for them all.  Each result equals optimize's for that count alone,
+    field for field, and the first count with no feasible grid point
+    raises optimize's ParameterError for it.
     """
     counts = tuple(_count(C, "cluster count", 0) for C in clusters)
     if not counts or len(set(counts)) < len(counts):
@@ -1105,32 +1097,21 @@ def optimize_each(dist: TransmittanceDistribution, clusters: Sequence[int], n: i
         raise ParameterError(f"level resolution {_LEVELS} too coarse for "
                              f"{max(counts)} clusters")
     n, m = _run_size(n, m)
-    rule = _rule(dist, n, protocol)
-    searched = _clustered_search(rule, [C for C in counts if C > 0], n, m, protocol)
-    if 0 in counts:
-        searched[0] = _pooled_search(rule, n, (m,), protocol)[m]
-    for C in counts:
-        if searched[C][0] is None:
-            raise _infeasible(C, searched[C][1])
-    return tuple(_result(rule, n, m, protocol, *searched[C]) for C in counts)
+    return _search(_rule(dist, n, protocol), [(C, m) for C in counts], n, protocol)
 
 
 def optimize_pooled(dist: TransmittanceDistribution, n: int, ms: Sequence[int],
                     protocol: ProtocolParams) -> tuple[OptimizeResult, ...]:
     """optimize(dist, 0, n, m, protocol) for each distinct package count m
-    in ms, in the order given, from one search on one quadrature rule:
-    each pass scores the pooled plan at the points of every m in one
-    array evaluation (_pooled), and each m refines around its own best
-    point, so each result equals optimize's for that m, field for field.
-    An m with no feasible grid point raises optimize's ParameterError."""
+    in ms, in the order given, from one search over the jobs (0, m) on one
+    quadrature rule (_search): each pass scores the pooled plan at the
+    points of every m in one array evaluation (_pooled), and each m
+    refines around its own best point, so each result equals optimize's
+    for that m, field for field.  The first m with no feasible grid point
+    raises optimize's ParameterError."""
     sizes = [_run_size(n, m) for m in ms]
     ms = tuple(m for _, m in sizes)
     if not ms or len(set(ms)) < len(ms):
         raise ParameterError(f"need one or more distinct package counts >= 1, got {ms}")
     n = sizes[0][0]
-    rule = _rule(dist, n, protocol)
-    searched = _pooled_search(rule, n, ms, protocol)
-    for m in ms:
-        if searched[m][0] is None:
-            raise _infeasible(0, searched[m][1])
-    return tuple(_result(rule, n, m, protocol, *searched[m]) for m in ms)
+    return _search(_rule(dist, n, protocol), [(0, m) for m in ms], n, protocol)

@@ -522,6 +522,19 @@ def test_keyrate_refuses_an_overflowing_modulation_variance(tmp_path, capsys):
     assert not (tmp_path / "k").exists()
 
 
+def test_keyrate_refuses_a_pooled_cluster_below_two_packages(tmp_path, capsys):
+    """At m = 2 the default law's weights sum to just below 1, so the
+    pooled cluster holds under 2 expected packages and has no worst-case
+    channel; keyrate once exited 2 with "expected an effective or
+    worst-case channel, got NoneType"."""
+    out = tmp_path / "km2"
+    assert main(["keyrate", "--m", "2", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "the pooled cluster holds fewer than 2 expected " \
+        "packages" in err
+    assert not out.exists()
+
+
 def test_keyrate_model_mode_runs_without_data(tmp_path, capsys):
     out = tmp_path / "model"
     assert main(["keyrate", "--out", str(out), "--n", "500", "--m", "500"]) == 0

@@ -115,7 +115,7 @@ def test_sharp_kernel_limit_restores_restricted_density():
     def mean(dist, interval, k):
         s, fw = dist.expectation_rule(1600)
         rule = clustering._Rule(s, fw, clustering._powers(s))
-        ev = clustering._Evaluator(rule, P, k, 1000, round(k / P.r))
+        ev = clustering._Evaluator(rule, P, 1000, round(k / P.r))
         return ev.report(*interval).cond_moments.mean_T
 
     assert mean(TN, (0.6, 0.7), 10**6) == pytest.approx(_restricted_mean(TN, 0.6, 0.7), abs=5e-4)
@@ -155,7 +155,7 @@ def test_marginal_density_matches_simulated_estimates():
     """The kernel sums the quantile solve runs on: the CDF column of
     _cdf_pdf integrates its density, and both match simulated T_hat."""
     k, m, n = 500, 3000, 5000
-    ev = clustering._Evaluator(clustering._rule(UNI, n, P), P, k, m, n)
+    ev = clustering._Evaluator(clustering._rule(UNI, n, P), P, m, n)
     grid = np.linspace(-0.3, 1.3, 2001)
     G, dens = ev._cdf_pdf(grid)
     assert np.trapezoid(dens, grid) == pytest.approx(1.0, abs=2e-3)
@@ -465,7 +465,7 @@ def test_optimize_builds_the_rule_once(monkeypatch):
 
 
 def test_shared_rule_is_read_only():
-    ev = clustering._Evaluator(clustering._rule(TN, 100, P), P, 10, 100, 100)
+    ev = clustering._Evaluator(clustering._rule(TN, 100, P), P, 100, 100)
     for arr in (ev.s, ev.fw, *ev.powers):
         with pytest.raises(ValueError):
             arr[0] = 0.5
@@ -490,7 +490,7 @@ GRID_CORNERS = [(0.01, 0.5), (0.01, 50.0), (0.9, 0.5), (0.9, 50.0)]
 
 def _evaluator(dist, r=0.26, V=5.0, n=1000, m=1000):
     return clustering._Evaluator(clustering._rule(dist, n, P), replace(P, r=r, V=V),
-                                 round(r * n), m, n=n)
+                                 m, n=n)
 
 
 def _edges(ev, Q):
@@ -532,7 +532,7 @@ def test_broken_quantile_bracket_raises():
     weights dropped) fails closed instead of returning an edge."""
     rule = clustering._rule(UNI, 1000, P)
     ev = clustering._Evaluator(rule._replace(fw=0.5 * rule.fw), replace(P, r=0.26, V=5.0),
-                               260, 1000, n=1000)
+                               1000, n=1000)
     with pytest.raises(NumericalError, match="quantile bracket failed"):
         ev._solve(64)
 
@@ -875,8 +875,7 @@ def _pooled_one_point_at_a_time(rule, proto, points, n, m):
 
     for r, V in points:
         try:
-            ev = clustering._Evaluator(rule, replace(proto, r=r, V=V),
-                                       clustering.disclosed_count(n, r), m, n=n)
+            ev = clustering._Evaluator(rule, replace(proto, r=r, V=V), m, n=n)
         except REFUSED as exc:
             record(r, V, exc)
             continue
@@ -950,6 +949,25 @@ def test_optimize_each_equals_one_optimize_per_count(dist, n):
 def test_optimize_each_validates_the_counts(clusters):
     with pytest.raises(ParameterError):
         optimize_each(UNI, clusters, 400, 400, P)
+
+
+# at m = 5 the pooled plan is feasible and no 3 clusters of 2 or more
+# packages fit; at m = 2 TN's pooled cluster holds under 2 expected
+# packages, and no count is feasible
+@pytest.mark.parametrize("dist, clusters, m, C", [
+    (UNI, (0, 3), 5, 3),
+    (UNI, (3, 0), 5, 3),
+    (TN, (0, 3), 2, 0),
+], ids=["uniform-0-3", "uniform-3-0", "tnorm-m2"])
+def test_optimize_each_raises_the_first_infeasible_counts_error(dist, clusters, m, C):
+    """optimize_each raises the ParameterError that optimize raises for
+    the first count, in the order given, with no feasible grid point."""
+    with pytest.raises(ParameterError) as alone:
+        optimize(dist, C, 1000, m, P)
+    with pytest.raises(ParameterError) as joint:
+        optimize_each(dist, clusters, 1000, m, P)
+    assert str(joint.value) == str(alone.value)
+    assert f"no feasible (r, V) grid point for {C} cluster(s)" in str(joint.value)
 
 
 # the package-count ladder of fig6 and fig7 at desk scale
@@ -1152,7 +1170,7 @@ def test_admitted_points_are_those_no_path_refuses(n, m, V_S):
         try:
             at = replace(proto, r=r, V=V)
             clustering.rate_ceiling(rule, at, n, m)
-            clustering._Evaluator(rule, at, clustering.disclosed_count(n, r), m, n=n)
+            clustering._Evaluator(rule, at, m, n=n)
         except REFUSED:
             assert (r, V) in refused, (r, V)
         else:
@@ -1252,7 +1270,7 @@ def _exact_evaluator(dist, r=0.26, V=5.0, n=1000, m=1000):
     """An evaluator on every sample of an empirical law, each a node."""
     x, w = dist.expectation_rule()
     rule = clustering._Rule(x, w, clustering._powers(x))
-    return clustering._Evaluator(rule, replace(P, r=r, V=V), round(r * n), m, n=n)
+    return clustering._Evaluator(rule, replace(P, r=r, V=V), m, n=n)
 
 
 def _rate_shift_bound(ev, exact, dist, edges):
