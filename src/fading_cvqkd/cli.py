@@ -188,37 +188,16 @@ def _cmd_estimate(args) -> int:
     return 0
 
 
-def _check_estimates_match_run(estimates, sidecar: dict, protocol, path) -> None:
-    """Refuse an estimates table left over from another run: it must
-    hold one row per package, each from k = round(r*n) disclosed states."""
-    m = sidecar["m"]
-    k = estimation.disclosed_count(sidecar["n"], protocol.r)
-    if len(estimates) != m:
-        raise ValidationError(f"{path} has {len(estimates)} rows but the run has "
-                              f"{m} packages; rerun estimate")
-    if estimates.k != k:
-        raise ValidationError(f"{path} has k = {estimates.k} but the run discloses "
-                              f"k = {k} states per package; rerun estimate")
-
-
 def _cmd_keyrate(args) -> int:
     if args.data:
-        _refuse_unread(args, _MODEL, "does not apply to keyrate DATA, which reads run.json "
+        _refuse_unread(args, _MODEL, "does not apply to keyrate DATA, which reads the run "
                        "and writes into DATA")
-        run_dir = Path(args.data)
-        sidecar = storage.read_sidecar(run_dir)
-        protocol = storage.protocol_from_descriptor(sidecar["protocol"])
-        est_path = run_dir / ESTIMATES_CSV
-        if est_path.exists():
-            estimates = storage.read_estimates(est_path)
-            _check_estimates_match_run(estimates, sidecar, protocol, est_path)
-        else:
-            estimates = estimation.estimate_run(storage.open_run(run_dir))
-        stats = estimation.aggregate(estimates, protocol)
-        wc = estimation.worst_case(stats, protocol)
-        N = sidecar["n"] * sidecar["m"]
-        report = security.key_rate(wc, N, protocol)
-        dest = run_dir / "keyrate.json"
+        run = storage.open_run(args.data)
+        stats = estimation.aggregate(estimation.estimate_run(run), run.protocol)
+        wc = estimation.worst_case(stats, run.protocol)
+        N = run.n * run.m
+        report = security.key_rate(wc, N, run.protocol)
+        dest = Path(args.data) / "keyrate.json"
     else:
         cfg = _merge_config(args)
         dest = _require_out(cfg, "keyrate") / "keyrate.json" if cfg.out else None

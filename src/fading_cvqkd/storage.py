@@ -7,7 +7,8 @@ arrays are written and read one row block at a time (channel.block_rows),
 so a run of any m passes through bounded memory.  Tables
 are CSV (RFC 4180, comma, header row), reports JSON.  Floats are
 written with repr, and arrays in the bytes np.save writes, so a rerun of
-the same seed produces byte-identical files.
+the same seed produces byte-identical files.  estimates.csv is written,
+never read back: what derives from a run is computed from its states.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .errors import ValidationError
 from .estimation import Estimates
 
 __all__ = [
-    "write_run", "open_run", "read_run", "read_sidecar", "write_estimates", "read_estimates",
+    "write_run", "open_run", "read_run", "write_estimates",
     "read_trace", "write_json", "read_json", "json_typed", "write_table",
     "protocol_descriptor", "protocol_from_descriptor",
     "M_NPY", "B_NPY", "RUN_JSON", "TRUE_T_CSV", "ESTIMATES_CSV",
@@ -244,28 +245,22 @@ def _read_blocks(src: Path, offsets: tuple[int, int], m: int, n: int):
                    _read_rows(fb, B_NPY, start, rows, n))
 
 
-def read_sidecar(in_dir) -> dict:
-    """The run.json sidecar of a run directory, with its keys checked
-    and n, m and seed integers."""
-    sidecar = json_typed(read_json(Path(in_dir) / RUN_JSON), dict, RUN_JSON)
+def open_run(in_dir) -> RunStream:
+    """The run in a directory written by write_run (format v2), as a
+    RunStream.  The sidecar (its keys, and n, m and seed integers),
+    true_T.csv and the header and size of each array are checked here;
+    blocks() checks each block's states for finiteness as it reads them.
+    Row i of true_T.csv must carry package i, and there must be m rows.
+    A run of an older format is refused with the command that regenerates
+    it: the simulation is determined by its run.json, so a rerun is
+    lossless."""
+    src = Path(in_dir)
+    sidecar = json_typed(read_json(src / RUN_JSON), dict, RUN_JSON)
     for key in ("format", "dist", "protocol", "n", "m", "seed"):
         if key not in sidecar:
             raise ValidationError(f"{RUN_JSON}: missing key {key!r}")
     for key in ("n", "m", "seed"):
         json_typed(sidecar[key], int, f"{RUN_JSON}: {key!r}")
-    return sidecar
-
-
-def open_run(in_dir) -> RunStream:
-    """The run in a directory written by write_run (format v2), as a
-    RunStream.  The sidecar, true_T.csv and the header and size of each
-    array are checked here; blocks() checks each block's states for
-    finiteness as it reads them.  Row i of true_T.csv must carry package
-    i, and there must be m rows.  A run of an older format is refused with
-    the command that regenerates it: the simulation is determined by its
-    run.json, so a rerun is lossless."""
-    src = Path(in_dir)
-    sidecar = read_sidecar(src)
     if sidecar["format"] != RUN_FORMAT_V2:
         raise ValidationError(f"{RUN_JSON}: unknown run format {sidecar['format']!r}; "
                               f"expected {RUN_FORMAT_V2!r}.  Regenerate the run with "
@@ -304,28 +299,6 @@ def write_estimates(est: Estimates, path) -> None:
     """One row per package: its index, the float columns, then k."""
     columns = zip(*(getattr(est, name).tolist() for name in Estimates.columns))
     write_table(path, _ESTIMATE_HEADER, ((i, *row, est.k) for i, row in enumerate(columns)))
-
-
-def read_estimates(path) -> Estimates:
-    """Rebuild the Estimates of write_estimates, refusing a row out of
-    order, a non-finite field or a k that differs from row 2's."""
-    rows = list(_csv_rows(path, _ESTIMATE_HEADER, path))
-    if not rows:
-        raise ValidationError(f"{path}: no estimate rows")
-    k = _field(rows[0][0], "k", rows[0][1][-1], int)
-    if k < 2:
-        raise ValidationError(f"{path} row 2: k must be >= 2")
-    for i, (row_no, row) in enumerate(rows):
-        index = _field(row_no, "package", row[0], int)
-        if index != i:
-            raise ValidationError(f"{path} row {row_no}: package index {index}, "
-                                  f"expected {i}")
-        k_row = _field(row_no, "k", row[-1], int)
-        if k_row != k:
-            raise ValidationError(f"{path} row {row_no}: k = {k_row}, but row 2 "
-                                  f"has k = {k}")
-    return Estimates(**{name: [_field(row_no, name, row[j]) for row_no, row in rows]
-                        for j, name in enumerate(Estimates.columns, start=1)}, k=k)
 
 
 def read_trace(path) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Command line front end: reproducibility, precedence, round trips."""
 
+import csv
 import hashlib
 import itertools
 import json
@@ -14,6 +15,7 @@ import numpy as np
 import pytest
 
 from fading_cvqkd import (
+    Estimates,
     ProtocolParams,
     Run,
     Uniform,
@@ -28,6 +30,7 @@ import fading_cvqkd
 from fading_cvqkd import channel, clustering
 from fading_cvqkd.channel import BLOCK_BYTES
 from fading_cvqkd.cli import build_parser, main
+from fading_cvqkd.estimation import disclosed_count
 from fading_cvqkd.storage import (
     B_NPY,
     ESTIMATES_CSV,
@@ -35,7 +38,6 @@ from fading_cvqkd.storage import (
     RUN_JSON,
     TRUE_T_CSV,
     jsonable,
-    read_estimates,
     read_json,
     read_run,
     write_json,
@@ -200,9 +202,13 @@ def test_estimate_matches_in_process_results(tmp_path):
 
     run = read_run(out)
     expected = estimate_run(run)
-    stored = read_estimates(out / ESTIMATES_CSV)
-    assert np.array_equal(stored.T_hat, expected.T_hat)
-    assert np.array_equal(stored.vN_hat, expected.vN_hat)
+    with open(out / ESTIMATES_CSV, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert list(rows[0]) == ["package", *Estimates.columns, "k"]
+    assert [(int(r["package"]), int(r["k"])) for r in rows] == \
+        [(i, expected.k) for i in range(run.m)]
+    for name in Estimates.columns:
+        assert np.array_equal([float(r[name]) for r in rows], getattr(expected, name))
 
     report = read_json(out / "estimate.json")
     stats = aggregate(expected, run.protocol)
@@ -248,7 +254,8 @@ def test_the_slope_residual_is_a_per_package_dot(tmp_path):
     out = tmp_path / "run"
     assert main(["simulate", "--out", str(out), "--n", "400", "--m", "20"]) == 0
     assert main(["estimate", str(out)]) == 0
-    run, k = read_run(out), read_estimates(out / ESTIMATES_CSV).k
+    run = read_run(out)
+    k = disclosed_count(run.n, run.protocol.r)
     expected = [float(np.dot(M[:k], B[:k]) / np.dot(M[:k], M[:k]) - root)
                 for M, B, root in zip(run.M, run.B, np.sqrt(run.true_T))]
     _, rows = _read_csv(out / "residuals.csv")
@@ -289,9 +296,9 @@ def test_keyrate_from_run_matches_composition(tmp_path):
     assert main(["keyrate", str(out)]) == 0
 
     report = read_json(out / "keyrate.json")
-    estimates = read_estimates(out / ESTIMATES_CSV)
-    protocol = read_run(out).protocol
-    stats = aggregate(estimates, protocol)
+    run = read_run(out)
+    protocol = run.protocol
+    stats = aggregate(estimate_run(run), protocol)
     wc = worst_case(stats, protocol)
     rep = key_rate(wc, 400 * 60, protocol)
     assert report["keyrate"]["K"] == pytest.approx(rep.K, rel=1e-15)
@@ -319,42 +326,73 @@ def test_simulate_over_an_estimated_run_leaves_no_stale_estimates(tmp_path):
     assert float(read_json(out / "keyrate.json")["keyrate"]["K"]) == 0.0
 
 
-def test_keyrate_refuses_estimates_of_another_run(tmp_path, capsys):
-    small, wide, run = tmp_path / "small", tmp_path / "wide", tmp_path / "run"
-    main(["simulate", "--out", str(small), "--n", "60", "--m", "10", "--seed", "1"])
-    main(["simulate", "--out", str(wide), "--n", "80", "--m", "12", "--seed", "1"])
-    main(["simulate", "--out", str(run)] + SIM)
-    for other, message in ((small, "has 10 rows but the run has 12 packages"),
-                           (wide, "has k = 8 but the run discloses k = 6")):
-        main(["estimate", str(other)])
-        (run / ESTIMATES_CSV).write_bytes((other / ESTIMATES_CSV).read_bytes())
-        capsys.readouterr()
-        assert main(["keyrate", str(run)]) == 2
-        assert message in capsys.readouterr().err
+def _estimates_of_another_run(n: int, m: int):
+    """An edit that overwrites estimates.csv with that of a run of n
+    states by m packages."""
+    def edit(path: Path) -> None:
+        other = path.parent.parent / f"other-{n}x{m}"
+        assert main(["simulate", "--out", str(other), "--n", str(n), "--m", str(m),
+                     "--seed", "1"]) == 0
+        assert main(["estimate", str(other)]) == 0
+        path.write_bytes((other / ESTIMATES_CSV).read_bytes())
+    return edit
 
 
-def test_keyrate_refuses_an_infinite_estimate(tmp_path, capsys):
-    """One vN_hat of -inf in estimates.csv once clamped the pooled noise
-    to 0 and turned K = 0 into K = 0.01188; now keyrate fails closed."""
-    cfg = tmp_path / "cfg.json"
-    write_json({"protocol": {"V": 5, "r": 0.3}}, cfg)
-    out = tmp_path / "run"
-    assert main(["simulate", "--config", str(cfg), "--n", "1000", "--m", "200",
-                 "--seed", "1", "--out", str(out)]) == 0
-    assert main(["estimate", str(out)]) == 0
-    assert main(["keyrate", str(out)]) == 0
-    assert float(read_json(out / "keyrate.json")["keyrate"]["K"]) == 0.0
-    lines = (out / ESTIMATES_CSV).read_text().splitlines()
+def _infinite_first_vN(path: Path) -> None:
+    lines = path.read_text().splitlines()
     parts = lines[1].split(",")
     parts[lines[0].split(",").index("vN_hat")] = "-inf"
     lines[1] = ",".join(parts)
-    (out / ESTIMATES_CSV).write_text("\n".join(lines) + "\n")
+    path.write_text("\n".join(lines) + "\n")
+
+
+# what keyrate DATA finds in estimates.csv: None when estimate never ran,
+# else the edit made to what estimate wrote
+ESTIMATES_TABLES = {
+    "absent": None,
+    "as-written": lambda path: None,
+    "of-60x10": _estimates_of_another_run(60, 10),
+    "of-80x12": _estimates_of_another_run(80, 12),
+    "infinite-vN": _infinite_first_vN,
+    "garbage": lambda path: path.write_bytes(bytes(range(256)) * 3),
+}
+
+
+@pytest.mark.parametrize("case", list(ESTIMATES_TABLES))
+def test_estimates_csv_cannot_move_the_key_rate(tmp_path, case):
+    """keyrate DATA rates the run's own states, so whatever estimates.csv
+    holds, keyrate.json is byte for byte that of a fresh simulate,
+    estimate and keyrate.  When keyrate read the table, it checked only
+    its shape, and a vN_hat of -inf once turned K = 0 into K = 0.01188."""
+    fresh, run = tmp_path / "fresh", tmp_path / "run"
+    for argv in (["simulate", "--out", str(fresh)] + SIM, ["estimate", str(fresh)],
+                 ["keyrate", str(fresh)]):
+        assert main(argv) == 0
+    assert main(["simulate", "--out", str(run)] + SIM) == 0
+    edit = ESTIMATES_TABLES[case]
+    if edit is not None:
+        assert main(["estimate", str(run)]) == 0
+        edit(run / ESTIMATES_CSV)
+    assert main(["keyrate", str(run)]) == 0
+    assert _digest(run / "keyrate.json") == _digest(fresh / "keyrate.json")
+
+
+def test_keyrate_refuses_a_non_finite_state_past_the_disclosed_ones(tmp_path, capsys):
+    """A NaN written into M.npy's states after estimate ran, at a state
+    past the k = 6 disclosed ones: keyrate DATA reads every state of the
+    run, so it exits 2 naming the state and writes no keyrate.json,
+    although estimates.csv still holds finite estimates."""
+    run = tmp_path / "run"
+    assert main(["simulate", "--out", str(run)] + SIM) == 0
+    assert main(["estimate", str(run)]) == 0
+    states = np.load(run / M_NPY, mmap_mode="r+")
+    states[7, 40] = math.nan
+    states.flush()
+    del states
     capsys.readouterr()
-    assert main(["keyrate", str(out)]) == 2
-    captured = capsys.readouterr()
-    assert "vN_hat is not finite" in captured.err
-    assert " K " not in captured.out
-    assert float(read_json(out / "keyrate.json")["keyrate"]["K"]) == 0.0
+    assert main(["keyrate", str(run)]) == 2
+    assert f"{M_NPY}: non-finite value nan at package 7, state 40" in capsys.readouterr().err
+    assert not (run / "keyrate.json").exists()
 
 
 @pytest.mark.parametrize("command, message", [
