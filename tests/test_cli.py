@@ -901,6 +901,28 @@ def test_pooled_figures_are_pinned(tmp_path, figure):
     assert _digest(out / f"{figure}.csv") == POOLED_CSV_SHA256[figure]
 
 
+# sha256 of the default clustered outputs with numpy 2.4 and scipy 1.17, as
+# one interval table per (r, V, Q) scored in row blocks of levels wrote them;
+# plan.json holds every pass's intervals, skipped and pruned records
+CLUSTERED_SHA256 = {
+    ("reproduce", "fig8"): {
+        "fig8.csv": "217cb365a5e7d9ce5953d5605f09c1660f3ebe989eb4b3967fab665925ee90f2",
+        "fig8.json": "8d9580fae6e9217141cd9f38b8e0f065cae72a26a2275ce829bdf85e4714129e"},
+    ("reproduce", "fig9"): {
+        "fig9.csv": "a93912fffa46449b996af5018bbd54bffdb6c6b3309482da48be9ce2c292dc95"},
+    ("optimize", "--clusters", "2"): {
+        "plan.json": "7f32a06d4793553a8566c1994d1b8d2dac42b74e65e2db1394380b975e8f5adb"},
+}
+
+
+@pytest.mark.parametrize("command", list(CLUSTERED_SHA256),
+                         ids=["fig8", "fig9", "optimize-2"])
+def test_clustered_outputs_are_pinned(tmp_path, command):
+    assert main([*command, "--out", str(tmp_path)]) == 0
+    assert {name: _digest(tmp_path / name)
+            for name in CLUSTERED_SHA256[command]} == CLUSTERED_SHA256[command]
+
+
 DESK_LADDER = [10, 25, 63, 158, 398, 1000]
 PAPER_LADDER = [10, 40, 158, 631, 2512, 10000]
 

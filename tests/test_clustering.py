@@ -504,8 +504,10 @@ def test_vector_quantiles_match_brentq(dist, r, V):
     """At the corners of the (r, V) grid and inside it the level vector
     solved at once matches one tight brentq solve per level of the same
     marginal CDF."""
-    ev = _evaluator(dist, r, V)
-    Q = 64
+    _assert_quantiles_match_brentq(_evaluator(dist, r, V), 64)
+
+
+def _assert_quantiles_match_brentq(ev, Q):
     t = ev._solve(Q)[0][1:-1]
     lo = float(np.min(ev.s - 9.0 * ev.sigma))
     hi = float(np.max(ev.s + 9.0 * ev.sigma))
@@ -576,6 +578,23 @@ def test_quantile_solve_ends_in_three_newton_passes(dist, r, V, Q):
     assert passes[0] == Q // 2 + 1 and len(passes) <= 4
 
 
+@pytest.mark.parametrize("zeros", [160, 320], ids=["10%", "20%"])
+def test_a_trace_with_dropouts_to_zero_is_searched(zeros):
+    """The 1,600-sample trace with its first 10% or 20% of samples set to
+    T = 0: the node at 0 puts a step into the estimate marginal, where
+    Newton and the bracket's secant took turns landing near either end.
+    Before the Illinois rule 10 and 14 of the 144 grid points ran out of
+    quantile steps at Q = 64, and every count raised NumericalError.  Now
+    each count finds a plan, and at (0.26, 50), a point that failed in
+    both, every level matches brentq."""
+    samples = LogNegativeWeibull(1.47, 0.6).sample(11, 1600)
+    samples[:zeros] = 0.0
+    dist = Empirical(samples)
+    rates = [res.plan.total_rate for res in optimize_each(dist, (1, 2, 3), 1000, 1000, P)]
+    assert rates[0] > 0.0 and rates == sorted(rates)
+    _assert_quantiles_match_brentq(_evaluator(dist, clustering._R_GRID[8], 50.0), 64)
+
+
 @pytest.mark.parametrize("dist", [*FOUR_LAWS, TRACE_LAW],
                          ids=["uniform", "tnorm", "lnw", "empirical", "empirical-1600"])
 @pytest.mark.parametrize("r, V", GRID_CORNERS)
@@ -626,6 +645,66 @@ def test_interval_table_matches_reports(m, block, monkeypatch):
                 assert rep.cond_moments is not None
                 assert rate[a, b] / mass == pytest.approx(rep.K_c, rel=1e-12)
     assert 0 < masked < 16 * 17 // 2
+
+
+def _row_block_table(ev, Q):
+    """The interval table built as it once was: a block of rows of a at a
+    time (about _BLOCK intervals), its pairs from np.triu and np.nonzero
+    on the block's feasibility mask and its sums gathered as G[b] - G[a]."""
+    edges, G = ev._solve(Q)
+    cdf = G[:, 0]
+    rate = np.full((Q + 1, Q + 1), -math.inf)
+    rows = max(1, clustering._BLOCK // (Q + 1))
+    for a0 in range(0, Q, rows):
+        mass = cdf - cdf[a0:a0 + rows, None]
+        a, b = np.nonzero(np.triu(~clustering._too_small(mass, ev.m), a0 + 1))
+        a += a0
+        sums = G[b] - G[a]
+        rate[a, b] = sums[:, 0] * clustering._rate(sums[:, 0], sums[:, 1:].T, ev.k, ev.m,
+                                                   ev.n, ev.protocol)[2]
+    return edges, cdf, rate
+
+
+def _column_chains(table, counts):
+    """_chains as it once ran, each stage reducing along axis 0 of the
+    table, over the levels a chain's last interval starts at."""
+    edges, cdf, rate = table
+    levels = np.arange(rate.shape[0])
+    total, first, back, chains = np.zeros(levels.size), levels, [], {}
+    for c in range(1, max(counts) + 1):
+        cand = total[:, None] + rate
+        total = cand.max(axis=0)
+        prev = np.argmin(np.where(cand == total, first[:, None], levels.size), axis=0)
+        first = first[prev]
+        back.append(prev)
+        if c in counts and total.max() > -math.inf:
+            chain = [int(np.argmax(np.where(total == total.max(), cdf - cdf[first],
+                                            -math.inf)))]
+            for step in reversed(back):
+                chain.append(int(step[chain[-1]]))
+            chains[c] = tuple(float(edges[lv]) for lv in reversed(chain))
+    return chains
+
+
+@pytest.mark.parametrize("block", [None, 20], ids=["blocks", "20-interval-blocks"])
+@pytest.mark.parametrize("Q", [16, 64, 256])
+@pytest.mark.parametrize("r, V", [*GRID_CORNERS, (0.26, 5.0)])
+@pytest.mark.parametrize("dist", [*FOUR_LAWS, TRACE_LAW],
+                         ids=["uniform", "tnorm", "lnw", "empirical", "empirical-1600"])
+def test_interval_table_is_bit_for_bit_the_row_block_table(dist, r, V, Q, block, monkeypatch):
+    """The table scored off one triangle of level pairs, in blocks of
+    _BLOCK feasible intervals, holds every bit of the table built a block
+    of rows at a time, and the dynamic program along the rows of its
+    transpose picks every chain the program along its columns picked.  At
+    the grid's corners most rates are 0, so it runs at (0.26, 5) too."""
+    if block is not None:
+        monkeypatch.setattr(clustering, "_BLOCK", block)
+    ev = _evaluator(dist, r, V)
+    table = ev.table(Q)
+    assert all(np.array_equal(x, y) for x, y in zip(table, _row_block_table(ev, Q)))
+    chains = clustering._chains(table, (1, 2, 3))
+    assert {C: chain for C, chain in chains.items()
+            if not isinstance(chain, Exception)} == _column_chains(table, (1, 2, 3))
 
 
 def _brute_force(ev, edges, C, min_mass):
