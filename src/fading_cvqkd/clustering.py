@@ -526,28 +526,25 @@ class _Evaluator:
         side = np.zeros(q.size, dtype=int)          # -1 below the root, +1 above
         weight = np.ones(q.size)
         by_secant = np.zeros(q.size, dtype=bool)    # how each next point was found
-        damped = False                              # whether any weight fell below 1
         for _ in range(_NEWTON_STEPS):
             tl = t[live]
             G, slope = self._cdf_pdf(tl)
             gap = G[:, 0] - q[live]
             below, above = gap < 0.0, gap > 0.0
             fresh = by_secant[live]
-            if fresh.any():
-                landed = np.where(below, -1, 1)
-                repeat = fresh & (landed == side[live])
-                weight[live] = np.where(repeat, 0.5 * weight[live],
-                                        np.where(fresh, 1.0, weight[live]))
-                side[live] = np.where(fresh, landed, side[live])
-                damped = damped or bool(repeat.any())
+            landed = np.where(below, -1, 1)
+            repeat = fresh & (landed == side[live])
+            weight[live] = np.where(repeat, 0.5 * weight[live],
+                                    np.where(fresh, 1.0, weight[live]))
+            side[live] = np.where(fresh, landed, side[live])
             lo[live] = np.where(below, tl, lo[live])
             f_lo[live] = np.where(below, gap, f_lo[live])
             hi[live] = np.where(above, tl, hi[live])
             f_hi[live] = np.where(above, gap, f_hi[live])
-            a, b, fa, fb = lo[live], hi[live], f_lo[live], f_hi[live]
-            if damped:
-                w, sd = weight[live], side[live]
-                fa, fb = fa * np.where(sd > 0, w, 1.0), fb * np.where(sd < 0, w, 1.0)
+            a, b = lo[live], hi[live]
+            w, sd = weight[live], side[live]
+            fa = f_lo[live] * np.where(sd > 0, w, 1.0)
+            fb = f_hi[live] * np.where(sd < 0, w, 1.0)
             with np.errstate(divide="ignore", invalid="ignore"):
                 step = tl - gap / slope
             secant = np.clip(a - fa * (b - a) / (fb - fa), a, b)

@@ -686,8 +686,11 @@ def _column_chains(table, counts):
     return chains
 
 
-@pytest.mark.parametrize("block", [None, 20], ids=["blocks", "20-interval-blocks"])
-@pytest.mark.parametrize("Q", [16, 64, 256])
+# blocks of 20 intervals cut the triangle's first rows and leave a partial
+# last block at Q = 16 and 64 already; at Q = 256 only the default runs
+@pytest.mark.parametrize("Q, block", [(16, None), (16, 20), (64, None), (64, 20), (256, None)],
+                         ids=["16-blocks", "16-20-interval-blocks", "64-blocks",
+                              "64-20-interval-blocks", "256-blocks"])
 @pytest.mark.parametrize("r, V", [*GRID_CORNERS, (0.26, 5.0)])
 @pytest.mark.parametrize("dist", [*FOUR_LAWS, TRACE_LAW],
                          ids=["uniform", "tnorm", "lnw", "empirical", "empirical-1600"])
