@@ -91,7 +91,12 @@ of its points in one array call, each still its own dot product; a point
 that the protocol refuses keeps +inf.  The search visits the points best
 ceiling first, and a count C >= 1 skips the table of a point whose
 ceiling lies below its incumbent rate, recording it as pruned; the plan
-found stays the same, since a pruned point could only have lost.
+found stays the same, since a pruned point could only have lost.  After
+the table, a count whose best dynamic-program total, widened by
+_PRUNE_MARGIN, lies below its incumbent rate is neither traced back nor
+rescored, unless some feasible interval of the table sits at the edge of
+_too_small's floor, where the float rescore may refuse what the table
+admitted.
 """
 
 from __future__ import annotations
@@ -150,6 +155,12 @@ _LEVELS = 64
 # so that level 1/2 fell where the marginal is all but flat
 _XTOL = 1e-12
 _NEWTON_STEPS = 60
+# the relative and absolute margin of the post-table prune (_outranked): on
+# the grid (four laws and a 1,600-sample trace, n = m = 1000 and 400) a
+# chain's float rescore lay within 3.9e-10 relative and 2.5e-12 absolute
+# of its table total, too close to the ceiling prune's 1e-9;
+# test_prune_margin_holds_the_rescore_gap keeps that gap 100 times inside
+_PRUNE_MARGIN = (1e-6, 1e-9)
 # elements per temporary (rows x nodes) array of the mixture sums, and
 # intervals per _rate call of an interval table
 _BLOCK = 1 << 13
@@ -193,10 +204,12 @@ class ClusterPlan:
 @dataclass(frozen=True)
 class SearchPass:
     """One pass of the (r, V) search at Q boundary levels: the points
-    tried, the intervals scored, each skipped point as a dict with its
+    tried, the intervals asked for (each table's entries and each chain's
+    intervals, rescored or not), each skipped point as a dict with its
     r, V and the error (type name and message) that ruled it out, and
     each pruned point as a dict with its r, V and the rate_ceiling below
-    the incumbent rate that ruled it out; both in (r, V) order."""
+    the incumbent rate that ruled it out; both in (r, V) order.  A count
+    outranked after its table (see _clustered) records no point."""
 
     Q: int
     points: int
@@ -222,8 +235,9 @@ class OptimizeResult:
 
     @property
     def evaluations(self) -> int:
-        """The intervals scored: those of every pass (table entries and
-        rescored plans) and the final plan's one report per cluster."""
+        """The intervals asked for: those of every pass (each table's
+        entries and each count's chain, rescored or not) and the final
+        plan's one report per cluster."""
         return sum(p.intervals for p in self.search) + len(self.plan.per_cluster)
 
 
@@ -604,16 +618,30 @@ def _triangle(Q: int) -> tuple[np.ndarray, np.ndarray]:
     return pairs
 
 
-def _chains(table: tuple[np.ndarray, np.ndarray, np.ndarray],
-            counts: Sequence[int]) -> dict[int, tuple[float, ...] | ClusterTooSmallError]:
+def _totals(rate: np.ndarray, top: int) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The totals sweep of the dynamic program over an interval table's
+    rate: the table transposed (row b holds the intervals that end at
+    level b, so that every stage reduces along contiguous rows) and, for
+    c = 0..top, the best total rate of c chained intervals ending at each
+    level (-inf where no chain has every interval feasible)."""
+    ends = np.ascontiguousarray(rate.T)     # ends[b, a] = rate[a, b]
+    totals = [np.zeros(ends.shape[0])]
+    for _ in range(top):
+        totals.append((ends + totals[-1]).max(axis=1))
+    return ends, totals
+
+
+def _chains(table: tuple[np.ndarray, np.ndarray, np.ndarray], counts: Sequence[int],
+            swept: tuple[np.ndarray, list[np.ndarray]] | None = None,
+            ) -> dict[int, tuple[float, ...] | ClusterTooSmallError]:
     """For each count C in counts, the edges at the levels l_0 < ... < l_C
     of the C chained intervals (l_i, l_i+1) of highest total rate, by one
     dynamic program over the interval table (edges, cdf, rate); the outer
     levels are free, so the tails may be trimmed.  Stage c of the program
     is the whole program for c intervals, so it runs to max(counts) and
-    reads each count's chain off at its own stage.  It reads the table
-    transposed, row b holding the intervals that end at level b, so that
-    every stage reduces along contiguous rows.
+    reads each count's chain off at its own stage.  swept is the table's
+    totals sweep (_totals) to at least that stage, if it has been made;
+    this trace-back repeats each stage's sums to break its ties.
 
     Plans compare on (rate, kept mass), and the kept mass of a chain is
     cdf[l_C] - cdf[l_0].  For each end level the program keeps the chain of
@@ -623,15 +651,14 @@ def _chains(table: tuple[np.ndarray, np.ndarray, np.ndarray],
     every interval feasible gets a ClusterTooSmallError instead.
     """
     edges, cdf, rate = table
-    ends = np.ascontiguousarray(rate.T)     # ends[b, a] = rate[a, b]
+    ends, totals = swept or _totals(rate, max(counts))
     levels = np.arange(ends.shape[0])
-    total = np.zeros(levels.size)   # best rate of the chains ending at each level
-    first = levels                  # and the first level of that chain
+    first = levels      # the first level of the best chain ending at each level
     back = []
     chains = {}
     for c in range(1, max(counts) + 1):
-        cand = ends + total
-        total = cand.max(axis=1)
+        cand = ends + totals[c - 1]
+        total = totals[c]
         prev = np.argmin(np.where(cand == total[:, None], first, levels.size), axis=1)
         first = first[prev]
         back.append(prev)
@@ -803,7 +830,9 @@ def optimize(dist: TransmittanceDistribution, C: int, n: int, m: int,
     point, however many counts ask for it), and points compare on those
     numbers by the key (-rate, -kept mass, r, V, edges); a point whose
     rate_ceiling (one array call per pass) lies below the best rate
-    found so far builds no table (see _clustered), which changes no
+    found so far builds no table, and a count whose best table total
+    lies below it by more than _PRUNE_MARGIN has its chain neither
+    traced back nor rescored (see _clustered); neither prune changes a
     result.  C = 0 scores the pooled (single all-inclusive cluster) plan
     at all the points of a pass in one array evaluation (_pooled), with
     no table, and rescores the chosen plan through report.  The bounds
@@ -1004,6 +1033,46 @@ def _fold(best: tuple | None, keys: list) -> tuple | None:
     return key if key is not None and (best is None or key < best) else best
 
 
+def _outranked(total: float, incumbent: tuple | None) -> bool:
+    """Whether a count whose best chain at a point has the dynamic-program
+    total `total` cannot beat its incumbent key (-rate, ...): the total,
+    widened by _PRUNE_MARGIN, lies below the incumbent's rescored rate.
+    No count is outranked by a zero rate, nor where no chain is feasible
+    (total -inf): its point is then recorded as skipped."""
+    rel, floor = _PRUNE_MARGIN
+    return (incumbent is not None and total > -math.inf
+            and total * (1.0 + rel) + floor < -incumbent[0])
+
+
+def _near_floor(cdf: np.ndarray, m: int) -> bool:
+    """Whether a feasible interval between the Q + 1 edges of a table with
+    this cdf holds a mass within a relative 1e-9 of _too_small's floor.
+    The float rescore takes such a mass afresh and may find it below the
+    floor, refusing a chain that the table admitted (one of exactly 2
+    expected packages, say); at a point with such an interval no count is
+    outranked, so that each refusal is recorded as it was found."""
+    a, b = _triangle(cdf.size - 1)
+    mass = cdf[b] - cdf[a]
+    return bool(np.any(~_too_small(mass, m) & _too_small(mass * (1.0 - 1e-9), m)))
+
+
+def _chains_at(ev: _Evaluator, Q: int, counts: list[int],
+               incumbent: dict[int, tuple | None]) -> tuple[dict, list[int]]:
+    """The chains (_chains) of the counts at ev's point from its table at
+    Q levels, and the counts outranked there, which get none: none is
+    outranked where a feasible interval lies at the edge of the floor
+    (_near_floor), and none is traced back where every one is.  The table
+    and its sweep are freed on return, before the next point builds its
+    own."""
+    table = ev.table(Q)
+    swept = _totals(table[2], max(counts))
+    lost = [C for C in counts if _outranked(swept[1][C].max(), incumbent[C])]
+    if lost and _near_floor(table[1], ev.m):
+        lost = []
+    rest = [C for C in counts if C not in lost]
+    return (_chains(table, rest, swept) if rest else {}), lost
+
+
 def _clustered(rule: _Rule, protocol: ProtocolParams, wanted: dict[int, set],
                best: dict[int, tuple | None], n: int, m: int,
                Q: int) -> dict[int, tuple[list, list, int, list]]:
@@ -1016,12 +1085,15 @@ def _clustered(rule: _Rule, protocol: ProtocolParams, wanted: dict[int, set],
     its own points in the same order as alone.  A count prunes a point
     whose ceiling lies below its incumbent rate; a point that some count
     still wants builds one evaluator, one interval table and one dynamic
-    program (_chains), which those counts share, and the evaluator scores
-    each interval of their rescored plans once.  Each count records the
-    intervals its own search scored (a shared report counts for each
-    count that asked for it).  The key is a minimum over the points and a
-    pruned point's rate lies strictly below it, so neither the order nor
-    the pruning changes the plan, r or V that a count finds."""
+    program (_chains_at), which those counts share; a count outranked
+    there (_outranked) gets no chain, key or record, and the evaluator
+    scores each interval of the others' rescored plans once.  Each count
+    records the intervals its own search asked for: the table's entries
+    and its chain's intervals, rescored or not (a shared report counts
+    for each count that asked for it).  The key is a minimum over the
+    points, and the rate of a point pruned or outranked lies strictly
+    below it, so neither the order nor either prune changes the plan, r
+    or V that a count finds, nor any record."""
     incumbent = dict(best)
     keys, skipped, pruned = ({C: [] for C in wanted} for _ in range(3))
     intervals = dict.fromkeys(wanted, 0)
@@ -1045,14 +1117,19 @@ def _clustered(rule: _Rule, protocol: ProtocolParams, wanted: dict[int, set],
                 skipped[C].append(_refusal(r, V, exc))
             continue
         try:
-            chains = _chains(ev.table(Q), here)
+            chains, lost = _chains_at(ev, Q, here, incumbent)
         except _SKIPPED as exc:
-            chains = dict.fromkeys(here, exc)
+            chains, lost = dict.fromkeys(here, exc), []
         tabled = ev.evaluations
         for C in here:
-            # C's record: the table's entries and its rescored plan's
-            # reports, each counted even where ev scored it for another count
+            # C's record: the table's entries and its chain's intervals,
+            # each counted even where ev scored it for another count and
+            # where C was outranked, so that its chain was neither traced
+            # back nor rescored
             ev.evaluations = tabled
+            if C in lost:
+                intervals[C] += tabled + C
+                continue
             try:
                 plan = _rescore(ev, _raised(chains[C]))
             except _SKIPPED as exc:
@@ -1131,8 +1208,9 @@ def optimize_each(dist: TransmittanceDistribution, clusters: Sequence[int], n: i
     the order given, from one search over the jobs (C, m) on one
     quadrature rule (_search): C = 0 is scored as in optimize_pooled, and
     the counts C >= 1 share one best-first pass per pass of the search,
-    which prunes by rate_ceiling and builds one interval table per point
-    for them all.  Each result equals optimize's for that count alone,
+    which prunes by rate_ceiling before a point's table and by the
+    table's totals after it, and builds one interval table per point for
+    them all.  Each result equals optimize's for that count alone,
     field for field, and the first count with no feasible grid point
     raises optimize's ParameterError for it.
     """

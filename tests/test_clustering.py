@@ -1203,6 +1203,73 @@ def test_no_plan_beats_the_ceiling(name, size):
                 assert rep.K_c <= (1.0 - r) * known * (1.0 + 1e-12), (r, V, C)
 
 
+# the post-table prune: at n = m = 1000 it outranks most counts and no
+# table reaches the floor guard; at the other sizes an interval of 4, 2 or
+# 1 of the 64 levels holds exactly 2 expected packages, where the float
+# rescore may refuse what the table admitted, and the guard keeps the counts
+POST_TABLE_CASES = [(name, 1000, 1000, (0, 1, 2, 3)) for name in CEILING_LAWS] + [
+    (name, n, m, (1, 2, 3)) for name in ("uniform", "tnorm")
+    for n, m in ((100_000, 32), (100_000, 64), (10_000, 128))]
+
+
+@pytest.mark.parametrize("name, n, m, counts", POST_TABLE_CASES)
+def test_post_table_prune_changes_no_result(name, n, m, counts, monkeypatch):
+    """With no count ever outranked after its table, every count's result
+    is the same field for field, the search records (intervals, skipped
+    and pruned points) included."""
+    guarded, near_floor = [], clustering._near_floor
+
+    def watched(cdf, m):
+        guarded.append(near_floor(cdf, m))
+        return guarded[-1]
+
+    monkeypatch.setattr(clustering, "_near_floor", watched)
+    pruned = optimize_each(CEILING_LAWS[name], counts, n, m, P)
+    assert guarded and any(guarded) == (m != 1000)
+    monkeypatch.setattr(clustering, "_outranked", lambda total, incumbent: False)
+    full = optimize_each(CEILING_LAWS[name], counts, n, m, P)
+    for C, res, ref in zip(counts, pruned, full):
+        for f in fields(clustering.OptimizeResult):
+            assert getattr(res, f.name) == getattr(ref, f.name), (C, f.name)
+
+
+def test_post_table_prune_rescores_few_chains(monkeypatch):
+    """The default fig9 search (Uniform(0, 1), C = 0..3, n = m = 1000)
+    rescored 372 chains without the post-table prune; with it, 90."""
+    rescored, rescore = [], clustering._rescore
+
+    def counted(ev, edges):
+        rescored.append(edges)
+        return rescore(ev, edges)
+
+    monkeypatch.setattr(clustering, "_rescore", counted)
+    optimize_each(UNI, (0, 1, 2, 3), 1000, 1000, P)
+    assert len(rescored) <= 120
+
+
+@pytest.mark.parametrize("size", [1000, 400])
+@pytest.mark.parametrize("name", list(CEILING_LAWS))
+def test_prune_margin_holds_the_rescore_gap(name, size):
+    """At every grid point, for C = 1..3, the float rescore of the best
+    chain lies within a hundredth of _PRUNE_MARGIN of the dynamic
+    program's best total, relative and absolute, so that a count the
+    margin outranks could not have beaten its incumbent."""
+    rel, floor = clustering._PRUNE_MARGIN
+    checked = 0
+    for r, V in itertools.product(clustering._R_GRID, clustering._V_GRID):
+        ev = _evaluator(CEILING_LAWS[name], r, V, n=size, m=size)
+        table = ev.table(clustering._LEVELS)
+        swept = clustering._totals(table[2], 3)
+        for C, chain in clustering._chains(table, (1, 2, 3), swept).items():
+            if isinstance(chain, Exception):
+                continue
+            total = float(swept[1][C].max())
+            gap = abs(ev.plan(chain).total_rate - total)
+            assert gap <= (rel * abs(total) + floor) / 100.0, (r, V, C, total, gap)
+            checked += 1
+    assert checked > 3 * 100
+
+
 # the grid points refused at V_S = 1 and at V_S = 0.5: at n = 100 the 12
 # points at r = 0.01 disclose one state, and at V_S = 0.5 the 12 at V = 0.5
 # send no signal; at n = 4, m = 2 the 9 lowest r disclose under 2 states,
