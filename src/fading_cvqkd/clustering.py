@@ -73,9 +73,9 @@ the same as optimize gives for it alone.  The table does not depend on
 C, so in each pass the jobs C >= 1 of one m share each point's table.
 Nor does the dynamic program: its stage c is the whole program for c
 intervals, so one program runs to the largest count and reads each
-count's chain off at its stage.  An evaluator scores an interval once
-and hands the same report to every count whose plan holds it.  The
-pooled plan (C = 0, one cluster with edges -inf and +inf) needs no
+count's chain off at its stage.  Each count's chain is rescored on its
+own, and each count records the intervals its search alone asks for.
+The pooled plan (C = 0, one cluster with edges -inf and +inf) needs no
 table, and its mass and five of its eight column sums are the same at
 every (r, V) point and every m; the other three, the noise sums, depend
 on (V, k) alone.  So each pass scores the points of every job (0, m) in
@@ -204,12 +204,13 @@ class ClusterPlan:
 @dataclass(frozen=True)
 class SearchPass:
     """One pass of the (r, V) search at Q boundary levels: the points
-    tried, the intervals asked for (each table's entries and each chain's
-    intervals, rescored or not), each skipped point as a dict with its
-    r, V and the error (type name and message) that ruled it out, and
-    each pruned point as a dict with its r, V and the rate_ceiling below
-    the incumbent rate that ruled it out; both in (r, V) order.  A count
-    outranked after its table (see _clustered) records no point."""
+    tried, the intervals the count's search asked for (each table's
+    entries and each chain's intervals, rescored or not; see
+    _clustered), each skipped point as a dict with its r, V and the
+    error (type name and message) that ruled it out, and each pruned
+    point as a dict with its r, V and the rate_ceiling below the
+    incumbent rate that ruled it out; both in (r, V) order.  A count
+    outranked after its table records no point."""
 
     Q: int
     points: int
@@ -264,11 +265,9 @@ def ndtri(p):
 
 
 def _membership(s: np.ndarray, sigma: np.ndarray, lo: float, hi: float):
-    """P(lo <= T_hat < hi) for T_hat ~ N(s, sigma^2); an infinite edge
-    keeps its whole tail (two infinite edges give the scalar 1.0)."""
-    upper = ndtr((hi - s) / sigma) if math.isfinite(hi) else 1.0
-    lower = ndtr((lo - s) / sigma) if math.isfinite(lo) else 0.0
-    return upper - lower
+    """P(lo <= T_hat < hi) for T_hat ~ N(s, sigma^2), sigma > 0; an
+    infinite edge keeps its whole tail, ndtr(+-inf) being exactly 1 and 0."""
+    return ndtr((hi - s) / sigma) - ndtr((lo - s) / sigma)
 
 
 class _Rule(NamedTuple):
@@ -399,9 +398,10 @@ class _Evaluator:
     """Node arrays for one (rule, protocol, m, n) configuration, with k =
     disclosed_count(n, protocol.r) disclosed states per package; the rule
     is shared read-only.  report scores one interval, table every
-    interval between Q levels at once; evaluations counts the intervals
-    either has been asked for, and reports keeps each interval's report,
-    so that report scores it once.
+    interval between Q levels at once.  An evaluator keeps no record of
+    what it scored: its only state past the node arrays is the lazy
+    pdf_w and kernel_w, so each answer is a function of (rule, protocol,
+    m, n) and the interval or Q asked for.
 
     The kernel (cluster membership) treats T_hat as Gaussian around the
     true value; the within-cluster spread of the aggregation columns
@@ -423,8 +423,6 @@ class _Evaluator:
         # the node columns whose cluster means the statistics need, in the
         # order _stats unpacks them
         self.columns = (*self.powers, v_u, v_w, c_uw, vN)
-        self.evaluations = 0
-        self.reports: dict[tuple[float, float], ClusterReport] = {}
 
     @cached_property
     def pdf_w(self) -> np.ndarray:
@@ -438,16 +436,8 @@ class _Evaluator:
         return self.fw[:, None] * np.column_stack((np.ones_like(self.s), *self.columns))
 
     def report(self, t_lo: float, t_hi: float) -> ClusterReport:
-        """The interval's report, scored once: a later call for the same
-        interval (another count's plan at this point) gets the same frozen
-        report, and each call still counts in evaluations."""
-        self.evaluations += 1
+        """The report of the cluster [t_lo, t_hi)."""
         interval = (t_lo, t_hi)
-        if interval not in self.reports:
-            self.reports[interval] = self._score(interval)
-        return self.reports[interval]
-
-    def _score(self, interval: tuple[float, float]) -> ClusterReport:
         wgt = _membership(self.s, self.sigma, *interval) * self.fw
         mass = float(np.sum(wgt))
         if _too_small(mass, self.m):
@@ -596,7 +586,6 @@ class _Evaluator:
         cdf = G[:, 0]
         rate = np.full((Q + 1, Q + 1), -math.inf)
         a, b = _triangle(Q)
-        self.evaluations += a.size
         keep = ~_too_small(cdf[b] - cdf[a], self.m)
         a, b = a[keep], b[keep]
         for i in range(0, a.size, _BLOCK):
@@ -826,8 +815,7 @@ def optimize(dist: TransmittanceDistribution, C: int, n: int, m: int,
     point an interval table scores every interval between two levels
     and a dynamic program picks the best C chained intervals, outer
     edges free (see _chains); the winning edges are then rescored
-    through the single-interval reports (each interval scored once per
-    point, however many counts ask for it), and points compare on those
+    through the single-interval reports, and points compare on those
     numbers by the key (-rate, -kept mass, r, V, edges); a point whose
     rate_ceiling (one array call per pass) lies below the best rate
     found so far builds no table, and a count whose best table total
@@ -1000,14 +988,12 @@ def _pooled(rule: _Rule, protocol: ProtocolParams, wanted: dict[int, set],
 def _ceilings(rule: _Rule, protocol: ProtocolParams, points, n: int, m: int) -> dict:
     """rate_ceiling at each (r, V) point of a pass, +inf (nothing pruned)
     where _admitted refuses it; the point's own scoring then records why.
-    The points that _admitted takes go into one call on columns, and a
-    scalar result (a stand-in for rate_ceiling) holds at each of them."""
+    The points that _admitted takes go into one call on columns."""
     ceiling = dict.fromkeys(points, math.inf)
     taken = list(_admitted(points, n, m, protocol)[0])
     if taken:
         columns = (np.array(x)[:, None] for x in zip(*taken))
-        ceiling.update(zip(taken, np.broadcast_to(
-            rate_ceiling(rule, _at(protocol, *columns), n, m), len(taken)).tolist()))
+        ceiling.update(zip(taken, rate_ceiling(rule, _at(protocol, *columns), n, m).tolist()))
     return ceiling
 
 
@@ -1057,9 +1043,10 @@ def _near_floor(cdf: np.ndarray, m: int) -> bool:
 
 
 def _chains_at(ev: _Evaluator, Q: int, counts: list[int],
-               incumbent: dict[int, tuple | None]) -> tuple[dict, list[int]]:
-    """The chains (_chains) of the counts at ev's point from its table at
-    Q levels, and the counts outranked there, which get none: none is
+               incumbent: dict[int, tuple | None],
+               ) -> dict[int, tuple[float, ...] | Exception | None]:
+    """Each count's entry at ev's point from its table at Q levels: its
+    chain (_chains), or None where it is outranked there.  None is
     outranked where a feasible interval lies at the edge of the floor
     (_near_floor), and none is traced back where every one is.  The table
     and its sweep are freed on return, before the next point builds its
@@ -1070,7 +1057,8 @@ def _chains_at(ev: _Evaluator, Q: int, counts: list[int],
     if lost and _near_floor(table[1], ev.m):
         lost = []
     rest = [C for C in counts if C not in lost]
-    return (_chains(table, rest, swept) if rest else {}), lost
+    chains = _chains(table, rest, swept) if rest else {}
+    return {C: chains.get(C) for C in counts}
 
 
 def _clustered(rule: _Rule, protocol: ProtocolParams, wanted: dict[int, set],
@@ -1086,14 +1074,15 @@ def _clustered(rule: _Rule, protocol: ProtocolParams, wanted: dict[int, set],
     whose ceiling lies below its incumbent rate; a point that some count
     still wants builds one evaluator, one interval table and one dynamic
     program (_chains_at), which those counts share; a count outranked
-    there (_outranked) gets no chain, key or record, and the evaluator
-    scores each interval of the others' rescored plans once.  Each count
-    records the intervals its own search asked for: the table's entries
-    and its chain's intervals, rescored or not (a shared report counts
-    for each count that asked for it).  The key is a minimum over the
-    points, and the rate of a point pruned or outranked lies strictly
-    below it, so neither the order nor either prune changes the plan, r
-    or V that a count finds, nor any record."""
+    there (_outranked) gets no chain, key or record, and each other
+    count's chain is rescored on its own.  Each count records the
+    intervals its search alone asks for: the Q(Q + 1)/2 entries of each
+    table it asked for, even one that raised, and the C intervals of its
+    chain at each point where it was outranked or a chain was found,
+    rescored or not.  The key is a minimum over the points, and the rate
+    of a point pruned or outranked lies strictly below it, so neither
+    the order nor either prune changes the plan, r or V that a count
+    finds, nor any record."""
     incumbent = dict(best)
     keys, skipped, pruned = ({C: [] for C in wanted} for _ in range(3))
     intervals = dict.fromkeys(wanted, 0)
@@ -1117,27 +1106,22 @@ def _clustered(rule: _Rule, protocol: ProtocolParams, wanted: dict[int, set],
                 skipped[C].append(_refusal(r, V, exc))
             continue
         try:
-            chains, lost = _chains_at(ev, Q, here, incumbent)
+            chains = _chains_at(ev, Q, here, incumbent)
         except _SKIPPED as exc:
-            chains, lost = dict.fromkeys(here, exc), []
-        tabled = ev.evaluations
+            chains = dict.fromkeys(here, exc)
         for C in here:
-            # C's record: the table's entries and its chain's intervals,
-            # each counted even where ev scored it for another count and
-            # where C was outranked, so that its chain was neither traced
-            # back nor rescored
-            ev.evaluations = tabled
-            if C in lost:
-                intervals[C] += tabled + C
+            # an outranked count (None) asked for its chain's intervals too
+            chain = chains[C]
+            intervals[C] += Q * (Q + 1) // 2 + (0 if isinstance(chain, Exception) else C)
+            if chain is None:
                 continue
             try:
-                plan = _rescore(ev, _raised(chains[C]))
+                plan = _rescore(ev, _raised(chain))
             except _SKIPPED as exc:
                 skipped[C].append(_refusal(r, V, exc))
             else:
                 keys[C].append((-plan.total_rate, -plan.kept_mass, r, V, plan.boundaries))
                 incumbent[C] = _fold(incumbent[C], keys[C][-1:])
-            intervals[C] += ev.evaluations
     return {C: (keys[C], skipped[C], intervals[C], pruned[C]) for C in wanted}
 
 
@@ -1210,9 +1194,11 @@ def optimize_each(dist: TransmittanceDistribution, clusters: Sequence[int], n: i
     the counts C >= 1 share one best-first pass per pass of the search,
     which prunes by rate_ceiling before a point's table and by the
     table's totals after it, and builds one interval table per point for
-    them all.  Each result equals optimize's for that count alone,
-    field for field, and the first count with no feasible grid point
-    raises optimize's ParameterError for it.
+    them all; each count's chain is rescored on its own, and its passes
+    record the intervals its search alone asks for.  Each result equals
+    optimize's for that count alone, field for field, and the first
+    count with no feasible grid point raises optimize's ParameterError
+    for it.
     """
     counts = tuple(_count(C, "cluster count", 0) for C in clusters)
     if not counts or len(set(counts)) < len(counts):

@@ -627,7 +627,6 @@ def test_interval_table_matches_reports(m, block, monkeypatch):
         monkeypatch.setattr(clustering, "_BLOCK", block)
     ev = _evaluator(UNI, m=m)
     edges, cdf, rate = ev.table(16)
-    assert ev.evaluations == 16 * 17 // 2
     assert list(edges) == _edges(ev, 16)
     masked = 0
     for a in range(17):
@@ -809,26 +808,20 @@ def test_one_program_gives_each_count_its_own_chain(data):
             assert clustering._raised(clustering._chains(table, (C,))[C]) == alone
 
 
-def test_an_interval_is_scored_once_per_evaluator():
-    """An evaluator asked again for an interval gives the report it scored
-    first and still counts the request: the plans of the C = 1..3 chains,
-    asked in turn and some twice, equal those of fresh evaluators, and
-    evaluations counts every request."""
+def test_an_evaluator_asked_again_answers_as_a_fresh_one():
+    """An evaluator keeps no record of what it scored: the plans of the
+    C = 1..3 chains, asked in turn and some twice, equal those of fresh
+    evaluators, and no request adds to or rebinds its attributes."""
     ev = _evaluator(UNI, m=25)
     table = ev.table(16)
+    state = dict(vars(ev))
     chains = clustering._chains(table, (1, 2, 3))
-    asked = 0
     for C in (1, 2, 3, 3, 1, 2):
-        plan = ev.plan(chains[C])
-        fresh = _evaluator(UNI, m=25)
-        assert plan == fresh.plan(chains[C])
-        assert fresh.evaluations == C
-        asked += C
-    assert ev.evaluations == 16 * 17 // 2 + asked
-    assert len(ev.reports) < asked / 2
+        assert ev.plan(chains[C]) == _evaluator(UNI, m=25).plan(chains[C])
     # a level of mass 1/16 holds under 2 of the 25 packages
-    light = ev.report(-math.inf, float(table[0][1]))
-    assert light.cond_moments is None and ev.report(-math.inf, float(table[0][1])) is light
+    assert ev.report(-math.inf, float(table[0][1])).cond_moments is None
+    assert vars(ev).keys() == state.keys()
+    assert all(vars(ev)[name] is value for name, value in state.items())
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf])
@@ -961,13 +954,13 @@ def _pooled_one_point_at_a_time(rule, proto, points, n, m):
         except REFUSED as exc:
             record(r, V, exc)
             continue
+        intervals += 1      # the pooled plan's one interval, even if its rescore raises
         try:
             plan = clustering._rescore(ev, (-math.inf, math.inf))
         except REFUSED as exc:
             record(r, V, exc)
         else:
             keys.append((-plan.total_rate, -plan.kept_mass, r, V, plan.boundaries))
-        intervals += ev.evaluations
     return keys, skipped, intervals
 
 
@@ -1170,7 +1163,8 @@ def test_pruning_changes_no_result(name, monkeypatch):
     pruned = optimize_each(CEILING_LAWS[name], (0, 1, 2, 3), 1000, 1000, P)
     assert all(res.search[0].pruned for res in pruned[1:])
     assert not pruned[0].search[0].pruned
-    monkeypatch.setattr(clustering, "rate_ceiling", lambda *args: math.inf)
+    monkeypatch.setattr(clustering, "rate_ceiling",
+                        lambda rule, protocol, *args: np.full(len(protocol.r), math.inf))
     full = optimize_each(CEILING_LAWS[name], (0, 1, 2, 3), 1000, 1000, P)
     for C, (res, ref) in enumerate(zip(pruned, full)):
         assert not any(p.pruned for p in ref.search)
@@ -1245,6 +1239,40 @@ def test_post_table_prune_rescores_few_chains(monkeypatch):
     monkeypatch.setattr(clustering, "_rescore", counted)
     optimize_each(UNI, (0, 1, 2, 3), 1000, 1000, P)
     assert len(rescored) <= 120
+
+
+# (Q, points, intervals, skipped, pruned) of each pass of each count on
+# Uniform(0, 1): a count's intervals are the Q(Q + 1)/2 entries of each
+# table it asked for and the C intervals of each chain found or
+# outranked.  At (n, m) = (4, 70) the r = 0.9 tables raise ParameterError
+# (no key-generation state), 12 per grid pass, and count their entries
+SEARCH_RECORDS = {
+    (1000, 1000): {
+        0: [(64, 144, 144, 0, 0), (128, 4, 4, 0, 0), (256, 4, 4, 0, 0)],
+        1: [(64, 144, 220586, 0, 38), (128, 9, 74313, 0, 0), (256, 9, 296073, 0, 0)],
+        2: [(64, 144, 220692, 0, 38), (128, 9, 74322, 0, 0), (256, 9, 296082, 0, 0)],
+        3: [(64, 144, 220798, 0, 38), (128, 9, 74331, 0, 0), (256, 9, 296091, 0, 0)]},
+    (4, 70): {
+        1: [(64, 144, 74904, 120, 0), (128, 6, 33028, 2, 0), (256, 6, 131588, 2, 0)],
+        2: [(64, 144, 74928, 120, 0), (128, 9, 49548, 3, 0), (256, 9, 197388, 3, 0)],
+        3: [(64, 144, 74952, 120, 0), (128, 9, 49554, 3, 0), (256, 9, 197394, 3, 0)]},
+}
+
+
+@pytest.mark.parametrize("n, m", list(SEARCH_RECORDS))
+def test_search_records_are_pinned(n, m):
+    """Each pass of each count records the points, intervals, skipped
+    and pruned points pinned above."""
+    counts = tuple(SEARCH_RECORDS[n, m])
+    results = optimize_each(UNI, counts, n, m, P)
+    for C, res in zip(counts, results):
+        got = [(p.Q, p.points, p.intervals, len(p.skipped), len(p.pruned))
+               for p in res.search]
+        assert got == SEARCH_RECORDS[n, m][C], C
+    raised = [rec for rec in results[0].search[0].skipped if rec["error"] == "ParameterError"]
+    assert len(raised) == (12 if n == 4 else 0)
+    assert all(rec["r"] == 0.9 and "no key-generation states" in rec["message"]
+               for rec in raised)
 
 
 @pytest.mark.parametrize("size", [1000, 400])
