@@ -113,7 +113,7 @@ import numpy as np
 
 from . import elementwise as ew
 from .channel import V_MAX, ProtocolParams, _run_size, noise_variance
-from .distributions import Empirical, Moments, TransmittanceDistribution, _count
+from .distributions import Empirical, Moments, TransmittanceDistribution, _count, _number
 from .errors import (ClusterTooSmallError, InsufficientDataError,
                      NumericalError, ParameterError)
 from .estimation import AggregateStats, Estimates, T_variance, \
@@ -145,14 +145,13 @@ _V_GRID = tuple(np.geomspace(0.5, 50.0, 12).tolist())
 _LEVELS = 64
 # the quantile solve: each edge is a point it evaluated, within _XTOL of the
 # root, the xtol of the brentq reference in test_vector_quantiles_match_brentq
-# (a level stops at a correction of _XTOL / 2); the step cap is ten times
-# the 6 passes the slowest level took on the four laws, a 1,600-sample trace
-# and a trace with a dropout to 0, over a 4 x 4 subgrid of (r, V).  A trace
-# whose samples drop to 0 in bulk puts a step into the estimate marginal;
-# with the Illinois rule, the searches (C = 1..3, n = m = 1000) on two
-# 1,600-sample traces with 0.5% to 90% of their samples at 0 took at most
-# 30 passes per solve, and 57 where the zeros held exactly half the mass,
-# so that level 1/2 fell where the marginal is all but flat
+# (a level stops at a step of _XTOL / 2); the step cap is ten times the 6
+# passes the slowest level took on the four laws, a 1,600-sample trace and a
+# trace with a dropout to 0, over the (r, V) grid.  A trace whose samples
+# drop to 0 in bulk puts a step into the estimate marginal; the searches
+# (C = 1..3, n = m = 1000) on two 1,600-sample traces with 10% to 90% of
+# their samples at 0 took at most 29 passes per solve, where the zeros held
+# exactly half the mass
 _XTOL = 1e-12
 _NEWTON_STEPS = 60
 # the relative and absolute margin of the post-table prune (_outranked): on
@@ -493,22 +492,24 @@ class _Evaluator:
         and the cubic Hermite interpolant of the marginal CDF a start (Q + 1
         points cost more kernel work than the steps they save).  Bracketed
         Newton steps on the whole level vector, one kernel pass each, run
-        until a level's correction is at most _XTOL / 2.  A step that
-        leaves its bracket [a, b] takes the secant root of the CDF gaps
-        at a and b instead, clipped to [a, b]: where the root lies within
-        rounding of a, Newton lands on or past a, and bisecting would
-        halve the level's gap once per pass; the secant gives a, and
-        Newton from a ends the level in one more pass.  Where the marginal
-        has a step (a trace's dropouts to 0), Newton from the flat side
-        lands back near the other end, and each secant lands a hair inside
-        the same end, so the bracket barely shrinks; the Illinois rule
-        halves the weight on the gap at the end that stayed each time a
-        level's secant point lands on the side of its last secant point
-        (Newton points between do not reset it), until a secant point
-        crosses.  A level that takes at most one secant step is never
-        weighted.  A level keeps the point its last pass evaluated and its
-        row of G, so every edge is within _XTOL of its root.  A level the
-        grid does not bracket raises NumericalError.
+        until a level's step is at most _XTOL / 2.  A step that leaves its
+        bracket [a, b] takes the secant root of the CDF gaps at a and b
+        instead, clipped to [a, b]: where the root lies within rounding of
+        a, Newton lands on or past a, and bisecting would halve the level's
+        gap once per pass; the secant gives a, and Newton from a ends the
+        level in one more pass.  A step longer than half the level's last
+        step bisects [a, b] instead, so that each pass at least halves
+        either the level's step or its bracket.  That bounds the passes
+        where the marginal has a step (a trace's dropouts to 0): there
+        Newton from the flat side lands back near the other end, each
+        secant lands a hair inside the same end, and Newton from the steep
+        side creeps down the zero node's Gaussian tail.  A level keeps the
+        point its last pass evaluated and its row of G, so every edge is
+        within _XTOL of its root unless the marginal's density there is
+        all but 0: at 50% zeros, where it was 2e-9, a secant step shorter
+        than _XTOL / 2 ended a level 1/2 7e-3 from its root, with a CDF
+        gap of 1.4e-11.  A level the grid does not bracket raises
+        NumericalError.
         """
         q = np.arange(1, Q) / Q
         grid = np.linspace(*self.span(Q), Q // 2 + 1)
@@ -525,37 +526,24 @@ class _Evaluator:
         t = lo + width * _hermite_root(f_lo, f_hi, width * pdf[j - 1], width * pdf[j])
         edge_G = np.empty((q.size, G.shape[1]))
         live = np.arange(q.size)
-        # the Illinois rule: a secant point on the side of the level's last
-        # secant point halves the weight on the gap at the other end
-        side = np.zeros(q.size, dtype=int)          # -1 below the root, +1 above
-        weight = np.ones(q.size)
-        by_secant = np.zeros(q.size, dtype=bool)    # how each next point was found
+        last = np.full(q.size, math.inf)            # each level's last step length
         for _ in range(_NEWTON_STEPS):
             tl = t[live]
             G, slope = self._cdf_pdf(tl)
             gap = G[:, 0] - q[live]
             below, above = gap < 0.0, gap > 0.0
-            fresh = by_secant[live]
-            landed = np.where(below, -1, 1)
-            repeat = fresh & (landed == side[live])
-            weight[live] = np.where(repeat, 0.5 * weight[live],
-                                    np.where(fresh, 1.0, weight[live]))
-            side[live] = np.where(fresh, landed, side[live])
             lo[live] = np.where(below, tl, lo[live])
             f_lo[live] = np.where(below, gap, f_lo[live])
             hi[live] = np.where(above, tl, hi[live])
             f_hi[live] = np.where(above, gap, f_hi[live])
-            a, b = lo[live], hi[live]
-            w, sd = weight[live], side[live]
-            fa = f_lo[live] * np.where(sd > 0, w, 1.0)
-            fb = f_hi[live] * np.where(sd < 0, w, 1.0)
+            a, b, fa, fb = lo[live], hi[live], f_lo[live], f_hi[live]
             with np.errstate(divide="ignore", invalid="ignore"):
                 step = tl - gap / slope
             secant = np.clip(a - fa * (b - a) / (fb - fa), a, b)
-            newton = (step > a) & (step < b)
-            by_secant[live] = ~newton
-            step = np.where(newton, step, secant)
-            done = (gap == 0.0) | (np.abs(step - tl) <= _XTOL / 2)
+            step = np.where((step > a) & (step < b), step, secant)
+            step = np.where(np.abs(step - tl) > 0.5 * last[live], 0.5 * (a + b), step)
+            last[live] = np.abs(step - tl)
+            done = (gap == 0.0) | (last[live] <= _XTOL / 2)
             edge_G[live[done]] = G[done]
             t[live] = np.where(done, tl, step)
             live = live[~done]
@@ -673,7 +661,7 @@ def _raised(value):
 
 
 def _check_edges(boundaries: Sequence[float]) -> list[float]:
-    edges = [float(b) for b in boundaries]
+    edges = [float(_number(b, "a plan edge")) for b in boundaries]
     if len(edges) < 2:
         raise ParameterError("a plan needs at least two edges")
     if not all(a < b for a, b in zip(edges, edges[1:])):   # NaN fails too

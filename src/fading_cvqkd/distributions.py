@@ -17,8 +17,7 @@ descriptor.
 from __future__ import annotations
 
 import math
-import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cache, cached_property
 from typing import Iterable
 
@@ -94,6 +93,21 @@ def _count(value, name: str, least: int) -> int:
     return int(value)
 
 
+def _number(value, name: str):
+    """value as given if it is an int or a float, numpy's included; a bool
+    or a string is not a number, though float() takes both, and a Fraction
+    would not read back from JSON."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ParameterError(f"{name} must be a number, got {value!r}")
+    return value
+
+
+def _parameters(law) -> None:
+    """Refuse a law whose dataclass fields are not all numbers (see _number)."""
+    for f in fields(law):
+        _number(getattr(law, f.name), f"{type(law).__name__} {f.name}")
+
+
 def _as_rng(seed) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
@@ -157,6 +171,7 @@ class Uniform(TransmittanceDistribution):
     hi: float = 1.0
 
     def __post_init__(self) -> None:
+        _parameters(self)
         if not (0.0 <= self.lo < self.hi <= 1.0):
             raise ParameterError(f"uniform bounds must satisfy 0 <= lo < hi <= 1, got ({self.lo}, {self.hi})")
 
@@ -199,6 +214,7 @@ class TruncatedNormal(TransmittanceDistribution):
     std: float
 
     def __post_init__(self) -> None:
+        _parameters(self)
         if not (self.std > 0.0) or not math.isfinite(self.mean):
             raise ParameterError(f"invalid truncated normal parameters ({self.mean}, {self.std})")
         lo, hi = self._cdf_bounds(lambda x: 0.5 * math.erfc(-x * math.sqrt(0.5)))
@@ -352,6 +368,7 @@ class LogNegativeWeibull(TransmittanceDistribution):
     sigma_b: float
 
     def __post_init__(self) -> None:
+        _parameters(self)
         if not (self.sigma_b > 0.0) or not math.isfinite(self.sigma_b):
             raise ParameterError(f"wander std must be positive, got {self.sigma_b}")
         key = (round(self.w_over_a, 9), round(self.sigma_b, 9))
@@ -458,18 +475,10 @@ class Empirical(TransmittanceDistribution):
         return {"variant": "empirical", "samples": [float(s) for s in self.samples]}
 
 
-def _number(value) -> float:
-    """A descriptor's number as a float; a bool or a string is not one,
-    though float() would take it."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise TypeError(f"expected a number, got {value!r}")
-    return float(value)
-
-
 def _float_list(value) -> list[float]:
     if not isinstance(value, list):
         raise TypeError(f"expected a list of numbers, got {type(value).__name__}")
-    return [_number(v) for v in value]
+    return [float(_number(v, "a sample")) for v in value]
 
 
 def from_descriptor(d: dict) -> TransmittanceDistribution:
@@ -480,14 +489,14 @@ def from_descriptor(d: dict) -> TransmittanceDistribution:
     except (TypeError, KeyError):
         raise ParameterError("distribution descriptor lacks a 'variant' key")
 
-    def param(key: str, default=None, conv=_number):
+    def param(key: str, default=None, conv=None):
         if key not in d and default is not None:
             return default
         try:
-            return conv(d[key])
+            return conv(d[key]) if conv else float(_number(d[key], key))
         except KeyError:
             raise ParameterError(f"{variant} descriptor lacks the key {key!r}") from None
-        except TypeError as exc:
+        except (TypeError, ParameterError) as exc:
             raise ParameterError(f"{variant} descriptor: {key!r} is malformed ({exc})") from None
 
     if variant == "uniform":

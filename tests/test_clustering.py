@@ -236,6 +236,22 @@ def test_nan_edge_fails_closed(edges):
         total_key_rate_from_estimates(ests, edges, 2000, P)
 
 
+@pytest.mark.parametrize("edges", [("-inf", "inf"), ["0", True], (False, True),
+                                   (-math.inf, "0.5", math.inf)],
+                         ids=["strings", "string-and-bool", "bools", "inner-string"])
+def test_an_edge_that_is_not_a_number_is_refused(edges):
+    """float() takes a numeric string and a bool, so ("-inf", "inf") once
+    rated a plan and ["0", True] labelled packages; an edge follows the
+    rule a descriptor's number does."""
+    _, ests, _ = _median_split_run(n=2000, m=300)
+    with pytest.raises(ParameterError, match="a plan edge must be a number"):
+        total_key_rate(UNI, edges, 1000, 1000, P)
+    with pytest.raises(ParameterError, match="a plan edge must be a number"):
+        cluster_assign(ests, edges)
+    with pytest.raises(ParameterError, match="a plan edge must be a number"):
+        total_key_rate_from_estimates(ests, edges, 2000, P)
+
+
 def test_zero_fluctuation_plan_matches_fixed_channel_as_margins_vanish():
     # with no fading and the confidence factor sent to zero the plan
     # machinery collapses onto the plain fixed-channel rate
@@ -582,8 +598,8 @@ def test_quantile_solve_ends_in_three_newton_passes(dist, r, V, Q):
 def test_a_trace_with_dropouts_to_zero_is_searched(zeros):
     """The 1,600-sample trace with its first 10% or 20% of samples set to
     T = 0: the node at 0 puts a step into the estimate marginal, where
-    Newton and the bracket's secant took turns landing near either end.
-    Before the Illinois rule 10 and 14 of the 144 grid points ran out of
+    Newton and the bracket's secant take turns landing near either end.
+    With those two steps alone 10 and 14 of the 144 grid points ran out of
     quantile steps at Q = 64, and every count raised NumericalError.  Now
     each count finds a plan, and at (0.26, 50), a point that failed in
     both, every level matches brentq."""
@@ -593,6 +609,30 @@ def test_a_trace_with_dropouts_to_zero_is_searched(zeros):
     rates = [res.plan.total_rate for res in optimize_each(dist, (1, 2, 3), 1000, 1000, P)]
     assert rates[0] > 0.0 and rates == sorted(rates)
     _assert_quantiles_match_brentq(_evaluator(dist, clustering._R_GRID[8], 50.0), 64)
+
+
+@pytest.mark.parametrize("tenths", range(1, 10), ids=[f"{10 * i}%" for i in range(1, 10)])
+def test_a_dropout_trace_solves_in_half_the_step_cap(tenths):
+    """The 1,600-sample trace with its first 10% to 90% of samples set to
+    T = 0, solved at Q = 64 on every point of the (r, V) grid: no solve
+    takes more than half of _NEWTON_STEPS kernel passes, the start grid
+    included.  The halving rule of _solve bisects a level whose step
+    stops shrinking; with the Illinois rule in its place the solve at
+    (r, V) = (0.26, 50) took 51 passes at 50% zeros, where level 1/2
+    falls where the marginal is all but flat, and at most 30 at the
+    other fractions; now the slowest takes 24."""
+    samples = LogNegativeWeibull(1.47, 0.6).sample(11, 1600)
+    samples[:160 * tenths] = 0.0
+    rule = clustering._rule(Empirical(samples), 1000, P)
+    most = 0
+    for r, V in itertools.product(clustering._R_GRID, clustering._V_GRID):
+        ev = clustering._Evaluator(rule, replace(P, r=r, V=V), 1000, n=1000)
+        passes = []
+        solve = ev._cdf_pdf
+        ev._cdf_pdf = lambda t: (passes.append(t.size), solve(t))[1]
+        ev._solve(64)
+        most = max(most, len(passes))
+    assert most <= clustering._NEWTON_STEPS // 2
 
 
 @pytest.mark.parametrize("dist", [*FOUR_LAWS, TRACE_LAW],

@@ -1,6 +1,9 @@
 """Transmittance-law moments, samplers and descriptors."""
 
+import dataclasses
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -299,6 +302,36 @@ def test_descriptor_round_trip(dist):
     mo, mc = dist.moments(), clone.moments()
     assert mc.mean_T == pytest.approx(mo.mean_T, abs=1e-12)
     assert mc.var_sqrtT == pytest.approx(mo.var_sqrtT, abs=1e-12)
+
+
+# numbers as a caller may pass them, and values float() takes that are not
+# (a Fraction would not read back from a descriptor written as JSON)
+PARAMETER_VALUES = [0, 1, 0.1, 0.5, 1.47, np.float64(0.6), np.int64(1), np.float32(0.25),
+                    True, False, "0.5", "1.47", None, Fraction(1, 5)]
+
+
+@pytest.mark.parametrize("law", [Uniform, TruncatedNormal, LogNegativeWeibull])
+def test_every_law_that_constructs_round_trips(law):
+    """Over pairs of parameter values, a law refuses a bool, a string, a
+    Fraction or None with ParameterError, keeps a number as given (an int
+    stays an int) and reads back from its descriptor.  Uniform(False,
+    True) once built a run that open_run refused, TruncatedNormal(True,
+    0.1) built, and LogNegativeWeibull("1.47", 0.6) raised a bare
+    TypeError."""
+    built = 0
+    for args in itertools.product(PARAMETER_VALUES, repeat=2):
+        numbers_only = not any(isinstance(a, (bool, str, Fraction)) or a is None for a in args)
+        try:
+            dist = law(*args)
+        except ParameterError as exc:
+            assert numbers_only or "must be a number" in str(exc)
+            continue
+        assert numbers_only
+        assert all(getattr(dist, f.name) is a for f, a in zip(dataclasses.fields(dist), args))
+        clone = from_descriptor(dist.descriptor())
+        assert clone == dist and clone.descriptor() == dist.descriptor()
+        built += 1
+    assert built >= 5
 
 
 def test_invalid_parameters_raise():
