@@ -177,8 +177,8 @@ class RunStream:
 
     It holds what a Run holds but M and B.  Each call of blocks() yields
     the (M, B) arrays of consecutive packages anew, block_rows(n) rows
-    each but the last, so memory does not grow with m; collect() gathers
-    them into a Run.
+    each but the last (open_run's map the run's files read-only), so
+    memory does not grow with m; collect() copies them into a Run.
     """
 
     true_T: np.ndarray  # shape (m,)
@@ -194,11 +194,9 @@ class RunStream:
 
     def collect(self) -> Run:
         M, B = np.empty((self.m, self.n)), np.empty((self.m, self.n))
-        start = 0
-        for M_rows, B_rows in self.blocks():
-            stop = start + len(M_rows)
-            M[start:stop], B[start:stop] = M_rows, B_rows
-            start = stop
+        step = block_rows(self.n)
+        for start, (M_rows, B_rows) in zip(range(0, self.m, step), self.blocks()):
+            M[start:start + step], B[start:start + step] = M_rows, B_rows
         return Run(M=M, B=B, true_T=self.true_T, dist=self.dist, protocol=self.protocol,
                    seed=self.seed)
 

@@ -504,12 +504,12 @@ class _Evaluator:
         Newton from the flat side lands back near the other end, each
         secant lands a hair inside the same end, and Newton from the steep
         side creeps down the zero node's Gaussian tail.  A level keeps the
-        point its last pass evaluated and its row of G, so every edge is
-        within _XTOL of its root unless the marginal's density there is
-        all but 0: at 50% zeros, where it was 2e-9, a secant step shorter
-        than _XTOL / 2 ended a level 1/2 7e-3 from its root, with a CDF
-        gap of 1.4e-11.  A level the grid does not bracket raises
-        NumericalError.
+        point its last pass evaluated and its row of G, so the table reads
+        F(edge) itself, and the guarantee is in mass: a level q that a
+        Newton step ends has |F(edge) - q| <= f(edge) _XTOL / 2, f the
+        marginal density; where f is all but 0 a short secant step may end
+        it far from its root at as small a gap (at 50% zeros, f = 2e-9: 7e-3
+        away, at 1.4e-11).  A level the grid does not bracket raises NumericalError.
         """
         q = np.arange(1, Q) / Q
         grid = np.linspace(*self.span(Q), Q // 2 + 1)

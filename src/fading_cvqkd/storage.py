@@ -17,6 +17,7 @@ import csv
 import dataclasses
 import json
 import math
+import mmap
 import os
 from functools import partial
 from pathlib import Path
@@ -71,14 +72,12 @@ def jsonable(obj):
 
 
 def write_table(path, header: Sequence[str], rows) -> None:
-    """Write a CSV table (and its directory); floats go through repr."""
+    """Write a CSV table (and its directory); csv writes a float64 as its repr."""
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(list(header))
-        for row in rows:
-            w.writerow([repr(float(v)) if isinstance(v, (float, np.floating)) else v
-                        for v in row])
+        w.writerow(header)
+        w.writerows(rows)
 
 
 def write_json(obj, path) -> None:
@@ -219,12 +218,18 @@ def _npy_offset(path: Path, shape: tuple[int, int]) -> int:
     return offset
 
 
-def _read_rows(fh, label: str, start: int, rows: int, n: int) -> np.ndarray:
-    """The next rows x n states of an open .npy file, those of packages
-    start, start + 1, ...; a non-finite one is refused by its place."""
-    a = np.empty((rows, n))
-    if fh.readinto(a) != a.nbytes:
-        raise ValidationError(f"{label}: ends inside the states of package {start}")
+def _map_rows(fh, label: str, offset: int, start: int, rows: int, n: int) -> np.ndarray:
+    """The rows x n states of packages start, start + 1, ... of an open .npy
+    file whose states begin at offset: a read-only mapping, not a copy (a file
+    cut short while it is mapped ends the process by SIGBUS).  A non-finite
+    state is refused by its place."""
+    at = offset + 8 * start * n
+    skip = at % mmap.ALLOCATIONGRANULARITY  # where mmap's offset may fall
+    try:
+        buf = mmap.mmap(fh.fileno(), skip + 8 * rows * n, offset=at - skip, access=mmap.ACCESS_READ)
+    except ValueError:  # the file ends before the block does
+        raise ValidationError(f"{label}: ends inside the states of package {start}") from None
+    a = np.frombuffer(buf, np.float64, rows * n, skip).reshape(rows, n)
     bad = np.flatnonzero(~np.isfinite(a))
     if bad.size:
         i, j = divmod(int(bad[0]), n)
@@ -234,22 +239,19 @@ def _read_rows(fh, label: str, start: int, rows: int, n: int) -> np.ndarray:
 
 
 def _read_blocks(src: Path, offsets: tuple[int, int], m: int, n: int):
-    """The (M, B) row blocks of a run directory, each checked finite."""
+    """The (M, B) row blocks of a run directory, as _map_rows maps them."""
     with _open(src / M_NPY, "rb") as fm, _open(src / B_NPY, "rb") as fb:
-        fm.seek(offsets[0])
-        fb.seek(offsets[1])
         step = block_rows(n)
         for start in range(0, m, step):
-            rows = min(step, m - start)
-            yield (_read_rows(fm, M_NPY, start, rows, n),
-                   _read_rows(fb, B_NPY, start, rows, n))
+            yield (_map_rows(fm, M_NPY, offsets[0], start, min(step, m - start), n),
+                   _map_rows(fb, B_NPY, offsets[1], start, min(step, m - start), n))
 
 
 def open_run(in_dir) -> RunStream:
     """The run in a directory written by write_run (format v2), as a
     RunStream.  The sidecar (its keys, and n, m and seed integers),
     true_T.csv and the header and size of each array are checked here;
-    blocks() checks each block's states for finiteness as it reads them.
+    blocks() maps each row block read-only, not a copy, and checks it finite.
     Row i of true_T.csv must carry package i, and there must be m rows.
     A run of an older format is refused with the command that regenerates
     it: the simulation is determined by its run.json, so a rerun is

@@ -923,6 +923,30 @@ def test_clustered_outputs_are_pinned(tmp_path, command):
             for name in CLUSTERED_SHA256[command]} == CLUSTERED_SHA256[command]
 
 
+# sha256 of every file of the data route simulate --n 1000 --m 50 --seed 3,
+# estimate, keyrate DATA with numpy 2.4 and scipy 1.17, as the row blocks
+# were read by copying them out of the arrays' files
+DATA_ROUTE_SHA256 = {
+    M_NPY: "dd33eb7f51222534c3dd6db77bb99cb1c46dfcc1647177dfacee434b810b1125",
+    B_NPY: "f5291343068ff833acbfb70448de04eb03c4a2433ac940a383e0dee52a0a8412",
+    TRUE_T_CSV: "e8637be5a9995fc52fc565fc8d3996628badf83e9ad60da6323e68f6af013596",
+    RUN_JSON: "c06677cc4ac235ddc565bf6649456d1454f8ae942b46ec692dfe1830100d8a2b",
+    ESTIMATES_CSV: "b3efee99b645884e19bca4daaf8ae8df33c31c6cbb01b7a588117e4e5d0325af",
+    "estimate.json": "a95bee38390fb5d8db067ea835259962e779b92aa45cdbbfb83fa892107e8cc0",
+    "residuals.csv": "e2edec4f8bb8eef86939f073a9aa6df584e81712609ab623951ed658960726f0",
+    "keyrate.json": "b28091c352f7320664d4d4a8e5c999466cc4a285687a48d381c6119667e9bb4c",
+}
+
+
+def test_data_route_is_pinned(tmp_path):
+    run = tmp_path / "run"
+    assert main(["simulate", "--n", "1000", "--m", "50", "--seed", "3",
+                 "--out", str(run)]) == 0
+    assert main(["estimate", str(run)]) == 0
+    assert main(["keyrate", str(run)]) == 0
+    assert {p.name: _digest(p) for p in _files(run)} == DATA_ROUTE_SHA256
+
+
 DESK_LADDER = [10, 25, 63, 158, 398, 1000]
 PAPER_LADDER = [10, 40, 158, 631, 2512, 10000]
 

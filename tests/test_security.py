@@ -152,6 +152,30 @@ def test_asymptotic_rate_monotonicity_small_grid():
     assert np.all(np.diff(K, axis=1) < 1e-12)    # eps up, K down
 
 
+# a 401 x 201 grid of (T, eps) over [0, 1] x [0, 0.5]
+T_EPS_GRID = np.meshgrid(np.linspace(0.0, 1.0, 401), np.linspace(0.0, 0.5, 201),
+                         indexing="ij")
+
+
+@settings(max_examples=40, deadline=None)
+@example(V_S=0.01, V=1.5, beta=0.9)
+@example(V_S=1.0, V=1000.0, beta=1.0)
+@given(V_S=st.sampled_from([1.0, 0.5, 0.1, 0.01]), V=st.floats(1.5, 1000.0),
+       beta=st.sampled_from([0.9, 0.95, 1.0]))
+def test_key_rate_rises_in_T_and_falls_in_eps(V_S, V, beta):
+    """K = max(0, K_inf) from key_rate on arrays never falls as T rises
+    or rises as eps does, by more than 1e-12 bits/state; rate_ceiling's
+    proof and worst_case's choice of corner rest on it.  Measured on
+    48,144,096 points (a 1001 x 501 grid, eight V from 1.5 to 1000, the
+    V_S and beta drawn here), no step broke it by more than 1e-12."""
+    T, eps = T_EPS_GRID
+    rep = key_rate(EffectiveChannel(T=T, eps=eps), None,
+                   ProtocolParams(V=V, V_S=V_S, beta=beta))
+    assert np.array_equal(rep.K, np.maximum(0.0, rep.K_inf))
+    assert np.all(np.diff(rep.K, axis=0) >= -1e-12)
+    assert np.all(np.diff(rep.K, axis=1) <= 1e-12)
+
+
 def test_delta_scaling_is_exact():
     p = ProtocolParams()
     for n in (10, 1234, 10**6, 7**9):

@@ -268,6 +268,41 @@ def test_a_non_finite_state_in_a_later_block_is_placed_in_the_run(tmp_path, caps
     assert sorted(p.name for p in tmp_path.iterdir()) == before
 
 
+def test_a_cut_after_open_run_is_refused_by_blocks(tmp_path):
+    """An array file cut short by a state after open_run checked its size
+    is refused by blocks() when it reaches the block the cut falls in,
+    naming that block's first package, as when blocks were read into
+    copies, not with the error of the mapping."""
+    m = _ROWS + 3
+    write_run(simulate(DIST, _EDGE_N, m, P, seed=5), tmp_path)
+    for name in (M_NPY, B_NPY):
+        stream = open_run(tmp_path)
+        _cut(lambda size: size - 8)(tmp_path / name)
+        blocks = stream.blocks()
+        M, B = next(blocks)
+        assert M.shape == B.shape == (_ROWS, _EDGE_N)
+        with pytest.raises(ValidationError,
+                           match=f"^{name}: ends inside the states of package {_ROWS}$"):
+            next(blocks)
+        write_run(simulate(DIST, _EDGE_N, m, P, seed=5), tmp_path)
+
+
+def test_blocks_are_read_only_and_a_read_run_is_a_copy(tmp_path):
+    """Each block of a stored run is a read-only view of its file, and a
+    Run from read_run owns its arrays: rewriting the run directory
+    leaves its values as they were read."""
+    write_run(_small_run(n=5, m=3), tmp_path)
+    for block in next(open_run(tmp_path).blocks()):
+        assert not block.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            block[0, 0] = 0.0
+    run = read_run(tmp_path)
+    write_run(_small_run(seed=7, n=5, m=3), tmp_path)
+    again = _small_run(n=5, m=3)
+    assert np.array_equal(run.M, again.M) and np.array_equal(run.B, again.B)
+    assert not np.array_equal(read_run(tmp_path).M, run.M)
+
+
 def _append(extra: bytes):
     def edit(path):
         with open(path, "ab") as fh:
@@ -385,11 +420,32 @@ def test_read_trace_validates(tmp_path):
 # ---- primitives ----------------------------------------------------------
 
 def test_write_table_floats_use_repr(tmp_path):
+    """Python floats and numpy float64 are written as their repr, the
+    non-finite ones included, and ints, strings and bools as str, just
+    as when write_table converted each float with repr itself.  A numpy
+    float32, which no caller passes, is the one type whose text changed:
+    it is now written in its own shortest text, 0.1 rather than the
+    0.10000000149011612 of its float64 value."""
     path = tmp_path / "t.csv"
-    write_table(path, ["a", "b", "c"], [[1, 1.0 / 3.0, "x"]])
-    lines = path.read_text().splitlines()
-    assert lines[0] == "a,b,c"
-    assert lines[1] == f"1,{1.0 / 3.0!r},x"
+    rows = [[1, 1.0 / 3.0, "x"],
+            [np.float64(0.1), -0.0, np.float64(-0.0)],
+            [math.inf, -math.inf, math.nan],
+            [np.float64(math.inf), np.float64(-math.inf), np.float64(math.nan)],
+            [5e-324, 1e16, np.float64(2.0 ** -1074)],
+            [np.float64(1e16), 123456789.0, np.float64(1.0 / 3.0)],
+            ["a,b", "", np.int64(7)],
+            [True, -2, 'say "hi"']]
+    write_table(path, ["a", "b", "c"], iter(rows))
+    assert path.read_text().splitlines() == [
+        "a,b,c",
+        f"1,{1.0 / 3.0!r},x",
+        "0.1,-0.0,-0.0",
+        "inf,-inf,nan",
+        "inf,-inf,nan",
+        "5e-324,1e+16,5e-324",
+        "1e+16,123456789.0,0.3333333333333333",
+        '"a,b",,7',
+        'True,-2,"say ""hi"""']
 
 
 def test_jsonable_handles_special_values():
